@@ -5,12 +5,12 @@
 // families the workload layer added:
 //
 //   1. App throughput: TwoEdgeConnect (2 forest layers) and ApproxMinCut
-//      (doubling skeleton ladder) ingest rates -- serial Update calls vs
-//      the gutter driver fanning batches across every layer -- plus the
-//      one-shot query cost.
+//      (doubling skeleton ladder) ingest rates -- the prepare-once shared
+//      plane vs every layer re-preparing for itself -- plus the one-shot
+//      query cost.
 //   2. Corpus replay: the same spec ingested from memory vs replayed from
-//      its disk-resident GMSB file via the mmap'd reader threads
-//      (DriveBinaryFileStream); the file path must hold most of the
+//      its disk-resident GMSB file in decoded chunks
+//      (ProcessBinaryFileStream); the file path must hold most of the
 //      in-memory rate, since records decode in place.
 //   3. Bridge serving: sustained is_bridge wire queries/s against a
 //      SketchServer skeleton snapshot (the BridgeIndex makes each query
@@ -20,7 +20,7 @@
 //
 // --apps_smoke: reduced workload, timing-free hard asserts; the AppsSmoke
 // ctest (default + tsan presets) runs this mode:
-//   - driver-ingested apps answer identically to serially ingested ones;
+//   - shared-plane and per-layer ingestion answer identically;
 //   - file replay produces the same answers as in-memory ingestion;
 //   - served is_bridge answers match exact Tarjan bridges of the final
 //     graph for every queried pair.
@@ -38,7 +38,6 @@
 #include "graph/traversal.h"
 #include "serve/serve_protocol.h"
 #include "serve/sketch_server.h"
-#include "stream/stream_driver.h"
 #include "testkit/stream_spec.h"
 #include "util/check.h"
 #include "util/random.h"
@@ -70,7 +69,6 @@ struct AppRow {
   size_t updates = 0;
   double shared_seconds = 0;       // prepare-once plane fan-out (Process)
   double independent_seconds = 0;  // every layer re-prepares for itself
-  double driver_seconds = 0;
   double query_seconds = 0;
   size_t memory_bytes = 0;
 };
@@ -99,14 +97,6 @@ AppRow RunApp(const char* name, const testkit::StreamSpec& spec,
   const bench::IngestTiming independent = bench::BestOfThree(
       [&] { app.Clear(); }, [&] { app.ProcessIndependent(updates); });
   row.independent_seconds = independent.best_secs;
-
-  App driven = make_app(built.max_rank);
-  GutterDriverParams dp;
-  dp.readers = 2;
-  dp.appliers = 2;
-  const bench::IngestTiming driver = bench::BestOfThree(
-      [&] { driven.Clear(); }, [&] { DriveStream(&driven, updates, dp); });
-  row.driver_seconds = driver.best_secs;
 
   Timer t;
   auto answer = app.Query();
@@ -144,22 +134,17 @@ CorpusRow RunCorpus(const testkit::StreamSpec& spec, const std::string& dir,
                    static_cast<size_t>(file->num_updates()) *
                        file->header().record_bytes;
 
-  GutterDriverParams dp;
-  dp.readers = 2;
-  dp.appliers = 2;
-
   apps::TwoEdgeConnect mem(spec.n, built.max_rank, seed);
   Timer t;
-  DriveStream(&mem, std::span<const StreamUpdate>(built.stream.updates()),
-              dp);
+  mem.Process(built.stream);
   row.memory_seconds = t.Seconds();
 
   apps::TwoEdgeConnect disk(spec.n, built.max_rank, seed);
   t.Reset();
-  workload::DriveBinaryFileStream(&disk, *file, dp);
+  workload::ProcessBinaryFileStream(&disk, *file);
   row.file_seconds = t.Seconds();
 
-  // Identical pipeline, identical updates: the answers must agree exactly.
+  // Identical updates into the same sketch: the answers must agree exactly.
   auto a = mem.Query();
   auto b = disk.Query();
   GMS_CHECK_MSG(a.ok() == b.ok(), "apps bench: file vs memory ok mismatch");
@@ -240,12 +225,12 @@ void WriteJson(const std::vector<AppRow>& apps,
         "    {\"app\": \"%s\", \"family\": \"%s\", \"n\": %zu, "
         "\"updates\": %zu,\n"
         "     \"shared_seconds\": %.6f, \"independent_seconds\": %.6f,\n"
-        "     \"prepare_once_speedup\": %.3f, \"driver_seconds\": %.6f,\n"
+        "     \"prepare_once_speedup\": %.3f,\n"
         "     \"query_seconds\": %.6f, \"memory_bytes\": %zu}%s\n",
         r.app.c_str(), r.family.c_str(), r.n, r.updates, r.shared_seconds,
         r.independent_seconds,
         r.independent_seconds / std::max(r.shared_seconds, 1e-9),
-        r.driver_seconds, r.query_seconds, r.memory_bytes,
+        r.query_seconds, r.memory_bytes,
         i + 1 < apps.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"corpus\": [\n");
@@ -271,7 +256,6 @@ void WriteJson(const std::vector<AppRow>& apps,
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
   std::printf("wrote BENCH_apps.json\n");
-  bench::MirrorToRepoRoot("BENCH_apps.json");
 }
 
 int Run(bool smoke) {
@@ -304,26 +288,27 @@ int Run(bool smoke) {
         }));
   }
 
-  // Smoke asserts: driver and serial ingestion agree per app. (The timing
-  // rows above already built both; re-derive the comparison cheaply here
-  // on the first spec so the assert is explicit and labeled.)
+  // Smoke asserts: the shared plane (threads = 1) and the per-layer
+  // parallel paths (threads = 4) answer identically, as does the serial
+  // per-layer baseline. (The timing rows above already built both;
+  // re-derive the comparison cheaply here on the first spec so the assert
+  // is explicit and labeled.)
   {
     testkit::BuiltStream built = specs[0].Build();
     const std::span<const StreamUpdate> updates(built.stream.updates());
     apps::TwoEdgeConnect serial(specs[0].n, built.max_rank, 7);
     serial.Process(updates);
-    apps::TwoEdgeConnect driven(specs[0].n, built.max_rank, 7);
-    GutterDriverParams dp;
-    dp.readers = 2;
-    dp.appliers = 2;
-    DriveStream(&driven, updates, dp);
+    apps::TwoEdgeConnect parallel(
+        specs[0].n, built.max_rank, 7,
+        ForestSketchParams::Builder().Threads(4).Build());
+    parallel.Process(updates);
     auto a = serial.Query();
-    auto b = driven.Query();
+    auto b = parallel.Query();
     GMS_CHECK_MSG(a.ok() == b.ok(),
-                  "apps bench: driver vs serial ok mismatch");
+                  "apps bench: plane vs parallel ok mismatch");
     if (a.ok()) {
       GMS_CHECK_MSG(a.value().skeleton == b.value().skeleton,
-                    "apps bench: driver vs serial skeleton mismatch");
+                    "apps bench: plane vs parallel skeleton mismatch");
     }
     // prepare_once: the plane fan-out and the per-layer baseline must
     // answer identically too (the timing rows above compared their costs).
@@ -339,7 +324,7 @@ int Run(bool smoke) {
   }
 
   Table app_table({"app", "family", "n", "updates", "shared", "indep",
-                   "prep1x", "driver@2", "query", "memory"});
+                   "prep1x", "query", "memory"});
   for (const AppRow& r : app_rows) {
     app_table.AddRow(
         {r.app, r.family, Table::Fmt(static_cast<uint64_t>(r.n)),
@@ -348,7 +333,6 @@ int Run(bool smoke) {
          bench::Rate(static_cast<double>(r.updates) / r.independent_seconds),
          Table::Fmt(r.independent_seconds / std::max(r.shared_seconds, 1e-9),
                     2),
-         bench::Rate(static_cast<double>(r.updates) / r.driver_seconds),
          Table::Fmt(r.query_seconds * 1e3, 2) + "ms",
          bench::Kb(r.memory_bytes)});
   }
@@ -372,7 +356,9 @@ int Run(bool smoke) {
          bench::Rate(static_cast<double>(r.updates) / r.memory_seconds),
          bench::Rate(static_cast<double>(r.updates) / r.file_seconds)});
   }
-  corpus_table.Print("corpus replay: in-memory vs disk-resident (driver@2)");
+  corpus_table.Print(
+      "corpus replay: in-memory vs disk-resident (app Process, 4096-update "
+      "chunks)");
 
   std::vector<BridgeRow> bridge_rows;
   bridge_rows.push_back(RunBridgeServing(

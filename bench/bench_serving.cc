@@ -108,7 +108,7 @@ ServingResult RunServing(size_t n, size_t decoys, size_t epoch_updates,
     });
   }
 
-  // Ingest in driver-gutter-sized chunks, publishing the prefix length
+  // Ingest in fixed-size chunks, publishing the prefix length
   // after each chunk (release pairs with the queriers' acquire).
   constexpr size_t kChunk = 2048;
   Timer ingest_timer;
@@ -328,7 +328,6 @@ void WriteJson(const std::vector<ServingResult>& rows,
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
   std::printf("wrote BENCH_serving.json\n");
-  bench::MirrorToRepoRoot("BENCH_serving.json");
 }
 
 int Run(bool smoke) {

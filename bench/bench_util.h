@@ -72,34 +72,6 @@ IngestTiming BestOfThreeIngest(Sketch* sketch, const Stream& stream) {
                      [sketch, &stream] { sketch->Process(stream); });
 }
 
-/// Copy a freshly written BENCH_*.json from the working directory into the
-/// source tree root (GMS_REPO_ROOT, injected by bench/CMakeLists.txt), so
-/// the checked-in result files track the binaries that produced them. A
-/// build without the definition (or an unwritable tree) degrades to a
-/// no-op: the bench output in CWD is the primary artifact.
-inline void MirrorToRepoRoot(const char* filename) {
-#ifdef GMS_REPO_ROOT
-  std::FILE* src = std::fopen(filename, "rb");
-  if (src == nullptr) return;
-  const std::string dst_path = std::string(GMS_REPO_ROOT) + "/" + filename;
-  std::FILE* dst = std::fopen(dst_path.c_str(), "wb");
-  if (dst == nullptr) {
-    std::fclose(src);
-    return;
-  }
-  char buf[4096];
-  size_t got;
-  while ((got = std::fread(buf, 1, sizeof(buf), src)) > 0) {
-    if (std::fwrite(buf, 1, got, dst) != got) break;
-  }
-  std::fclose(src);
-  std::fclose(dst);
-  std::printf("mirrored %s to %s\n", filename, dst_path.c_str());
-#else
-  (void)filename;
-#endif
-}
-
 }  // namespace gms::bench
 
 #endif  // GMS_BENCH_BENCH_UTIL_H_

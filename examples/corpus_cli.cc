@@ -12,7 +12,6 @@
 
 #include "apps/approx_min_cut.h"
 #include "apps/two_edge_connect.h"
-#include "stream/stream_driver.h"
 #include "testkit/stream_spec.h"
 #include "workload/binary_stream.h"
 #include "workload/spec_convert.h"
@@ -52,15 +51,12 @@ int Replay(const std::string& path) {
               file->max_rank(),
               static_cast<unsigned long long>(file->num_updates()));
 
-  // Replay straight from the mapping into both applications: the reader
-  // threads decode their record shards in place.
+  // Replay straight from the mapping into both applications: records
+  // decode in place, one chunk at a time, into each app's Process.
   apps::TwoEdgeConnect tec(n, file->max_rank(), /*seed=*/1);
   apps::ApproxMinCut mincut(n, file->max_rank(), /*k_cap=*/4, /*seed=*/2);
-  GutterDriverParams dp;
-  dp.readers = 2;
-  dp.appliers = 2;
-  workload::DriveBinaryFileStream(&tec, *file, dp);
-  workload::DriveBinaryFileStream(&mincut, *file, dp);
+  workload::ProcessBinaryFileStream(&tec, *file);
+  workload::ProcessBinaryFileStream(&mincut, *file);
 
   auto two_ec = tec.Query();
   if (two_ec.ok()) {

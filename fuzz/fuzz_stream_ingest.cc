@@ -125,7 +125,8 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   if (heavy) {
     gms::HyperVcQuerySketch vc(in.n, in.max_rank, SmallVcParams(), seed + 3);
     vc.Process(updates);
-    (void)vc.Disconnects({0});
+    auto snap = vc.Query();
+    if (snap.ok()) (void)snap.value().Disconnects({0});
   }
   if (heavy) {
     // The graph-only VC sketch ingests the 2-uniform sub-stream.
@@ -133,7 +134,8 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     for (const gms::StreamUpdate& u : in.updates) {
       if (u.edge.IsGraphEdge()) vc.Update(u.edge.AsEdge(), u.delta);
     }
-    (void)vc.Disconnects({0});
+    auto snap = vc.Query();
+    if (snap.ok()) (void)snap.value().Disconnects({0});
   }
   if (heavy) {
     gms::SparsifierParams p;

@@ -4,7 +4,6 @@
 
 #include "exact/hypergraph_mincut.h"
 #include "stream/ingest_plane.h"
-#include "stream/stream_driver.h"
 #include "util/check.h"
 #include "util/random.h"
 
@@ -33,15 +32,8 @@ void ApproxMinCut::Update(const Hyperedge& e, int delta) {
 
 void ApproxMinCut::Process(std::span<const StreamUpdate> updates) {
   if (updates.empty()) return;
-  if (UseGutterDriver(params_.engine, updates.size())) {
-    // One parallel reader/applier pipeline over the WHOLE ladder (the app
-    // itself models the driver-sketch concept): each update is prepared
-    // once, instead of once per rung.
-    DriveStream(this, updates, DriverParamsFromEngine(params_.engine));
-    return;
-  }
   if (params_.engine.threads > 1) {
-    // The per-level column/sharded-merge paths parallelize within a rung;
+    // The per-level column paths parallelize within a rung;
     // keep them when the caller asked for workers.
     ProcessIndependent(updates);
     return;

@@ -58,9 +58,8 @@ class ApproxMinCut {
   /// Batched ingestion through the shared ingestion plane (stream/
   /// ingest_plane.h): encode + PrepareCoord + gutter routing happen ONCE
   /// per update and every prepared batch fans out to the whole k = 1, 2,
-  /// 4, ..., k_cap ladder -- instead of one full pass per rung. Driver
-  /// mode drives the plane with the parallel reader/applier pipeline;
-  /// other modes with threads > 1 keep the per-level parallel paths.
+  /// 4, ..., k_cap ladder -- instead of one full pass per rung. With
+  /// engine.threads > 1 the levels keep their own parallel paths instead.
   /// Bit-identical to ProcessIndependent for every setting.
   void Process(std::span<const StreamUpdate> updates);
   void Process(const DynamicStream& stream);
@@ -69,13 +68,12 @@ class ApproxMinCut {
   /// bench rows.
   void ProcessIndependent(std::span<const StreamUpdate> updates);
 
-  /// Gutter-driver hooks: all levels share one codec domain; every update
-  /// fans out to every level.
+  /// Ingest-plane hooks (stream/ingest_plane.h): all levels share one
+  /// codec domain; every update fans out to every level.
   const EdgeCodec& codec() const { return levels_.front().codec(); }
-  uint64_t DriverRouteMask(const Hyperedge&) const { return 1; }
-  void ApplyUpdateBatch(size_t thr_id, VertexId v,
-                        std::span<const VertexUpdate> batch) {
-    for (auto& level : levels_) level.ApplyUpdateBatch(thr_id, v, batch);
+  uint64_t PlaneRouteMask(const Hyperedge&) const { return 1; }
+  void ApplyUpdateBatch(VertexId v, std::span<const VertexUpdate> batch) {
+    for (auto& level : levels_) level.ApplyUpdateBatch(v, batch);
   }
 
   /// The doubling search: extract skeletons in ascending k, compute each

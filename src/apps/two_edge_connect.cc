@@ -4,7 +4,6 @@
 
 #include "graph/traversal.h"
 #include "stream/ingest_plane.h"
-#include "stream/stream_driver.h"
 #include "util/random.h"
 
 namespace gms {
@@ -25,15 +24,8 @@ void TwoEdgeConnect::Update(const Hyperedge& e, int delta) {
 
 void TwoEdgeConnect::Process(std::span<const StreamUpdate> updates) {
   if (updates.empty()) return;
-  if (UseGutterDriver(params_.engine, updates.size())) {
-    // One parallel reader/applier pipeline over BOTH layers (the app
-    // itself models the driver-sketch concept): each update is prepared
-    // once, instead of once per layer.
-    DriveStream(this, updates, DriverParamsFromEngine(params_.engine));
-    return;
-  }
   if (params_.engine.threads > 1) {
-    // The per-layer column/sharded-merge paths parallelize within a layer;
+    // The per-layer column paths parallelize within a layer;
     // keep them when the caller asked for workers.
     ProcessIndependent(updates);
     return;

@@ -52,9 +52,8 @@ class TwoEdgeConnect {
   /// Batched ingestion through the shared ingestion plane (stream/
   /// ingest_plane.h): encode + PrepareCoord + gutter routing happen ONCE
   /// per update, fanning each prepared batch out to both forest layers.
-  /// Driver mode drives the plane with the parallel reader/applier
-  /// pipeline; other modes with threads > 1 keep the per-layer parallel
-  /// paths. Bit-identical to ProcessIndependent for every setting.
+  /// With engine.threads > 1 the layers keep their own parallel paths
+  /// instead. Bit-identical to ProcessIndependent for every setting.
   void Process(std::span<const StreamUpdate> updates);
   void Process(const DynamicStream& stream);
   /// The pre-plane baseline (each layer re-encodes the updates itself);
@@ -62,14 +61,13 @@ class TwoEdgeConnect {
   /// bench rows.
   void ProcessIndependent(std::span<const StreamUpdate> updates);
 
-  /// Gutter-driver hooks (stream/stream_driver.h): both layers share the
+  /// Ingest-plane hooks (stream/ingest_plane.h): both layers share the
   /// (n, max_rank) codec domain; every update fans out to both.
   const EdgeCodec& codec() const { return layer1_.codec(); }
-  uint64_t DriverRouteMask(const Hyperedge&) const { return 1; }
-  void ApplyUpdateBatch(size_t thr_id, VertexId v,
-                        std::span<const VertexUpdate> batch) {
-    layer1_.ApplyUpdateBatch(thr_id, v, batch);
-    layer2_.ApplyUpdateBatch(thr_id, v, batch);
+  uint64_t PlaneRouteMask(const Hyperedge&) const { return 1; }
+  void ApplyUpdateBatch(VertexId v, std::span<const VertexUpdate> batch) {
+    layer1_.ApplyUpdateBatch(v, batch);
+    layer2_.ApplyUpdateBatch(v, batch);
   }
 
   /// The unified non-destructive query: peel F1, subtract it from a COPY

@@ -43,11 +43,6 @@ class ConnectivityQuery {
 
   size_t MemoryBytes() const { return sketch_.MemoryBytes(); }
 
-  /// The underlying sketch, for callers that drive ingestion themselves
-  /// (the gutter driver's DriveStream takes the sketch directly so fault
-  /// hooks and stats can be threaded through; see testkit/oracle.cc).
-  SpanningForestSketch& sketch() { return sketch_; }
-
  private:
   SpanningForestSketch sketch_;
 };

@@ -49,14 +49,13 @@ class KSkeletonSketch {
   void Process(std::span<const StreamUpdate> updates);
   void Process(const DynamicStream& stream);
 
-  /// Gutter-driver hooks (stream/stream_driver.h): the shared codec, the
+  /// Ingest-plane hooks (stream/ingest_plane.h): the shared codec, the
   /// trivial routing mask (every layer receives every update), and the
   /// batch fan-out to all k layers.
   const EdgeCodec& codec() const { return layers_[0].codec(); }
-  uint64_t DriverRouteMask(const Hyperedge&) const { return 1; }
-  void ApplyUpdateBatch(size_t thr_id, VertexId v,
-                        std::span<const VertexUpdate> batch) {
-    for (auto& layer : layers_) layer.ApplyUpdateBatch(thr_id, v, batch);
+  uint64_t PlaneRouteMask(const Hyperedge&) const { return 1; }
+  void ApplyUpdateBatch(VertexId v, std::span<const VertexUpdate> batch) {
+    for (auto& layer : layers_) layer.ApplyUpdateBatch(v, batch);
   }
 
   /// Linear subtraction of a known edge set from ALL layers (used by the
@@ -88,8 +87,8 @@ class KSkeletonSketch {
   /// InvalidArgument and leave the state untouched.
   Status MergeFrom(const KSkeletonSketch& other);
 
-  /// A sketch of the SAME measurement with zero state: the sharded-merge
-  /// private clone. Layers allocate zeroed arenas directly -- the parent's
+  /// A sketch of the SAME measurement with zero state: the serving-delta
+  /// clone. Layers allocate zeroed arenas directly -- the parent's
   /// cells are never copied.
   KSkeletonSketch CloneEmpty() const {
     return KSkeletonSketch(*this, CloneEmptyTag{});

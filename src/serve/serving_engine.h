@@ -71,10 +71,9 @@
 
 namespace gms {
 
-/// Default epoch length, in stream updates. Short next to the driver's
-/// reader epochs (kDefaultEpochUpdates = 2^18): a serving epoch bounds
-/// answer staleness, not reader memory, and a merge is one cell-wise
-/// addition -- cheap enough to take every few thousand updates.
+/// Default epoch length, in stream updates. A serving epoch bounds answer
+/// staleness, and a merge is one cell-wise addition -- cheap enough to
+/// take every few thousand updates.
 inline constexpr size_t kDefaultServingEpochUpdates = 1 << 13;
 
 struct ServingParams {
@@ -220,7 +219,7 @@ class ServingEngine {
   }
 
   /// Shared-plane ingestion hook (stream/ingest_plane.h): exposes the open
-  /// delta so an external driver can apply ONE prepared update batch to
+  /// delta so a shared IngestPlane can apply ONE prepared update batch to
   /// several engines' deltas at once, instead of each engine re-encoding
   /// the same updates in Process. The scope holds ingest_mu_ for its whole
   /// lifetime (excluding the pacer, like Process does); the caller writes

@@ -118,11 +118,7 @@ void SketchServer::Ingest(std::span<const StreamUpdate> updates) {
     }
 
     const std::span<const StreamUpdate> chunk = updates.subspan(i, take);
-    if (UseGutterDriver(params_.forest.engine, chunk.size())) {
-      plane_.Drive(chunk, DriverParamsFromEngine(params_.forest.engine));
-    } else {
-      plane_.Process(chunk);
-    }
+    plane_.Process(chunk);
     forest_scope.Commit(take);
     if (vc_shared) vc_scope->Commit(take);
     if (skeleton_shared) skeleton_scope->Commit(take);

@@ -222,7 +222,7 @@ uint64_t L0StateWords(u128 domain, const SketchConfig& config);
 /// state, and implements the library-wide mergeable-sketch concept --
 /// Process / MergeFrom / Serialize / Deserialize / SpaceBytes / Clear /
 /// seed() -- so the substrate type can travel on the wire and participate
-/// in sharded-merge ingestion like the graph sketches built on it.
+/// in merges like the graph sketches built on it.
 class L0Sampler {
  public:
   using Params = SketchConfig;
@@ -247,7 +247,7 @@ class L0Sampler {
   }
 
   /// Batched ingestion (updates applied in order; serial -- one state has
-  /// a single column, so parallel batching comes from sharded merge).
+  /// a single column).
   void Process(std::span<const L0Update> updates);
 
   /// Sample one nonzero coordinate (see L0State::Sample). While sparse,
@@ -277,8 +277,9 @@ class L0Sampler {
   }
 
   /// A sampler of the SAME measurement (shared shape, same seed) with zero
-  /// state: the sharded-merge private clone. The state here is one small
-  /// flat buffer, so copy + Clear is already allocation-optimal.
+  /// state: the clone a stream slice is sketched into before MergeFrom.
+  /// The state here is one small flat buffer, so copy + Clear is already
+  /// allocation-optimal.
   L0Sampler CloneEmpty() const {
     L0Sampler clone(*this);
     clone.Clear();
@@ -318,7 +319,7 @@ class L0Sampler {
   L0State state_;
   /// Updates absorbed, saturating at sparse_threshold + 1 (escalated iff
   /// count_ > threshold). min(a + b, T + 1) is associative/commutative,
-  /// so sharded merges escalate at the same total as the serial stream.
+  /// so merges escalate at the same total as the serial stream.
   uint32_t count_ = 0;
   /// Exact signed support while sparse (ascending index, net weights,
   /// entries cancel at zero); empty once escalated.

@@ -17,7 +17,6 @@
 #include "sketch/l0_sampler.h"
 #include "sparsify/sparsifier_sketch.h"
 #include "sparsify/verify.h"
-#include "stream/stream_driver.h"
 #include "util/random.h"
 #include "vertexconn/hyper_vc_query.h"
 #include "vertexconn/vc_query_sketch.h"
@@ -178,22 +177,7 @@ OracleOutcome RunOracleOnStream(OracleKind kind, size_t n, size_t max_rank,
   switch (kind) {
     case OracleKind::kComponents: {
       ConnectivityQuery q(n, max_rank, sketch_seed);
-      if (opt.driver_ingest && !span.empty()) {
-        // Gutter-driver ingestion with the batch fault threaded through:
-        // DropsBatch charges a dropped batch's FULL entry count to
-        // fault.lost_updates (the driver's unit of loss is the batch).
-        GutterDriverParams dp;
-        dp.appliers = 2;
-        dp.readers = 1;
-        if (opt.fault.drop_batch) {
-          dp.drop_batch = [&fault = opt.fault](VertexId v, size_t entries) {
-            return fault.DropsBatch(v, entries);
-          };
-        }
-        DriveStream(&q.sketch(), span, dp);
-      } else {
-        for (const StreamUpdate& u : span) q.Update(u.edge, u.delta);
-      }
+      for (const StreamUpdate& u : span) q.Update(u.edge, u.delta);
       auto got = q.NumComponents();
       if (!got.ok()) return DecodeFailed(got.status());
       size_t want = NumComponents(truth);

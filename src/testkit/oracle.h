@@ -25,7 +25,6 @@
 #ifndef GMS_TESTKIT_ORACLE_H_
 #define GMS_TESTKIT_ORACLE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -72,43 +71,9 @@ std::vector<OracleKind> AllOracles();
 /// the shrinker has a reproducible synthetic bug to minimize.
 struct FaultHook {
   std::function<bool(const StreamUpdate&)> drop_update;
-  /// Batched-apply fault injection for driver-mode ingestion: a gutter
-  /// batch (vertex, entry count) for which this returns true is withheld
-  /// whole. The driver's unit of loss is the batch, so this is where a
-  /// decode/transport failure on the batched path is simulated.
-  std::function<bool(VertexId, size_t)> drop_batch;
-  /// Updates withheld from the sketch side so far. A dropped BATCH adds
-  /// its full entry count -- losing a gutter of N coalesced updates loses
-  /// N measurements, not 1 (counting batches as single losses understated
-  /// the injected damage and made loss-rate assertions vacuous). Atomic
-  /// because the driver's appliers probe DropsBatch concurrently.
-  mutable std::atomic<size_t> lost_updates{0};
-
-  FaultHook() = default;
-  FaultHook(const FaultHook& other)
-      : drop_update(other.drop_update),
-        drop_batch(other.drop_batch),
-        lost_updates(other.lost_updates.load()) {}
-  FaultHook& operator=(const FaultHook& other) {
-    drop_update = other.drop_update;
-    drop_batch = other.drop_batch;
-    lost_updates = other.lost_updates.load();
-    return *this;
-  }
 
   bool Drops(const StreamUpdate& u) const {
-    if (drop_update && drop_update(u)) {
-      lost_updates.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
-    return false;
-  }
-  bool DropsBatch(VertexId v, size_t entries) const {
-    if (drop_batch && drop_batch(v, entries)) {
-      lost_updates.fetch_add(entries, std::memory_order_relaxed);
-      return true;
-    }
-    return false;
+    return drop_update && drop_update(u);
   }
 };
 
@@ -129,10 +94,6 @@ struct OracleOptions {
   /// Sparsifier peeling threshold (the unit suites' empirically reliable
   /// small-n setting; 0 would resolve the paper's much larger formula).
   size_t sparsifier_k = 10;
-  /// Ingest the kComponents sketch through the gutter driver (2 appliers,
-  /// 1 reader) instead of per-update calls. Batch faults (`fault.drop_batch`)
-  /// only fire on this path; per-update faults apply on both.
-  bool driver_ingest = false;
   FaultHook fault;
 };
 

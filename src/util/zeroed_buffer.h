@@ -1,8 +1,8 @@
 // 64-byte-aligned flat word buffer whose pages start zeroed WITHOUT an
 // eager memset. Sketch arenas are large (hundreds of MB at bench scale) and
 // two operations on them are hot:
-//   - creating an empty clone of an existing sketch (sharded-merge ingest
-//     spawns one private clone per worker), and
+//   - creating an empty clone of an existing sketch (every serving epoch
+//     opens a fresh delta clone), and
 //   - Clear() back to the empty-stream measurement.
 // Backing large buffers with fresh anonymous mappings makes both lazy: the
 // kernel hands out zero pages on first touch, so an untouched clone costs

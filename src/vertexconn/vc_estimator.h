@@ -20,7 +20,7 @@ struct VcEstimatorParams {
   /// Multiplier on the paper's R = 160 k^2 eps^-1 ln n.
   double r_multiplier = 1.0;
   size_t explicit_r = 0;
-  /// Worker threads + ingestion mode sharding the R sketches (see
+  /// Worker threads sharding the R sketches (see
   /// util/parallel.h; outputs are bit-identical for every setting).
   EngineParams engine;
   ForestSketchParams forest;

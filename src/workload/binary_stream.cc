@@ -265,7 +265,7 @@ Result<BinaryFileStream> BinaryFileStream::Open(const std::string& path,
       std::span<const uint8_t>(out.data_, out.size_), verify_checksum);
   if (!header.ok()) return header.status();
   // Validate every record once up front so ReadRecord can decode without
-  // a Status on the driver's hot path.
+  // a Status on the ingest hot path.
   const std::span<const uint8_t> body =
       std::span<const uint8_t>(out.data_, out.size_)
           .subspan(kBinaryStreamHeaderBytes);

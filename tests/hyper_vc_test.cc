@@ -162,44 +162,14 @@ TEST(HyperVcQueryTest, OversizedQueryRejected) {
 }
 
 TEST(HyperVcQueryTest, ClearReleasesCachedUnionHypergraph) {
-  // Regression: Clear() used to zero the subsample sketches but keep the
-  // Finalize-era union hypergraph H allocated and answerable.
+  // A cleared sketch is the empty-stream measurement: no union hypergraph
+  // survives Clear, and Query still works.
   auto planted = PlantedHypergraphSeparator(20, 2, 3, 20);
   HyperVcQuerySketch sketch(20, 3, HyperTestParams(2, 0.5), 21);
   sketch.Process(DynamicStream::InsertOnly(planted.hypergraph, 22));
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  ASSERT_TRUE(sketch.Finalize().ok());
-#pragma GCC diagnostic pop
-  ASSERT_GT(sketch.union_graph().NumEdges(), 0u);
+  ASSERT_GT(Snapshot(sketch).union_graph().NumEdges(), 0u);
   sketch.Clear();
-  EXPECT_EQ(sketch.union_graph().NumEdges(), 0u);
-  auto r = sketch.Disconnects({0});
-  EXPECT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(Snapshot(sketch).union_graph().NumEdges(), 0u);
-}
-
-// Coverage for the [[deprecated]] Finalize wrapper: the legacy destructive
-// surface must keep answering exactly like the Query() path until removal.
-TEST(HyperVcQueryTest, DeprecatedFinalizeMatchesQuery) {
-  auto planted = PlantedHypergraphSeparator(20, 2, 3, 30);
-  HyperVcQuerySketch legacy(20, 3, HyperTestParams(2, 0.5), 31);
-  legacy.Process(DynamicStream::InsertOnly(planted.hypergraph, 32));
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  ASSERT_TRUE(legacy.Finalize().ok());
-#pragma GCC diagnostic pop
-
-  HyperVcQuerySketch fresh(20, 3, HyperTestParams(2, 0.5), 31);
-  fresh.Process(DynamicStream::InsertOnly(planted.hypergraph, 32));
-  HyperVcUnionSnapshot snap = Snapshot(fresh);
-  EXPECT_TRUE(legacy.union_graph() == snap.union_graph());
-  auto a = legacy.Disconnects(planted.separator);
-  auto b = snap.Disconnects(planted.separator);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a.value(), b.value());
 }
 
 }  // namespace

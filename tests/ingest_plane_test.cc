@@ -1,14 +1,13 @@
 // Tests for the shared ingestion plane (stream/ingest_plane.h): one
 // encode/prepare/route pass fanning out to every registered sketch
 // consumer must be BIT-IDENTICAL -- at serialized-frame strength -- to
-// each consumer ingesting the stream independently, across the full
-// readers x appliers driver matrix and the three churn families. Under
-// the `tsan` preset (filter matches Plane*) this doubles as the data-race
-// check for concurrent multi-consumer fan-out.
+// each consumer ingesting the stream independently, across the three
+// churn families. Under the `tsan` preset (filter matches Plane*) the
+// concurrency test doubles as the data-race check for serving queries
+// that run while the plane ingests.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -20,17 +19,15 @@
 #include "serve/sketch_server.h"
 #include "stream/ingest_plane.h"
 #include "stream/stream.h"
-#include "stream/stream_driver.h"
 #include "testkit/stream_spec.h"
 #include "vertexconn/vc_query_sketch.h"
 
 namespace gms {
 namespace {
 
-constexpr size_t kDriverSplit[] = {1, 2, 8};
-constexpr testkit::Churn kDriverChurn[] = {testkit::Churn::kInsertOnly,
-                                           testkit::Churn::kWithChurn,
-                                           testkit::Churn::kDeleteDown};
+constexpr testkit::Churn kChurns[] = {testkit::Churn::kInsertOnly,
+                                      testkit::Churn::kWithChurn,
+                                      testkit::Churn::kDeleteDown};
 
 // The determinism suite's expander spec: moderately dense, three churn
 // families, rank-2 (so the VC consumer's (n, 2) codec matches).
@@ -44,15 +41,6 @@ testkit::StreamSpec PlaneSpec(testkit::Churn churn) {
   spec.decoys = 96;
   spec.sseed = 19;
   return spec;
-}
-
-EngineParams DriverEngine(size_t readers, size_t appliers) {
-  return EngineParams::Builder()
-      .Threads(appliers)
-      .Mode(IngestMode::kGutterDriver)
-      .DriverReaders(readers)
-      .DriverGutterCapacity(4)
-      .Build();
 }
 
 ForestSketchParams LightForest() {
@@ -76,15 +64,15 @@ std::vector<uint8_t> Frame(const Sketch& s) {
 
 // ---------------------------------------------------------------------------
 // Shared-plane determinism matrix: a forest, a k-skeleton, and an R-bit
-// routed VC consumer all fed by ONE plane pass -- serial inline and at
-// every readers x appliers split -- against each sketch ingesting the
-// stream independently, frame byte for byte, for all three churn families.
+// routed VC consumer all fed by ONE plane pass against each sketch
+// ingesting the stream independently, frame byte for byte, for all three
+// churn families.
 // ---------------------------------------------------------------------------
 
 TEST(PlaneDeterminismTest, SharedFanOutMatrixBitIdentical) {
   constexpr uint64_t kSeed = 211;
   constexpr size_t kR = 12;
-  for (testkit::Churn churn : kDriverChurn) {
+  for (testkit::Churn churn : kChurns) {
     const testkit::StreamSpec spec = PlaneSpec(churn);
     const testkit::BuiltStream built = spec.Build();
     const auto& updates = built.stream.updates();
@@ -118,29 +106,42 @@ TEST(PlaneDeterminismTest, SharedFanOutMatrixBitIdentical) {
       EXPECT_EQ(Frame(skel), skel_frame) << testkit::ChurnName(churn);
       EXPECT_EQ(Frame(vc), vc_frame) << testkit::ChurnName(churn);
     }
-
-    // Parallel driver over the plane at every split.
-    for (size_t readers : kDriverSplit) {
-      for (size_t appliers : kDriverSplit) {
-        SpanningForestSketch forest(spec.n, 2, kSeed, LightForest());
-        KSkeletonSketch skel(spec.n, 2, 3, kSeed + 1, LightForest());
-        VcQuerySketch vc(spec.n, LightVc(kR), kSeed + 2);
-        IngestPlane plane;
-        ASSERT_TRUE(plane.Add(&forest));
-        ASSERT_TRUE(plane.Add(&skel));
-        ASSERT_TRUE(plane.Add(&vc));
-        plane.Drive(std::span<const StreamUpdate>(updates),
-                    DriverParamsFromEngine(DriverEngine(readers, appliers)));
-        const std::string where = testkit::ChurnName(churn) +
-                                  std::string(" readers=") +
-                                  std::to_string(readers) +
-                                  " appliers=" + std::to_string(appliers);
-        EXPECT_EQ(Frame(forest), forest_frame) << where;
-        EXPECT_EQ(Frame(skel), skel_frame) << where;
-        EXPECT_EQ(Frame(vc), vc_frame) << where;
-      }
-    }
   }
+}
+
+// A hub with far more incident updates than one gutter holds: its gutter
+// flushes several times mid-chunk, and a second Process call on the same
+// plane starts from released buffers. Frames must still match solo ingest.
+TEST(PlaneDeterminismTest, FullGuttersFlushMidChunkBitIdentical) {
+  constexpr size_t kN = 256;
+  constexpr uint64_t kSeed = 233;
+  std::vector<StreamUpdate> updates;
+  for (VertexId v = 1; v < kN; ++v) {
+    updates.emplace_back(Hyperedge{0, v}, +1);
+  }
+  for (VertexId v = 1; v < kN; v += 3) {
+    updates.emplace_back(Hyperedge{0, v}, -1);
+  }
+  const std::span<const StreamUpdate> all(updates);
+
+  SpanningForestSketch forest_solo(kN, 2, kSeed, LightForest());
+  VcQuerySketch vc_solo(kN, LightVc(8), kSeed + 1);
+  for (const auto& u : updates) {
+    forest_solo.Update(u.edge, u.delta);
+    vc_solo.Update(Edge(u.edge[0], u.edge[1]), u.delta);
+  }
+
+  SpanningForestSketch forest(kN, 2, kSeed, LightForest());
+  VcQuerySketch vc(kN, LightVc(8), kSeed + 1);
+  IngestPlane plane;
+  ASSERT_TRUE(plane.Add(&forest));
+  ASSERT_TRUE(plane.Add(&vc));
+  const size_t half = updates.size() / 2;
+  plane.Process(all.subspan(0, half));
+  plane.Process(all.subspan(half));
+  EXPECT_TRUE(forest.VertexEscalated(0));
+  EXPECT_EQ(Frame(forest), Frame(forest_solo));
+  EXPECT_EQ(Frame(vc), Frame(vc_solo));
 }
 
 // The plane refuses consumers it cannot share a prepared pass with:
@@ -175,7 +176,7 @@ TEST(PlaneDeterminismTest, AddRejectsUnshareableConsumers) {
 }
 
 // ---------------------------------------------------------------------------
-// Application call sites: Process (shared plane / driver fan-out) vs
+// Application call sites: Process (shared plane fan-out) vs
 // ProcessIndependent (each layer re-encodes), frame byte for byte.
 // ---------------------------------------------------------------------------
 
@@ -193,15 +194,6 @@ TEST(PlaneDeterminismTest, TwoEdgeConnectPlaneMatchesIndependent) {
   planed.Process(stream);
   EXPECT_EQ(Frame(planed.layer1()), Frame(independent.layer1()));
   EXPECT_EQ(Frame(planed.layer2()), Frame(independent.layer2()));
-
-  apps::TwoEdgeConnect driven(
-      kN, 2, kSeed,
-      ForestSketchParams::Builder(LightForest())
-          .Engine(DriverEngine(/*readers=*/2, /*appliers=*/2))
-          .Build());
-  driven.Process(stream);
-  EXPECT_EQ(Frame(driven.layer1()), Frame(independent.layer1()));
-  EXPECT_EQ(Frame(driven.layer2()), Frame(independent.layer2()));
 }
 
 TEST(PlaneDeterminismTest, ApproxMinCutLadderPlaneMatchesIndependent) {
@@ -220,17 +212,6 @@ TEST(PlaneDeterminismTest, ApproxMinCutLadderPlaneMatchesIndependent) {
   ASSERT_EQ(planed.num_levels(), independent.num_levels());
   for (size_t i = 0; i < planed.num_levels(); ++i) {
     EXPECT_EQ(Frame(planed.level(i)), Frame(independent.level(i)))
-        << "rung " << i;
-  }
-
-  apps::ApproxMinCut driven(
-      kN, 2, kCap, kSeed,
-      ForestSketchParams::Builder(LightForest())
-          .Engine(DriverEngine(/*readers=*/2, /*appliers=*/2))
-          .Build());
-  driven.Process(stream);
-  for (size_t i = 0; i < driven.num_levels(); ++i) {
-    EXPECT_EQ(Frame(driven.level(i)), Frame(independent.level(i)))
         << "rung " << i;
   }
 }
@@ -309,13 +290,12 @@ TEST(PlaneDeterminismTest, ServerVcFallbackOutsidePlaneStillAgrees) {
 }
 
 // ---------------------------------------------------------------------------
-// Concurrency: multi-consumer fan-out under the parallel driver while
-// query threads hammer the server -- the tsan preset's data-race check for
-// the plane's concurrent ApplyUpdateBatch fan-out, the external ingest
-// scopes, and the wall-clock pacer.
+// Concurrency: shared-plane ingest on the ingest thread while query
+// threads hammer the server -- the tsan preset's data-race check for the
+// external ingest scopes, epoch publication, and the wall-clock pacer.
 // ---------------------------------------------------------------------------
 
-TEST(PlaneConcurrencyTest, ServerSharedDriverIngestWhileQuerying) {
+TEST(PlaneConcurrencyTest, ServerSharedIngestWhileQuerying) {
   constexpr size_t kN = 64;
   constexpr uint64_t kSeed = 701;
   const Graph g = UnionOfHamiltonianCycles(kN, 3, kSeed);
@@ -323,9 +303,7 @@ TEST(PlaneConcurrencyTest, ServerSharedDriverIngestWhileQuerying) {
 
   serve::SketchServerParams params =
       serve::SketchServerParams::Builder()
-          .Forest(ForestSketchParams::Builder(LightForest())
-                      .Engine(DriverEngine(/*readers=*/2, /*appliers=*/2))
-                      .Build())
+          .Forest(LightForest())
           .MaxRank(2)
           .Vc(LightVc(10))
           .SkeletonK(2)

@@ -10,9 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "connectivity/spanning_forest_sketch.h"
 #include "graph/traversal.h"
-#include "stream/stream_driver.h"
 #include "testkit/corpus.h"
 #include "testkit/oracle.h"
 #include "testkit/shrink.h"
@@ -152,47 +150,6 @@ TEST(OracleTest, FaultHookSurfacesLostUpdateAsDisagreement) {
   // The detail line is a self-contained repro: oracle, seed, and spec.
   EXPECT_NE(out.detail.find("components"), std::string::npos) << out.detail;
   EXPECT_NE(out.detail.find("gms-spec-v1"), std::string::npos) << out.detail;
-}
-
-TEST(OracleTest, DroppedBatchCountsAllItsLostUpdates) {
-  // Batched-apply fault accounting: a dropped gutter batch loses its FULL
-  // entry count, not 1. Drop every batch -- the sketch sees nothing, the
-  // components oracle disagrees, and the bookkeeping must equal the total
-  // fan-out (2 incidence entries per rank-2 update). Counting dropped
-  // batches as single losses would report at most n touched vertices.
-  StreamSpec spec;
-  spec.family = Family::kPath;
-  spec.n = 20;
-  BuiltStream built = spec.Build();
-
-  OracleOptions opt;
-  opt.driver_ingest = true;
-  opt.fault.drop_batch = [](VertexId, size_t) { return true; };
-  OracleOutcome out =
-      RunOracleOnStream(OracleKind::kComponents, spec.n, built.max_rank,
-                        built.stream, built.final_graph, {}, /*seed=*/7, opt);
-  ASSERT_TRUE(out.applicable);
-  EXPECT_FALSE(out.agreed) << out.detail;
-  EXPECT_EQ(opt.fault.lost_updates.load(), 2 * built.stream.size());
-
-  // The driver's own meters agree with the hook's bookkeeping when the
-  // same fault is wired straight into DriveStream.
-  opt.fault.lost_updates = 0;
-  ForestSketchParams params;
-  params.config = SketchConfig::Light();
-  SpanningForestSketch sketch(spec.n, built.max_rank, /*seed=*/7, params);
-  GutterDriverParams dp;
-  dp.appliers = 2;
-  dp.readers = 1;
-  dp.drop_batch = [&](VertexId v, size_t entries) {
-    return opt.fault.DropsBatch(v, entries);
-  };
-  DriverStats stats = DriveStream(
-      &sketch, std::span<const StreamUpdate>(built.stream.updates()), dp);
-  EXPECT_EQ(stats.dropped_updates, 2 * built.stream.size());
-  EXPECT_EQ(stats.dropped_updates, opt.fault.lost_updates.load());
-  EXPECT_GT(stats.dropped_batches, 0u);
-  EXPECT_LT(stats.dropped_batches, stats.dropped_updates);
 }
 
 TEST(OracleTest, VcOracleSkipsHypergraphFamilies) {

@@ -196,25 +196,14 @@ TEST(VcQueryTest, UnionGraphIsSubgraph) {
 }
 
 TEST(VcQueryTest, ClearReleasesCachedUnionGraph) {
-  // Regression: Clear() used to zero the subsample sketches but keep the
-  // Finalize-era union graph H allocated AND answerable -- a cleared sketch
-  // answered queries from stale state. Clear must drop H and put the legacy
-  // surface back into the not-finalized state.
+  // A cleared sketch is the empty-stream measurement: no union graph
+  // survives Clear, and Query still works.
   Graph g = UnionOfHamiltonianCycles(30, 3, 50);
   VcQuerySketch sketch(30, TestParams(2), 51);
   sketch.Process(DynamicStream::InsertOnly(g, 52));
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  ASSERT_TRUE(sketch.Finalize().ok());
-#pragma GCC diagnostic pop
-  ASSERT_GT(sketch.union_graph().NumEdges(), 0u);
+  ASSERT_GT(Snapshot(sketch).union_graph().NumEdges(), 0u);
   sketch.Clear();
-  EXPECT_EQ(sketch.union_graph().NumEdges(), 0u);
-  auto r = sketch.Disconnects({0});
-  EXPECT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
-  // A cleared sketch is the empty-stream measurement; Query still works.
-  EXPECT_TRUE(Snapshot(sketch).union_graph().NumEdges() == 0u);
+  EXPECT_EQ(Snapshot(sketch).union_graph().NumEdges(), 0u);
 }
 
 TEST(VcQueryTest, AllSparseForestsSkipExtractionAndStillAnswer) {
@@ -242,35 +231,6 @@ TEST(VcQueryTest, AllSparseForestsSkipExtractionAndStillAnswer) {
   // subgraph of the (sparse-buffered) cycle.
   EXPECT_LE(snap.value().union_graph().NumEdges(), g.NumEdges());
   EXPECT_GT(snap.value().union_graph().NumEdges(), 0u);
-}
-
-// Coverage for the [[deprecated]] Finalize wrapper: the legacy destructive
-// surface must keep answering exactly like the Query() path until removal.
-// This is the ONE place the old API is intentionally exercised.
-TEST(VcQueryTest, DeprecatedFinalizeMatchesQuery) {
-  auto planted = PlantedSeparator(32, 2, 53);
-  VcQuerySketch legacy(32, TestParams(2), 54);
-  legacy.Process(DynamicStream::InsertOnly(planted.graph, 55));
-
-  // Before Finalize the legacy surface refuses queries.
-  auto premature = legacy.Disconnects({0});
-  EXPECT_FALSE(premature.ok());
-  EXPECT_EQ(premature.status().code(), StatusCode::kFailedPrecondition);
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  ASSERT_TRUE(legacy.Finalize().ok());
-#pragma GCC diagnostic pop
-
-  VcQuerySketch fresh(32, TestParams(2), 54);
-  fresh.Process(DynamicStream::InsertOnly(planted.graph, 55));
-  VcUnionSnapshot snap = Snapshot(fresh);
-  EXPECT_TRUE(legacy.union_graph() == snap.union_graph());
-  auto a = legacy.Disconnects(planted.separator);
-  auto b = snap.Disconnects(planted.separator);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a.value(), b.value());
 }
 
 TEST(NormalizeQuerySetTest, RangeErrorCitesCallerVisiblePosition) {

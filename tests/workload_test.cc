@@ -14,7 +14,7 @@
 
 #include "connectivity/spanning_forest_sketch.h"
 #include "stream/stream.h"
-#include "stream/stream_driver.h"
+#include "stream/ingest_plane.h"
 #include "testkit/stream_spec.h"
 #include "workload/binary_stream.h"
 #include "workload/file_corpus.h"
@@ -101,10 +101,10 @@ TEST(WorkloadTest, DefaultSpecGridRoundTripsThroughDisk) {
   }
 }
 
-// The disk-to-sketch path: DriveBinaryFileStream (reader threads decoding
-// straight from the mapping) must land the sketch in the byte-identical
-// state of serial in-memory ingestion, across the whole grid.
-TEST(WorkloadTest, MmapDriverIngestMatchesInMemoryIngest) {
+// The disk-to-sketch path: the mapped file's ReadAll replay through the
+// shared ingest plane must land the sketch in the byte-identical state of
+// serial in-memory ingestion, across the whole grid.
+TEST(WorkloadTest, MmapPlaneIngestMatchesInMemoryIngest) {
   constexpr uint64_t kSeed = 91;
   size_t idx = 0;
   for (const testkit::StreamSpec& spec : testkit::DefaultSpecGrid()) {
@@ -123,13 +123,12 @@ TEST(WorkloadTest, MmapDriverIngestMatchesInMemoryIngest) {
       serial.Update(u.edge, u.delta);
     }
 
-    GutterDriverParams dp;
-    dp.readers = 2;
-    dp.appliers = 2;
-    dp.gutter_capacity = 4;
+    const DynamicStream replay = file->ReadAll();
+    EXPECT_EQ(replay.size(), built.stream.size());
     SpanningForestSketch from_file(spec.n, built.max_rank, kSeed, params);
-    DriverStats stats = DriveBinaryFileStream(&from_file, *file, dp);
-    EXPECT_EQ(stats.updates, built.stream.size());
+    IngestPlane plane;
+    ASSERT_TRUE(plane.Add(&from_file));
+    plane.Process(replay);
 
     EXPECT_TRUE(from_file.StateEquals(serial));
     std::vector<uint8_t> a, b;
