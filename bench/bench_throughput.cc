@@ -600,9 +600,9 @@ int PlaneGuard() {
 /// `--perf_smoke`: a CI-sized guard on the finalize path (the `perf_smoke`
 /// ctest label, run in the tsan preset too). Ingests a reduced VcQuery
 /// workload and HARD-FAILS if finalize costs more than 2x ingest (plus a
-/// small absolute slack for timer jitter at this scale). Before the
-/// incremental extraction engine, finalize ran ~6x ingest at bench scale,
-/// so a regression back to per-round re-summing trips this immediately.
+/// small absolute slack for timer jitter at this scale). Every column stays
+/// sparse, so finalize is the exact sparse pre-round of every forest; the
+/// guard also fails if its stats show any other phase.
 int PerfSmoke() {
   constexpr size_t kN = 1 << 12;
   const VcQueryParams params =
@@ -631,11 +631,25 @@ int PerfSmoke() {
   const ExtractStats& stats = snap.stats();
   std::printf(
       "perf_smoke: n=%zu updates=%zu ingest=%.4fs finalize=%.4fs "
-      "(ratio %.2fx, rounds_run=%d, summed_words=%llu)\n",
+      "(ratio %.2fx, phase sparse-exact: %llu of %zu forests, rounds_run=%d, "
+      "summed_words=%llu)\n",
       kN, stream.size(), ingest, finalize, finalize / std::max(ingest, 1e-9),
+      static_cast<unsigned long long>(stats.sparse_exact_forests), sketch.R(),
       stats.rounds_run, static_cast<unsigned long long>(stats.summed_words));
   if (!ok) {
     std::printf("perf_smoke: FAIL (finalize returned an error)\n");
+    return 1;
+  }
+  // About 4 updates per vertex keeps every column below the sparse
+  // threshold, so this check times the exact sparse pre-round (pair
+  // unranking and union-find), not the L0 kernel or Borůvka. Fail loudly
+  // if the stream ever stops exercising the phase it claims to.
+  if (stats.sparse_exact_forests != sketch.R() || stats.rounds_run != 0) {
+    std::printf(
+        "perf_smoke: FAIL (finalize left the sparse-exact phase: %llu of %zu "
+        "forests sparse-exact, rounds_run=%d)\n",
+        static_cast<unsigned long long>(stats.sparse_exact_forests),
+        sketch.R(), stats.rounds_run);
     return 1;
   }
   const double limit = 2.0 * ingest + 0.05;

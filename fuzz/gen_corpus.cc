@@ -4,7 +4,8 @@
 //
 // writes <root>/wire/ (valid + deliberately corrupted frames of all six
 // sketch types), <root>/stream/ (byte-encoded generator streams), and
-// <root>/stream_file/ (GMSB binary stream-file images, valid + hostile).
+// <root>/stream_file/ (GMSB binary stream-file images, valid + hostile), and
+// <root>/codec/ (EdgeCodec shapes and indices at the unranking boundaries).
 // Deterministic: rerunning produces identical bytes, so corpus churn in
 // review means the wire format or the generators actually changed.
 #include <cstdio>
@@ -26,6 +27,7 @@ int main(int argc, char** argv) {
       {"wire", gms::testkit::WireSeedCorpus()},
       {"stream", gms::testkit::StreamSeedCorpus()},
       {"stream_file", gms::workload::StreamFileSeedCorpus()},
+      {"codec", gms::testkit::CodecSeedCorpus()},
   };
   for (const auto& c : corpora) {
     const std::string dir = root + "/" + c.subdir;

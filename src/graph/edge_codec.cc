@@ -1,12 +1,15 @@
 #include "graph/edge_codec.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 namespace gms {
 
 namespace {
 constexpr u128 kU128Max = ~static_cast<u128>(0);
+// Vertex ids are 32-bit, so a codec spans at most 2^32 vertices.
+constexpr size_t kMaxVertices = size_t{1} << 32;
 }  // namespace
 
 u128 Binomial(uint64_t m, unsigned j) {
@@ -25,7 +28,7 @@ u128 Binomial(uint64_t m, unsigned j) {
 }
 
 Result<u128> EdgeCodec::DomainSizeFor(size_t n, size_t max_rank) {
-  if (n < 2 || max_rank < 2 || max_rank > n) {
+  if (n < 2 || n > kMaxVertices || max_rank < 2 || max_rank > n) {
     return Status::InvalidArgument("edge codec: bad (n, max_rank)");
   }
   u128 total = 0;
@@ -52,6 +55,7 @@ EdgeCodec::EdgeCodec(size_t n, size_t max_rank)
     : n_(n), max_rank_(std::min(max_rank, n)) {
   GMS_CHECK_MSG(max_rank >= 2, "max_rank must be >= 2");
   GMS_CHECK_MSG(n >= 2, "need at least 2 vertices");
+  GMS_CHECK_MSG(n <= kMaxVertices, "vertex ids are 32-bit");
   max_rank = max_rank_;
   offset_.assign(max_rank + 1, 0);
   u128 total = 0;
@@ -82,9 +86,24 @@ Result<Hyperedge> EdgeCodec::Decode(u128 index) const {
   if (index >= domain_size_) {
     return Status::InvalidArgument("coordinate index out of range");
   }
-  // Locate the size block.
+  // Pairs unrank in closed form: v1 is the largest m with C(m, 2) <= r and
+  // v0 = r - C(m, 2). With n <= 2^32, r < C(n, 2) < 2^63, so the seed is at
+  // most 2^32 and m(m-1), m(m+1) fit in u64. The double sqrt only seeds m;
+  // the exact integer comparisons below settle it, so rounding cannot reach
+  // the result.
+  const u128 pair_end = max_rank_ == 2 ? domain_size_ : offset_[3];
+  if (index < pair_end) {
+    const uint64_t r = static_cast<uint64_t>(index);
+    uint64_t m = static_cast<uint64_t>(
+        (1.0 + std::sqrt(8.0 * static_cast<double>(r) + 1.0)) / 2.0);
+    while (m * (m - 1) / 2 > r) --m;
+    while ((m + 1) * m / 2 <= r) ++m;
+    return Hyperedge(Edge(static_cast<VertexId>(r - m * (m - 1) / 2),
+                          static_cast<VertexId>(m)));
+  }
+  // Locate the size block (>= 3: pairs returned above).
   size_t s = max_rank_;
-  for (size_t cand = 2; cand <= max_rank_; ++cand) {
+  for (size_t cand = 3; cand <= max_rank_; ++cand) {
     u128 end = (cand == max_rank_) ? domain_size_ : offset_[cand + 1];
     if (index < end) {
       s = cand;

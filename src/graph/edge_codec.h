@@ -5,7 +5,8 @@
 // This space is never materialized; sketches address it through this codec,
 // which ranks a canonical hyperedge into a u128 index (sizes blocked
 // consecutively, colexicographic rank within a size class) and unranks
-// indices back to hyperedges. Both directions are O(r log n).
+// indices back to hyperedges. Pairs unrank in O(1) (closed form); larger
+// hyperedges unrank, and all hyperedges rank, in O(r log n).
 #ifndef GMS_GRAPH_EDGE_CODEC_H_
 #define GMS_GRAPH_EDGE_CODEC_H_
 
@@ -22,7 +23,8 @@ u128 Binomial(uint64_t m, unsigned j);
 
 class EdgeCodec {
  public:
-  /// Codec for hyperedges over n vertices with cardinality in [2, max_rank].
+  /// Codec for hyperedges over n <= 2^32 vertices (ids are 32-bit) with
+  /// cardinality in [2, max_rank].
   /// max_rank is clamped to n (larger ranks are unrealizable and add no
   /// coordinates), so max_rank() always satisfies the wire-format shape
   /// validation. CHECK-fails if the domain does not fit in 126 bits.

@@ -72,8 +72,10 @@
 namespace gms {
 
 /// Default epoch length, in stream updates. A serving epoch bounds answer
-/// staleness, and a merge is one cell-wise addition -- cheap enough to
-/// take every few thousand updates.
+/// staleness. A merge replays the delta's sparse buffers into the serving
+/// sketch's columns and escalates those that outgrow the sparse threshold
+/// (about 50 ms per epoch at n = 2^15), and each dirty epoch re-extracts
+/// the forest: cheap enough to take every few thousand updates.
 inline constexpr size_t kDefaultServingEpochUpdates = 1 << 13;
 
 struct ServingParams {
@@ -404,11 +406,15 @@ class ServingEngine {
         }
         ++stats_.epochs_merged;
         stats_.updates_merged += job->updates;
-        snapshot_ = std::move(next);
+        snapshot_.swap(next);  // next now holds the retired snapshot
         spare_.emplace(std::move(job->delta));
         merging_ = false;
       }
       sealed_cv_.notify_all();
+      // Drop the retired snapshot outside mu_: when this is its last
+      // reference, freeing its payload (an n-vertex Hypergraph) under the
+      // lock would stall every Current()/stats() caller.
+      next.reset();
     }
   }
 

@@ -1,10 +1,12 @@
 #include "testkit/corpus.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 
 #include "connectivity/k_skeleton.h"
 #include "connectivity/spanning_forest_sketch.h"
+#include "graph/edge_codec.h"
 #include "graph/generators.h"
 #include "sketch/l0_sampler.h"
 #include "sparsify/sparsifier_sketch.h"
@@ -178,6 +180,77 @@ std::vector<CorpusEntry> StreamSeedCorpus() {
     entry.bytes = EncodeFuzzStream(spec.n, built.max_rank, built.stream);
     entries.push_back(std::move(entry));
   }
+  return entries;
+}
+
+FuzzCodecInput DecodeFuzzCodecInput(std::span<const uint8_t> bytes) {
+  auto byte = [&bytes](size_t i) -> uint8_t {
+    return i < bytes.size() ? bytes[i] : 0;
+  };
+  uint32_t n_raw = 0;
+  for (size_t i = 0; i < 4; ++i) n_raw |= uint32_t{byte(i)} << (8 * i);
+  u128 raw = 0;
+  for (size_t i = 0; i < 16; ++i) {
+    raw |= static_cast<u128>(byte(6 + i)) << (8 * i);
+  }
+  FuzzCodecInput out;
+  out.n = 2 + n_raw % ((uint64_t{1} << 32) - 2);
+  out.max_rank = std::min<size_t>(2 + byte(4) % 5, out.n);
+  Result<u128> domain = EdgeCodec::DomainSizeFor(out.n, out.max_rank);
+  while (!domain.ok()) {  // C(n, 2) < 2^63 always fits, so this ends
+    --out.max_rank;
+    domain = EdgeCodec::DomainSizeFor(out.n, out.max_rank);
+  }
+  out.index = (byte(5) & 1) ? raw : raw % (*domain + 2);
+  return out;
+}
+
+namespace {
+
+// Inverse of DecodeFuzzCodecInput: round trip holds when n < 2^32,
+// max_rank <= 6, DomainSizeFor accepts (n, max_rank), and
+// index <= DomainSize() + 1.
+std::vector<uint8_t> EncodeFuzzCodecInput(const FuzzCodecInput& in) {
+  std::vector<uint8_t> out;
+  const uint64_t n_raw = in.n - 2;
+  for (size_t i = 0; i < 4; ++i) {
+    out.push_back(static_cast<uint8_t>(n_raw >> (8 * i)));
+  }
+  out.push_back(static_cast<uint8_t>(in.max_rank - 2));
+  out.push_back(0);
+  for (size_t i = 0; i < 16; ++i) {
+    out.push_back(static_cast<uint8_t>(in.index >> (8 * i)));
+  }
+  return out;
+}
+
+}  // namespace
+
+std::vector<CorpusEntry> CodecSeedCorpus() {
+  std::vector<CorpusEntry> entries;
+  auto add = [&entries](std::string name, size_t n, size_t max_rank,
+                        u128 index) {
+    entries.push_back(
+        {std::move(name) + ".bin", EncodeFuzzCodecInput({n, max_rank, index})});
+  };
+  const size_t kLargeN = (size_t{1} << 32) - 1;
+  for (size_t n : {size_t{7}, size_t{512}, size_t{1} << 16, size_t{1} << 31,
+                   kLargeN}) {
+    const std::string tag = "n" + std::to_string(n);
+    const u128 pairs = Binomial(n, 2);
+    add(tag + "_first_pair", n, 2, 0);
+    add(tag + "_last_pair", n, 2, pairs - 1);
+    add(tag + "_past_end", n, 2, pairs);
+    add(tag + "_r3_first_triple", n, 3, pairs);
+  }
+  // C(m, 2) crosses 2^62 between m = 3037000500 and 3037000501.
+  for (uint64_t m : {uint64_t{3037000500}, uint64_t{3037000501}}) {
+    add("pair_block_m" + std::to_string(m), kLargeN, 2, Binomial(m, 2));
+    add("pair_block_m" + std::to_string(m) + "_minus1", kLargeN, 2,
+        Binomial(m, 2) - 1);
+  }
+  EdgeCodec mixed(1 << 16, 4);
+  add("n65536_r4_last", 1 << 16, 4, mixed.DomainSize() - 1);
   return entries;
 }
 

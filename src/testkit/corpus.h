@@ -1,12 +1,13 @@
 // Seed-corpus construction and the byte<->stream codec shared by the fuzz
 // harnesses (fuzz/), the corpus generator tool, and the smoke tests.
 //
-// Two corpora:
+// Three corpora:
 //   wire/   -- valid serialized frames of every FrameType (the starting
 //              points from which the deserializer fuzzers mutate), plus a
 //              few deliberately broken variants so even the unmutated
 //              corpus exercises rejection paths.
 //   stream/ -- byte-encoded dynamic streams for the ingestion fuzzer.
+//   codec/  -- EdgeCodec shapes and indices for the codec fuzzer.
 //
 // The stream byte format is designed for fuzzing, not storage: any byte
 // string decodes to SOME bounded instance (no parse failures for the
@@ -20,6 +21,16 @@
 //     r bytes:   vertex ids, each taken mod n
 //   Records whose vertices collapse below 2 distinct ids are skipped.
 //   At most kMaxFuzzUpdates records decode (inputs are fuzz-sized).
+//
+// The codec byte format is total too (missing bytes read as zero):
+//
+//   bytes 0..3:  n = 2 + (le32 % (2^32 - 2))  -- vertex count in [2, 2^32)
+//   byte 4:      max_rank = 2 + (b4 % 5)      -- in [2, 6], then lowered
+//                until the codec domain fits (DomainSizeFor succeeds)
+//   byte 5:      bit 0 clear: index = raw % (DomainSize() + 2), so most
+//                inputs land in range and the rest on the two indices
+//                just past it; bit 0 set: index = raw, any u128
+//   bytes 6..21: raw, a little-endian u128
 #ifndef GMS_TESTKIT_CORPUS_H_
 #define GMS_TESTKIT_CORPUS_H_
 
@@ -30,6 +41,7 @@
 
 #include "stream/stream.h"
 #include "util/status.h"
+#include "util/uint128.h"
 
 namespace gms {
 namespace testkit {
@@ -53,6 +65,16 @@ DecodedFuzzStream DecodeFuzzStream(std::span<const uint8_t> bytes);
 std::vector<uint8_t> EncodeFuzzStream(size_t n, size_t max_rank,
                                       const DynamicStream& stream);
 
+/// One EdgeCodec harness input.
+struct FuzzCodecInput {
+  size_t n = 2;
+  size_t max_rank = 2;
+  u128 index = 0;
+};
+
+/// Total function: every byte string decodes to a constructible codec shape.
+FuzzCodecInput DecodeFuzzCodecInput(std::span<const uint8_t> bytes);
+
 /// One named corpus entry.
 struct CorpusEntry {
   std::string name;
@@ -65,6 +87,11 @@ std::vector<CorpusEntry> WireSeedCorpus();
 
 /// Byte-encoded streams drawn from the DefaultSpecGrid families.
 std::vector<CorpusEntry> StreamSeedCorpus();
+
+/// Codec inputs at the unranking boundaries: first and last pair, the first
+/// index of the next size block, the domain end, and pairs (m-1, m) near
+/// m = sqrt(2) * 2^31, where C(m, 2) crosses 2^62.
+std::vector<CorpusEntry> CodecSeedCorpus();
 
 /// Write a corpus under dir/<entry.name> (dir is created). Returns the
 /// number of files written or a Status on I/O failure.

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "graph/edge_codec.h"
 #include "util/random.h"
@@ -88,11 +89,96 @@ TEST(EdgeCodecTest, RandomRoundTripLargeDomain) {
   }
 }
 
+// Pair indices unrank in closed form. Colex order lists the pairs as
+// (0,1), (0,2), (1,2), (0,3), ...: walk that order and compare every index.
+TEST(EdgeCodecTest, PairBlockExhaustiveUpTo512) {
+  for (size_t n = 2; n <= 512; ++n) {
+    EdgeCodec codec(n, 2);
+    u128 idx = 0;
+    for (VertexId v1 = 1; v1 < n; ++v1) {
+      for (VertexId v0 = 0; v0 < v1; ++v0, ++idx) {
+        auto e = codec.Decode(idx);
+        ASSERT_TRUE(e.ok()) << "n=" << n << " i=" << U128ToString(idx);
+        ASSERT_EQ(e->size(), 2u);
+        ASSERT_EQ((*e)[0], v0) << "n=" << n << " i=" << U128ToString(idx);
+        ASSERT_EQ((*e)[1], v1) << "n=" << n << " i=" << U128ToString(idx);
+        ASSERT_EQ(codec.Encode(*e), idx);
+      }
+    }
+    ASSERT_EQ(idx, codec.DomainSize());
+  }
+}
+
+// Indices where the sqrt estimate of the closed form is most likely to be one
+// off: either side of each C(m, 2) and the last pair of a block, for m near n
+// and near sqrt(2) * 2^31 (where C(m, 2) crosses 2^62), up to n = 2^32.
+TEST(EdgeCodecTest, PairBlockBoundaries) {
+  auto expect_pair = [](const EdgeCodec& codec, u128 idx, VertexId v0,
+                        VertexId v1) {
+    auto e = codec.Decode(idx);
+    ASSERT_TRUE(e.ok()) << "n=" << codec.n() << " i=" << U128ToString(idx);
+    EXPECT_EQ(*e, Hyperedge({v0, v1}))
+        << "n=" << codec.n() << " i=" << U128ToString(idx);
+    EXPECT_EQ(codec.Encode(*e), idx);
+  };
+  const uint64_t kCross = 3037000500;  // C(kCross, 2) < 2^62 < C(kCross+1, 2)
+  for (uint64_t n : {uint64_t{1} << 16, uint64_t{1} << 31,
+                     (uint64_t{1} << 32) - 1, uint64_t{1} << 32}) {
+    EdgeCodec codec(n, 2);
+    expect_pair(codec, 0, 0, 1);
+    expect_pair(codec, Binomial(n, 2) - 1, static_cast<VertexId>(n - 2),
+                static_cast<VertexId>(n - 1));
+    std::vector<uint64_t> ms;
+    for (uint64_t d = 1; d <= 4; ++d) ms.push_back(n - d);
+    for (uint64_t m = kCross - 3; m <= kCross + 3; ++m) ms.push_back(m);
+    for (uint64_t m : ms) {
+      if (m < 2 || m >= n) continue;
+      const u128 c = Binomial(m, 2);
+      const VertexId vm = static_cast<VertexId>(m);
+      expect_pair(codec, c - 1, vm - 2, vm - 1);
+      expect_pair(codec, c, 0, vm);
+      expect_pair(codec, c + m - 1, vm - 1, vm);
+    }
+  }
+}
+
+// In a mixed-rank codec the pair block ends at offset_[3] = C(n, 2): the
+// closed form must hand the next index to the triple search.
+TEST(EdgeCodecTest, PairBranchStopsAtTripleBlock) {
+  for (size_t n : {size_t{7}, size_t{1000}, size_t{1} << 16}) {
+    for (size_t r : {size_t{3}, size_t{5}}) {
+      EdgeCodec codec(n, r);
+      const u128 pairs = Binomial(n, 2);
+      auto last_pair = codec.Decode(pairs - 1);
+      ASSERT_TRUE(last_pair.ok());
+      EXPECT_EQ(*last_pair, Hyperedge({static_cast<VertexId>(n - 2),
+                                       static_cast<VertexId>(n - 1)}));
+      auto first_triple = codec.Decode(pairs);
+      ASSERT_TRUE(first_triple.ok());
+      EXPECT_EQ(*first_triple, Hyperedge({0, 1, 2}));
+      EXPECT_EQ(codec.Encode(*first_triple), pairs);
+    }
+  }
+}
+
 TEST(EdgeCodecTest, OutOfRangeIndexRejected) {
-  EdgeCodec codec(10, 3);
-  auto r = codec.Decode(codec.DomainSize());
-  EXPECT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  const u128 kMax = ~static_cast<u128>(0);
+  for (uint64_t n :
+       {uint64_t{2}, uint64_t{10}, uint64_t{512}, uint64_t{1} << 32}) {
+    for (size_t r : {size_t{2}, size_t{3}}) {
+      EdgeCodec codec(n, r);
+      for (u128 idx : {codec.DomainSize(), codec.DomainSize() + 1,
+                       static_cast<u128>(1) << 64, kMax}) {
+        if (idx < codec.DomainSize()) continue;  // 2^64 is a triple at 2^32
+        auto e = codec.Decode(idx);
+        ASSERT_FALSE(e.ok()) << "n=" << n << " i=" << U128ToString(idx);
+        EXPECT_EQ(e.status().code(), StatusCode::kInvalidArgument);
+      }
+    }
+  }
+  // Ids are 32-bit, so no codec spans more than 2^32 vertices.
+  EXPECT_TRUE(EdgeCodec::DomainSizeFor(uint64_t{1} << 32, 2).ok());
+  EXPECT_FALSE(EdgeCodec::DomainSizeFor((uint64_t{1} << 32) + 1, 2).ok());
 }
 
 TEST(EdgeCodecTest, SizeBlocksAreContiguous) {

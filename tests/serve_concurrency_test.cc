@@ -42,6 +42,7 @@ TEST(ServeConcurrencyTest, SnapshotsArePrefixConsistent) {
 
   using Snapshot = ServingEngine<SpanningForestSketch>::Snapshot;
   std::atomic<bool> done{false};
+  std::atomic<size_t> observing{0};
   constexpr size_t kQueryThreads = 2;
   // Each thread keeps the snapshots it saw, keyed by prefix; payload
   // pointers stay alive because the snapshot holds them.
@@ -51,8 +52,13 @@ TEST(ServeConcurrencyTest, SnapshotsArePrefixConsistent) {
   for (size_t q = 0; q < kQueryThreads; ++q) {
     queriers.emplace_back([&, q] {
       uint64_t last_prefix = 0;
+      bool first = true;
       while (!done.load(std::memory_order_acquire)) {
         auto snap = engine.Current();
+        if (first) {
+          observing.fetch_add(1, std::memory_order_release);
+          first = false;
+        }
         ASSERT_TRUE(snap->status.ok());
         // A single observer must never see the prefix move backwards.
         ASSERT_GE(snap->prefix_updates, last_prefix);
@@ -62,6 +68,12 @@ TEST(ServeConcurrencyTest, SnapshotsArePrefixConsistent) {
     });
   }
 
+  // Ingest starts once every query thread holds a snapshot: the whole
+  // stream takes a few milliseconds, so on a loaded host a thread
+  // scheduled late would otherwise observe nothing.
+  while (observing.load(std::memory_order_acquire) < kQueryThreads) {
+    std::this_thread::yield();
+  }
   constexpr size_t kChunk = 64;
   for (size_t i = 0; i < updates.size(); i += kChunk) {
     const size_t take = std::min(kChunk, updates.size() - i);
@@ -103,6 +115,7 @@ TEST(ServeConcurrencyTest, ServerHandlesFramesDuringIngest) {
   serve::SketchServer server(n, params, 113);
 
   std::atomic<bool> done{false};
+  std::atomic<size_t> observing{0};
   std::vector<std::thread> queriers;
   std::vector<uint64_t> answered(2);
   for (size_t q = 0; q < answered.size(); ++q) {
@@ -119,6 +132,9 @@ TEST(ServeConcurrencyTest, ServerHandlesFramesDuringIngest) {
         req.v = rng.Below(n);
         serve::EncodeServeRequest(req, &req_buf);
         server.HandleFrame(req_buf, &resp_buf);
+        if (answered[q] == 0) {
+          observing.fetch_add(1, std::memory_order_release);
+        }
         auto resp = serve::DecodeServeResponse(resp_buf);
         ASSERT_TRUE(resp.ok());
         ASSERT_EQ(resp->code, StatusCode::kOk);
@@ -129,6 +145,10 @@ TEST(ServeConcurrencyTest, ServerHandlesFramesDuringIngest) {
     });
   }
 
+  // As above: ingest starts once every query thread has been answered.
+  while (observing.load(std::memory_order_acquire) < answered.size()) {
+    std::this_thread::yield();
+  }
   constexpr size_t kChunk = 64;
   for (size_t i = 0; i < updates.size(); i += kChunk) {
     const size_t take = std::min(kChunk, updates.size() - i);
