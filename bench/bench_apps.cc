@@ -15,6 +15,11 @@
 //   3. Bridge serving: sustained is_bridge wire queries/s against a
 //      SketchServer skeleton snapshot (the BridgeIndex makes each query
 //      one binary search).
+//   4. Exact post-processing kernels (DESIGN.md §16): HypergraphMinCut
+//      and IsKVertexConnected(t = 2) on road-like graphs, the kernels
+//      ApproxMinCut and kVcAtLeast run on their skeletons, against the
+//      testkit reference kernels they replaced (median, min and max over
+//      repetitions; the reference only where it finishes in seconds).
 //
 // Results print as tables and land machine-readably in BENCH_apps.json.
 //
@@ -23,7 +28,9 @@
 //   - shared-plane and per-layer ingestion answer identically;
 //   - file replay produces the same answers as in-memory ingestion;
 //   - served is_bridge answers match exact Tarjan bridges of the final
-//     graph for every queried pair.
+//     graph for every queried pair;
+//   - the exact kernels return the reference's answers: the same
+//     (value, side) for the min cut, the same decision for kappa >= 2.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -35,9 +42,13 @@
 #include "apps/approx_min_cut.h"
 #include "apps/two_edge_connect.h"
 #include "bench_util.h"
+#include "exact/hypergraph_mincut.h"
+#include "exact/vertex_connectivity.h"
+#include "graph/generators.h"
 #include "graph/traversal.h"
 #include "serve/serve_protocol.h"
 #include "serve/sketch_server.h"
+#include "testkit/exact_reference.h"
 #include "testkit/stream_spec.h"
 #include "util/check.h"
 #include "util/random.h"
@@ -209,9 +220,72 @@ BridgeRow RunBridgeServing(const testkit::StreamSpec& spec, size_t probes,
   return row;
 }
 
+struct Spread {
+  double median = 0, min = 0, max = 0;
+};
+
+template <typename Run>
+Spread TimeReps(size_t reps, const Run& run) {
+  std::vector<double> secs;
+  for (size_t i = 0; i < reps; ++i) {
+    Timer t;
+    run();
+    secs.push_back(t.Seconds());
+  }
+  std::sort(secs.begin(), secs.end());
+  return {secs[secs.size() / 2], secs.front(), secs.back()};
+}
+
+struct KernelRow {
+  std::string kernel;
+  size_t n = 0;
+  size_t edges = 0;
+  size_t reps = 0;
+  Spread seconds;
+  bool has_reference = false;
+  Spread reference_seconds;
+};
+
+// One production kernel row on a road-like graph, plus the reference
+// kernel's row when `with_reference`; both must return the same answer.
+std::vector<KernelRow> RunExactKernels(size_t n, size_t reps,
+                                       bool with_reference) {
+  const Graph g = RoadNetwork(n, n / 16, /*seed=*/19);
+  const Hypergraph h = Hypergraph::FromGraph(g);
+  std::vector<KernelRow> rows(2);
+  rows[0].kernel = "hypergraph_min_cut";
+  rows[1].kernel = "is_k_vertex_connected_t2";
+  for (KernelRow& r : rows) {
+    r.n = n;
+    r.edges = g.NumEdges();
+    r.reps = reps;
+    r.has_reference = with_reference;
+  }
+  HypergraphCut cut;
+  bool two_connected = false;
+  rows[0].seconds = TimeReps(reps, [&] { cut = HypergraphMinCut(h); });
+  rows[1].seconds =
+      TimeReps(reps, [&] { two_connected = IsKVertexConnected(g, 2); });
+  if (with_reference) {
+    HypergraphCut ref_cut;
+    bool ref_two_connected = false;
+    rows[0].reference_seconds = TimeReps(
+        reps, [&] { ref_cut = testkit::HypergraphMinCutReference(h); });
+    rows[1].reference_seconds = TimeReps(reps, [&] {
+      ref_two_connected = testkit::IsKVertexConnectedReference(g, 2);
+    });
+    GMS_CHECK_MSG(cut.value == ref_cut.value && cut.side == ref_cut.side,
+                  "apps bench: min cut differs from the reference");
+    GMS_CHECK_MSG(two_connected == ref_two_connected,
+                  "apps bench: kappa >= 2 differs from the reference");
+  }
+  return rows;
+}
+
 void WriteJson(const std::vector<AppRow>& apps,
                const std::vector<CorpusRow>& corpus,
-               const std::vector<BridgeRow>& bridges) {
+               const std::vector<BridgeRow>& bridges,
+               const std::vector<KernelRow>& kernels) {
   FILE* f = std::fopen("BENCH_apps.json", "w");
   if (f == nullptr) {
     std::printf("could not open BENCH_apps.json for writing\n");
@@ -252,6 +326,28 @@ void WriteJson(const std::vector<AppRow>& apps,
                  "\"queries_per_sec\": %.1f}%s\n",
                  r.n, r.updates, static_cast<unsigned long long>(r.queries),
                  r.queries_per_sec, i + 1 < bridges.size() ? "," : "");
+  }
+  std::fprintf(f, "  ],\n  \"exact_kernels\": [\n");
+  for (size_t i = 0; i < kernels.size(); ++i) {
+    const KernelRow& r = kernels[i];
+    std::fprintf(f,
+                 "    {\"kernel\": \"%s\", \"n\": %zu, \"edges\": %zu, "
+                 "\"reps\": %zu,\n"
+                 "     \"median_seconds\": %.6f, \"min_seconds\": %.6f, "
+                 "\"max_seconds\": %.6f,\n",
+                 r.kernel.c_str(), r.n, r.edges, r.reps, r.seconds.median,
+                 r.seconds.min, r.seconds.max);
+    if (r.has_reference) {
+      std::fprintf(f,
+                   "     \"reference_median_seconds\": %.6f, "
+                   "\"reference_min_seconds\": %.6f, "
+                   "\"reference_max_seconds\": %.6f}%s\n",
+                   r.reference_seconds.median, r.reference_seconds.min,
+                   r.reference_seconds.max, i + 1 < kernels.size() ? "," : "");
+    } else {
+      std::fprintf(f, "     \"reference_median_seconds\": null}%s\n",
+                   i + 1 < kernels.size() ? "," : "");
+    }
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -373,7 +469,38 @@ int Run(bool smoke) {
   }
   bridge_table.Print("is_bridge wire serving (k = 2 skeleton snapshot)");
 
-  WriteJson(app_rows, corpus_rows, bridge_rows);
+  // The reference kernels are O(n^3) (min cut) and build a Dinic network
+  // per pair (kappa >= 2): time them only up to n = 1024.
+  std::vector<KernelRow> kernel_rows;
+  const std::vector<size_t> kernel_ns = smoke
+                                            ? std::vector<size_t>{64, 128}
+                                            : std::vector<size_t>{512, 1024,
+                                                                  4096};
+  for (size_t kn : kernel_ns) {
+    for (KernelRow& r : RunExactKernels(kn, smoke ? 1 : 5, kn <= 1024)) {
+      kernel_rows.push_back(std::move(r));
+    }
+  }
+  Table kernel_table({"kernel", "n", "edges", "median", "min", "max",
+                      "reference", "speedup"});
+  for (const KernelRow& r : kernel_rows) {
+    auto ms = [](double s) { return Table::Fmt(s * 1e3, 2) + "ms"; };
+    kernel_table.AddRow(
+        {r.kernel, Table::Fmt(static_cast<uint64_t>(r.n)),
+         Table::Fmt(static_cast<uint64_t>(r.edges)), ms(r.seconds.median),
+         ms(r.seconds.min), ms(r.seconds.max),
+         r.has_reference ? ms(r.reference_seconds.median) : "-",
+         r.has_reference
+             ? Table::Fmt(r.reference_seconds.median /
+                              std::max(r.seconds.median, 1e-9),
+                          1) + "x"
+             : "-"});
+  }
+  kernel_table.Print(
+      "exact post-processing kernels on road-like graphs: production vs "
+      "testkit reference (median/min/max over reps)");
+
+  WriteJson(app_rows, corpus_rows, bridge_rows, kernel_rows);
   std::printf("\nall app asserts passed\n");
   return 0;
 }

@@ -3,9 +3,10 @@
 //   gms_gen_corpus <output-root>
 //
 // writes <root>/wire/ (valid + deliberately corrupted frames of all six
-// sketch types), <root>/stream/ (byte-encoded generator streams), and
-// <root>/stream_file/ (GMSB binary stream-file images, valid + hostile), and
-// <root>/codec/ (EdgeCodec shapes and indices at the unranking boundaries).
+// sketch types), <root>/stream/ (byte-encoded generator streams),
+// <root>/stream_file/ (GMSB binary stream-file images, valid + hostile),
+// <root>/codec/ (EdgeCodec shapes and indices at the unranking boundaries),
+// and <root>/exact/ (small weighted hypergraphs for the exact kernels).
 // Deterministic: rerunning produces identical bytes, so corpus churn in
 // review means the wire format or the generators actually changed.
 #include <cstdio>
@@ -28,6 +29,7 @@ int main(int argc, char** argv) {
       {"stream", gms::testkit::StreamSeedCorpus()},
       {"stream_file", gms::workload::StreamFileSeedCorpus()},
       {"codec", gms::testkit::CodecSeedCorpus()},
+      {"exact", gms::testkit::ExactSeedCorpus()},
   };
   for (const auto& c : corpora) {
     const std::string dir = root + "/" + c.subdir;

@@ -4,6 +4,21 @@
 // to validate everything on small instances. These implement the
 // "run any vertex connectivity algorithm on H in postprocessing" step of
 // Theorem 8 and serve as the ground truth for Section 3's sketches.
+//
+// Cost. Each call builds one node-split network in CSR form, O(n + m log
+// Delta), and reuses it for every pair of its schedule. A pair capped at c
+// paths costs at most c + 1 BFS passes of O(n + m) with no allocation, and
+// its flow is capped further at min(deg s, deg t). With n vertices, m
+// edges and a schedule of at most (c + 1) * n pairs:
+//   IsKVertexConnected(g, k)   O(k^2 * n * (n + m)) worst case (c = k);
+//                              O(n) when the min-degree check rejects;
+//   VertexConnectivity(g)      O(kappa * delta * n * (n + m)), delta the
+//                              min degree (the first pairs run uncapped);
+//   MinimumVertexCut(g)        as VertexConnectivity, plus one pair;
+//   VertexDisjointPaths        one network build plus one pair.
+// Workspaces live for one call, so concurrent calls on one const Graph
+// are safe. The replaced per-pair Dinic kernels are kept as test oracles in
+// testkit/exact_reference.h.
 #ifndef GMS_EXACT_VERTEX_CONNECTIVITY_H_
 #define GMS_EXACT_VERTEX_CONNECTIVITY_H_
 

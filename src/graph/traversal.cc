@@ -42,24 +42,30 @@ bool IsConnected(const Hypergraph& g) {
 
 bool IsConnectedExcluding(const Graph& g,
                           const std::vector<VertexId>& removed) {
-  std::vector<bool> gone(g.NumVertices(), false);
-  for (VertexId v : removed) gone[v] = true;
-  UnionFind uf(g.NumVertices());
-  for (const Edge& e : g.Edges()) {
-    if (!gone[e.u()] && !gone[e.v()]) uf.Union(e.u(), e.v());
+  // One BFS over the adjacency from the first surviving vertex; connected
+  // iff it reaches every survivor.
+  const size_t n = g.NumVertices();
+  std::vector<uint8_t> seen(n, 0);  // removed vertices count as seen
+  size_t survivors = n;
+  for (VertexId v : removed) {
+    if (!seen[v]) --survivors;
+    seen[v] = 1;
   }
+  if (survivors <= 1) return true;
+  std::vector<VertexId> queue(survivors);
+  size_t head = 0, tail = 0;
   VertexId first = 0;
-  bool seen_first = false;
-  for (VertexId v = 0; v < g.NumVertices(); ++v) {
-    if (gone[v]) continue;
-    if (!seen_first) {
-      first = v;
-      seen_first = true;
-    } else if (!uf.Connected(first, v)) {
-      return false;
+  while (seen[first]) ++first;
+  seen[first] = 1;
+  queue[tail++] = first;
+  while (head < tail) {
+    for (VertexId v : g.Neighbors(queue[head++])) {
+      if (seen[v]) continue;
+      seen[v] = 1;
+      queue[tail++] = v;
     }
   }
-  return true;
+  return tail == survivors;
 }
 
 bool IsConnectedExcluding(const Hypergraph& g,

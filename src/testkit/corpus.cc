@@ -254,6 +254,100 @@ std::vector<CorpusEntry> CodecSeedCorpus() {
   return entries;
 }
 
+FuzzExactInput DecodeFuzzExactInput(std::span<const uint8_t> bytes) {
+  FuzzExactInput out;
+  if (bytes.empty()) return out;
+  out.n = 2 + bytes[0] % 15;
+  size_t pos = 1;
+  while (pos < bytes.size() && out.edges.size() < kMaxFuzzExactEdges) {
+    const uint8_t op = bytes[pos++];
+    const size_t r = 2 + (op & 3) % 3;
+    if (pos + r > bytes.size()) break;
+    std::vector<VertexId> vs;
+    for (size_t i = 0; i < r; ++i) {
+      const VertexId v = static_cast<VertexId>(bytes[pos++] % out.n);
+      if (std::find(vs.begin(), vs.end(), v) == vs.end()) vs.push_back(v);
+    }
+    if (vs.size() < 2) continue;
+    out.edges.emplace_back(std::move(vs));
+    out.weights.push_back(static_cast<double>((op >> 2) & 15) / 4.0);
+  }
+  return out;
+}
+
+namespace {
+
+// Inverse of DecodeFuzzExactInput for 2 <= n <= 16, ranks 2..4, ids < n
+// and weights in {0, 0.25, ..., 3.75}.
+std::vector<uint8_t> EncodeFuzzExactInput(const FuzzExactInput& in) {
+  std::vector<uint8_t> out = {static_cast<uint8_t>(in.n - 2)};
+  for (size_t i = 0; i < in.edges.size(); ++i) {
+    const size_t quarters = static_cast<size_t>(in.weights[i] * 4.0);
+    out.push_back(
+        static_cast<uint8_t>(quarters << 2 | (in.edges[i].size() - 2)));
+    for (VertexId v : in.edges[i]) out.push_back(static_cast<uint8_t>(v));
+  }
+  return out;
+}
+
+}  // namespace
+
+std::vector<CorpusEntry> ExactSeedCorpus() {
+  std::vector<CorpusEntry> entries;
+  auto add = [&entries](std::string name, const Hypergraph& h,
+                        bool weighted) {
+    GMS_CHECK_MSG(h.NumEdges() <= kMaxFuzzExactEdges,
+                  "exact seed exceeds the decoder's edge cap");
+    FuzzExactInput in;
+    in.n = h.NumVertices();
+    in.edges = h.Edges();
+    for (size_t i = 0; i < in.edges.size(); ++i) {
+      // Unit weights, or a deterministic spread over the dyadic range.
+      in.weights.push_back(weighted ? static_cast<double>(1 + i * 7 % 15) / 4.0
+                                    : 1.0);
+    }
+    entries.push_back({std::move(name) + ".bin", EncodeFuzzExactInput(in)});
+  };
+  auto add_graph = [&add](std::string name, const Graph& g) {
+    add(std::move(name), Hypergraph::FromGraph(g), false);
+  };
+  add_graph("cycle12", CycleGraph(12));
+  add_graph("path9", PathGraph(9));
+  add_graph("star10", StarGraph(10));
+  add_graph("complete2", CompleteGraph(2));
+  add_graph("complete6", CompleteGraph(6));
+  add_graph("edgeless5", Graph(5));
+  add_graph("k34", CompleteBipartite(3, 4));
+  add_graph("expander14", UnionOfHamiltonianCycles(14, 3, 7));
+  add_graph("planted_sep14_k2", PlantedSeparator(14, 2, 8).graph);
+  add_graph("planted_sep16_k3", PlantedSeparator(16, 3, 9).graph);
+  Graph two_triangles(6);
+  for (VertexId base : {0u, 3u}) {
+    two_triangles.AddEdge(base, base + 1);
+    two_triangles.AddEdge(base + 1, base + 2);
+    two_triangles.AddEdge(base, base + 2);
+  }
+  add_graph("disconnected6", two_triangles);
+  add("hypercycle10_r3", HyperCycle(10, 3), false);
+  for (size_t r = 2; r <= 4; ++r) {
+    const std::string tag = "_r" + std::to_string(r);
+    add("uniform12" + tag, RandomUniformHypergraph(12, 16, r, 10 + r), false);
+    add("uniform12" + tag + "_weighted",
+        RandomUniformHypergraph(12, 16, r, 10 + r), true);
+    add("planted_cut14" + tag,
+        PlantedHypergraphCut(14, r, 2, 10, 20 + r).hypergraph, false);
+  }
+  add("mixed14_weighted", RandomHypergraph(14, 24, 2, 4, 31), true);
+  for (const StreamSpec& spec : DefaultSpecGrid()) {
+    // The churn schedules share one final graph per family.
+    if (spec.n > 16 || spec.churn != Churn::kInsertOnly) continue;
+    const Hypergraph h = spec.Build().final_graph;
+    if (h.Rank() > 4 || h.NumEdges() > kMaxFuzzExactEdges) continue;
+    add(std::string("grid_") + FamilyName(spec.family), h, false);
+  }
+  return entries;
+}
+
 Result<size_t> WriteCorpusDir(const std::string& dir,
                               const std::vector<CorpusEntry>& entries) {
   std::error_code ec;

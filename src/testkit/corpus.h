@@ -8,6 +8,7 @@
 //              corpus exercises rejection paths.
 //   stream/ -- byte-encoded dynamic streams for the ingestion fuzzer.
 //   codec/  -- EdgeCodec shapes and indices for the codec fuzzer.
+//   exact/  -- small weighted hypergraphs for the exact-kernel fuzzer.
 //
 // The stream byte format is designed for fuzzing, not storage: any byte
 // string decodes to SOME bounded instance (no parse failures for the
@@ -31,6 +32,17 @@
 //                inputs land in range and the rest on the two indices
 //                just past it; bit 0 set: index = raw, any u128
 //   bytes 6..21: raw, a little-endian u128
+//
+// The exact-kernel byte format is total as well:
+//
+//   byte 0:      n = 2 + (b0 % 15)            -- vertex count in [2, 16]
+//   then repeating hyperedge records until the buffer ends:
+//     byte:      op -- bits 0..1: rank r = 2 + (op & 3) % 3, in [2, 4];
+//                bits 2..5: weight = ((op >> 2) & 15) / 4, a dyadic value
+//                in [0, 3.75], so every cut sum is exact in a double
+//     r bytes:   vertex ids, each taken mod n
+//   Records whose ids collapse below 2 distinct are skipped; repeats stay
+//   (parallel hyperedges). At most kMaxFuzzExactEdges records decode.
 #ifndef GMS_TESTKIT_CORPUS_H_
 #define GMS_TESTKIT_CORPUS_H_
 
@@ -75,6 +87,20 @@ struct FuzzCodecInput {
 /// Total function: every byte string decodes to a constructible codec shape.
 FuzzCodecInput DecodeFuzzCodecInput(std::span<const uint8_t> bytes);
 
+inline constexpr size_t kMaxFuzzExactEdges = 128;
+
+/// One exact-kernel harness input: a weighted hypergraph on n vertices.
+/// Its rank-2 hyperedges also form the graph the vertex kernels run on.
+struct FuzzExactInput {
+  size_t n = 2;
+  std::vector<Hyperedge> edges;
+  std::vector<double> weights;  // one per edge, dyadic, in [0, 3.75]
+};
+
+/// Total function: every byte string decodes (empty input -> n = 2, no
+/// edges).
+FuzzExactInput DecodeFuzzExactInput(std::span<const uint8_t> bytes);
+
 /// One named corpus entry.
 struct CorpusEntry {
   std::string name;
@@ -92,6 +118,12 @@ std::vector<CorpusEntry> StreamSeedCorpus();
 /// index of the next size block, the domain end, and pairs (m-1, m) near
 /// m = sqrt(2) * 2^31, where C(m, 2) crosses 2^62.
 std::vector<CorpusEntry> CodecSeedCorpus();
+
+/// Exact-kernel inputs: cycles, paths, stars, complete and complete
+/// bipartite graphs, planted separators and cuts, disconnected and
+/// edgeless graphs, the DefaultSpecGrid final graphs with n <= 16, and
+/// weighted hypergraphs of ranks 2-4.
+std::vector<CorpusEntry> ExactSeedCorpus();
 
 /// Write a corpus under dir/<entry.name> (dir is created). Returns the
 /// number of files written or a Status on I/O failure.

@@ -20,6 +20,7 @@
 #include "serve/sketch_server.h"
 #include "serve/serving_engine.h"
 #include "util/random.h"
+#include "vertexconn/vc_query_sketch.h"
 
 namespace gms {
 namespace {
@@ -166,6 +167,78 @@ TEST(ServeConcurrencyTest, ServerHandlesFramesDuringIngest) {
   req.op = serve::ServeOp::kNumComponents;
   const auto resp = server.Handle(req);
   EXPECT_EQ(resp.code, StatusCode::kOk);
+  EXPECT_EQ(resp.value, 1u);
+  EXPECT_EQ(resp.prefix_updates, updates.size());
+}
+
+// The exact kernels behind kVcAtLeast and kDisconnects run on the shared
+// const VcUnionSnapshot from several threads at once, with per-call
+// workspaces only; tsan checks that while the merger publishes snapshots.
+TEST(ServeConcurrencyTest, VcReadsDuringIngest) {
+  const size_t n = 48;
+  const Graph g = UnionOfHamiltonianCycles(n, 3, 121);
+  const DynamicStream stream = DynamicStream::WithChurn(g, 200, 122);
+  const auto& updates = stream.updates();
+
+  const auto params = serve::SketchServerParams::Builder()
+                          .Forest(LightForest())
+                          .Vc(VcQueryParams::Builder()
+                                  .K(2)
+                                  .RMultiplier(0.5)
+                                  .Forest(LightForest())
+                                  .Build())
+                          .EpochUpdates(64)
+                          .Build();
+  serve::SketchServer server(n, params, 123);
+
+  std::atomic<bool> done{false};
+  std::atomic<size_t> observing{0};
+  std::vector<std::thread> queriers;
+  std::vector<uint64_t> answered(3);
+  for (size_t q = 0; q < answered.size(); ++q) {
+    queriers.emplace_back([&, q] {
+      Rng rng(124 + q);
+      while (!done.load(std::memory_order_acquire)) {
+        serve::ServeRequest req;
+        if (rng.Below(2) == 0) {
+          req.op = serve::ServeOp::kVcAtLeast;
+          req.t = 1 + rng.Below(3);
+        } else {
+          req.op = serve::ServeOp::kDisconnects;
+          req.query_set = {static_cast<VertexId>(rng.Below(n)),
+                           static_cast<VertexId>(rng.Below(n))};
+        }
+        const serve::ServeResponse resp = server.Handle(req);
+        // A snapshot may whp-rarely fail to decode; nothing else refuses.
+        ASSERT_TRUE(resp.code == StatusCode::kOk ||
+                    resp.code == StatusCode::kDecodeFailure);
+        if (answered[q] == 0) {
+          observing.fetch_add(1, std::memory_order_release);
+        }
+        ++answered[q];
+      }
+    });
+  }
+
+  while (observing.load(std::memory_order_acquire) < answered.size()) {
+    std::this_thread::yield();
+  }
+  constexpr size_t kChunk = 32;
+  for (size_t i = 0; i < updates.size(); i += kChunk) {
+    const size_t take = std::min(kChunk, updates.size() - i);
+    server.Ingest(std::span<const StreamUpdate>(updates.data() + i, take));
+  }
+  done.store(true, std::memory_order_release);
+  for (auto& t : queriers) t.join();
+  server.Flush();
+
+  for (uint64_t a : answered) EXPECT_GT(a, 0u);
+  // A union of Hamiltonian cycles is 2-connected.
+  serve::ServeRequest req;
+  req.op = serve::ServeOp::kVcAtLeast;
+  req.t = 2;
+  const serve::ServeResponse resp = server.Handle(req);
+  ASSERT_EQ(resp.code, StatusCode::kOk);
   EXPECT_EQ(resp.value, 1u);
   EXPECT_EQ(resp.prefix_updates, updates.size());
 }

@@ -13,6 +13,7 @@
 #include "util/status.h"
 #include "util/table.h"
 #include "util/uint128.h"
+#include "util/zeroed_buffer.h"
 
 namespace gms {
 namespace {
@@ -262,6 +263,34 @@ TEST(TableTest, FmtHelpers) {
   EXPECT_EQ(Table::Fmt(int64_t{-5}), "-5");
   EXPECT_EQ(Table::Fmt(2.5, 1), "2.5");
   EXPECT_EQ(Table::Fmt(42), "42");
+}
+
+// Copies of mapped (>= 1 MiB) and heap buffers equal their source word for
+// word, including nonzero words on the first and last (partial) pages and
+// words next to all-zero pages the mapped copy skips.
+TEST(ZeroedBufferTest, CopyEqualsSource) {
+  for (size_t words : {size_t{700}, (size_t{1} << 17) + 37}) {
+    ZeroedBuffer src(words);
+    const size_t hits[] = {0, 511, 512, words / 2, words - 1};
+    for (size_t i : hits) src.data()[i] = 0x9e3779b97f4a7c15ULL ^ i;
+    const ZeroedBuffer copy(src);
+    ASSERT_EQ(copy.size(), words);
+    EXPECT_TRUE(copy == src) << "words=" << words;
+    for (size_t i : hits) EXPECT_EQ(copy.data()[i], src.data()[i]);
+    EXPECT_EQ(copy.data()[600], 0u);
+    const ZeroedBuffer empty_copy{ZeroedBuffer(words)};
+    EXPECT_TRUE(empty_copy == ZeroedBuffer(words));
+    // Assignment: into a buffer of another size (reallocates), and into a
+    // same-size buffer whose stale words must all be overwritten.
+    ZeroedBuffer resized(words / 2);
+    resized.data()[1] = 7;
+    resized = src;
+    EXPECT_TRUE(resized == src) << "words=" << words;
+    ZeroedBuffer stale(words);
+    for (size_t i = 0; i < words; i += 97) stale.data()[i] = ~uint64_t{0};
+    stale = src;
+    EXPECT_TRUE(stale == src) << "words=" << words;
+  }
 }
 
 }  // namespace
