@@ -10,11 +10,13 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
 #include "kernel_compare.h"
+#include "apps/two_edge_connect.h"
 #include "connectivity/k_skeleton.h"
 #include "connectivity/spanning_forest_sketch.h"
 #include "graph/generators.h"
@@ -23,6 +25,8 @@
 #include "sparsify/sparsifier_sketch.h"
 #include "stream/ingest_plane.h"
 #include "stream/stream.h"
+#include "testkit/peel_reference.h"
+#include "testkit/stream_spec.h"
 #include "util/parallel.h"
 #include "util/timer.h"
 #include "vertexconn/vc_query_sketch.h"
@@ -334,10 +338,13 @@ void SparseDensitySection(std::vector<SparseDensityRow>* rows, size_t* out_n,
 /// one SpanningForestSketch at a full round budget (default log2 n + extra,
 /// where the window refills actually amortize). Times the incremental
 /// extraction against the retained reference re-sum decoder, serial and
-/// parallel, and checks all four Hypergraphs are bit-identical.
+/// parallel, and checks all four Hypergraphs are bit-identical. Two
+/// twins: a churn stream with ~6 updates per vertex (nearly every column
+/// stays in its exact sparse buffer) and the all-dense stream below.
 struct ExtractCompareRow {
   size_t n = 0;
   int rounds = 0;
+  double escalated_frac = 0;  // columns past the sparse threshold
   double inc_serial_secs = 0;
   double inc_parallel_secs = 0;
   double ref_serial_secs = 0;
@@ -347,15 +354,31 @@ struct ExtractCompareRow {
   ExtractStats ref_stats;  // reference @8
 };
 
-void ExtractionEngineSection(ExtractCompareRow* out) {
-  constexpr size_t kN = 1 << 13;
-  ForestSketchParams params;
-  params.config = SketchConfig::Light();  // rounds = 0: full default budget
-  SpanningForestSketch sketch(kN, 2, /*seed=*/21, params);
-  out->n = kN;
+double EscalatedFrac(const SpanningForestSketch& sketch) {
+  size_t escalated = 0;
+  for (VertexId v = 0; v < sketch.n(); ++v) {
+    escalated += sketch.VertexEscalated(v) ? 1 : 0;
+  }
+  return static_cast<double>(escalated) / static_cast<double>(sketch.n());
+}
+
+/// The perfbench batch_dense stream shape: temporal churn with 4n live and
+/// 18n expired edges, 40n updates or ~80 endpoint updates per vertex
+/// (2.5x the Light sparse threshold), so every column escalates.
+DynamicStream AllDenseStream(size_t n, uint64_t trial) {
+  testkit::StreamSpec spec;
+  spec.family = testkit::Family::kTemporalChurn;
+  spec.n = static_cast<uint32_t>(n);
+  spec.m = static_cast<uint32_t>(4 * n);
+  spec.decoys = static_cast<uint32_t>(18 * n);
+  return spec.WithTrial(trial).Build().stream;
+}
+
+void CompareExtraction(const SpanningForestSketch& sketch, const char* title,
+                       ExtractCompareRow* out) {
+  out->n = sketch.n();
   out->rounds = sketch.rounds();
-  Graph g = UnionOfHamiltonianCycles(kN, 3, /*seed=*/22);
-  sketch.Process(DynamicStream::WithChurn(g, /*decoys=*/kN / 2, 23));
+  out->escalated_frac = EscalatedFrac(sketch);
   (void)sketch.ExtractSpanningGraph(1);  // untimed warm-up
 
   Timer t_inc_s;
@@ -389,14 +412,126 @@ void ExtractionEngineSection(ExtractCompareRow* out) {
   table.AddRow({"incremental", "8", Table::Fmt(out->inc_parallel_secs, 4),
                 Table::Fmt(ref / std::max(out->inc_parallel_secs, 1e-9), 2),
                 Table::Fmt(out->inc_stats.summed_words)});
-  table.Print("Extraction engine: incremental window blocks vs reference "
-              "re-sum (one forest, full round budget)");
+  table.Print(title);
   std::printf(
       "\nall four extractions bit-identical: %s\n"
-      "(rounds budget %d, rounds run %d, early_exit %d; summed_words is the\n"
-      "state volume each path touched -- the incremental win in a number)\n",
-      out->identical ? "yes" : "NO (BUG)", out->rounds,
-      out->inc_stats.rounds_run, out->inc_stats.early_exit ? 1 : 0);
+      "(n=%zu, escalated columns %.1f%%, rounds budget %d, rounds run %d,\n"
+      "early_exit %d; summed_words is the state volume each path touched --\n"
+      "the incremental win in a number)\n",
+      out->identical ? "yes" : "NO (BUG)", out->n,
+      100.0 * out->escalated_frac, out->rounds, out->inc_stats.rounds_run,
+      out->inc_stats.early_exit ? 1 : 0);
+}
+
+void ExtractionEngineSection(ExtractCompareRow* out) {
+  constexpr size_t kN = 1 << 13;
+  ForestSketchParams params;
+  params.config = SketchConfig::Light();  // rounds = 0: full default budget
+  SpanningForestSketch sketch(kN, 2, /*seed=*/21, params);
+  Graph g = UnionOfHamiltonianCycles(kN, 3, /*seed=*/22);
+  sketch.Process(DynamicStream::WithChurn(g, /*decoys=*/kN / 2, 23));
+  CompareExtraction(sketch,
+                    "Extraction engine: incremental window blocks vs "
+                    "reference re-sum (one forest, full round budget, "
+                    "sparse-phase stream)",
+                    out);
+}
+
+/// Peeled decode vs the copy oracle on a dense layer: layer 2 of a
+/// TwoEdgeConnect decodes G - F1 through the per-call overlay, against
+/// testkit::PeelByCopy (copy the layer, RemoveHyperedges(F1), decode).
+struct PeelCompareRow {
+  size_t n = 0;
+  size_t peeled_edges = 0;
+  bench::Spread peeled_secs;
+  bench::Spread copy_secs;
+  double peeled_rss_growth_mb = 0;  // peak-RSS growth over the first call
+  double copy_rss_growth_mb = 0;
+  bool identical = false;
+};
+
+/// The dense twins (ROADMAP item 1): the extraction-engine comparison on
+/// layer 1 of a TwoEdgeConnect fed the all-dense stream, and the
+/// peeled-vs-copy row on its layer 2. Returns false if the stream left the
+/// dense phase these rows claim to measure.
+bool DenseExtractionSection(ExtractCompareRow* engine, PeelCompareRow* peel) {
+  constexpr size_t kN = 1 << 12;
+  constexpr int kReps = 5;
+  apps::TwoEdgeConnect app(
+      kN, 2, /*seed=*/24,
+      ForestSketchParams::Builder().Config(SketchConfig::Light()).Build());
+  app.Process(AllDenseStream(kN, /*trial=*/25));
+  CompareExtraction(app.layer1(),
+                    "Extraction engine, dense twin: layer 1 of a "
+                    "TwoEdgeConnect on the all-dense stream",
+                    engine);
+
+  auto f1 = app.layer1().Query();
+  if (!f1.ok()) {
+    std::printf("dense twin: FAIL (layer 1 query failed)\n");
+    return false;
+  }
+  const std::vector<Hyperedge>& forest = f1.value().Edges();
+  const SpanningForestSketch& layer2 = app.layer2();
+  peel->n = kN;
+  peel->peeled_edges = forest.size();
+  std::vector<double> peeled_reps, copy_reps;
+  std::optional<QueryResult<Hypergraph>> peeled, copied;
+  for (int rep = 0; rep < kReps; ++rep) {
+    double rss0 = bench::PeakRssMb();
+    Timer tp;
+    peeled.emplace(layer2.Query(0, forest));
+    peeled_reps.push_back(tp.Seconds());
+    if (rep == 0) peel->peeled_rss_growth_mb = bench::PeakRssMb() - rss0;
+    rss0 = bench::PeakRssMb();
+    Timer tc;
+    copied.emplace(testkit::PeelByCopy(layer2, forest));
+    copy_reps.push_back(tc.Seconds());
+    if (rep == 0) peel->copy_rss_growth_mb = bench::PeakRssMb() - rss0;
+  }
+  peel->peeled_secs = bench::SpreadOf(peeled_reps);
+  peel->copy_secs = bench::SpreadOf(copy_reps);
+  peel->identical = peeled->ok() && copied->ok() &&
+                    peeled->value() == copied->value() &&
+                    peeled->stats().sample_attempts ==
+                        copied->stats().sample_attempts &&
+                    peeled->stats().decode_attempts ==
+                        copied->stats().decode_attempts;
+
+  Table table({"path", "median_s", "min_s", "max_s", "rss_growth_MiB"});
+  table.AddRow({"peeled (overlay)", Table::Fmt(peel->peeled_secs.median, 4),
+                Table::Fmt(peel->peeled_secs.min, 4),
+                Table::Fmt(peel->peeled_secs.max, 4),
+                Table::Fmt(peel->peeled_rss_growth_mb, 1)});
+  table.AddRow({"PeelByCopy", Table::Fmt(peel->copy_secs.median, 4),
+                Table::Fmt(peel->copy_secs.min, 4),
+                Table::Fmt(peel->copy_secs.max, 4),
+                Table::Fmt(peel->copy_rss_growth_mb, 1)});
+  table.Print("Peeled decode: layer 2 of G - F1 through the overlay vs "
+              "copy + RemoveHyperedges + decode (dense phase)");
+  std::printf(
+      "\nn=%zu, |F1|=%zu, %d reps each (alternating); identical answer and "
+      "decision counters: %s\n",
+      kN, peel->peeled_edges, kReps, peel->identical ? "yes" : "NO (BUG)");
+
+  // The phase these rows claim: (nearly) every column escalated, real
+  // Borůvka rounds (summed words), no sparse-exact shortcut.
+  const ExtractStats& ps = peeled->stats();
+  const bool dense = engine->escalated_frac >= 0.99 &&
+                     EscalatedFrac(layer2) >= 0.99 &&
+                     engine->inc_stats.summed_words > 0 &&
+                     engine->inc_stats.sparse_exact_forests == 0 &&
+                     ps.summed_words > 0 && ps.sparse_exact_forests == 0;
+  std::printf(
+      "dense twin phase: escalated %.1f%%/%.1f%% (layers 1/2), "
+      "summed_words=%llu/%llu, sparse_exact_forests=%llu/%llu -> %s\n",
+      100.0 * engine->escalated_frac, 100.0 * EscalatedFrac(layer2),
+      static_cast<unsigned long long>(engine->inc_stats.summed_words),
+      static_cast<unsigned long long>(ps.summed_words),
+      static_cast<unsigned long long>(engine->inc_stats.sparse_exact_forests),
+      static_cast<unsigned long long>(ps.sparse_exact_forests),
+      dense ? "dense (ok)" : "FAIL (left the dense phase)");
+  return dense && engine->identical && peel->identical;
 }
 
 /// Machine-readable mirror of the engine table for trend tracking, plus
@@ -411,11 +546,35 @@ void AppendGroupsPerRound(FILE* f, const ExtractStats& stats) {
   std::fprintf(f, "]");
 }
 
+void AppendExtractCompare(FILE* f, const char* key,
+                          const ExtractCompareRow& row) {
+  std::fprintf(f,
+               "  \"%s\": {\"n\": %zu, \"rounds\": %d, "
+               "\"escalated_fraction\": %.4f, \"identical\": %s,\n"
+               "    \"reference_serial_seconds\": %.6f, "
+               "\"reference_parallel_seconds\": %.6f,\n"
+               "    \"incremental_serial_seconds\": %.6f, "
+               "\"incremental_parallel_seconds\": %.6f,\n"
+               "    \"reference_summed_words\": %llu, "
+               "\"incremental_summed_words\": %llu, "
+               "\"sparse_exact_forests\": %llu},\n",
+               key, row.n, row.rounds, row.escalated_frac,
+               row.identical ? "true" : "false", row.ref_serial_secs,
+               row.ref_parallel_secs, row.inc_serial_secs,
+               row.inc_parallel_secs,
+               static_cast<unsigned long long>(row.ref_stats.summed_words),
+               static_cast<unsigned long long>(row.inc_stats.summed_words),
+               static_cast<unsigned long long>(
+                   row.inc_stats.sparse_exact_forests));
+}
+
 void WriteJson(const std::vector<EngineRow>& rows, size_t n, size_t updates,
                size_t r, const std::vector<EngineRow>& compact_rows,
                size_t compact_n, size_t compact_updates,
                const FrameSizeRow& frame,
                const ExtractCompareRow& extract,
+               const ExtractCompareRow& dense_extract,
+               const PeelCompareRow& peel,
                const std::vector<SparseDensityRow>& density_rows,
                size_t density_n, uint32_t density_threshold,
                const bench::KernelTimings& kt) {
@@ -448,21 +607,22 @@ void WriteJson(const std::vector<EngineRow>& rows, size_t n, size_t updates,
     std::fprintf(f, "}}%s\n", i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
+  AppendExtractCompare(f, "extraction_engine", extract);
+  AppendExtractCompare(f, "extraction_engine_dense", dense_extract);
   std::fprintf(f,
-               "  \"extraction_engine\": {\"n\": %zu, \"rounds\": %d, "
+               "  \"peel\": {\"n\": %zu, \"peeled_edges\": %zu, "
                "\"identical\": %s,\n"
-               "    \"reference_serial_seconds\": %.6f, "
-               "\"reference_parallel_seconds\": %.6f,\n"
-               "    \"incremental_serial_seconds\": %.6f, "
-               "\"incremental_parallel_seconds\": %.6f,\n"
-               "    \"reference_summed_words\": %llu, "
-               "\"incremental_summed_words\": %llu},\n",
-               extract.n, extract.rounds, extract.identical ? "true" : "false",
-               extract.ref_serial_secs, extract.ref_parallel_secs,
-               extract.inc_serial_secs, extract.inc_parallel_secs,
-               static_cast<unsigned long long>(extract.ref_stats.summed_words),
-               static_cast<unsigned long long>(
-                   extract.inc_stats.summed_words));
+               "    \"peeled_seconds\": {\"median\": %.6f, \"min\": %.6f, "
+               "\"max\": %.6f},\n"
+               "    \"copy_seconds\": {\"median\": %.6f, \"min\": %.6f, "
+               "\"max\": %.6f},\n"
+               "    \"peeled_rss_growth_mb\": %.1f, "
+               "\"copy_rss_growth_mb\": %.1f},\n",
+               peel.n, peel.peeled_edges, peel.identical ? "true" : "false",
+               peel.peeled_secs.median, peel.peeled_secs.min,
+               peel.peeled_secs.max, peel.copy_secs.median, peel.copy_secs.min,
+               peel.copy_secs.max, peel.peeled_rss_growth_mb,
+               peel.copy_rss_growth_mb);
   std::fprintf(f,
                "  \"engine_compact_state\": {\"n\": %zu, "
                "\"stream_updates\": %zu, \"rows\": [\n",
@@ -659,6 +819,67 @@ int PerfSmoke() {
         "the extraction engine regressed)\n",
         finalize, limit);
     return 1;
+  }
+  // Peeled-query guard: on the all-dense stream, TwoEdgeConnect::Query
+  // decodes layer 2 on G - F1 through the per-call overlay, while the copy
+  // oracle copies layer 2 and subtracts F1 before decoding. The answers
+  // must be identical and the overlay must take <= 0.6x the oracle's time
+  // (medians of alternating reps; 0.39-0.43x measured on a 4-vCPU host).
+  // The phase is asserted (>= 99% of columns escalated, as perfbench's
+  // batch_dense guard) so the guard cannot drift onto the sparse-exact
+  // shortcut.
+  {
+    constexpr size_t kPeelN = 1 << 10;
+    constexpr int kReps = 5;
+    apps::TwoEdgeConnect app(
+        kPeelN, 2, /*seed=*/50,
+        ForestSketchParams::Builder().Config(SketchConfig::Light()).Build());
+    app.Process(AllDenseStream(kPeelN, /*trial=*/51));
+    (void)app.Query();  // untimed warm-up of both paths
+    (void)testkit::TwoEdgeConnectByCopy(app);
+    std::vector<double> peeled_reps, copy_reps;
+    std::optional<QueryResult<apps::TwoEdgeConnectAnswer>> peeled, copied;
+    for (int rep = 0; rep < kReps; ++rep) {
+      Timer tp;
+      peeled.emplace(app.Query());
+      peeled_reps.push_back(tp.Seconds());
+      Timer tc;
+      copied.emplace(testkit::TwoEdgeConnectByCopy(app));
+      copy_reps.push_back(tc.Seconds());
+    }
+    const bench::Spread ps = bench::SpreadOf(peeled_reps);
+    const bench::Spread cs = bench::SpreadOf(copy_reps);
+    const ExtractStats& st = peeled->stats();
+    std::printf(
+        "perf_smoke: peeled TwoEdgeConnect query n=%zu peeled=%.4fs "
+        "copy=%.4fs (%.2fx; phase dense: escalated %.1f%%/%.1f%%, "
+        "summed_words=%llu, sparse_exact_forests=%llu)\n",
+        kPeelN, ps.median, cs.median, ps.median / std::max(cs.median, 1e-9),
+        100.0 * EscalatedFrac(app.layer1()),
+        100.0 * EscalatedFrac(app.layer2()),
+        static_cast<unsigned long long>(st.summed_words),
+        static_cast<unsigned long long>(st.sparse_exact_forests));
+    if (!peeled->ok() || !copied->ok() ||
+        !(peeled->value().skeleton == copied->value().skeleton)) {
+      std::printf(
+          "perf_smoke: FAIL (peeled TwoEdgeConnect answer differs from the "
+          "copy oracle)\n");
+      return 1;
+    }
+    if (EscalatedFrac(app.layer1()) < 0.99 ||
+        EscalatedFrac(app.layer2()) < 0.99 || st.summed_words == 0 ||
+        st.sparse_exact_forests != 0) {
+      std::printf("perf_smoke: FAIL (peeled-query guard left the dense "
+                  "phase)\n");
+      return 1;
+    }
+    if (ps.median > 0.6 * cs.median) {
+      std::printf(
+          "perf_smoke: FAIL (peeled query %.4fs exceeds 0.6x the copy "
+          "oracle's %.4fs; the overlay lost its edge over the copy)\n",
+          ps.median, cs.median);
+      return 1;
+    }
   }
   // Timing-consistency guard: the printed table and the JSON emitter both
   // read the EngineRow that MakeIngestRow fills from ONE IngestTiming, so
@@ -903,6 +1124,9 @@ int main(int argc, char** argv) {
   gms::CompactStateSection(&compact_rows, &compact_n, &compact_updates);
   gms::ExtractCompareRow extract;
   gms::ExtractionEngineSection(&extract);
+  gms::ExtractCompareRow dense_extract;
+  gms::PeelCompareRow peel;
+  const bool dense_ok = gms::DenseExtractionSection(&dense_extract, &peel);
   std::vector<gms::SparseDensityRow> density_rows;
   size_t density_n = 0;
   uint32_t density_threshold = 0;
@@ -911,8 +1135,9 @@ int main(int argc, char** argv) {
   std::printf("\nupdate kernel: old %.1f ns -> new %.1f ns (%.2fx)\n",
               kt.old_ns, kt.new_ns, kt.speedup);
   gms::WriteJson(rows, n, updates, r, compact_rows, compact_n,
-                 compact_updates, frame, extract, density_rows, density_n,
-                 density_threshold, kt);
+                 compact_updates, frame, extract, dense_extract, peel,
+                 density_rows, density_n, density_threshold, kt);
+  if (!dense_ok) return 1;
 
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

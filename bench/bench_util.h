@@ -4,9 +4,13 @@
 #ifndef GMS_BENCH_BENCH_UTIL_H_
 #define GMS_BENCH_BENCH_UTIL_H_
 
+#include <sys/resource.h>
+
+#include <algorithm>
 #include <cstdio>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "util/table.h"
 #include "util/timer.h"
@@ -70,6 +74,33 @@ template <typename Sketch, typename Stream>
 IngestTiming BestOfThreeIngest(Sketch* sketch, const Stream& stream) {
   return BestOfThree([sketch] { sketch->Clear(); },
                      [sketch, &stream] { sketch->Process(stream); });
+}
+
+/// Process high-water RSS in MiB (getrusage reports KiB on Linux). The
+/// growth across a call is what that call added on top of every earlier
+/// peak, so measure the lighter path first.
+inline double PeakRssMb() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<double>(ru.ru_maxrss) / 1024.0;
+}
+
+/// Median and range of repeated timings.
+struct Spread {
+  double median = 0;
+  double min = 0;
+  double max = 0;
+};
+
+inline Spread SpreadOf(std::vector<double> xs) {
+  Spread s;
+  if (xs.empty()) return s;
+  std::sort(xs.begin(), xs.end());
+  const size_t mid = xs.size() / 2;
+  s.median = xs.size() % 2 == 1 ? xs[mid] : 0.5 * (xs[mid - 1] + xs[mid]);
+  s.min = xs.front();
+  s.max = xs.back();
+  return s;
 }
 
 }  // namespace gms::bench

@@ -56,12 +56,10 @@ QueryResult<TwoEdgeConnectAnswer> TwoEdgeConnect::Query() const {
   AccumulateExtractStats(f1.stats(), &stats);
   if (!f1.ok()) return QueryResult<TwoEdgeConnectAnswer>(f1.status());
 
-  // Peel: subtract F1 from an independent sketch of the same stream, so
-  // the residual measures G - F1 and its spanning graph F2 completes the
-  // 2-skeleton. The subtraction runs on a copy; *this stays queryable.
-  SpanningForestSketch residual = layer2_;
-  residual.RemoveHyperedges(f1.value().Edges());
-  QueryResult<Hypergraph> f2 = residual.Query();
+  // Peel: decode an independent sketch of the same stream with F1 as its
+  // peel set, so it measures G - F1 and its spanning graph F2 completes
+  // the 2-skeleton. Nothing is copied or mutated.
+  QueryResult<Hypergraph> f2 = layer2_.Query(0, f1.value().Edges());
   AccumulateExtractStats(f2.stats(), &stats);
   if (!f2.ok()) return QueryResult<TwoEdgeConnectAnswer>(f2.status());
 

@@ -1,8 +1,8 @@
 // 2-edge-connectivity composed from two independent spanning-graph
 // sketches by forest peeling (DESIGN.md §14), the exemplar layering from
 // GraphStreamingCC's TwoEdgeConnect: query the first sketch for a
-// spanning graph F1, LINEARLY subtract F1 from a copy of the second
-// sketch, and query the residual for F2 -- a spanning graph of G - F1.
+// spanning graph F1, then query the second sketch with F1 LINEARLY peeled
+// (a per-query overlay; no copy) for F2 -- a spanning graph of G - F1.
 // H = F1 u F2 is a 2-skeleton of G (Definition 11 at k = 2): every cut of
 // H has size min(cut_G, 2) whp, so G is 2-edge-connected iff H is, and
 // the bridges of H are exactly the bridges of G (a G-cut of size 1
@@ -70,9 +70,9 @@ class TwoEdgeConnect {
     layer2_.ApplyUpdateBatch(v, batch);
   }
 
-  /// The unified non-destructive query: peel F1, subtract it from a COPY
-  /// of layer 2, peel F2, report bridges of F1 u F2. The sketch itself is
-  /// unchanged; stats sum both layer extractions.
+  /// The unified non-destructive query: decode F1, decode F2 from layer 2
+  /// with F1 as the peel set, report bridges of F1 u F2. The sketch itself
+  /// is unchanged and never copied; stats sum both layer extractions.
   QueryResult<TwoEdgeConnectAnswer> Query() const;
 
   size_t MemoryBytes() const {

@@ -80,20 +80,20 @@ void KSkeletonSketch::RemoveHyperedges(const std::vector<Hyperedge>& edges) {
   for (auto& layer : layers_) layer.RemoveHyperedges(edges);
 }
 
-Result<Hypergraph> KSkeletonSketch::Extract(ExtractStats* stats) const {
+Result<Hypergraph> KSkeletonSketch::Extract(
+    ExtractStats* stats, std::span<const Hyperedge> peeled) const {
   Hypergraph skeleton(n_);
-  std::vector<Hyperedge> accumulated;
+  std::vector<Hyperedge> accumulated(peeled.begin(), peeled.end());
   if (stats != nullptr) *stats = ExtractStats();
   for (size_t i = 0; i < k_; ++i) {
-    // A^i(G - F_1 - ... - F_{i-1}) = A^i(G) - sum_j A^i(F_j): subtract the
-    // accumulated layers from a copy of layer i, then decode.
-    SpanningForestSketch layer = layers_[i];
-    layer.RemoveHyperedges(accumulated);
-    // Layers must decode sequentially (each subtracts its predecessors),
-    // but each decode's per-round component summations use the pool.
+    // A^i(G - F_1 - ... - F_{i-1}) = A^i(G) - sum_j A^i(F_j): layer i
+    // decodes with the accumulated layers as its peel set. Layers must
+    // decode sequentially (each peels its predecessors), but each decode's
+    // per-round component summations use the pool.
     ExtractStats layer_stats;
-    auto forest = layer.ExtractSpanningGraph(
-        params_.engine.threads, stats != nullptr ? &layer_stats : nullptr);
+    auto forest = layers_[i].ExtractSpanningGraph(
+        params_.engine.threads, stats != nullptr ? &layer_stats : nullptr,
+        accumulated);
     if (!forest.ok()) return forest.status();
     if (stats != nullptr) AccumulateExtractStats(layer_stats, stats);
     for (const auto& e : forest->Edges()) {

@@ -31,6 +31,8 @@ class KSkeletonSketch {
   uint64_t seed() const { return seed_; }
   /// Resolved Borůvka rounds of the per-layer forest sketches.
   int rounds() const { return layers_[0].rounds(); }
+  /// Layer i's forest sketch A^i (for the copy-path oracles in testkit/).
+  const SpanningForestSketch& layer(size_t i) const { return layers_[i]; }
 
   void Update(const Hyperedge& e, int delta);
 
@@ -58,16 +60,23 @@ class KSkeletonSketch {
     for (auto& layer : layers_) layer.ApplyUpdateBatch(v, batch);
   }
 
-  /// Linear subtraction of a known edge set from ALL layers (used by the
-  /// light-edge recovery of Theorem 15, where the subtracted sets are
-  /// deterministic functions of the input graph).
+  /// Linear subtraction of a known edge set from ALL layers, in place.
+  /// Queries never need this: Extract's `peeled` argument decodes the
+  /// residual without touching the sketch.
   void RemoveHyperedges(const std::vector<Hyperedge>& edges);
 
   /// Extract F_1 u ... u F_k where F_i spans G - F_1 - ... - F_{i-1}.
-  /// The extraction works on copies; the sketch itself is unchanged. When
-  /// `stats` is non-null it receives the extraction-engine counters summed
-  /// over the k layer decodes, in layer order.
-  Result<Hypergraph> Extract(ExtractStats* stats = nullptr) const;
+  /// Layer i decodes G - F_1 - ... - F_{i-1} through its peeled
+  /// extraction (SpanningForestSketch::ExtractSpanningGraph's `peeled`),
+  /// so nothing is copied and the sketch is unchanged. A nonempty
+  /// `peeled` multiset is subtracted from every layer first: the skeleton
+  /// of G - peeled (the light-edge recovery of Theorem 15 peels its
+  /// recovered layers this way; those sets are deterministic functions of
+  /// the input graph). When `stats` is non-null it receives the
+  /// extraction-engine counters summed over the k layer decodes, in layer
+  /// order.
+  Result<Hypergraph> Extract(ExtractStats* stats = nullptr,
+                             std::span<const Hyperedge> peeled = {}) const;
 
   /// The unified non-destructive query: the decoded skeleton plus the
   /// extraction counters in one value (wraps Extract()).

@@ -62,6 +62,29 @@ ExtractScratch& TlsExtractScratch() {
 
 }  // namespace
 
+// The peeled decode's per-call residual view of G - peeled. Built once per
+// extraction and only read afterwards, so concurrent const queries each
+// own theirs and the pool workers of one query share it read-only.
+struct SpanningForestSketch::PeelOverlay {
+  // One peeled endpoint: the edge's prepared coordinate and the NEGATED
+  // Section 4.1 incidence coefficient at this endpoint.
+  struct Entry {
+    PreparedCoord pc;
+    int64_t coeff = 0;
+  };
+  std::vector<size_t> off;  // CSR by active ordinal: num_active + 1 offsets
+  std::vector<Entry> entries;
+  // Hybrid sketches only: the exact lists of the ordinals that have
+  // entries and stay sparse after the peel, CSR by active ordinal.
+  std::vector<size_t> list_off;
+  std::vector<SparseEntry> lists;
+
+  size_t Count(size_t ord) const { return off[ord + 1] - off[ord]; }
+  std::span<const Entry> Of(size_t ord) const {
+    return std::span<const Entry>(entries).subspan(off[ord], Count(ord));
+  }
+};
+
 void AccumulateExtractStats(const ExtractStats& in, ExtractStats* out) {
   out->rounds_run = std::max(out->rounds_run, in.rounds_run);
   out->early_exit = out->early_exit || in.early_exit;
@@ -240,21 +263,26 @@ void SpanningForestSketch::ApplyLocalOrd(size_t ord, const PreparedCoord& pc,
   }
 }
 
-void SpanningForestSketch::ReplayBufferRounds(size_t ord, int w0, int w1,
-                                              uint64_t* dst,
-                                              uint64_t* masks) const {
-  for (const SparseEntry& entry : buffers_[ord]) {
-    const PreparedCoord pc = PrepareCoord(entry.index);
-    for (int r = w0; r < w1; ++r) {
-      const L0Shape& shape = *round_shapes_[static_cast<size_t>(r)];
-      const int level = shape.LevelOfFolded(pc.fold);
-      masks[r - w0] |= LevelMaskBit(level);
-      SSparseSegmentUpdate(
-          shape.level_shape(level),
-          dst + static_cast<size_t>(r - w0) * state_words_ +
-              static_cast<size_t>(level) * shape.SegmentWords(),
-          pc, entry.value, shape.basis().PowerFromExp(pc.exponent));
-    }
+void SpanningForestSketch::AddCoordRounds(const PreparedCoord& pc,
+                                          int64_t coeff, int w0, int w1,
+                                          uint64_t* dst,
+                                          uint64_t* masks) const {
+  for (int r = w0; r < w1; ++r) {
+    const L0Shape& shape = *round_shapes_[static_cast<size_t>(r)];
+    const int level = shape.LevelOfFolded(pc.fold);
+    masks[r - w0] |= LevelMaskBit(level);
+    SSparseSegmentUpdate(shape.level_shape(level),
+                         dst + static_cast<size_t>(r - w0) * state_words_ +
+                             static_cast<size_t>(level) * shape.SegmentWords(),
+                         pc, coeff, shape.basis().PowerFromExp(pc.exponent));
+  }
+}
+
+void SpanningForestSketch::ReplayEntries(std::span<const SparseEntry> entries,
+                                         int w0, int w1, uint64_t* dst,
+                                         uint64_t* masks) const {
+  for (const SparseEntry& entry : entries) {
+    AddCoordRounds(PrepareCoord(entry.index), entry.value, w0, w1, dst, masks);
   }
 }
 
@@ -263,8 +291,8 @@ void SpanningForestSketch::EscalateOrdinal(size_t ord) {
   // accumulator layout: rounds contiguous at stride state_words_), with the
   // exact level bits landing in ord's own level-mask words.
   if (!buffers_[ord].empty()) {
-    ReplayBufferRounds(ord, 0, rounds_, ColAt(ord, 0),
-                       level_mask_.data() + ord * static_cast<size_t>(rounds_));
+    ReplayEntries(buffers_[ord], 0, rounds_, ColAt(ord, 0),
+                  level_mask_.data() + ord * static_cast<size_t>(rounds_));
     for (int t = 0; t < rounds_; ++t) MarkDirtyOrd(t, ord);
     buffers_[ord].clear();
     buffers_[ord].shrink_to_fit();
@@ -464,8 +492,7 @@ void SpanningForestSketch::RemoveHyperedges(
     const std::vector<Hyperedge>& edges) {
   if (edges.empty()) return;
   // Batch the subtraction through the column path: one encode per edge and
-  // the round fan-out / prefetch of Process, which the k-skeleton peeling
-  // (repeated whole-layer subtractions) leans on heavily.
+  // the round fan-out / prefetch of Process.
   std::vector<StreamUpdate> updates;
   updates.reserve(edges.size());
   for (const auto& e : edges) updates.emplace_back(e, -1);
@@ -499,8 +526,11 @@ bool SpanningForestSketch::SampleGroupEdge(int t, const uint64_t* src,
 }
 
 Result<Hypergraph> SpanningForestSketch::ExtractSpanningGraph(
-    size_t threads, ExtractStats* stats) const {
-  return ExtractImpl(threads, stats, /*incremental=*/true);
+    size_t threads, ExtractStats* stats,
+    std::span<const Hyperedge> peeled) const {
+  if (peeled.empty()) return ExtractImpl(threads, stats, /*incremental=*/true);
+  const PeelOverlay ov = MakePeelOverlay(peeled);
+  return ExtractImpl(threads, stats, /*incremental=*/true, &ov);
 }
 
 Result<Hypergraph> SpanningForestSketch::ExtractSpanningGraphReference(
@@ -508,9 +538,10 @@ Result<Hypergraph> SpanningForestSketch::ExtractSpanningGraphReference(
   return ExtractImpl(threads, stats, /*incremental=*/false);
 }
 
-QueryResult<Hypergraph> SpanningForestSketch::Query(size_t threads) const {
+QueryResult<Hypergraph> SpanningForestSketch::Query(
+    size_t threads, std::span<const Hyperedge> peeled) const {
   ExtractStats stats;
-  auto graph = ExtractImpl(threads, &stats, /*incremental=*/true);
+  auto graph = ExtractSpanningGraph(threads, &stats, peeled);
   if (!graph.ok()) return QueryResult<Hypergraph>(graph.status());
   return QueryResult<Hypergraph>(std::move(*graph), std::move(stats));
 }
@@ -525,14 +556,114 @@ bool SpanningForestSketch::SnapshotDirty() const {
   return false;
 }
 
+SpanningForestSketch::PeelOverlay SpanningForestSketch::MakePeelOverlay(
+    std::span<const Hyperedge> peeled) const {
+  PeelOverlay ov;
+  ov.off.assign(num_active_ + 1, 0);
+  std::vector<PreparedCoord> prepared(peeled.size());
+  for (size_t j = 0; j < peeled.size(); ++j) {
+    const Hyperedge& e = peeled[j];
+    GMS_CHECK_MSG(e.size() <= codec_.max_rank(), "hyperedge exceeds max_rank");
+    prepared[j] = PrepareCoord(codec_.Encode(e));
+    for (VertexId v : e) {
+      GMS_CHECK_MSG(IsActive(v), "update touches an inactive vertex");
+      ++ov.off[static_cast<size_t>(state_index_[v]) + 1];
+    }
+  }
+  for (size_t ord = 0; ord < num_active_; ++ord) {
+    ov.off[ord + 1] += ov.off[ord];
+  }
+  ov.entries.resize(ov.off[num_active_]);
+  std::vector<size_t> fill(ov.off.begin(), ov.off.end() - 1);
+  for (size_t j = 0; j < peeled.size(); ++j) {
+    // RemoveHyperedges applies delta = -1: coefficient -(|e|-1) at the
+    // sorted head, +1 elsewhere.
+    const Hyperedge& e = peeled[j];
+    const int64_t head = static_cast<int64_t>(e.size()) - 1;
+    for (size_t pos = 0; pos < e.size(); ++pos) {
+      const size_t ord = static_cast<size_t>(state_index_[e[pos]]);
+      ov.entries[fill[ord]++] =
+          PeelOverlay::Entry{prepared[j], pos == 0 ? -head : int64_t{1}};
+    }
+  }
+  if (Hybrid()) {
+    // A column the peel leaves sparse holds exactly what its buffer would
+    // after absorbing the entries one by one; SparseBufferAdd builds it.
+    ov.list_off.assign(num_active_ + 1, 0);
+    std::vector<SparseEntry> merged;
+    for (size_t ord = 0; ord < num_active_; ++ord) {
+      ov.list_off[ord] = ov.lists.size();
+      if (ov.Count(ord) == 0 || ResidualEscalated(&ov, ord)) continue;
+      merged = buffers_[ord];
+      for (const PeelOverlay::Entry& entry : ov.Of(ord)) {
+        SparseBufferAdd(&merged, entry.pc.index, entry.coeff);
+      }
+      ov.lists.insert(ov.lists.end(), merged.begin(), merged.end());
+    }
+    ov.list_off[num_active_] = ov.lists.size();
+  }
+  return ov;
+}
+
+bool SpanningForestSketch::ResidualEscalated(const PeelOverlay* ov,
+                                             size_t ord) const {
+  if (Escalated(ord)) return true;
+  // Every peeled endpoint bumps the counter once, whether or not it
+  // cancels a buffered key, so the peel escalates ord iff c + d > T.
+  return ov != nullptr && uint64_t{counters_[ord]} + ov->Count(ord) >
+                              params_.config.sparse_threshold;
+}
+
+std::span<const SparseEntry> SpanningForestSketch::ResidualBuffer(
+    const PeelOverlay* ov, size_t ord) const {
+  if (ov == nullptr || ov->Count(ord) == 0) return buffers_[ord];
+  return std::span<const SparseEntry>(ov->lists).subspan(
+      ov->list_off[ord], ov->list_off[ord + 1] - ov->list_off[ord]);
+}
+
+uint64_t SpanningForestSketch::AddResidualRows(const PeelOverlay* ov,
+                                               size_t ord, int w0, int w1,
+                                               uint64_t* dst,
+                                               uint64_t* masks) const {
+  if (!ResidualEscalated(ov, ord)) {
+    // A sparse column's measurement lives in its exact buffer, not the
+    // (zero) arena: replay it.
+    ReplayEntries(ResidualBuffer(ov, ord), w0, w1, dst, masks);
+    return 0;
+  }
+  uint64_t words = 0;
+  if (Escalated(ord)) {
+    const uint64_t* src = ColAt(ord, w0);
+    for (int r = w0; r < w1; ++r) {
+      const size_t off = static_cast<size_t>(r - w0) * state_words_;
+      const uint64_t m = ColumnLevelMask(ord, r);
+      masks[r - w0] |= m;
+      words += L0AddRawMasked(*round_shapes_[static_cast<size_t>(r)],
+                              dst + off, src + off, m);
+    }
+  } else {
+    // Escalated by the peel alone: RemoveHyperedges would have replayed
+    // the buffer into the arena, and by linearity the replay of the stored
+    // buffer plus every overlay entry is that arena column.
+    ReplayEntries(buffers_[ord], w0, w1, dst, masks);
+  }
+  if (ov != nullptr) {
+    for (const PeelOverlay::Entry& entry : ov->Of(ord)) {
+      AddCoordRounds(entry.pc, entry.coeff, w0, w1, dst, masks);
+    }
+  }
+  return words;
+}
+
 uint64_t SpanningForestSketch::SparsePreRound(UnionFind* uf,
-                                              Hypergraph* result) const {
+                                              Hypergraph* result,
+                                              const PeelOverlay* ov) const {
   uint64_t exact_edges = 0;
   for (VertexId v = 0; v < n_; ++v) {
     if (!IsActive(v)) continue;
     const size_t ord = static_cast<size_t>(state_index_[v]);
-    if (Escalated(ord)) continue;
-    for (const SparseEntry& entry : buffers_[ord]) {
+    if (ResidualEscalated(ov, ord)) continue;
+    for (const SparseEntry& entry : ResidualBuffer(ov, ord)) {
       auto decoded = codec_.Decode(entry.index);
       if (!decoded.ok()) continue;  // hostile key; skip defensively
       const Hyperedge& e = *decoded;
@@ -566,9 +697,10 @@ Result<Hypergraph> SpanningForestSketch::ExtractSparseExact(
   return result;
 }
 
-Result<Hypergraph> SpanningForestSketch::ExtractImpl(size_t threads,
-                                                     ExtractStats* stats,
-                                                     bool incremental) const {
+Result<Hypergraph> SpanningForestSketch::ExtractImpl(
+    size_t threads, ExtractStats* stats, bool incremental,
+    const PeelOverlay* ov) const {
+  GMS_DCHECK(incremental || ov == nullptr);
   if (threads == 0) threads = params_.engine.threads;
   Hypergraph result(n_);
   UnionFind uf(n_);
@@ -587,7 +719,7 @@ Result<Hypergraph> SpanningForestSketch::ExtractImpl(size_t threads,
   // incremental-vs-reference stats stay identical.
   const bool hybrid = Hybrid();
   if (hybrid) {
-    const uint64_t exact_edges = SparsePreRound(&uf, &result);
+    const uint64_t exact_edges = SparsePreRound(&uf, &result, ov);
     if (stats != nullptr) stats->edges_found += exact_edges;
   }
 
@@ -670,24 +802,10 @@ Result<Hypergraph> SpanningForestSketch::ExtractImpl(size_t threads,
               es.block_masks.data() + block_id[g] * kAccWindowRounds;
           std::memset(dst, 0, block_words * sizeof(uint64_t));
           std::memset(masks, 0, kAccWindowRounds * sizeof(uint64_t));
-          for (size_t i = 0; i < group.size(); ++i) {
-            const size_t ord = static_cast<size_t>(state_index_[group[i]]);
-            if (hybrid && !Escalated(ord)) {
-              // A sparse member's measurement lives in its buffer, not the
-              // (zero) arena: replay it exactly into the block.
-              ReplayBufferRounds(ord, block_w0, block_w1, dst, masks);
-              continue;
-            }
-            const uint64_t* src = ColAt(ord, block_w0);
-            for (int r = block_w0; r < block_w1; ++r) {
-              const size_t off =
-                  static_cast<size_t>(r - block_w0) * state_words_;
-              const uint64_t m = ColumnLevelMask(ord, r);
-              masks[r - block_w0] |= m;
-              local_words +=
-                  L0AddRawMasked(*round_shapes_[static_cast<size_t>(r)],
-                                 dst + off, src + off, m);
-            }
+          for (VertexId member : group) {
+            local_words += AddResidualRows(
+                ov, static_cast<size_t>(state_index_[member]), block_w0,
+                block_w1, dst, masks);
           }
         }
         summed_words.fetch_add(local_words, std::memory_order_relaxed);
@@ -718,34 +836,36 @@ Result<Hypergraph> SpanningForestSketch::ExtractImpl(size_t threads,
             // The reference path stays fully dense (mask = ~0): it is the
             // differential oracle that masked extraction must match.
             uint64_t src_mask = ~uint64_t{0};
-            if (group.size() == 1) {
+            const size_t ord0 = static_cast<size_t>(state_index_[group[0]]);
+            if (group.size() == 1 && ov != nullptr && ov->Count(ord0) > 0 &&
+                ResidualEscalated(ov, ord0)) {
+              // A peeled singleton: its residual row (stored row or buffer
+              // replay, plus its overlay entries) is summed into this
+              // shard's scratch.
+              if (acc.empty()) acc.resize(state_words_);
+              std::memset(acc.data(), 0, state_words_ * sizeof(uint64_t));
+              uint64_t m = 0;
+              local_words += AddResidualRows(ov, ord0, t, t + 1, acc.data(), &m);
+              src = acc.data();
+              src_mask = m;
+            } else if (group.size() == 1) {
               // A still-singleton sparse vertex has an empty effective
               // buffer (the pre-round united the endpoints of every
               // decodable buffered edge), so its zero arena column IS its
               // exact round-t measurement -- no replay needed here.
               src = ArenaAt(group[0], t);
-              if (incremental) {
-                src_mask = ColumnLevelMask(
-                    static_cast<size_t>(state_index_[group[0]]), t);
-              }
+              if (incremental) src_mask = ColumnLevelMask(ord0, t);
             } else if (incremental && t == 0) {
               // The exact pre-round can unite components BEFORE the first
               // round, but accumulator windows only start at round 1:
-              // accumulate round 0 on the fly (masked adds for dense
-              // members, exact buffer replay for sparse ones).
+              // accumulate round 0 on the fly.
               if (acc.empty()) acc.resize(state_words_);
               std::memset(acc.data(), 0, state_words_ * sizeof(uint64_t));
               uint64_t m = 0;
               for (VertexId member : group) {
-                const size_t ord = static_cast<size_t>(state_index_[member]);
-                if (hybrid && !Escalated(ord)) {
-                  ReplayBufferRounds(ord, 0, 1, acc.data(), &m);
-                  continue;
-                }
-                const uint64_t cm = ColumnLevelMask(ord, 0);
-                m |= cm;
-                local_words += L0AddRawMasked(*round_shapes_[0], acc.data(),
-                                              ColAt(ord, 0), cm);
+                local_words += AddResidualRows(
+                    ov, static_cast<size_t>(state_index_[member]), 0, 1,
+                    acc.data(), &m);
               }
               src = acc.data();
               src_mask = m;
@@ -770,7 +890,8 @@ Result<Hypergraph> SpanningForestSketch::ExtractImpl(size_t threads,
                 const size_t ord = static_cast<size_t>(state_index_[group[i]]);
                 if (hybrid && !Escalated(ord)) {
                   uint64_t scratch_mask = 0;
-                  ReplayBufferRounds(ord, t, t + 1, acc.data(), &scratch_mask);
+                  ReplayEntries(buffers_[ord], t, t + 1, acc.data(),
+                                &scratch_mask);
                   continue;
                 }
                 L0AddRaw(*round_shapes_[static_cast<size_t>(t)], acc.data(),
@@ -878,31 +999,25 @@ Result<Hypergraph> SpanningForestSketch::ExtractImpl(size_t threads,
             std::memset(dmask, 0, kAccWindowRounds * sizeof(uint64_t));
             for (size_t part : parts) {
               const auto& group = groups[part];
-              const uint64_t* src;
-              const uint64_t* smask = nullptr;  // null => singleton part
-              size_t ord = 0;
               if (group.size() == 1) {
-                ord = static_cast<size_t>(state_index_[group[0]]);
-                if (hybrid && !Escalated(ord)) {
-                  // Sparse singleton part: replay its buffer (empty for
-                  // every stream-reachable state, but a hostile frame's
-                  // block must still equal the reference re-sum).
-                  ReplayBufferRounds(ord, block_w0, block_w1, dst, dmask);
-                  continue;
-                }
-                src = ArenaAt(group[0], block_w0);
-              } else {
-                const size_t b =
-                    static_cast<size_t>(es.block_of[group_root[part]]);
-                src = es.blocks.data() + b * block_words;
-                smask = es.block_masks.data() + b * kAccWindowRounds;
+                // Singleton part: its residual rows (a sparse singleton's
+                // buffer is empty for every stream-reachable state, but a
+                // hostile frame's block must still equal the reference
+                // re-sum).
+                local_words += AddResidualRows(
+                    ov, static_cast<size_t>(state_index_[group[0]]),
+                    block_w0, block_w1, dst, dmask);
+                continue;
               }
+              const size_t b =
+                  static_cast<size_t>(es.block_of[group_root[part]]);
+              const uint64_t* src = es.blocks.data() + b * block_words;
+              const uint64_t* smask =
+                  es.block_masks.data() + b * kAccWindowRounds;
               for (int r = block_w0; r < block_w1; ++r) {
                 const size_t off =
                     static_cast<size_t>(r - block_w0) * state_words_;
-                const uint64_t m = smask != nullptr
-                                       ? smask[r - block_w0]
-                                       : ColumnLevelMask(ord, r);
+                const uint64_t m = smask[r - block_w0];
                 dmask[r - block_w0] |= m;
                 local_words +=
                     L0AddRawMasked(*round_shapes_[static_cast<size_t>(r)],

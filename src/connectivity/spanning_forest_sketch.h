@@ -280,7 +280,9 @@ class SpanningForestSketch {
   /// serial path's CHECK.
   uint64_t PlaneRouteMask(const Hyperedge&) const { return 1; }
 
-  /// Subtract a known subgraph (linearity; used by k-skeleton layering).
+  /// Subtract a known subgraph in place (linearity). Queries never need
+  /// this: they decode G - peeled through the `peeled` argument below
+  /// without touching the sketch.
   void RemoveHyperedges(const std::vector<Hyperedge>& edges);
 
   /// Decode a spanning graph of the sketched hypergraph, restricted to
@@ -301,8 +303,19 @@ class SpanningForestSketch {
   /// decision (block ids, union order) runs in group order, so the decode
   /// is bit-identical for every thread count. The loop exits early once no
   /// component merged and every remaining component's sketch is zero.
-  Result<Hypergraph> ExtractSpanningGraph(size_t threads = 0,
-                                          ExtractStats* stats = nullptr) const;
+  ///
+  /// Peeled decode: a nonempty `peeled` multiset decodes the spanning graph
+  /// of G - peeled, i.e. of the sketch after RemoveHyperedges(peeled),
+  /// WITHOUT copying or mutating the sketch. Extraction builds a per-call
+  /// overlay of the peeled edges' negated incidence entries by active
+  /// ordinal and adds a vertex's entries wherever it reads that vertex's
+  /// rows; each column takes the hybrid phase RemoveHyperedges would have
+  /// left it in. The result and every decision counter equal those of
+  /// decoding a RemoveHyperedges'd copy (only summed_words may differ).
+  /// Every endpoint of a peeled edge must be active.
+  Result<Hypergraph> ExtractSpanningGraph(
+      size_t threads = 0, ExtractStats* stats = nullptr,
+      std::span<const Hyperedge> peeled = {}) const;
 
   /// True iff every active vertex is still in the hybrid sparse-exact
   /// phase (no column escalated). The arena is then identically zero and
@@ -330,8 +343,10 @@ class SpanningForestSketch {
 
   /// The unified non-destructive query: the decoded spanning graph plus the
   /// extraction counters in one value (a thin wrapper over
-  /// ExtractSpanningGraph; same determinism and thread-count guarantees).
-  QueryResult<Hypergraph> Query(size_t threads = 0) const;
+  /// ExtractSpanningGraph; same determinism and thread-count guarantees,
+  /// same `peeled` semantics).
+  QueryResult<Hypergraph> Query(size_t threads = 0,
+                                std::span<const Hyperedge> peeled = {}) const;
 
   /// Serving hook (src/serve/): has any measurement state changed since
   /// construction / the last Clear()? True iff some arena column was
@@ -458,31 +473,64 @@ class SpanningForestSketch {
   /// updates -- then mark the touched columns and release the buffer.
   void EscalateOrdinal(size_t ord);
 
-  /// Field-add ord's buffered updates into `dst`, an accumulator laid out
+  /// Field-add coeff * coordinate pc into `dst`, an accumulator laid out
   /// like the arena's per-vertex rows [w0, w1) (stride state_words_), and
-  /// OR the exact level bits into masks[r - w0]. Extraction gives sparse
-  /// members of multi-vertex components their exact contribution this way.
-  void ReplayBufferRounds(size_t ord, int w0, int w1, uint64_t* dst,
-                          uint64_t* masks) const;
+  /// OR the exact level bits into masks[r - w0].
+  void AddCoordRounds(const PreparedCoord& pc, int64_t coeff, int w0, int w1,
+                      uint64_t* dst, uint64_t* masks) const;
+
+  /// AddCoordRounds for every entry of an exact sparse buffer. Extraction
+  /// gives sparse members of multi-vertex components their exact
+  /// contribution this way; escalation replays into the arena with it.
+  void ReplayEntries(std::span<const SparseEntry> entries, int w0, int w1,
+                     uint64_t* dst, uint64_t* masks) const;
+
+  /// Per-call view of G - peeled for the peeled decode (defined in the .cc;
+  /// built by MakePeelOverlay, never stored on the sketch).
+  struct PeelOverlay;
+  PeelOverlay MakePeelOverlay(std::span<const Hyperedge> peeled) const;
+
+  /// The hybrid phase RemoveHyperedges(peeled) would leave ord in: escalated
+  /// iff already escalated or its count c plus its d overlay entries
+  /// exceeds the threshold. `ov` null means no peel (the sketch's phase).
+  bool ResidualEscalated(const PeelOverlay* ov, size_t ord) const;
+
+  /// A residual-sparse ordinal's exact buffer: the key-sorted,
+  /// zero-cancelled list SparseBufferAdd would leave after absorbing the
+  /// overlay entries (the stored buffer when ord has none).
+  std::span<const SparseEntry> ResidualBuffer(const PeelOverlay* ov,
+                                              size_t ord) const;
+
+  /// Field-add ord's residual measurement for rounds [w0, w1) into `dst`
+  /// (stride state_words_) and OR its level bits into masks[r - w0]: the
+  /// residual buffer replay for a residual-sparse ordinal; otherwise the
+  /// arena rows (escalated) or buffer replay (escalated only by the peel),
+  /// plus ord's overlay entries. Every incremental-path reader of member
+  /// rows goes through this. Returns the arena words added.
+  uint64_t AddResidualRows(const PeelOverlay* ov, size_t ord, int w0, int w1,
+                           uint64_t* dst, uint64_t* masks) const;
 
   /// Prefetch round t's target cells for hyperedge e (see PrefetchPrepared).
   void PrefetchRound(int t, const Hyperedge& e, const PreparedCoord& pc) const;
 
   /// The column-sharded batched ingest (encode once, shard the Borůvka
   /// rounds across workers). Process() dispatches here unless sharded
-  /// merge applies; RemoveHyperedges batches its subtraction through it so
-  /// the k-skeleton peeling gets the same prefetch + round fan-out.
+  /// merge applies; RemoveHyperedges batches its subtraction through it.
   void ProcessColumns(std::span<const StreamUpdate> updates);
 
-  /// Shared Borůvka driver: incremental or reference accumulation.
+  /// Shared Borůvka driver: incremental or reference accumulation. `ov`
+  /// (incremental only) decodes the residual G - peeled.
   Result<Hypergraph> ExtractImpl(size_t threads, ExtractStats* stats,
-                                 bool incremental) const;
+                                 bool incremental,
+                                 const PeelOverlay* ov = nullptr) const;
 
   /// The hybrid exact pre-round shared by ExtractImpl and
-  /// ExtractSparseExact: feed every sparse vertex's buffered hyperedges
-  /// into the union-find verbatim (active-vertex order, key order),
-  /// appending each merging edge to *result. Returns the edges added.
-  uint64_t SparsePreRound(UnionFind* uf, Hypergraph* result) const;
+  /// ExtractSparseExact: feed every (residual-)sparse vertex's buffered
+  /// hyperedges into the union-find verbatim (active-vertex order, key
+  /// order), appending each merging edge to *result. Returns the edges
+  /// added.
+  uint64_t SparsePreRound(UnionFind* uf, Hypergraph* result,
+                          const PeelOverlay* ov = nullptr) const;
 
   /// Sample round t's accumulated state `src` (whose nonzero levels are
   /// covered by `src_mask`; pass all-ones for a dense scan) for component

@@ -18,12 +18,12 @@ Result<LightRecoveryResult> LightRecoverySketch::Recover(
     const std::vector<Hyperedge>& pre_subtract) const {
   LightRecoveryResult out;
   out.light = Hypergraph(n_);
-  KSkeletonSketch work = skeleton_;
-  work.RemoveHyperedges(pre_subtract);
+  // Everything peeled so far: pre_subtract, then each recovered layer E_i.
+  std::vector<Hyperedge> peeled = pre_subtract;
   // At most n nonempty layers (each removal splits components; Section
   // 4.2.1), so cap the loop there.
   for (size_t iter = 0; iter < n_ + 1; ++iter) {
-    auto skeleton = work.Extract();
+    auto skeleton = skeleton_.Extract(/*stats=*/nullptr, peeled);
     if (!skeleton.ok()) return skeleton.status();
     if (skeleton->NumEdges() == 0) return out;  // residual empty: done
     // E_i = light edges of the residual, read off the skeleton (Lemma 12);
@@ -35,7 +35,7 @@ Result<LightRecoveryResult> LightRecoverySketch::Recover(
       out.residual_nonempty = true;
       return out;
     }
-    work.RemoveHyperedges(layer);
+    peeled.insert(peeled.end(), layer.begin(), layer.end());
     for (const auto& e : layer) out.light.AddEdge(e);
     out.layers.push_back(std::move(layer));
   }

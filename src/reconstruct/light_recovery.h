@@ -46,6 +46,9 @@ class LightRecoverySketch {
   uint64_t seed() const { return skeleton_.seed(); }
   /// Resolved Borůvka rounds of the underlying skeleton's forest sketches.
   int rounds() const { return skeleton_.rounds(); }
+  /// The underlying (k+1)-skeleton sketch (for the copy-path oracles in
+  /// testkit/).
+  const KSkeletonSketch& skeleton() const { return skeleton_; }
 
   void Update(const Hyperedge& e, int delta) { skeleton_.Update(e, delta); }
   /// As Update with the codec index precomputed by the caller (the
@@ -62,19 +65,14 @@ class LightRecoverySketch {
   }
   void Process(const DynamicStream& stream) { skeleton_.Process(stream); }
 
-  /// Linearly subtract a known edge set (e.g. layers recovered at other
-  /// sampling levels in the Section 5 sparsifier).
-  void RemoveKnown(const std::vector<Hyperedge>& edges) {
-    skeleton_.RemoveHyperedges(edges);
-  }
-
-  /// Run the peeling. Works on a copy; the sketch is reusable.
+  /// Run the peeling. Each iteration extracts the skeleton with every
+  /// layer recovered so far as its peel set (KSkeletonSketch::Extract's
+  /// `peeled`), so no skeleton is copied and the sketch is unchanged.
   Result<LightRecoveryResult> Recover() const;
 
-  /// As Recover(), but first linearly subtracts `pre_subtract` from the
-  /// working copy. One skeleton copy total -- the caller-side RemoveKnown +
-  /// Recover sequence pays the copy twice, which is what the sparsifier's
-  /// per-level extraction used to do.
+  /// As Recover(), but on G - pre_subtract: `pre_subtract` (e.g. the edges
+  /// recovered at other sampling levels of the Section 5 sparsifier) joins
+  /// the peel set from the first iteration.
   Result<LightRecoveryResult> Recover(
       const std::vector<Hyperedge>& pre_subtract) const;
 

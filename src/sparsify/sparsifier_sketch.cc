@@ -120,8 +120,8 @@ Result<SparsifierOutput> HypergraphSparsifierSketch::ExtractSparsifier()
     for (const auto& [e, depth] : claimed) {
       if (depth >= static_cast<int>(i)) to_subtract.push_back(e);
     }
-    // Recover(pre_subtract) folds the subtraction into the peeling's own
-    // working copy, saving one full level-row copy per level.
+    // Recover(pre_subtract) peels the claimed edges through the same
+    // per-extraction overlay as its recovered layers; nothing is copied.
     auto recovered = level_sketches_[i].Recover(to_subtract);
     if (!recovered.ok()) return recovered.status();
     const auto& f_i = recovered->light.Edges();

@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "connectivity/k_skeleton.h"
 #include "graph/generators.h"
 #include "serve/sketch_server.h"
 #include "serve/serving_engine.h"
@@ -240,6 +241,76 @@ TEST(ServeConcurrencyTest, VcReadsDuringIngest) {
   const serve::ServeResponse resp = server.Handle(req);
   ASSERT_EQ(resp.code, StatusCode::kOk);
   EXPECT_EQ(resp.value, 1u);
+  EXPECT_EQ(resp.prefix_updates, updates.size());
+}
+
+// The skeleton engine's merger decodes every epoch's k = 2 skeleton with
+// the peeled extraction (per-call overlay, no copy) while query threads
+// read the published bridge index and edge count. After the flush the
+// served skeleton must equal a fresh sketch's skeleton of the whole
+// stream (seed + 2 is the server's skeleton seed).
+TEST(ServeConcurrencyTest, SkeletonReadsDuringIngest) {
+  const size_t n = 48;
+  const Graph g = UnionOfHamiltonianCycles(n, 2, 131);
+  const DynamicStream stream = DynamicStream::WithChurn(g, 200, 132);
+  const auto& updates = stream.updates();
+
+  const auto params = serve::SketchServerParams::Builder()
+                          .Forest(LightForest())
+                          .SkeletonK(2)
+                          .EpochUpdates(64)
+                          .Build();
+  serve::SketchServer server(n, params, 133);
+
+  std::atomic<bool> done{false};
+  std::atomic<size_t> observing{0};
+  std::vector<std::thread> queriers;
+  std::vector<uint64_t> answered(3);
+  for (size_t q = 0; q < answered.size(); ++q) {
+    queriers.emplace_back([&, q] {
+      Rng rng(134 + q);
+      while (!done.load(std::memory_order_acquire)) {
+        serve::ServeRequest req;
+        if (rng.Below(2) == 0) {
+          req.op = serve::ServeOp::kSkeletonEdgeCount;
+        } else {
+          req.op = serve::ServeOp::kIsBridge;
+          req.u = rng.Below(n);
+          req.v = (req.u + 1 + rng.Below(n - 1)) % n;
+        }
+        const serve::ServeResponse resp = server.Handle(req);
+        ASSERT_TRUE(resp.code == StatusCode::kOk ||
+                    resp.code == StatusCode::kDecodeFailure);
+        if (answered[q] == 0) {
+          observing.fetch_add(1, std::memory_order_release);
+        }
+        ++answered[q];
+      }
+    });
+  }
+
+  while (observing.load(std::memory_order_acquire) < answered.size()) {
+    std::this_thread::yield();
+  }
+  constexpr size_t kChunk = 32;
+  for (size_t i = 0; i < updates.size(); i += kChunk) {
+    const size_t take = std::min(kChunk, updates.size() - i);
+    server.Ingest(std::span<const StreamUpdate>(updates.data() + i, take));
+  }
+  done.store(true, std::memory_order_release);
+  for (auto& t : queriers) t.join();
+  server.Flush();
+
+  for (uint64_t a : answered) EXPECT_GT(a, 0u);
+  KSkeletonSketch replay(n, 2, 2, 133 + 2, LightForest());
+  replay.Process(stream);
+  auto want = replay.Query();
+  ASSERT_TRUE(want.ok());
+  serve::ServeRequest req;
+  req.op = serve::ServeOp::kSkeletonEdgeCount;
+  const serve::ServeResponse resp = server.Handle(req);
+  ASSERT_EQ(resp.code, StatusCode::kOk);
+  EXPECT_EQ(resp.value, want.value().NumEdges());
   EXPECT_EQ(resp.prefix_updates, updates.size());
 }
 
