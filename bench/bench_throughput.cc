@@ -534,6 +534,77 @@ bool DenseExtractionSection(ExtractCompareRow* engine, PeelCompareRow* peel) {
   return dense && engine->identical && peel->identical;
 }
 
+/// Plane ingest against the caller's chunk size, on the perfbench
+/// batch_dense stream shape (temporal churn, n = 2^12, 40n updates, every
+/// column escalated): a fresh Light TwoEdgeConnect at 1 thread (the shared
+/// IngestPlane path) per rep, timed from construction through the last
+/// Process call, as perfbench times a pass. At 2048-update chunks each
+/// column gets about one entry per plane batch -- ApplyUpdateBatch's
+/// small-batch prefetch path (DESIGN.md S17) -- while the whole stream
+/// hands over full 64-entry gutters.
+struct PlaneChunkRow {
+  size_t chunk = 0;  // updates per Process call (stream size = whole)
+  bench::Spread secs;
+  double updates_per_sec = 0;  // at the median
+  double escalated_frac = 0;   // layer 1 columns past the sparse threshold
+};
+
+/// Returns false if a row left the dense phase it claims to time.
+bool PlaneChunkSection(std::vector<PlaneChunkRow>* rows, size_t* out_n,
+                       size_t* out_updates) {
+  constexpr size_t kN = 1 << 12;
+  constexpr int kReps = 5;
+  const DynamicStream stream = AllDenseStream(kN, /*trial=*/26);
+  const std::span<const StreamUpdate> updates(stream.updates());
+  *out_n = kN;
+  *out_updates = updates.size();
+  const ForestSketchParams params =
+      ForestSketchParams::Builder().Config(SketchConfig::Light()).Build();
+  const size_t chunks[] = {2048, updates.size()};
+  std::vector<std::vector<double>> reps(std::size(chunks));
+  std::vector<double> escalated(std::size(chunks), 0);
+  // Reps alternate between the chunk sizes so host load drifts hit both.
+  for (int rep = 0; rep < kReps; ++rep) {
+    for (size_t c = 0; c < std::size(chunks); ++c) {
+      Timer t;
+      apps::TwoEdgeConnect app(kN, 2, /*seed=*/27, params);
+      for (size_t done = 0; done < updates.size(); done += chunks[c]) {
+        app.Process(updates.subspan(
+            done, std::min(chunks[c], updates.size() - done)));
+      }
+      reps[c].push_back(t.Seconds());
+      escalated[c] = EscalatedFrac(app.layer1());
+    }
+  }
+  Table table({"chunk", "median_s", "min_s", "max_s", "updates/s",
+               "escalated%"});
+  bool dense = true;
+  for (size_t c = 0; c < std::size(chunks); ++c) {
+    PlaneChunkRow row;
+    row.chunk = chunks[c];
+    row.secs = bench::SpreadOf(reps[c]);
+    row.updates_per_sec = static_cast<double>(updates.size()) /
+                          std::max(row.secs.median, 1e-9);
+    row.escalated_frac = escalated[c];
+    dense = dense && row.escalated_frac >= 0.99;
+    rows->push_back(row);
+    table.AddRow({c + 1 == std::size(chunks) ? std::string("whole")
+                                             : Table::Fmt(uint64_t{row.chunk}),
+                  Table::Fmt(row.secs.median, 3), Table::Fmt(row.secs.min, 3),
+                  Table::Fmt(row.secs.max, 3),
+                  bench::Rate(row.updates_per_sec),
+                  Table::Fmt(100.0 * row.escalated_frac, 1)});
+  }
+  table.Print("Plane ingest vs chunk size: TwoEdgeConnect (Light, 1 thread) "
+              "on the batch_dense stream shape");
+  std::printf(
+      "\nn=%zu, %zu updates, %d reps per chunk size (alternating); phase: "
+      "%s\n",
+      kN, updates.size(), kReps,
+      dense ? "dense (ok)" : "FAIL (left the dense phase)");
+  return dense;
+}
+
 /// Machine-readable mirror of the engine table for trend tracking, plus
 /// the update-kernel before/after row (old = FpPow + `%` bucketing, new =
 /// windowed power table + multiply-shift; see bench/kernel_compare.h).
@@ -575,6 +646,8 @@ void WriteJson(const std::vector<EngineRow>& rows, size_t n, size_t updates,
                const ExtractCompareRow& extract,
                const ExtractCompareRow& dense_extract,
                const PeelCompareRow& peel,
+               const std::vector<PlaneChunkRow>& chunk_rows, size_t chunk_n,
+               size_t chunk_updates,
                const std::vector<SparseDensityRow>& density_rows,
                size_t density_n, uint32_t density_threshold,
                const bench::KernelTimings& kt) {
@@ -623,6 +696,21 @@ void WriteJson(const std::vector<EngineRow>& rows, size_t n, size_t updates,
                peel.peeled_secs.max, peel.copy_secs.median, peel.copy_secs.min,
                peel.copy_secs.max, peel.peeled_rss_growth_mb,
                peel.copy_rss_growth_mb);
+  std::fprintf(f,
+               "  \"plane_chunks\": {\"n\": %zu, \"stream_updates\": %zu, "
+               "\"rows\": [\n",
+               chunk_n, chunk_updates);
+  for (size_t i = 0; i < chunk_rows.size(); ++i) {
+    const PlaneChunkRow& row = chunk_rows[i];
+    std::fprintf(f,
+                 "    {\"chunk\": %zu, \"seconds\": {\"median\": %.6f, "
+                 "\"min\": %.6f, \"max\": %.6f}, "
+                 "\"updates_per_sec\": %.1f, \"escalated_fraction\": %.4f}%s\n",
+                 row.chunk, row.secs.median, row.secs.min, row.secs.max,
+                 row.updates_per_sec, row.escalated_frac,
+                 i + 1 < chunk_rows.size() ? "," : "");
+  }
+  std::fprintf(f, "  ]},\n");
   std::fprintf(f,
                "  \"engine_compact_state\": {\"n\": %zu, "
                "\"stream_updates\": %zu, \"rows\": [\n",
@@ -907,12 +995,15 @@ int PerfSmoke() {
       return 1;
     }
   }
-  // All-dense ingest guard for the hybrid representation: on a stream
-  // whose every column escalates within its first few updates, the hybrid
-  // config must hold the threshold-0 path's throughput -- the escalated
-  // fast path IS the pre-hybrid dense path (one saturated-counter branch),
-  // so a regression here means the phase check leaked into the kernel
-  // loop. 25% relative + 20ms absolute slack absorbs CI (and tsan) jitter;
+  // All-dense ingest guard for the hybrid representation: on a degree-40
+  // stream every column ends escalated, but only after buffering 32 of
+  // its 40 updates (T = 32) and replaying them into the arena. The hybrid
+  // config must still hold the threshold-0 path's throughput: the serial
+  // pre-pass hands the round loop only the updates with a dense endpoint,
+  // so a fully absorbed update costs no hashing or prefetch there, and the
+  // escalated columns take the pre-hybrid dense kernel. A trip means the
+  // buffering, the replay or the phase check leaked into the kernel loop.
+  // 25% relative + 20ms absolute slack absorbs CI (and tsan) jitter;
   // expected value is parity.
   {
     constexpr size_t kDenseN = 1 << 12;
@@ -1127,6 +1218,10 @@ int main(int argc, char** argv) {
   gms::ExtractCompareRow dense_extract;
   gms::PeelCompareRow peel;
   const bool dense_ok = gms::DenseExtractionSection(&dense_extract, &peel);
+  std::vector<gms::PlaneChunkRow> chunk_rows;
+  size_t chunk_n = 0, chunk_updates = 0;
+  const bool chunks_ok =
+      gms::PlaneChunkSection(&chunk_rows, &chunk_n, &chunk_updates);
   std::vector<gms::SparseDensityRow> density_rows;
   size_t density_n = 0;
   uint32_t density_threshold = 0;
@@ -1136,8 +1231,9 @@ int main(int argc, char** argv) {
               kt.old_ns, kt.new_ns, kt.speedup);
   gms::WriteJson(rows, n, updates, r, compact_rows, compact_n,
                  compact_updates, frame, extract, dense_extract, peel,
-                 density_rows, density_n, density_threshold, kt);
-  if (!dense_ok) return 1;
+                 chunk_rows, chunk_n, chunk_updates, density_rows, density_n,
+                 density_threshold, kt);
+  if (!dense_ok || !chunks_ok) return 1;
 
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

@@ -37,6 +37,16 @@ int DefaultRounds(size_t n, const SketchConfig& config) {
 // all: its components are singletons and sample straight from the arena.
 constexpr int kAccWindowRounds = 4;
 
+// ApplyUpdateBatch prefetches a dense remainder of at most this many
+// entries across all rounds before writing it. Such batches are what an
+// IngestPlane hands over when the caller's chunks are small against n
+// (2048-update chunks over 4096 vertices: about one entry per column),
+// and each of their rounds otherwise stalls on its own cold segment
+// lines. Larger batches keep enough independent writes in flight per
+// round on their own; prefetching every batch made whole-stream ingest
+// 25% slower on a 4-vCPU Xeon (DESIGN.md §17 has the sweep).
+constexpr size_t kPrefetchBatchMax = 8;
+
 int WindowStart(int t) {
   return 1 + kAccWindowRounds * ((t - 1) / kAccWindowRounds);
 }
@@ -228,27 +238,6 @@ void SpanningForestSketch::ApplyToRound(int t, const Hyperedge& e,
   }
 }
 
-void SpanningForestSketch::PrefetchRound(int t, const Hyperedge& e,
-                                         const PreparedCoord& pc) const {
-  const L0Shape& shape = *round_shapes_[static_cast<size_t>(t)];
-  const int level = shape.LevelOfFolded(pc.fold);
-  const SSparseShape& ls = shape.level_shape(level);
-  const size_t cells = static_cast<size_t>(ls.NumCells());
-  const size_t level_off = static_cast<size_t>(level) * shape.SegmentWords();
-  for (VertexId v : e) {
-    if (!IsActive(v)) continue;
-    const uint64_t* seg = ArenaAt(v, t) + level_off;
-    for (int r = 0; r < ls.rows(); ++r) {
-      const size_t i = static_cast<size_t>(r) * ls.buckets() +
-                       static_cast<size_t>(ls.BucketFolded(r, pc.fold));
-      __builtin_prefetch(seg + i, 1, 1);
-      __builtin_prefetch(seg + cells + i, 1, 1);
-      __builtin_prefetch(seg + 2 * cells + i, 1, 1);
-      __builtin_prefetch(seg + 3 * cells + i, 1, 1);
-    }
-  }
-}
-
 void SpanningForestSketch::ApplyLocalOrd(size_t ord, const PreparedCoord& pc,
                                          int64_t coeff) {
   for (int t = 0; t < rounds_; ++t) {
@@ -379,11 +368,26 @@ void SpanningForestSketch::ApplyUpdateBatch(
     }
     if (start == batch.size()) return;
   }
+  const std::span<const VertexUpdate> dense = batch.subspan(start);
+  if (dense.size() <= kPrefetchBatchMax) {
+    // Prefetch every round's cell lines before the first write, so the
+    // rounds' DRAM misses overlap instead of landing one round at a time.
+    for (int t = 0; t < rounds_; ++t) {
+      const L0Shape& shape = *round_shapes_[static_cast<size_t>(t)];
+      const uint64_t* col = ColAt(ord, t);
+      for (const VertexUpdate& u : dense) {
+        const int level = shape.LevelOfFolded(u.pc.fold);
+        SSparseSegmentPrefetch(
+            shape.level_shape(level),
+            col + static_cast<size_t>(level) * shape.SegmentWords(), u.pc.fold);
+      }
+    }
+  }
   for (int t = 0; t < rounds_; ++t) {
     const L0Shape& shape = *round_shapes_[static_cast<size_t>(t)];
-    uint64_t* col = ArenaAt(v, t);
+    uint64_t* col = ColAt(ord, t);
     uint64_t levels = 0;
-    for (const VertexUpdate& u : batch.subspan(start)) {
+    for (const VertexUpdate& u : dense) {
       const int level = shape.LevelOfFolded(u.pc.fold);
       levels |= LevelMaskBit(level);
       SSparseSegmentUpdate(
@@ -425,15 +429,17 @@ void SpanningForestSketch::ProcessColumns(
   // state, so they cannot be touched from the round-sharded fan-out (each
   // worker would bump them once per round). Absorb every sparse endpoint
   // serially here -- escalation replays land in the escalating vertex's
-  // arena rows before any worker starts -- and flag the endpoints that
-  // must still reach the arena. When nothing is sparse (the common steady
-  // state, and the whole sketch when the threshold is 0) this block is a
-  // single predictable branch.
+  // arena rows before any worker starts -- flag the endpoints that must
+  // still reach the arena, and list the updates that have one: the round
+  // loop and its lookahead visit only those, so a fully absorbed update
+  // costs no hashing and no prefetch in any round. When nothing is sparse
+  // (the common steady state, and the whole sketch when the threshold is
+  // 0) this block is a single predictable branch.
   std::vector<size_t> endpoint_off;
   std::vector<char> endpoint_dense;
-  bool filtered = false;
-  if (sparse_remaining_ != 0) {
-    filtered = true;
+  std::vector<size_t> live;
+  const bool filtered = sparse_remaining_ != 0;
+  if (filtered) {
     endpoint_off.resize(updates.size() + 1);
     size_t total = 0;
     for (size_t j = 0; j < updates.size(); ++j) {
@@ -442,11 +448,11 @@ void SpanningForestSketch::ProcessColumns(
     }
     endpoint_off[updates.size()] = total;
     endpoint_dense.assign(total, 0);
-    bool any_dense = false;
     for (size_t j = 0; j < updates.size(); ++j) {
       const Hyperedge& e = updates[j].edge;
       const int delta = updates[j].delta;
       const int64_t head = static_cast<int64_t>(e.size()) - 1;
+      bool any_dense = false;
       for (size_t pos = 0; pos < e.size(); ++pos) {
         const VertexId v = e[pos];
         GMS_CHECK_MSG(IsActive(v), "update touches an inactive vertex");
@@ -458,9 +464,15 @@ void SpanningForestSketch::ProcessColumns(
         endpoint_dense[endpoint_off[j] + pos] = 1;
         any_dense = true;
       }
+      if (any_dense) live.push_back(j);
     }
-    if (!any_dense) return;  // the whole span was absorbed exactly
+    if (live.empty()) return;  // the whole span was absorbed exactly
   }
+  const size_t count = filtered ? live.size() : updates.size();
+  auto update_at = [&](size_t k) { return filtered ? live[k] : k; };
+  auto dense_at = [&](size_t j) {
+    return filtered ? endpoint_dense.data() + endpoint_off[j] : nullptr;
+  };
   // Lookahead distance for the cell prefetch: far enough to cover DRAM
   // latency across the ~8 lines an update touches, near enough that the
   // lines are still resident when reached.
@@ -468,17 +480,15 @@ void SpanningForestSketch::ProcessColumns(
   ParallelFor(params_.engine.threads, static_cast<size_t>(rounds_),
               [&](size_t begin, size_t end) {
                 for (size_t t = begin; t < end; ++t) {
-                  for (size_t j = 0; j < updates.size(); ++j) {
-                    const size_t jp = j + kPrefetchAhead;
-                    if (jp < updates.size()) {
+                  for (size_t k = 0; k < count; ++k) {
+                    if (k + kPrefetchAhead < count) {
+                      const size_t jp = update_at(k + kPrefetchAhead);
                       PrefetchRound(static_cast<int>(t), updates[jp].edge,
-                                    prepared[jp]);
+                                    prepared[jp], dense_at(jp));
                     }
+                    const size_t j = update_at(k);
                     ApplyToRound(static_cast<int>(t), updates[j].edge,
-                                 prepared[j], updates[j].delta,
-                                 filtered
-                                     ? endpoint_dense.data() + endpoint_off[j]
-                                     : nullptr);
+                                 prepared[j], updates[j].delta, dense_at(j));
                   }
                 }
               });

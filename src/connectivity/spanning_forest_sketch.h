@@ -252,8 +252,10 @@ class SpanningForestSketch {
   /// paths call this a few updates ahead: the arena is far larger than
   /// cache and updates land at random vertices, so without lookahead each
   /// update stalls on compulsory misses the out-of-order window cannot
-  /// reach. Purely a hint; no state changes.
-  void PrefetchPrepared(const Hyperedge& e, const PreparedCoord& pc) const {
+  /// reach. Purely a hint; no state changes. Always inlined, like every
+  /// prefetch wrapper (see SSparseSegmentPrefetch).
+  [[gnu::always_inline]] void PrefetchPrepared(const Hyperedge& e,
+                                               const PreparedCoord& pc) const {
     for (int t = 0; t < rounds_; ++t) PrefetchRound(t, e, pc);
   }
 
@@ -511,7 +513,23 @@ class SpanningForestSketch {
                            uint64_t* dst, uint64_t* masks) const;
 
   /// Prefetch round t's target cells for hyperedge e (see PrefetchPrepared).
-  void PrefetchRound(int t, const Hyperedge& e, const PreparedCoord& pc) const;
+  /// `endpoint_dense`, when given, flags the endpoints ApplyToRound will
+  /// write; the others were absorbed by the hybrid pre-pass. Defined here
+  /// and always inlined, so callers in every translation unit keep the
+  /// prefetches (see SSparseSegmentPrefetch).
+  [[gnu::always_inline]] void PrefetchRound(
+      int t, const Hyperedge& e, const PreparedCoord& pc,
+      const char* endpoint_dense = nullptr) const {
+    const L0Shape& shape = *round_shapes_[static_cast<size_t>(t)];
+    const int level = shape.LevelOfFolded(pc.fold);
+    const size_t level_off = static_cast<size_t>(level) * shape.SegmentWords();
+    for (size_t pos = 0; pos < e.size(); ++pos) {
+      if (endpoint_dense != nullptr && !endpoint_dense[pos]) continue;
+      if (!IsActive(e[pos])) continue;
+      SSparseSegmentPrefetch(shape.level_shape(level),
+                             ArenaAt(e[pos], t) + level_off, pc.fold);
+    }
+  }
 
   /// The column-sharded batched ingest (encode once, shard the Borůvka
   /// rounds across workers). Process() dispatches here unless sharded

@@ -253,6 +253,27 @@ inline void SSparseSegmentUpdate(const SSparseShape& shape, uint64_t* seg,
   }
 }
 
+/// Prefetch, for writing, every line SSparseSegmentUpdate(shape, seg, pc,
+/// ...) touches for a coordinate with pc.fold == fold: one line in each of
+/// the four component arrays per row. Purely a hint; no state changes.
+///
+/// Always inlined, and so must be every wrapper around it: GCC's IPA
+/// pure-const pass counts a prefetch as no side effect, so it deems a
+/// function that only prefetches `const` and deletes each call to it that
+/// was not inlined into code that writes.
+[[gnu::always_inline]] inline void SSparseSegmentPrefetch(
+    const SSparseShape& shape, const uint64_t* seg, FoldedKey fold) {
+  const size_t cells = static_cast<size_t>(shape.NumCells());
+  for (int r = 0; r < shape.rows(); ++r) {
+    const size_t i = static_cast<size_t>(r) * shape.buckets() +
+                     static_cast<size_t>(shape.BucketFolded(r, fold));
+    __builtin_prefetch(seg + i, 1, 1);
+    __builtin_prefetch(seg + cells + i, 1, 1);
+    __builtin_prefetch(seg + 2 * cells + i, 1, 1);
+    __builtin_prefetch(seg + 3 * cells + i, 1, 1);
+  }
+}
+
 /// Apply precomputed per-cell deltas: for each of the `rows` cell indices
 /// in `idx`, weight += wdelta, index_sum += is (mod 2^128), fingerprint +=
 /// fp (over F_p). Callers that fan one key out to several endpoint

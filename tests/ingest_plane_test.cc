@@ -7,6 +7,7 @@
 // that run while the plane ingests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 #include <vector>
@@ -216,6 +217,97 @@ TEST(PlaneDeterminismTest, ApproxMinCutLadderPlaneMatchesIndependent) {
   }
 }
 
+// The apps' plane Process fed in chunks of `chunk` updates.
+template <typename App>
+void ProcessInChunks(App* app, std::span<const StreamUpdate> updates,
+                     size_t chunk) {
+  for (size_t done = 0; done < updates.size(); done += chunk) {
+    app->Process(updates.subspan(done, std::min(chunk, updates.size() - done)));
+  }
+}
+
+// Two stars whose hubs cross the sparse threshold T mid-batch, then the
+// batch_dense stream shape (temporal churn, ~80 endpoint updates per
+// vertex, so every churn column escalates). Hub A gets T + 4 updates and
+// hub B T + 20, so a batch holding a whole star leaves a dense remainder
+// of 4 (at most kPrefetchBatchMax: ApplyUpdateBatch prefetches it first)
+// or 20 (above the cutoff) behind T absorbed entries.
+struct EscalatingStream {
+  std::vector<StreamUpdate> updates;
+  size_t n = 0;
+  std::vector<VertexId> hubs;
+};
+
+EscalatingStream MakeEscalatingStream() {
+  constexpr VertexId kChurnN = 64;
+  const VertexId threshold = SketchConfig::Light().sparse_threshold;
+  EscalatingStream out;
+  VertexId next = kChurnN;
+  for (VertexId extra : {4u, 20u}) {
+    const VertexId hub = next++;
+    out.hubs.push_back(hub);
+    for (VertexId i = 0; i < threshold + extra; ++i) {
+      out.updates.emplace_back(Hyperedge{hub, next++}, +1);
+    }
+  }
+  testkit::StreamSpec spec;
+  spec.family = testkit::Family::kTemporalChurn;
+  spec.n = kChurnN;
+  spec.m = 4 * kChurnN;
+  spec.decoys = 18 * kChurnN;
+  spec.gseed = 43;
+  spec.sseed = 47;
+  const DynamicStream churn = spec.Build().stream;
+  out.updates.insert(out.updates.end(), churn.updates().begin(),
+                     churn.updates().end());
+  out.n = next;
+  return out;
+}
+
+// Chunk-size sweep: the plane Process of both apps, fed 1, 7 or 2048
+// updates per call or the whole stream at once, against ProcessIndependent
+// of the whole stream, frame byte for byte. Small chunks hand
+// ApplyUpdateBatch one- and few-entry batches (the prefetch-first path);
+// large ones hand it full 64-entry gutters and the stars' partially
+// absorbed batches on both sides of the cutoff.
+TEST(PlaneDeterminismTest, AppsChunkSweepMatchesIndependent) {
+  constexpr uint64_t kSeed = 419;
+  constexpr size_t kCap = 4;  // rungs k = 1, 2, 4
+  const EscalatingStream stream = MakeEscalatingStream();
+  const std::span<const StreamUpdate> updates(stream.updates);
+  const size_t n = stream.n;
+  const size_t chunks[] = {1, 7, 2048, updates.size()};
+
+  apps::TwoEdgeConnect two_edge(n, 2, kSeed, LightForest());
+  two_edge.ProcessIndependent(updates);
+  const std::vector<uint8_t> want1 = Frame(two_edge.layer1());
+  const std::vector<uint8_t> want2 = Frame(two_edge.layer2());
+  for (VertexId hub : stream.hubs) {
+    ASSERT_TRUE(two_edge.layer1().VertexEscalated(hub)) << "hub " << hub;
+  }
+  for (size_t chunk : chunks) {
+    apps::TwoEdgeConnect planed(n, 2, kSeed, LightForest());
+    ProcessInChunks(&planed, updates, chunk);
+    EXPECT_EQ(Frame(planed.layer1()), want1) << "chunk " << chunk;
+    EXPECT_EQ(Frame(planed.layer2()), want2) << "chunk " << chunk;
+  }
+
+  apps::ApproxMinCut ladder(n, 2, kCap, kSeed, LightForest());
+  ladder.ProcessIndependent(updates);
+  std::vector<std::vector<uint8_t>> want_rungs;
+  for (size_t i = 0; i < ladder.num_levels(); ++i) {
+    want_rungs.push_back(Frame(ladder.level(i)));
+  }
+  for (size_t chunk : chunks) {
+    apps::ApproxMinCut planed(n, 2, kCap, kSeed, LightForest());
+    ProcessInChunks(&planed, updates, chunk);
+    for (size_t i = 0; i < planed.num_levels(); ++i) {
+      EXPECT_EQ(Frame(planed.level(i)), want_rungs[i])
+          << "chunk " << chunk << ", rung " << i;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // SketchServer: the shared sealed-delta ingest (one plane pass feeding all
 // three engines' open deltas) must publish the same epochs and the same
@@ -232,6 +324,30 @@ serve::SketchServerParams ServerParams(size_t epoch_updates, size_t max_rank) {
       .Build();
 }
 
+// What a flushed engine's epoch counter guarantees. Every seal carries at
+// least one update and at most epoch_updates, and the count-triggered and
+// Flush seals alone number ceil(prefix / epoch_updates). A wall-clock pacer
+// (epoch_deadline_ms > 0) adds deadline seals on top, as many as the
+// scheduler allows, so two paced servers need not agree on the epoch, only
+// on the updates it covers; an unpaced engine's epoch is exact.
+template <typename Engine>
+void ExpectEpochAccountsForPrefix(Engine& engine) {
+  const auto snap = engine.Current();
+  const auto stats = engine.stats();
+  const uint64_t per_epoch = engine.params().epoch_updates;
+  const uint64_t min_epochs =
+      (snap->prefix_updates + per_epoch - 1) / per_epoch;
+  EXPECT_EQ(snap->epoch, stats.epochs_sealed);
+  EXPECT_EQ(snap->epoch, stats.epochs_merged);
+  EXPECT_GE(snap->epoch, min_epochs);
+  EXPECT_LE(snap->epoch, min_epochs + stats.deadline_seals);
+  if (engine.params().epoch_deadline_ms == 0) {
+    EXPECT_EQ(stats.deadline_seals, 0u);
+  }
+}
+
+// The shared-plane server against an independently ingested one: the same
+// prefixes and payload bytes, deterministically, for every engine.
 void ExpectServersAgree(serve::SketchServer* shared,
                         serve::SketchServer* independent) {
   shared->Flush();
@@ -241,7 +357,6 @@ void ExpectServersAgree(serve::SketchServer* shared,
   ASSERT_TRUE(fs->status.ok());
   ASSERT_TRUE(fi->status.ok());
   EXPECT_EQ(fs->prefix_updates, fi->prefix_updates);
-  EXPECT_EQ(fs->epoch, fi->epoch);
   EXPECT_TRUE(*fs->payload == *fi->payload);
   auto vs = shared->vc_engine().Current();
   auto vi = independent->vc_engine().Current();
@@ -255,6 +370,16 @@ void ExpectServersAgree(serve::SketchServer* shared,
   ASSERT_TRUE(si->status.ok());
   EXPECT_EQ(ss->prefix_updates, si->prefix_updates);
   EXPECT_TRUE(*ss->payload == *si->payload);
+  for (serve::SketchServer* server : {shared, independent}) {
+    ExpectEpochAccountsForPrefix(server->forest_engine());
+    ExpectEpochAccountsForPrefix(server->vc_engine());
+    ExpectEpochAccountsForPrefix(server->skeleton_engine());
+  }
+  // Unpaced servers seal on update counts alone, so their epochs agree.
+  if (shared->forest_engine().params().epoch_deadline_ms == 0 &&
+      independent->forest_engine().params().epoch_deadline_ms == 0) {
+    EXPECT_EQ(fs->epoch, fi->epoch);
+  }
 }
 
 TEST(PlaneDeterminismTest, ServerSharedIngestMatchesIndependent) {
