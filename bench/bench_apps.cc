@@ -291,7 +291,9 @@ void WriteJson(const std::vector<AppRow>& apps,
     std::printf("could not open BENCH_apps.json for writing\n");
     return;
   }
-  std::fprintf(f, "{\n  \"bench\": \"apps\",\n  \"apps\": [\n");
+  std::fprintf(f, "{\n  \"bench\": \"apps\",\n");
+  bench::WriteHostBlock(f);
+  std::fprintf(f, "  \"apps\": [\n");
   for (size_t i = 0; i < apps.size(); ++i) {
     const AppRow& r = apps[i];
     std::fprintf(

@@ -285,7 +285,9 @@ void WriteJson(const std::vector<ServingResult>& rows,
     std::printf("could not open BENCH_serving.json for writing\n");
     return;
   }
-  std::fprintf(f, "{\n  \"bench\": \"serving\",\n  \"rows\": [\n");
+  std::fprintf(f, "{\n  \"bench\": \"serving\",\n");
+  bench::WriteHostBlock(f);
+  std::fprintf(f, "  \"rows\": [\n");
   for (size_t i = 0; i < rows.size(); ++i) {
     const ServingResult& r = rows[i];
     std::fprintf(

@@ -657,6 +657,7 @@ void WriteJson(const std::vector<EngineRow>& rows, size_t n, size_t updates,
     return;
   }
   std::fprintf(f, "{\n  \"bench\": \"throughput\",\n");
+  bench::WriteHostBlock(f);
   std::fprintf(f, "  \"n\": %zu,\n  \"k\": 4,\n  \"r\": %zu,\n", n, r);
   std::fprintf(f, "  \"stream_updates\": %zu,\n  \"engine\": [\n", updates);
   for (size_t i = 0; i < rows.size(); ++i) {

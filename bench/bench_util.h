@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "util/parallel.h"
 #include "util/table.h"
 #include "util/timer.h"
 
@@ -101,6 +102,53 @@ inline Spread SpreadOf(std::vector<double> xs) {
   s.min = xs.front();
   s.max = xs.back();
   return s;
+}
+
+/// `s` as a quoted JSON string.
+inline std::string JsonQuote(const std::string& s) {
+  std::string out = "\"";
+  for (char c : s) {
+    if (c == '"' || c == '\\') out += '\\';
+    if (static_cast<unsigned char>(c) >= 0x20) out += c;
+  }
+  return out + "\"";
+}
+
+/// HEAD of the source tree this bench was built from, read when the bench
+/// runs rather than when it was configured, so a stale build directory
+/// cannot label its rows with an old rev. "unknown" outside a repository.
+inline std::string GitRev() {
+  const std::string cmd =
+      "git -C '" GMS_BENCH_SOURCE_DIR "' rev-parse HEAD 2>/dev/null";
+  FILE* p = popen(cmd.c_str(), "r");
+  if (p == nullptr) return "unknown";
+  char buf[64] = {};
+  const bool got = std::fgets(buf, sizeof(buf), p) != nullptr;
+  const int status = pclose(p);
+  std::string rev = got && status == 0 ? buf : "";
+  while (!rev.empty() && (rev.back() == '\n' || rev.back() == '\r')) {
+    rev.pop_back();
+  }
+  return rev.empty() ? "unknown" : rev;
+}
+
+/// The "host" member every BENCH_*.json carries right after "bench": the
+/// CPUs this process may run on, build type, whether the build was tuned
+/// with -march=native (GMS_NATIVE), the compiler, and the git rev.
+inline void WriteHostBlock(FILE* f) {
+#if defined(__clang__)
+  const std::string compiler = std::string("clang ") + __clang_version__;
+#elif defined(__GNUC__)
+  const std::string compiler = std::string("gcc ") + __VERSION__;
+#else
+  const std::string compiler = "unknown";
+#endif
+  std::fprintf(f,
+               "  \"host\": {\"nproc\": %zu, \"build_type\": %s, "
+               "\"gms_native\": %s, \"compiler\": %s, \"git_rev\": %s},\n",
+               HardwareThreads(), JsonQuote(GMS_BENCH_BUILD_TYPE).c_str(),
+               GMS_BENCH_NATIVE ? "true" : "false",
+               JsonQuote(compiler).c_str(), JsonQuote(GitRev()).c_str());
 }
 
 }  // namespace gms::bench

@@ -82,49 +82,54 @@ void SketchServer::Ingest(std::span<const StreamUpdate> updates) {
   if (updates.empty()) return;
   size_t i = 0;
   while (i < updates.size()) {
-    // One chunk per loop: open every shared engine's delta, bound the
-    // chunk by the tightest epoch room, run ONE prepared pass through the
-    // plane, and commit (which seals any engine whose epoch filled).
-    plane_.Reset();
     size_t take = updates.size() - i;
-
-    ForestEngine::ExternalIngestScope forest_scope(&*forest_);
-    const bool forest_shared = plane_.Add(forest_scope.delta());
-    GMS_CHECK_MSG(forest_shared, "SketchServer: forest must share the plane");
-    take = std::min(take, forest_scope.room());
-
-    std::optional<VcEngine::ExternalIngestScope> vc_scope;
     bool vc_shared = false;
-    if (vc_) {
-      vc_scope.emplace(&*vc_);
-      vc_shared = plane_.Add(vc_scope->delta());
-      if (vc_shared) {
-        take = std::min(take, vc_scope->room());
-      } else {
-        vc_scope.reset();  // release the lock; plain Process below
-      }
-    }
-
-    std::optional<SkeletonEngine::ExternalIngestScope> skeleton_scope;
     bool skeleton_shared = false;
-    if (skeleton_) {
-      skeleton_scope.emplace(&*skeleton_);
-      skeleton_shared = plane_.Add(skeleton_scope->delta());
-      if (skeleton_shared) {
-        take = std::min(take, skeleton_scope->room());
-      } else {
-        skeleton_scope.reset();
-      }
-    }
+    {
+      // One chunk per loop: open every shared engine's delta, bound the
+      // chunk by the tightest epoch room, run ONE prepared pass through the
+      // plane, and commit (which seals any engine whose epoch filled). The
+      // scopes hold their engines' ingest locks, always taken in the order
+      // forest -> VC -> skeleton, and release them at the end of this block.
+      plane_.Reset();
+      ForestEngine::ExternalIngestScope forest_scope(&*forest_);
+      const bool forest_shared = plane_.Add(forest_scope.delta());
+      GMS_CHECK_MSG(forest_shared, "SketchServer: forest must share the plane");
+      take = std::min(take, forest_scope.room());
 
-    const std::span<const StreamUpdate> chunk = updates.subspan(i, take);
-    plane_.Process(chunk);
-    forest_scope.Commit(take);
-    if (vc_shared) vc_scope->Commit(take);
-    if (skeleton_shared) skeleton_scope->Commit(take);
+      std::optional<VcEngine::ExternalIngestScope> vc_scope;
+      if (vc_) {
+        vc_scope.emplace(&*vc_);
+        vc_shared = plane_.Add(vc_scope->delta());
+        if (vc_shared) {
+          take = std::min(take, vc_scope->room());
+        } else {
+          vc_scope.reset();  // release the lock; plain Process below
+        }
+      }
+
+      std::optional<SkeletonEngine::ExternalIngestScope> skeleton_scope;
+      if (skeleton_) {
+        skeleton_scope.emplace(&*skeleton_);
+        skeleton_shared = plane_.Add(skeleton_scope->delta());
+        if (skeleton_shared) {
+          take = std::min(take, skeleton_scope->room());
+        } else {
+          skeleton_scope.reset();
+        }
+      }
+
+      plane_.Process(updates.subspan(i, take));
+      forest_scope.Commit(take);
+      if (vc_shared) vc_scope->Commit(take);
+      if (skeleton_shared) skeleton_scope->Commit(take);
+    }
 
     // Engines outside the plane ingest the same chunk independently (their
-    // own chunking/sealing; the overall stream they see is identical).
+    // own chunking/sealing; the overall stream they see is identical). They
+    // run after the shared scopes are released, so no fallback Process ever
+    // takes its lock while another engine's ingest lock is held.
+    const std::span<const StreamUpdate> chunk = updates.subspan(i, take);
     if (vc_ && !vc_shared) vc_->Process(chunk);
     if (skeleton_ && !skeleton_shared) skeleton_->Process(chunk);
     i += take;

@@ -35,23 +35,14 @@
 // single output bit. Shared-plane frames are byte-identical to independent
 // ingest (tests/ingest_plane_test.cc).
 //
-// Contract for registered consumers (two members optional):
-//   size_t n() const;                       // must match across consumers
-//   const EdgeCodec& codec() const;         // same (n, max_rank) domain
-//   uint64_t PlaneRouteMask(const Hyperedge&) const;  // 0 = skip
-//   void ApplyUpdateBatch(VertexId v, std::span<const VertexUpdate> batch);
-//   size_t PlaneRouteBits() const;         // optional; default 1
-//   bool PlaneSupported() const;           // optional; default true
-// A one-bit consumer may receive batches whose entries carry OTHER
-// consumers' bits above bit 0 (the pass-through fast path); it must
-// interpret only bit 0. Multi-bit consumers always receive rebuilt entries
-// with their own bits shifted down to [0, bits).
+// Registered consumers satisfy the PlaneConsumer concept below.
 //
 // Process() runs entirely on the calling thread (no pool), so it is safe
 // inside a parallel region.
 #ifndef GMS_STREAM_INGEST_PLANE_H_
 #define GMS_STREAM_INGEST_PLANE_H_
 
+#include <concepts>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -62,6 +53,25 @@
 #include "util/check.h"
 
 namespace gms {
+
+/// What IngestPlane::Add requires of a consumer: its vertex count and codec
+/// (both must match across the consumers of one plane), its routing mask
+/// for an update (0 = skip), and the per-vertex batch apply. Two hooks are
+/// optional and probed by Add: `size_t PlaneRouteBits() const` (route-word
+/// width, default 1) and `bool PlaneSupported() const` (default true).
+/// A one-bit consumer may receive batches whose entries carry OTHER
+/// consumers' bits above bit 0 (the pass-through fast path); it must
+/// interpret only bit 0. Multi-bit consumers always receive rebuilt entries
+/// with their own bits shifted down to [0, bits).
+template <typename Sketch>
+concept PlaneConsumer =
+    requires(Sketch& sketch, const Sketch& view, const Hyperedge& e,
+             VertexId v, std::span<const VertexUpdate> batch) {
+      { view.n() } -> std::convertible_to<size_t>;
+      { view.codec() } -> std::same_as<const EdgeCodec&>;
+      { view.PlaneRouteMask(e) } -> std::same_as<uint64_t>;
+      sketch.ApplyUpdateBatch(v, batch);
+    };
 
 class IngestPlane {
  public:
@@ -82,6 +92,7 @@ class IngestPlane {
   /// consumer's own Process for the same updates. The pointer must outlive
   /// every subsequent Process call (or a Reset).
   template <typename Sketch>
+    requires PlaneConsumer<Sketch>
   bool Add(Sketch* sketch) {
     GMS_CHECK_MSG(sketch != nullptr, "IngestPlane: null consumer");
     if constexpr (requires { sketch->PlaneSupported(); }) {

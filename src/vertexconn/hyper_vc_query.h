@@ -3,7 +3,8 @@
 // The paper notes that substituting the hypergraph spanning-graph sketch
 // (Theorem 13) for Theorem 2 makes the Section 3 vertex-connectivity
 // constructions "go through for hypergraphs unchanged". This class is that
-// construction: R vertex-subsampled sub-hypergraphs G_i (a hyperedge
+// construction, on the same SubsampledForestUnion as VcQuerySketch with
+// the rank raised: R vertex-subsampled sub-hypergraphs G_i (a hyperedge
 // belongs to G_i iff ALL its vertices were kept -- induced semantics), one
 // spanning-graph sketch per G_i, and queries on the union H of the decoded
 // spanning graphs: removing S (|S| <= k) disconnects G iff it disconnects
@@ -54,6 +55,9 @@ class HyperVcUnionSnapshot {
   size_t k_ = 0;
 };
 
+/// The rank-r Theorem 4 sketch: one rank-r SubsampledForestUnion (the
+/// construction VcQuerySketch holds at rank 2) under its own kHyperVcQuery
+/// frame.
 class HyperVcQuerySketch {
  public:
   using Params = VcQueryParams;
@@ -61,20 +65,36 @@ class HyperVcQuerySketch {
   HyperVcQuerySketch(size_t n, size_t max_rank, const Params& params,
                      uint64_t seed);
 
-  size_t n() const { return n_; }
+  size_t n() const { return forests_.n(); }
   size_t k() const { return params_.k; }
-  size_t R() const { return sketches_.size(); }
-  size_t max_rank() const { return sketches_[0].max_rank(); }
-  uint64_t seed() const { return seed_; }
+  size_t R() const { return forests_.R(); }
+  size_t max_rank() const { return forests_.max_rank(); }
+  uint64_t seed() const { return forests_.seed(); }
 
-  /// Linear update; the hyperedge is routed to every subsample that kept
-  /// ALL of its vertices.
-  void Update(const Hyperedge& e, int delta);
-
-  /// Batched ingestion: one codec encode per update, R sketches sharded
-  /// across params.engine.threads workers (bit-identical to the serial path).
-  void Process(std::span<const StreamUpdate> updates);
-  void Process(const DynamicStream& stream);
+  /// Ingest, merge and state calls forward to the union: a hyperedge
+  /// reaches every subsample that kept ALL of its vertices, batched ingest
+  /// is bit-identical to serial Update for every engine setting, and
+  /// MergeFrom refuses a different measurement (seed, n, max_rank, k, R or
+  /// forest params) without touching the state.
+  void Update(const Hyperedge& e, int delta) { forests_.Update(e, delta); }
+  void Process(std::span<const StreamUpdate> updates) {
+    forests_.Process(updates);
+  }
+  void Process(const DynamicStream& stream) { forests_.Process(stream); }
+  bool SnapshotDirty() const { return forests_.SnapshotDirty(); }
+  size_t MemoryBytes() const { return forests_.MemoryBytes(); }
+  bool StateEquals(const HyperVcQuerySketch& other) const {
+    return forests_.StateEquals(other.forests_);
+  }
+  Status MergeFrom(const HyperVcQuerySketch& other) {
+    return forests_.MergeFrom(other.forests_);
+  }
+  void Clear() { forests_.Clear(); }
+  /// A sketch of the SAME measurement with zero state (the sharded-merge
+  /// and serving-delta clone); the parent's cells are never copied.
+  HyperVcQuerySketch CloneEmpty() const {
+    return HyperVcQuerySketch(params_, forests_.CloneEmpty());
+  }
 
   /// The unified non-destructive query: assemble H on a CONST sketch and
   /// return it as a detached snapshot (plus the extraction counters summed
@@ -82,54 +102,20 @@ class HyperVcQuerySketch {
   /// itself never changes, so ingestion can continue.
   QueryResult<HyperVcUnionSnapshot> Query() const;
 
-  /// Serving hook (src/serve/): true iff any subsample sketch's measurement
-  /// state changed since construction / the last Clear().
-  bool SnapshotDirty() const;
-
-  size_t MemoryBytes() const;
-
-  /// Bit-identity of all per-sketch states (for the determinism suite).
-  bool StateEquals(const HyperVcQuerySketch& other) const;
-
-  /// Cell-wise field addition of another sketch of the SAME measurement
-  /// (equal seed, n, max_rank, k, R, and forest params). Mismatches return
-  /// InvalidArgument, state untouched.
-  Status MergeFrom(const HyperVcQuerySketch& other);
-
-  /// Zero every subsample sketch.
-  void Clear();
-
-  /// A sketch of the SAME measurement with zero state (the clone a
-  /// stream slice is sketched into before MergeFrom); the parent's cells are
-  /// never copied.
-  HyperVcQuerySketch CloneEmpty() const {
-    return HyperVcQuerySketch(*this, CloneEmptyTag{});
-  }
-
-  /// Append one wire frame (wire::FrameType::kHyperVcQuery) to *out; the
-  /// header reconstructs all shapes and kept-bitmaps from the seed.
+  /// One kHyperVcQuery frame (WriteSubsampledFrame). Deserialize returns
+  /// Status on truncation, corruption and shape mismatches; never aborts.
   void Serialize(std::vector<uint8_t>* out) const;
-
-  /// Parse a frame produced by Serialize. Truncation, corruption, and shape
-  /// mismatches return Status; never aborts.
   static Result<HyperVcQuerySketch> Deserialize(
       std::span<const uint8_t> bytes);
-
   /// Measured serialized-frame size in bytes.
   size_t SpaceBytes() const;
 
  private:
-  HyperVcQuerySketch(const HyperVcQuerySketch& other, CloneEmptyTag);
+  HyperVcQuerySketch(VcQueryParams params, SubsampledForestUnion forests)
+      : params_(std::move(params)), forests_(std::move(forests)) {}
 
-  /// The decode behind Query(): R parallel decodes, then a deterministic
-  /// serial union.
-  Result<Hypergraph> BuildUnionHypergraph(ExtractStats* stats) const;
-
-  size_t n_;
   VcQueryParams params_;
-  uint64_t seed_;
-  std::vector<std::vector<bool>> kept_;
-  std::vector<SpanningForestSketch> sketches_;
+  SubsampledForestUnion forests_;
 };
 
 }  // namespace gms

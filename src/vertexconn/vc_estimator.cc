@@ -21,8 +21,8 @@ size_t VcEstimatorParams::ResolveR(size_t n) const {
 VcEstimator::VcEstimator(size_t n, const VcEstimatorParams& params,
                          uint64_t seed)
     : params_(params),
-      forests_(n, params.k, params.ResolveR(n), seed, params.forest,
-               params.engine) {}
+      forests_(n, /*max_rank=*/2, params.k, params.ResolveR(n), seed,
+               params.forest, params.engine) {}
 
 Result<size_t> VcEstimator::EstimateKappa() const {
   auto h = forests_.BuildUnionGraph();

@@ -32,7 +32,9 @@ class VcEstimator {
  public:
   VcEstimator(size_t n, const VcEstimatorParams& params, uint64_t seed);
 
-  void Update(const Edge& e, int delta) { forests_.Update(e, delta); }
+  void Update(const Edge& e, int delta) {
+    forests_.Update(Hyperedge(e), delta);
+  }
   void Process(const DynamicStream& stream) { forests_.Process(stream); }
 
   /// kappa(H), computed exactly on the assembled union graph. Guarantees:

@@ -38,6 +38,13 @@ Result<std::vector<VertexId>> NormalizeQuerySet(const std::vector<VertexId>& s,
   return distinct;
 }
 
+namespace {
+
+// One subsample's kept-bitmap: n Bernoulli(1/k) draws from `rng`, in vertex
+// order. The draw order is wire contract -- a (seed, n, k, R) header
+// reconstructs the exact bitmaps by replaying R rounds of this followed by
+// one rng.Fork() each, so the constructor and KeptVertexCounts both route
+// through this helper.
 std::vector<bool> DrawKeptBitmap(Rng& rng, size_t n, size_t k) {
   std::vector<bool> kept(n, false);
   for (VertexId v = 0; v < n; ++v) {
@@ -47,12 +54,9 @@ std::vector<bool> DrawKeptBitmap(Rng& rng, size_t n, size_t k) {
   return kept;
 }
 
-uint64_t CountKeptVertices(uint64_t seed, size_t n, size_t k, size_t r) {
-  uint64_t total = 0;
-  for (uint64_t c : KeptVertexCounts(seed, n, k, r)) total += c;
-  return total;
-}
-
+// Per-subsample kept counts, replaying the constructor's draws. Hybrid
+// forest cell sections are variable-length, so the frame reader skims each
+// subsample's section against ITS active count.
 std::vector<uint64_t> KeptVertexCounts(uint64_t seed, size_t n, size_t k,
                                        size_t r) {
   Rng rng(seed);
@@ -68,11 +72,35 @@ std::vector<uint64_t> KeptVertexCounts(uint64_t seed, size_t n, size_t k,
   return counts;
 }
 
-SubsampledForestUnion::SubsampledForestUnion(size_t n, size_t k,
-                                             size_t r_subgraphs, uint64_t seed,
+// Frame-reader cap on n * R. Reconstruction replays one Bernoulli draw and
+// allocates ~8 bytes of dense-index state per (subsample, vertex) pair
+// regardless of how many vertices were kept, so this product -- not the
+// payload size -- is what bounds a hostile frame's cost. 2^31 pairs keeps
+// the worst case at seconds of replay.
+constexpr uint64_t kMaxDeserializeSubsampleDraws = uint64_t{1} << 31;
+
+// Subsample `kept` keeps hyperedge e iff it kept every vertex of e: the one
+// routing predicate behind Update, PlaneRouteMask and Process.
+bool KeptAll(const std::vector<bool>& kept, const Hyperedge& e) {
+  bool all = true;
+  for (VertexId v : e) all &= kept[v];
+  return all;
+}
+
+}  // namespace
+
+uint64_t CountKeptVertices(uint64_t seed, size_t n, size_t k, size_t r) {
+  uint64_t total = 0;
+  for (uint64_t c : KeptVertexCounts(seed, n, k, r)) total += c;
+  return total;
+}
+
+SubsampledForestUnion::SubsampledForestUnion(size_t n, size_t max_rank,
+                                             size_t k, size_t r_subgraphs,
+                                             uint64_t seed,
                                              const ForestSketchParams& params,
                                              const EngineParams& engine)
-    : n_(n), k_(k), seed_(seed), engine_(engine), covered_(n, false) {
+    : n_(n), k_(k), seed_(seed), engine_(engine) {
   GMS_CHECK(k >= 1);
   GMS_CHECK(r_subgraphs >= 1);
   Rng rng(seed);
@@ -80,10 +108,7 @@ SubsampledForestUnion::SubsampledForestUnion(size_t n, size_t k,
   sketches_.reserve(r_subgraphs);
   for (size_t i = 0; i < r_subgraphs; ++i) {
     kept_.push_back(DrawKeptBitmap(rng, n, k));
-    for (VertexId v = 0; v < n; ++v) {
-      if (kept_[i][v]) covered_[v] = true;
-    }
-    sketches_.emplace_back(n, /*max_rank=*/2, rng.Fork(), params, &kept_[i]);
+    sketches_.emplace_back(n, max_rank, rng.Fork(), params, &kept_[i]);
   }
 }
 
@@ -93,20 +118,16 @@ SubsampledForestUnion::SubsampledForestUnion(const SubsampledForestUnion& other,
       k_(other.k_),
       seed_(other.seed_),
       engine_(other.engine_),
-      kept_(other.kept_),
-      covered_(other.covered_) {
+      kept_(other.kept_) {
   sketches_.reserve(other.sketches_.size());
   for (const auto& sketch : other.sketches_) {
     sketches_.push_back(sketch.CloneEmpty());
   }
 }
 
-void SubsampledForestUnion::Update(const Edge& e, int delta) {
-  Hyperedge he(e);
+void SubsampledForestUnion::Update(const Hyperedge& e, int delta) {
   for (size_t i = 0; i < sketches_.size(); ++i) {
-    if (kept_[i][e.u()] && kept_[i][e.v()]) {
-      sketches_[i].Update(he, delta);
-    }
+    if (KeptAll(kept_[i], e)) sketches_[i].Update(e, delta);
   }
 }
 
@@ -114,7 +135,7 @@ uint64_t SubsampledForestUnion::PlaneRouteMask(const Hyperedge& e) const {
   const size_t r = std::min<size_t>(sketches_.size(), 64);
   uint64_t mask = 0;
   for (size_t i = 0; i < r; ++i) {
-    if (kept_[i][e[0]] && kept_[i][e[1]]) mask |= uint64_t{1} << i;
+    if (KeptAll(kept_[i], e)) mask |= uint64_t{1} << i;
   }
   return mask;
 }
@@ -143,13 +164,16 @@ void SubsampledForestUnion::Process(std::span<const StreamUpdate> updates) {
     return;
   }
   // Encode and prepare once per update: every subsample shares the same
-  // (n, 2) codec, and the key fold / exponent reduction are shape-
+  // (n, max_rank) codec, and the key fold / exponent reduction are shape-
   // independent, so none of the per-key arithmetic is re-derived R times.
+  // A rank-2 union is Theorem 4's graph sketch and says so when refusing.
   const EdgeCodec& codec = sketches_[0].codec();
+  const char* refusal = codec.max_rank() == 2
+                            ? "vertex-connectivity sketches take graph streams"
+                            : "hyperedge exceeds max_rank";
   std::vector<PreparedCoord> prepared(updates.size());
   for (size_t j = 0; j < updates.size(); ++j) {
-    GMS_CHECK_MSG(updates[j].edge.IsGraphEdge(),
-                  "vertex-connectivity sketches take graph streams");
+    GMS_CHECK_MSG(updates[j].edge.size() <= codec.max_rank(), refusal);
     prepared[j] = PrepareCoord(codec.Encode(updates[j].edge));
   }
   // Shard the R independent sketches: each is owned by exactly one worker
@@ -160,14 +184,15 @@ void SubsampledForestUnion::Process(std::span<const StreamUpdate> updates) {
     std::vector<uint32_t> hits;
     for (size_t i = begin; i < end; ++i) {
       const std::vector<bool>& kept = kept_[i];
-      // Collect this subsample's surviving updates first (~1/k^2 of the
+      // Collect this subsample's surviving updates first (~1/k^|e| of the
       // stream), then ingest with a prefetch lookahead measured in actual
       // work items, so each sketch update's cold cells are in flight well
       // before its turn.
       hits.clear();
       for (size_t j = 0; j < updates.size(); ++j) {
-        const Hyperedge& e = updates[j].edge;
-        if (kept[e[0]] && kept[e[1]]) hits.push_back(static_cast<uint32_t>(j));
+        if (KeptAll(kept, updates[j].edge)) {
+          hits.push_back(static_cast<uint32_t>(j));
+        }
       }
       constexpr size_t kPrefetchAhead = 8;
       for (size_t h = 0; h < hits.size(); ++h) {
@@ -183,17 +208,13 @@ void SubsampledForestUnion::Process(std::span<const StreamUpdate> updates) {
   });
 }
 
-void SubsampledForestUnion::Process(const DynamicStream& stream) {
-  Process(std::span<const StreamUpdate>(stream.updates()));
-}
-
-Result<Graph> SubsampledForestUnion::BuildUnionGraph(
-    ExtractStats* stats) const {
-  // Fan the R independent extractions out across the pool; assemble H
-  // serially in sketch order (Graph equality is order-insensitive, but a
-  // fixed merge order also keeps error propagation deterministic). Each
-  // worker runs its sketches' decodes serially, so it reuses one
-  // thread-local extraction scratch for all of them.
+Result<std::vector<std::vector<Hyperedge>>>
+SubsampledForestUnion::DecodeForests(ExtractStats* stats) const {
+  // Fan the R independent extractions out across the pool; the callers
+  // assemble H serially in sketch order (a fixed order keeps the union and
+  // error propagation deterministic). Each worker runs its sketches'
+  // decodes serially, so it reuses one thread-local extraction scratch for
+  // all of them.
   std::vector<std::vector<Hyperedge>> forest_edges(sketches_.size());
   std::vector<Status> status(sketches_.size());
   std::vector<ExtractStats> per_sketch(stats != nullptr ? sketches_.size()
@@ -223,9 +244,28 @@ Result<Graph> SubsampledForestUnion::BuildUnionGraph(
     *stats = ExtractStats();
     for (const auto& s : per_sketch) AccumulateExtractStats(s, stats);
   }
+  return forest_edges;
+}
+
+Result<Graph> SubsampledForestUnion::BuildUnionGraph(
+    ExtractStats* stats) const {
+  GMS_CHECK_MSG(max_rank() == 2, "BuildUnionGraph needs a rank-2 union");
+  auto forests = DecodeForests(stats);
+  if (!forests.ok()) return forests.status();
   Graph h(n_);
-  for (const auto& edges : forest_edges) {
+  for (const auto& edges : *forests) {
     for (const auto& e : edges) h.AddEdge(e.AsEdge());
+  }
+  return h;
+}
+
+Result<Hypergraph> SubsampledForestUnion::BuildUnionHypergraph(
+    ExtractStats* stats) const {
+  auto forests = DecodeForests(stats);
+  if (!forests.ok()) return forests.status();
+  Hypergraph h(n_);
+  for (const auto& edges : *forests) {
+    for (const auto& e : edges) h.AddEdge(e);
   }
   return h;
 }
@@ -248,7 +288,11 @@ bool SubsampledForestUnion::SnapshotDirty() const {
 
 size_t SubsampledForestUnion::NumUncovered() const {
   size_t count = 0;
-  for (bool c : covered_) count += c ? 0 : 1;
+  for (VertexId v = 0; v < n_; ++v) {
+    bool covered = false;
+    for (const auto& kept : kept_) covered = covered || kept[v];
+    count += covered ? 0 : 1;
+  }
   return count;
 }
 
@@ -259,23 +303,21 @@ size_t SubsampledForestUnion::MemoryBytes() const {
 }
 
 Status SubsampledForestUnion::MergeFrom(const SubsampledForestUnion& other) {
-  if (seed_ != other.seed_ || n_ != other.n_ || k_ != other.k_ ||
-      sketches_.size() != other.sketches_.size()) {
+  // Equal (seed, n, k, R) pins the kept_ bitmaps; validate the rank and
+  // the per-sketch geometry BEFORE mutating anything so a mismatch leaves
+  // the whole union untouched.
+  bool same = seed_ == other.seed_ && n_ == other.n_ &&
+              max_rank() == other.max_rank() && k_ == other.k_ &&
+              sketches_.size() == other.sketches_.size();
+  for (size_t i = 0; same && i < sketches_.size(); ++i) {
+    same = sketches_[i].seed() == other.sketches_[i].seed() &&
+           sketches_[i].rounds() == other.sketches_[i].rounds() &&
+           sketches_[i].MemoryBytes() == other.sketches_[i].MemoryBytes();
+  }
+  if (!same) {
     return Status::InvalidArgument(
         "SubsampledForestUnion::MergeFrom: seed/shape mismatch (different "
         "measurement)");
-  }
-  // Equal (seed, n, k, R) pins the kept_ bitmaps; validate the per-sketch
-  // geometry BEFORE mutating anything so a forest-params mismatch leaves
-  // the whole union untouched.
-  for (size_t i = 0; i < sketches_.size(); ++i) {
-    if (sketches_[i].seed() != other.sketches_[i].seed() ||
-        sketches_[i].rounds() != other.sketches_[i].rounds() ||
-        sketches_[i].MemoryBytes() != other.sketches_[i].MemoryBytes()) {
-      return Status::InvalidArgument(
-          "SubsampledForestUnion::MergeFrom: seed/shape mismatch (different "
-          "measurement)");
-    }
   }
   for (size_t i = 0; i < sketches_.size(); ++i) {
     GMS_RETURN_IF_ERROR(sketches_[i].MergeFrom(other.sketches_[i]));
@@ -308,9 +350,8 @@ size_t VcQueryParams::ResolveR(size_t n) const {
 
 VcQuerySketch::VcQuerySketch(size_t n, const Params& params, uint64_t seed)
     : params_(params),
-      seed_(seed),
-      forests_(n, params.k, params.ResolveR(n), seed, params.forest,
-               params.engine) {}
+      forests_(n, /*max_rank=*/2, params.k, params.ResolveR(n), seed,
+               params.forest, params.engine) {}
 
 Result<bool> VcUnionSnapshot::Disconnects(
     const std::vector<VertexId>& s) const {
@@ -338,59 +379,57 @@ QueryResult<VcUnionSnapshot> VcQuerySketch::Query() const {
       std::move(stats));
 }
 
-Status VcQuerySketch::MergeFrom(const VcQuerySketch& other) {
-  if (params_.k != other.params_.k || R() != other.R()) {
-    return Status::InvalidArgument(
-        "VcQuerySketch::MergeFrom: seed/shape mismatch (different "
-        "measurement)");
+void WriteSubsampledFrame(wire::FrameType type,
+                          const SubsampledForestUnion& forests,
+                          const ForestSketchParams& forest,
+                          std::vector<uint8_t>* out) {
+  wire::FrameBuilder fb(type, out);
+  fb.writer().U64(forests.n());
+  if (type == wire::FrameType::kHyperVcQuery) {
+    fb.writer().U64(forests.max_rank());
   }
-  return forests_.MergeFrom(other.forests_);
-}
-
-void VcQuerySketch::Clear() { forests_.Clear(); }
-
-void VcQuerySketch::Serialize(std::vector<uint8_t>* out) const {
-  wire::FrameBuilder fb(wire::FrameType::kVcQuery, out);
-  fb.writer().U64(forests_.n());
-  fb.writer().U64(params_.k);
-  // R travels resolved so r_multiplier never has to round-trip a double.
-  fb.writer().U64(forests_.R());
-  fb.writer().U64(seed_);
-  ForestSketchParams resolved = params_.forest;
-  resolved.rounds = forests_.rounds();
+  fb.writer().U64(forests.k());
+  fb.writer().U64(forests.R());
+  fb.writer().U64(forests.seed());
+  ForestSketchParams resolved = forest;
+  resolved.rounds = forests.rounds();
   WriteForestParams(resolved, &fb.writer());
   fb.EndHeader();
-  forests_.AppendCells(&fb.writer());
+  forests.AppendCells(&fb.writer());
   fb.Finish();
 }
 
-Result<VcQuerySketch> VcQuerySketch::Deserialize(
-    std::span<const uint8_t> bytes) {
-  auto frame = wire::ParseFrame(bytes, wire::FrameType::kVcQuery);
+Result<SubsampledFrame> ReadSubsampledFrame(std::span<const uint8_t> bytes,
+                                            wire::FrameType type) {
+  auto frame = wire::ParseFrame(bytes, type);
   if (!frame.ok()) return frame.status();
+  const bool hyper = type == wire::FrameType::kHyperVcQuery;
+  const std::string label = hyper ? "hyper-vc" : "vc-query";
   wire::Reader header(frame->header);
-  uint64_t n = 0, k = 0, r = 0, seed = 0;
+  uint64_t n = 0, max_rank = 2, k = 0, r = 0, seed = 0;
   ForestSketchParams forest;
   GMS_RETURN_IF_ERROR(header.U64(&n));
+  if (hyper) GMS_RETURN_IF_ERROR(header.U64(&max_rank));
   GMS_RETURN_IF_ERROR(header.U64(&k));
   GMS_RETURN_IF_ERROR(header.U64(&r));
   GMS_RETURN_IF_ERROR(header.U64(&seed));
   GMS_RETURN_IF_ERROR(ReadForestParams(&header, &forest));
   GMS_RETURN_IF_ERROR(header.ExpectEnd());
   if (n < 1 || n > (uint64_t{1} << 32) || k < 1 || k > n || r < 1 ||
-      r > (uint64_t{1} << 24) || forest.rounds < 1) {
-    return Status::InvalidArgument("wire: vc-query shape out of range");
+      r > (uint64_t{1} << 24) || forest.rounds < 1 ||
+      (hyper && (max_rank < 2 || max_rank > n))) {
+    return Status::InvalidArgument("wire: " + label + " shape out of range");
   }
   // Reconstruction cost scales with n * R (index state + bitmap replay per
   // subsample) no matter how small the payload is, so bound the product
   // first, then verify the payload equals the shape-implied size by
   // replaying the seeded subsample draws -- all before constructing.
-  auto words = ForestStateWords(static_cast<size_t>(n), /*max_rank=*/2,
-                                forest.config);
+  auto words = ForestStateWords(static_cast<size_t>(n),
+                                static_cast<size_t>(max_rank), forest.config);
   if (!words.ok()) return words.status();
   if (static_cast<u128>(n) * r > kMaxDeserializeSubsampleDraws) {
-    return Status::InvalidArgument(
-        "wire: vc-query shape too large to reconstruct");
+    return Status::InvalidArgument("wire: " + label +
+                                   " shape too large to reconstruct");
   }
   const std::vector<uint64_t> active_counts = KeptVertexCounts(
       seed, static_cast<size_t>(n), static_cast<size_t>(k),
@@ -406,22 +445,36 @@ Result<VcQuerySketch> VcQuerySketch::Deserialize(
   }
   if (offset != frame->payload.size()) {
     return Status::InvalidArgument(
-        "wire: vc-query payload size disagrees with the header shape");
+        "wire: " + label + " payload size disagrees with the header shape");
   }
   VcQueryParams params;
   params.k = static_cast<size_t>(k);
   params.explicit_r = static_cast<size_t>(r);
   params.forest = forest;
   try {
-    VcQuerySketch sketch(static_cast<size_t>(n), params, seed);
+    SubsampledForestUnion forests(static_cast<size_t>(n),
+                                  static_cast<size_t>(max_rank), params.k,
+                                  params.explicit_r, seed, forest);
     wire::Reader payload(frame->payload);
-    GMS_RETURN_IF_ERROR(sketch.forests_.ReadCells(&payload));
+    GMS_RETURN_IF_ERROR(forests.ReadCells(&payload));
     GMS_RETURN_IF_ERROR(payload.ExpectEnd());
-    return sketch;
+    return SubsampledFrame{std::move(params), std::move(forests)};
   } catch (const std::bad_alloc&) {
     // Belt and braces: an in-cap shape can still exceed THIS machine.
-    return Status::OutOfRange("wire: vc-query shape exhausts memory");
+    return Status::OutOfRange("wire: " + label + " shape exhausts memory");
   }
+}
+
+void VcQuerySketch::Serialize(std::vector<uint8_t>* out) const {
+  WriteSubsampledFrame(wire::FrameType::kVcQuery, forests_, params_.forest,
+                       out);
+}
+
+Result<VcQuerySketch> VcQuerySketch::Deserialize(
+    std::span<const uint8_t> bytes) {
+  auto frame = ReadSubsampledFrame(bytes, wire::FrameType::kVcQuery);
+  if (!frame.ok()) return frame.status();
+  return VcQuerySketch(std::move(frame->params), std::move(frame->forests));
 }
 
 size_t VcQuerySketch::SpaceBytes() const {

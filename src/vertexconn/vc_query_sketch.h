@@ -15,37 +15,17 @@
 
 #include "connectivity/spanning_forest_sketch.h"
 #include "graph/graph.h"
+#include "graph/hypergraph.h"
 #include "stream/stream.h"
-#include "util/random.h"
+#include "wire/wire.h"
 
 namespace gms {
 
-/// One subsample's kept-bitmap: n Bernoulli(1/k) draws from `rng`, in vertex
-/// order. The draw order is wire contract -- a (seed, n, k, R) header
-/// reconstructs the exact bitmaps by replaying R rounds of this followed by
-/// one rng.Fork() each, so every caller (constructors AND deserializers)
-/// must route through this helper.
-std::vector<bool> DrawKeptBitmap(Rng& rng, size_t n, size_t k);
-
 /// Total kept (vertex, subsample) pairs over R subsamples drawn from
 /// `seed`, replaying the exact constructor draw order. O(n * r) time, O(n)
-/// space: lets deserializers compute the shape-implied payload size of a
-/// subsampled sketch WITHOUT constructing it.
+/// space: the shape-implied size of a subsampled sketch WITHOUT
+/// constructing it.
 uint64_t CountKeptVertices(uint64_t seed, size_t n, size_t k, size_t r);
-
-/// As CountKeptVertices, but per subsample: entry i is the kept count of
-/// subsample i's bitmap. Hybrid forest cell sections are variable-length,
-/// so deserializers skim each subsample's section against ITS active count
-/// instead of one total product.
-std::vector<uint64_t> KeptVertexCounts(uint64_t seed, size_t n, size_t k,
-                                       size_t r);
-
-/// Deserialization cap on n * R for subsampled sketches. Reconstruction
-/// replays one Bernoulli draw and allocates ~8 bytes of dense-index state
-/// per (subsample, vertex) pair regardless of how many vertices were kept,
-/// so this product -- not the payload size -- is what bounds a hostile
-/// frame's cost. 2^31 pairs keeps the worst case at seconds of replay.
-inline constexpr uint64_t kMaxDeserializeSubsampleDraws = uint64_t{1} << 31;
 
 /// Validate a removal-query set: every id must be < n (InvalidArgument
 /// otherwise), duplicates are dropped, and the DISTINCT count must be <= k.
@@ -54,38 +34,47 @@ inline constexpr uint64_t kMaxDeserializeSubsampleDraws = uint64_t{1} << 31;
 Result<std::vector<VertexId>> NormalizeQuerySet(const std::vector<VertexId>& s,
                                                 size_t n, size_t k);
 
-/// Shared substrate for Theorems 4 and 8: R vertex-subsampled spanning-
-/// forest sketches plus assembly of the union graph H.
+/// Shared substrate for Theorems 4 and 8 and the Section 4.1 hypergraph
+/// remark: R vertex-subsampled spanning-forest sketches of one rank plus
+/// assembly of the union graph H. A hyperedge enters sketch i iff
+/// subsample i kept ALL of its vertices (induced semantics; for rank 2,
+/// both endpoints). VcQuerySketch and VcEstimator hold a rank-2 union,
+/// HyperVcQuerySketch a rank-r one.
 class SubsampledForestUnion {
  public:
   /// keep probability 1/k; R independent subsamples. `engine` workers
   /// shard the R sketches for batched ingestion and union-graph extraction
   /// (each sketch is owned by exactly one worker; results are bit-identical
   /// to the serial path for every thread count).
-  SubsampledForestUnion(size_t n, size_t k, size_t r_subgraphs, uint64_t seed,
+  SubsampledForestUnion(size_t n, size_t max_rank, size_t k,
+                        size_t r_subgraphs, uint64_t seed,
                         const ForestSketchParams& params,
                         const EngineParams& engine = EngineParams());
 
   size_t n() const { return n_; }
+  size_t max_rank() const { return sketches_[0].max_rank(); }
   size_t k() const { return k_; }
   size_t R() const { return sketches_.size(); }
-  size_t threads() const { return engine_.threads; }
   uint64_t seed() const { return seed_; }
   /// Resolved Borůvka rounds of the per-subsample forest sketches.
   int rounds() const { return sketches_[0].rounds(); }
 
-  void Update(const Edge& e, int delta);
+  /// Linear update, routed to every subsample that kept ALL of e's
+  /// vertices.
+  void Update(const Hyperedge& e, int delta);
 
   /// Batched ingestion: each update's codec index is encoded once and
-  /// fanned out to the sketches that kept both endpoints, with the R
+  /// fanned out to the sketches that kept all its vertices, with the R
   /// sketches sharded across the worker pool.
   void Process(std::span<const StreamUpdate> updates);
-  void Process(const DynamicStream& stream);
+  void Process(const DynamicStream& stream) {
+    Process(std::span<const StreamUpdate>(stream.updates()));
+  }
 
-  /// Ingest-plane hooks (stream/ingest_plane.h). The shared (n, 2) codec
-  /// lets the plane prepare each update once for all R sketches.
+  /// Ingest-plane hooks (stream/ingest_plane.h). The shared (n, max_rank)
+  /// codec lets the plane prepare each update once for all R sketches.
   const EdgeCodec& codec() const { return sketches_[0].codec(); }
-  /// Bit i = subsample i kept BOTH endpoints (the exact serial routing
+  /// Bit i = subsample i kept ALL of e's vertices (the exact serial routing
   /// predicate, evaluated once per update and carried in the entry).
   uint64_t PlaneRouteMask(const Hyperedge& e) const;
   /// Fan a vertex batch out to every subsample whose routing bit is set.
@@ -104,8 +93,9 @@ class SubsampledForestUnion {
   /// thread-local extraction scratch across the sketches it owns), and H is
   /// assembled serially in sketch order (deterministic). When `stats` is
   /// non-null it receives the extraction-engine counters summed over all R
-  /// extractions, in sketch order.
+  /// extractions, in sketch order. BuildUnionGraph needs a rank-2 union.
   Result<Graph> BuildUnionGraph(ExtractStats* stats = nullptr) const;
+  Result<Hypergraph> BuildUnionHypergraph(ExtractStats* stats = nullptr) const;
 
   /// Bit-identity of all per-sketch states (for the determinism suite).
   bool StateEquals(const SubsampledForestUnion& other) const;
@@ -114,18 +104,16 @@ class SubsampledForestUnion {
   /// state changed since construction / the last Clear().
   bool SnapshotDirty() const;
 
-  /// covered[v]: v was kept in at least one subsample (vertices never
-  /// covered are invisible to H; with the paper's R this happens with
-  /// probability <= n^{-(16k-1)}).
-  const std::vector<bool>& covered() const { return covered_; }
+  /// Vertices kept in no subsample (invisible to H; with the paper's R a
+  /// vertex is uncovered with probability <= n^{-(16k-1)}).
   size_t NumUncovered() const;
 
   size_t MemoryBytes() const;
 
   /// Cell-wise field addition of another union of the SAME measurement
-  /// (equal seed, n, k, R, and forest params -- the kept_ bitmaps then
-  /// coincide by construction). Mismatches return InvalidArgument and leave
-  /// the state untouched.
+  /// (equal seed, n, max_rank, k, R, and forest params -- the kept_
+  /// bitmaps then coincide by construction). Mismatches return
+  /// InvalidArgument and leave the state untouched.
   Status MergeFrom(const SubsampledForestUnion& other);
 
   /// Zero every subsample sketch (the empty-stream measurement).
@@ -138,21 +126,25 @@ class SubsampledForestUnion {
     return SubsampledForestUnion(*this, CloneEmptyTag{});
   }
 
-  /// Raw cells of all R sketches, in order, for COMPOSITE frames; the
-  /// container header's (seed, n, k, R, params) reconstructs every shape
-  /// and kept_ bitmap.
+  /// Raw cells of all R sketches, in order (the Theorem 4 frame payload;
+  /// the header's seed, n, max_rank, k, R and params rebuild every shape
+  /// and kept_ bitmap).
   void AppendCells(wire::Writer* w) const;
   Status ReadCells(wire::Reader* r);
 
  private:
   SubsampledForestUnion(const SubsampledForestUnion& other, CloneEmptyTag);
 
+  /// The R decodes behind BuildUnionGraph / BuildUnionHypergraph: entry i
+  /// is subsample i's spanning forest.
+  Result<std::vector<std::vector<Hyperedge>>> DecodeForests(
+      ExtractStats* stats) const;
+
   size_t n_;
   size_t k_;
   uint64_t seed_;
   EngineParams engine_;
   std::vector<std::vector<bool>> kept_;  // kept_[i][v]
-  std::vector<bool> covered_;
   std::vector<SpanningForestSketch> sketches_;
 };
 
@@ -231,6 +223,31 @@ class VcQueryParams::Builder {
   VcQueryParams p_;
 };
 
+/// The Theorem 4 frames (kVcQuery, kHyperVcQuery) share one layout: a
+/// header of n, max_rank (kHyperVcQuery only; kVcQuery is rank 2), k, R,
+/// seed and the forest params with rounds resolved, then every subsample's
+/// cells in order. R travels resolved so r_multiplier never has to
+/// round-trip a double.
+void WriteSubsampledFrame(wire::FrameType type,
+                          const SubsampledForestUnion& forests,
+                          const ForestSketchParams& forest,
+                          std::vector<uint8_t>* out);
+
+/// A Theorem 4 frame read back: the union with its cells, and the params
+/// its owner is rebuilt with (k, explicit_r = R, the frame's forest params).
+struct SubsampledFrame {
+  VcQueryParams params;
+  SubsampledForestUnion forests;
+};
+
+/// Parse a Theorem 4 frame of `type` and rebuild its union. The frame is
+/// checked before anything is constructed: shape ranges, the n * R cap,
+/// and a walk of every subsample's cell section against its replayed kept
+/// count. Truncation, corruption and hostile shapes return Status; never
+/// aborts.
+Result<SubsampledFrame> ReadSubsampledFrame(std::span<const uint8_t> bytes,
+                                            wire::FrameType type);
+
 /// The value type VcQuerySketch::Query() returns: the assembled union graph
 /// H plus the removal-query logic, detached from the sketch. Lemma 3: for
 /// ANY S with |S| <= k, H \ S is connected iff G \ S is connected whp, so
@@ -274,7 +291,9 @@ class VcQuerySketch {
 
   VcQuerySketch(size_t n, const Params& params, uint64_t seed);
 
-  void Update(const Edge& e, int delta) { forests_.Update(e, delta); }
+  void Update(const Edge& e, int delta) {
+    forests_.Update(Hyperedge(e), delta);
+  }
   void Process(std::span<const StreamUpdate> updates) {
     forests_.Process(updates);
   }
@@ -306,26 +325,29 @@ class VcQuerySketch {
   size_t n() const { return forests_.n(); }
   size_t R() const { return forests_.R(); }
   size_t k() const { return params_.k; }
-  uint64_t seed() const { return seed_; }
+  uint64_t seed() const { return forests_.seed(); }
   size_t MemoryBytes() const { return forests_.MemoryBytes(); }
 
   /// Cell-wise field addition of another sketch of the SAME measurement
   /// (equal seed, n, and params). Mismatches return InvalidArgument and
   /// leave the state untouched.
-  Status MergeFrom(const VcQuerySketch& other);
+  Status MergeFrom(const VcQuerySketch& other) {
+    return forests_.MergeFrom(other.forests_);
+  }
 
   /// Zero every subsample sketch.
-  void Clear();
+  void Clear() { forests_.Clear(); }
 
   /// A sketch of the SAME measurement with zero state (the serving-delta
   /// clone); the parent's cells are never copied.
   VcQuerySketch CloneEmpty() const {
-    return VcQuerySketch(*this, CloneEmptyTag{});
+    return VcQuerySketch(params_, forests_.CloneEmpty());
   }
 
-  /// Append one wire frame (wire::FrameType::kVcQuery) to *out. The header
-  /// reconstructs all R subsample shapes and kept-bitmaps from the seed;
-  /// the payload concatenates the sketches' raw cells.
+  /// Append one wire frame (wire::FrameType::kVcQuery, the layout of
+  /// WriteSubsampledFrame) to *out. The header reconstructs all R subsample
+  /// shapes and kept-bitmaps from the seed; the payload concatenates the
+  /// sketches' raw cells.
   void Serialize(std::vector<uint8_t>* out) const;
 
   /// Parse a frame produced by Serialize. Truncation, corruption, and shape
@@ -340,13 +362,10 @@ class VcQuerySketch {
   }
 
  private:
-  VcQuerySketch(const VcQuerySketch& other, CloneEmptyTag)
-      : params_(other.params_),
-        seed_(other.seed_),
-        forests_(other.forests_.CloneEmpty()) {}
+  VcQuerySketch(VcQueryParams params, SubsampledForestUnion forests)
+      : params_(std::move(params)), forests_(std::move(forests)) {}
 
   VcQueryParams params_;
-  uint64_t seed_;
   SubsampledForestUnion forests_;
 };
 

@@ -96,16 +96,15 @@ TEST(DeterminismTest, SubsampledForestUnionBitIdentical) {
 
   const ForestSketchParams forest =
       ForestSketchParams::Builder().Config(SketchConfig::Light()).Build();
-  SubsampledForestUnion serial(kN, /*k=*/2, /*r_subgraphs=*/12, kSeed, forest);
-  for (const auto& u : stream.updates()) {
-    serial.Update(Edge(u.edge[0], u.edge[1]), u.delta);
-  }
+  SubsampledForestUnion serial(kN, /*max_rank=*/2, /*k=*/2,
+                               /*r_subgraphs=*/12, kSeed, forest);
+  for (const auto& u : stream.updates()) serial.Update(u.edge, u.delta);
   auto serial_h = serial.BuildUnionGraph();
   ASSERT_TRUE(serial_h.ok());
 
   for (size_t threads : kThreadSweep) {
     SubsampledForestUnion parallel(
-        kN, 2, 12, kSeed, forest,
+        kN, 2, 2, 12, kSeed, forest,
         EngineParams::Builder().Threads(threads).Build());
     parallel.Process(stream);
     EXPECT_TRUE(parallel.StateEquals(serial)) << "threads=" << threads;

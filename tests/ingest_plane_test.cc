@@ -176,6 +176,21 @@ TEST(PlaneDeterminismTest, AddRejectsUnshareableConsumers) {
   EXPECT_TRUE(plane.Add(&wide_b));
 }
 
+// The consumer contract is the PlaneConsumer concept: every sketch the
+// tree registers satisfies it, and a type missing a hook is rejected at
+// compile time (IngestPlane::Add's requires-clause names the concept).
+struct NoBatchApply {
+  size_t n() const { return 4; }
+  const EdgeCodec& codec() const;
+  uint64_t PlaneRouteMask(const Hyperedge&) const { return 1; }
+};
+static_assert(PlaneConsumer<SpanningForestSketch>);
+static_assert(PlaneConsumer<KSkeletonSketch>);
+static_assert(PlaneConsumer<VcQuerySketch>);
+static_assert(PlaneConsumer<SubsampledForestUnion>);
+static_assert(!PlaneConsumer<NoBatchApply>);
+static_assert(!PlaneConsumer<int>);
+
 // ---------------------------------------------------------------------------
 // Application call sites: Process (shared plane fan-out) vs
 // ProcessIndependent (each layer re-encodes), frame byte for byte.

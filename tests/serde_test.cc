@@ -370,6 +370,22 @@ TEST(SerdeAdversarialTest, MergeShapeMismatchIsStatus) {
   SpanningForestSketch full(16, 2, 1, fp);
   EXPECT_TRUE(full.MergeFrom(e).ok());
   EXPECT_TRUE(full.MergeFrom(o).ok());
+  // Different max_rank under the same seed, n, k and R: the subsampled
+  // union refuses before touching any state.
+  VcQueryParams vp;
+  vp.k = 2;
+  vp.explicit_r = 4;
+  vp.forest = fp;
+  HyperVcQuerySketch rank3(16, 3, vp, /*seed=*/1);
+  HyperVcQuerySketch rank4(16, 4, vp, /*seed=*/1);
+  DynamicStream stream = HypergraphStream(16, 3, /*seed=*/5);
+  rank3.Process(stream);
+  rank4.Process(stream);
+  std::vector<uint8_t> before, after;
+  rank3.Serialize(&before);
+  EXPECT_FALSE(rank3.MergeFrom(rank4).ok());
+  rank3.Serialize(&after);
+  EXPECT_EQ(before, after);
 }
 
 TEST(SerdeAdversarialTest, HeaderShapeFieldsAreRangeChecked) {

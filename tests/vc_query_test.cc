@@ -1,11 +1,16 @@
 // Tests for the Theorem 4 vertex-connectivity query sketch.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "exact/vertex_connectivity.h"
 #include "graph/generators.h"
 #include "graph/traversal.h"
 #include "util/random.h"
+#include "vertexconn/hyper_vc_query.h"
 #include "vertexconn/vc_query_sketch.h"
+#include "wire/wire.h"
 
 namespace gms {
 namespace {
@@ -248,11 +253,57 @@ TEST(NormalizeQuerySetTest, RangeErrorCitesCallerVisiblePosition) {
       << r.status().message();
 }
 
+// The graph sketch and the rank-2 hypergraph sketch are one construction
+// (a rank-2 SubsampledForestUnion) under two frame headers: fed the same
+// graph churn stream, their cell payloads and union edge sets coincide at
+// every thread count.
+TEST(SubsampledForestUnionTest, GraphAndRankTwoHypergraphSketchesAgree) {
+  constexpr size_t kN = 48;
+  constexpr uint64_t kSeed = 29;
+  Graph g = UnionOfHamiltonianCycles(kN, 3, kSeed);
+  DynamicStream stream = DynamicStream::WithChurn(g, /*decoys=*/kN, kSeed + 1);
+  for (size_t threads : {1, 4}) {
+    const VcQueryParams params =
+        VcQueryParams::Builder(TestParams(2)).ExplicitR(10).Threads(threads)
+            .Build();
+    VcQuerySketch graph(kN, params, kSeed);
+    HyperVcQuerySketch hyper(kN, /*max_rank=*/2, params, kSeed);
+    graph.Process(stream);
+    hyper.Process(stream);
+
+    std::vector<uint8_t> graph_bytes, hyper_bytes;
+    graph.Serialize(&graph_bytes);
+    hyper.Serialize(&hyper_bytes);
+    auto graph_frame = wire::ParseFrame(graph_bytes, wire::FrameType::kVcQuery);
+    auto hyper_frame =
+        wire::ParseFrame(hyper_bytes, wire::FrameType::kHyperVcQuery);
+    ASSERT_TRUE(graph_frame.ok());
+    ASSERT_TRUE(hyper_frame.ok());
+    EXPECT_TRUE(std::ranges::equal(graph_frame->payload, hyper_frame->payload))
+        << "threads=" << threads;
+
+    auto graph_snap = graph.Query();
+    auto hyper_snap = hyper.Query();
+    ASSERT_TRUE(graph_snap.ok());
+    ASSERT_TRUE(hyper_snap.ok());
+    EXPECT_EQ(graph_snap.stats().edges_found, hyper_snap.stats().edges_found);
+    std::vector<Edge> graph_edges = graph_snap.value().union_graph().Edges();
+    std::vector<Edge> hyper_edges;
+    for (const Hyperedge& e : hyper_snap.value().union_graph().Edges()) {
+      hyper_edges.push_back(e.AsEdge());
+    }
+    std::sort(graph_edges.begin(), graph_edges.end());
+    std::sort(hyper_edges.begin(), hyper_edges.end());
+    EXPECT_FALSE(graph_edges.empty());
+    EXPECT_EQ(graph_edges, hyper_edges) << "threads=" << threads;
+  }
+}
+
 TEST(SubsampledForestUnionTest, CoverageGrowsWithR) {
   const ForestSketchParams fp =
       ForestSketchParams::Builder().Config(SketchConfig::Light()).Build();
-  SubsampledForestUnion few(60, 4, 2, 20, fp);
-  SubsampledForestUnion many(60, 4, 60, 21, fp);
+  SubsampledForestUnion few(60, /*max_rank=*/2, 4, 2, 20, fp);
+  SubsampledForestUnion many(60, 2, 4, 60, 21, fp);
   EXPECT_GE(few.NumUncovered(), many.NumUncovered());
   EXPECT_EQ(many.NumUncovered(), 0u);  // 60 samples at rate 1/4: whp all
 }
@@ -260,8 +311,8 @@ TEST(SubsampledForestUnionTest, CoverageGrowsWithR) {
 TEST(SubsampledForestUnionTest, MemoryScalesWithR) {
   const ForestSketchParams fp =
       ForestSketchParams::Builder().Config(SketchConfig::Light()).Build();
-  SubsampledForestUnion a(40, 2, 5, 22, fp);
-  SubsampledForestUnion b(40, 2, 20, 22, fp);
+  SubsampledForestUnion a(40, /*max_rank=*/2, 2, 5, 22, fp);
+  SubsampledForestUnion b(40, 2, 2, 20, 22, fp);
   EXPECT_LT(a.MemoryBytes(), b.MemoryBytes());
 }
 
