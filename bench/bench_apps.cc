@@ -4,10 +4,11 @@
 // Three measurements, each against the real-graph-shaped generator
 // families the workload layer added:
 //
-//   1. App throughput: TwoEdgeConnect (2 forest layers) and ApproxMinCut
-//      (doubling skeleton ladder) ingest rates -- the prepare-once shared
-//      plane vs every layer re-preparing for itself -- plus the one-shot
-//      query cost.
+//   1. App throughput: TwoEdgeConnect (a k = 2 skeleton) and ApproxMinCut
+//      (one k_cap = 4 skeleton) ingest rates -- the prepare-once shared
+//      plane vs one separate forest per skeleton layer, each re-preparing
+//      for itself (median, min and max over alternating reps) -- plus the
+//      one-shot query cost.
 //   2. Corpus replay: the same spec ingested from memory vs replayed from
 //      its disk-resident GMSB file in decoded chunks
 //      (ProcessBinaryFileStream); the file path must hold most of the
@@ -25,7 +26,9 @@
 //
 // --apps_smoke: reduced workload, timing-free hard asserts; the AppsSmoke
 // ctest (default + tsan presets) runs this mode:
-//   - shared-plane and per-layer ingestion answer identically;
+//   - shared-plane (threads = 1) and sharded (threads = 4) ingestion
+//     answer identically, and every plane-fed layer's frame equals that
+//     of a separate forest with the layer's seed;
 //   - file replay produces the same answers as in-memory ingestion;
 //   - served is_bridge answers match exact Tarjan bridges of the final
 //     graph for every queried pair;
@@ -42,6 +45,7 @@
 #include "apps/approx_min_cut.h"
 #include "apps/two_edge_connect.h"
 #include "bench_util.h"
+#include "connectivity/k_skeleton.h"
 #include "exact/hypergraph_mincut.h"
 #include "exact/vertex_connectivity.h"
 #include "graph/generators.h"
@@ -78,11 +82,27 @@ struct AppRow {
   std::string family;
   size_t n = 0;
   size_t updates = 0;
-  double shared_seconds = 0;       // prepare-once plane fan-out (Process)
-  double independent_seconds = 0;  // every layer re-prepares for itself
+  bench::Spread shared_seconds;    // prepare-once plane fan-out (Process)
+  bench::Spread separate_seconds;  // one forest per layer, each re-preparing
   double query_seconds = 0;
   size_t memory_bytes = 0;
 };
+
+/// Reps per ingest path in the app rows, alternating between the paths so
+/// host load drifts hit both.
+constexpr size_t kAppReps = 5;
+
+/// One empty forest per layer of `skeleton`, each with that layer's seed:
+/// the same measurement as the skeleton, ingested separately.
+std::vector<SpanningForestSketch> SeparateForests(
+    const KSkeletonSketch& skeleton, const ForestSketchParams& params) {
+  std::vector<SpanningForestSketch> forests;
+  for (size_t i = 0; i < skeleton.k(); ++i) {
+    forests.emplace_back(skeleton.n(), skeleton.max_rank(),
+                         skeleton.layer(i).seed(), params);
+  }
+  return forests;
+}
 
 template <typename App, typename MakeApp>
 AppRow RunApp(const char* name, const testkit::StreamSpec& spec,
@@ -97,17 +117,26 @@ AppRow RunApp(const char* name, const testkit::StreamSpec& spec,
   row.updates = updates.size();
 
   // prepare_once comparison: Process routes ONE encoded pass through the
-  // shared ingest plane; ProcessIndependent is the pre-plane baseline
-  // where each layer re-encodes every update. Both timings flow through
-  // the shared best-of-3 helper, so the printed and JSON rows report the
-  // same rep. The two paths land bit-identical state (gms_plane_tests),
-  // so the query below may run on whichever ingested last.
+  // shared ingest plane into every skeleton layer; the baseline ingests the
+  // same layers as separate forests, each re-encoding every update. The
+  // two land bit-identical layers (gms_plane_tests), so the query below
+  // runs on the app alone.
   App app = make_app(built.max_rank);
-  const bench::IngestTiming shared = bench::BestOfThreeIngest(&app, updates);
-  row.shared_seconds = shared.best_secs;
-  const bench::IngestTiming independent = bench::BestOfThree(
-      [&] { app.Clear(); }, [&] { app.ProcessIndependent(updates); });
-  row.independent_seconds = independent.best_secs;
+  std::vector<SpanningForestSketch> separate =
+      SeparateForests(app.skeleton(), ForestSketchParams());
+  std::vector<double> shared_reps, separate_reps;
+  for (size_t rep = 0; rep < kAppReps; ++rep) {
+    app.Clear();
+    Timer ts;
+    app.Process(updates);
+    shared_reps.push_back(ts.Seconds());
+    for (SpanningForestSketch& forest : separate) forest.Clear();
+    Timer ti;
+    for (SpanningForestSketch& forest : separate) forest.Process(updates);
+    separate_reps.push_back(ti.Seconds());
+  }
+  row.shared_seconds = bench::SpreadOf(shared_reps);
+  row.separate_seconds = bench::SpreadOf(separate_reps);
 
   Timer t;
   auto answer = app.Query();
@@ -220,20 +249,15 @@ BridgeRow RunBridgeServing(const testkit::StreamSpec& spec, size_t probes,
   return row;
 }
 
-struct Spread {
-  double median = 0, min = 0, max = 0;
-};
-
 template <typename Run>
-Spread TimeReps(size_t reps, const Run& run) {
+bench::Spread TimeReps(size_t reps, const Run& run) {
   std::vector<double> secs;
   for (size_t i = 0; i < reps; ++i) {
     Timer t;
     run();
     secs.push_back(t.Seconds());
   }
-  std::sort(secs.begin(), secs.end());
-  return {secs[secs.size() / 2], secs.front(), secs.back()};
+  return bench::SpreadOf(std::move(secs));
 }
 
 struct KernelRow {
@@ -241,9 +265,9 @@ struct KernelRow {
   size_t n = 0;
   size_t edges = 0;
   size_t reps = 0;
-  Spread seconds;
+  bench::Spread seconds;
   bool has_reference = false;
-  Spread reference_seconds;
+  bench::Spread reference_seconds;
 };
 
 // One production kernel row on a road-like graph, plus the reference
@@ -299,13 +323,18 @@ void WriteJson(const std::vector<AppRow>& apps,
     std::fprintf(
         f,
         "    {\"app\": \"%s\", \"family\": \"%s\", \"n\": %zu, "
-        "\"updates\": %zu,\n"
-        "     \"shared_seconds\": %.6f, \"independent_seconds\": %.6f,\n"
+        "\"updates\": %zu, \"reps\": %zu,\n"
+        "     \"shared_median_seconds\": %.6f, \"shared_min_seconds\": %.6f, "
+        "\"shared_max_seconds\": %.6f,\n"
+        "     \"separate_median_seconds\": %.6f, "
+        "\"separate_min_seconds\": %.6f, \"separate_max_seconds\": %.6f,\n"
         "     \"prepare_once_speedup\": %.3f,\n"
         "     \"query_seconds\": %.6f, \"memory_bytes\": %zu}%s\n",
-        r.app.c_str(), r.family.c_str(), r.n, r.updates, r.shared_seconds,
-        r.independent_seconds,
-        r.independent_seconds / std::max(r.shared_seconds, 1e-9),
+        r.app.c_str(), r.family.c_str(), r.n, r.updates, kAppReps,
+        r.shared_seconds.median, r.shared_seconds.min, r.shared_seconds.max,
+        r.separate_seconds.median, r.separate_seconds.min,
+        r.separate_seconds.max,
+        r.separate_seconds.median / std::max(r.shared_seconds.median, 1e-9),
         r.query_seconds, r.memory_bytes,
         i + 1 < apps.size() ? "," : "");
   }
@@ -359,8 +388,8 @@ void WriteJson(const std::vector<AppRow>& apps,
 int Run(bool smoke) {
   bench::Banner(
       "EXPERIMENT apps (DESIGN.md §14)",
-      "Composed applications over the workload corpus: 2EC forest "
-      "peeling, min-cut doubling ladder, disk replay, bridge serving.");
+      "Composed applications over the workload corpus: 2EC and min cut "
+      "as queries on one k-skeleton, disk replay, bridge serving.");
 
   const size_t n = smoke ? 64 : 4096;
   const size_t m = smoke ? 160 : 12288;
@@ -386,11 +415,11 @@ int Run(bool smoke) {
         }));
   }
 
-  // Smoke asserts: the shared plane (threads = 1) and the per-layer
-  // parallel paths (threads = 4) answer identically, as does the serial
-  // per-layer baseline. (The timing rows above already built both;
-  // re-derive the comparison cheaply here on the first spec so the assert
-  // is explicit and labeled.)
+  // Smoke asserts: the shared plane (threads = 1) and the skeleton's
+  // sharded layers (threads = 4) answer identically, and every plane-fed
+  // layer is byte-identical to a separate forest with the layer's seed.
+  // (The timing rows above already built both; re-derive the comparison
+  // cheaply here on the first spec so the assert is explicit and labeled.)
   {
     testkit::BuiltStream built = specs[0].Build();
     const std::span<const StreamUpdate> updates(built.stream.updates());
@@ -408,35 +437,38 @@ int Run(bool smoke) {
       GMS_CHECK_MSG(a.value().skeleton == b.value().skeleton,
                     "apps bench: plane vs parallel skeleton mismatch");
     }
-    // prepare_once: the plane fan-out and the per-layer baseline must
-    // answer identically too (the timing rows above compared their costs).
-    apps::TwoEdgeConnect indep(specs[0].n, built.max_rank, 7);
-    indep.ProcessIndependent(updates);
-    auto c = indep.Query();
-    GMS_CHECK_MSG(a.ok() == c.ok(),
-                  "apps bench: plane vs independent ok mismatch");
-    if (a.ok()) {
-      GMS_CHECK_MSG(a.value().skeleton == c.value().skeleton,
-                    "apps bench: plane vs independent skeleton mismatch");
+    std::vector<SpanningForestSketch> separate =
+        SeparateForests(serial.skeleton(), ForestSketchParams());
+    for (size_t i = 0; i < separate.size(); ++i) {
+      separate[i].Process(updates);
+      GMS_CHECK_MSG(separate[i].StateEquals(serial.skeleton().layer(i)),
+                    "apps bench: plane vs separate forest layer mismatch");
     }
   }
 
-  Table app_table({"app", "family", "n", "updates", "shared", "indep",
-                   "prep1x", "query", "memory"});
+  Table app_table({"app", "family", "n", "updates", "shared", "shared min-max",
+                   "separate", "prep1x", "query", "memory"});
   for (const AppRow& r : app_rows) {
+    auto rate = [&](double secs) {
+      return bench::Rate(static_cast<double>(r.updates) /
+                         std::max(secs, 1e-9));
+    };
     app_table.AddRow(
         {r.app, r.family, Table::Fmt(static_cast<uint64_t>(r.n)),
          Table::Fmt(static_cast<uint64_t>(r.updates)),
-         bench::Rate(static_cast<double>(r.updates) / r.shared_seconds),
-         bench::Rate(static_cast<double>(r.updates) / r.independent_seconds),
-         Table::Fmt(r.independent_seconds / std::max(r.shared_seconds, 1e-9),
+         rate(r.shared_seconds.median),
+         rate(r.shared_seconds.max) + "-" + rate(r.shared_seconds.min),
+         rate(r.separate_seconds.median),
+         Table::Fmt(r.separate_seconds.median /
+                        std::max(r.shared_seconds.median, 1e-9),
                     2),
          Table::Fmt(r.query_seconds * 1e3, 2) + "ms",
          bench::Kb(r.memory_bytes)});
   }
   app_table.Print(
-      "app ingest + query throughput (shared = prepare-once plane, indep = "
-      "per-layer re-prepare, prep1x = indep/shared)");
+      "app ingest + query throughput (medians over alternating reps; "
+      "shared = prepare-once plane, separate = one forest per layer, "
+      "prep1x = separate/shared)");
 
   const char* tmpdir = std::getenv("TMPDIR");
   const std::string dir = tmpdir != nullptr ? tmpdir : "/tmp";

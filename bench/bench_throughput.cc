@@ -472,7 +472,7 @@ bool DenseExtractionSection(ExtractCompareRow* engine, PeelCompareRow* peel) {
     return false;
   }
   const std::vector<Hyperedge>& forest = f1.value().Edges();
-  const SpanningForestSketch& layer2 = app.layer2();
+  const SpanningForestSketch& layer2 = app.skeleton().layer(1);
   peel->n = kN;
   peel->peeled_edges = forest.size();
   std::vector<double> peeled_reps, copy_reps;
@@ -945,7 +945,7 @@ int PerfSmoke() {
         "summed_words=%llu, sparse_exact_forests=%llu)\n",
         kPeelN, ps.median, cs.median, ps.median / std::max(cs.median, 1e-9),
         100.0 * EscalatedFrac(app.layer1()),
-        100.0 * EscalatedFrac(app.layer2()),
+        100.0 * EscalatedFrac(app.skeleton().layer(1)),
         static_cast<unsigned long long>(st.summed_words),
         static_cast<unsigned long long>(st.sparse_exact_forests));
     if (!peeled->ok() || !copied->ok() ||
@@ -956,7 +956,8 @@ int PerfSmoke() {
       return 1;
     }
     if (EscalatedFrac(app.layer1()) < 0.99 ||
-        EscalatedFrac(app.layer2()) < 0.99 || st.summed_words == 0 ||
+        EscalatedFrac(app.skeleton().layer(1)) < 0.99 ||
+        st.summed_words == 0 ||
         st.sparse_exact_forests != 0) {
       std::printf("perf_smoke: FAIL (peeled-query guard left the dense "
                   "phase)\n");

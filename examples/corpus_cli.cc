@@ -34,7 +34,8 @@ int Encode(const std::string& line, const std::string& path) {
     return 1;
   }
   std::printf("wrote %s: n=%zu max_rank=%zu, %zu updates\n", path.c_str(),
-              spec->n, built.max_rank, built.stream.size());
+              static_cast<size_t>(spec->n), built.max_rank,
+              built.stream.size());
   std::printf("provenance: %s\n", spec->ToString().c_str());
   return 0;
 }
@@ -71,9 +72,9 @@ int Replay(const std::string& path) {
   }
   auto cut = mincut.Query();
   if (cut.ok()) {
-    std::printf("min cut:             %zu%s (resolved at k=%zu)\n",
+    std::printf("min cut:             %zu%s (k_cap=%zu skeleton)\n",
                 cut.value().value, cut.value().exact ? "" : " (>=, capped)",
-                cut.value().resolved_k);
+                mincut.k_cap());
   } else {
     std::printf("min-cut query refused: %s\n",
                 cut.status().ToString().c_str());

@@ -1,45 +1,25 @@
 #include "apps/approx_min_cut.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "exact/hypergraph_mincut.h"
+#include "graph/traversal.h"
 #include "stream/ingest_plane.h"
 #include "util/check.h"
-#include "util/random.h"
 
 namespace gms {
 namespace apps {
 
 ApproxMinCut::ApproxMinCut(size_t n, size_t max_rank, size_t k_cap,
                            uint64_t seed, const Params& params)
-    : k_cap_(k_cap), params_(params) {
-  GMS_CHECK_MSG(k_cap >= 1, "ApproxMinCut: k_cap must be >= 1");
-  std::vector<size_t> ks;
-  for (size_t k = 1; k < k_cap; k *= 2) ks.push_back(k);
-  ks.push_back(k_cap);
-  levels_.reserve(ks.size());
-  for (size_t i = 0; i < ks.size(); ++i) {
-    levels_.emplace_back(n, max_rank, ks[i],
-                         Mix64(seed ^ (0x5851f42d4c957f2dULL * (i + 1))),
-                         params);
-  }
-}
-
-void ApproxMinCut::Update(const Hyperedge& e, int delta) {
-  const u128 index = codec().Encode(e);
-  for (auto& level : levels_) level.UpdateEncoded(e, index, delta);
-}
+    : threads_(params.engine.threads),
+      skeleton_(n, max_rank, k_cap, seed, params) {}
 
 void ApproxMinCut::Process(std::span<const StreamUpdate> updates) {
-  if (updates.empty()) return;
-  if (params_.engine.threads > 1) {
-    // The per-level column paths parallelize within a rung;
-    // keep them when the caller asked for workers.
-    ProcessIndependent(updates);
-    return;
-  }
+  if (threads_ > 1) return skeleton_.Process(updates);
   IngestPlane plane;
-  for (auto& level : levels_) plane.Add(&level);
+  plane.Add(&skeleton_);
   plane.Process(updates);
 }
 
@@ -47,46 +27,30 @@ void ApproxMinCut::Process(const DynamicStream& stream) {
   Process(std::span<const StreamUpdate>(stream.updates()));
 }
 
-void ApproxMinCut::ProcessIndependent(std::span<const StreamUpdate> updates) {
-  for (auto& level : levels_) level.Process(updates);
-}
-
-void ApproxMinCut::Clear() {
-  for (auto& level : levels_) level.Clear();
-}
-
 QueryResult<MinCutEstimate> ApproxMinCut::Query() const {
-  ExtractStats stats;
-  for (const KSkeletonSketch& level : levels_) {
-    QueryResult<Hypergraph> skel = level.Query();
-    AccumulateExtractStats(skel.stats(), &stats);
-    if (!skel.ok()) return QueryResult<MinCutEstimate>(skel.status());
-    const HypergraphCut cut = HypergraphMinCut(skel.value());
-    const size_t cut_value = static_cast<size_t>(cut.value + 0.5);
-    if (cut_value < level.k()) {
-      // Below the level's preservation threshold the skeleton cut is a
-      // GENUINE minimum cut of G: |delta_H(S)| >= min(|delta_G(S)|, k)
-      // forces |delta_G(S)| = cut_value (connectivity_query.h, MinCut).
-      MinCutEstimate est;
-      est.value = cut_value;
-      est.exact = true;
-      est.resolved_k = level.k();
-      est.shore = cut.side;
-      return QueryResult<MinCutEstimate>(std::move(est), std::move(stats));
-    }
+  QueryResult<Hypergraph> skeleton = skeleton_.Query();
+  if (!skeleton.ok()) return QueryResult<MinCutEstimate>(skeleton.status());
+  const std::vector<uint32_t> comp = ConnectedComponents(skeleton.value());
+  HypergraphCut cut;
+  if (std::all_of(comp.begin(), comp.end(),
+                  [&](uint32_t c) { return c == comp[0]; })) {
+    cut = HypergraphMinCut(skeleton.value());
+  } else {
+    // G is disconnected whp: cut 0 around vertex 0's component, without
+    // the O(n m log m) min cut.
+    for (uint32_t c : comp) cut.side.push_back(c == comp[0]);
   }
-  // Every level saturated: lambda(G) >= k_cap whp.
   MinCutEstimate est;
-  est.value = k_cap_;
-  est.exact = false;
-  est.resolved_k = k_cap_;
-  return QueryResult<MinCutEstimate>(std::move(est), std::move(stats));
+  est.value = std::min(static_cast<size_t>(cut.value + 0.5), k_cap());
+  est.exact = est.value < k_cap();
+  est.resolved_k = k_cap();
+  est.shore = std::move(cut.side);
+  return QueryResult<MinCutEstimate>(std::move(est), skeleton.stats());
 }
 
-size_t ApproxMinCut::MemoryBytes() const {
-  size_t total = 0;
-  for (const auto& level : levels_) total += level.MemoryBytes();
-  return total;
+const KSkeletonSketch& ApproxMinCut::level(size_t i) const {
+  GMS_CHECK_MSG(i == 0, "ApproxMinCut: one level, the skeleton");
+  return skeleton_;
 }
 
 }  // namespace apps

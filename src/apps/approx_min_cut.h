@@ -1,18 +1,11 @@
-// Global min cut via k-skeleton doubling search (DESIGN.md §14). A
-// k-skeleton preserves every cut up to size k (Definition 11), so the
-// skeleton's exact min cut equals min(lambda(G), k) whp -- and when that
-// value lands BELOW the level's k, it is exactly lambda(G) with a genuine
-// minimum-cut shore. The app maintains independent skeleton sketches at
-// k = 1, 2, 4, ..., k_cap and queries them in ascending order, stopping
-// at the first level that resolves: small cuts (the common case for the
-// paper's workloads) pay only the cheap shallow extractions, and the
-// deepest level caps the answer at k_cap when G is better connected than
-// the budget (exact = false; the value is then a certified lower bound).
-//
-// The Goel-Kapralov-Post sparsification connection (PAPERS.md): the
-// skeleton ladder is a single-pass cut sparsifier specialized to the
-// global min cut -- space O(n * k_cap * polylog) against the exact
-// offline Queyranne algorithm the testkit oracle checks it with.
+// Global min cut as a query on one k-skeleton sketch at k = k_cap
+// (DESIGN.md §14). A k-skeleton preserves every cut up to size k
+// (Definition 11), so the skeleton's exact min cut, capped at k_cap, is
+// min(lambda(G), k_cap) whp -- and when that value lands BELOW k_cap it is
+// exactly lambda(G) with a genuine minimum-cut shore (|delta_H(S)| >=
+// min(|delta_G(S)|, k) forces |delta_G(S)| = value). When G is better
+// connected than the budget the answer saturates at k_cap (exact = false;
+// the value is then a certified lower bound). Space O(n * k_cap * polylog).
 #ifndef GMS_APPS_APPROX_MIN_CUT_H_
 #define GMS_APPS_APPROX_MIN_CUT_H_
 
@@ -33,10 +26,10 @@ struct MinCutEstimate {
   /// a genuine minimum-cut side. False means every cut of G has size
   /// >= k_cap (value == k_cap is a certified lower bound, not the cut).
   bool exact = false;
-  /// The level (its k) that resolved the answer.
+  /// The skeleton's k that resolved the answer: always k_cap.
   size_t resolved_k = 0;
-  /// A shore achieving `value` on the resolving skeleton (meaningful when
-  /// `exact`; in_s[v] = true puts v on the S side).
+  /// A minimum-cut shore of the skeleton (meaningful when `exact`;
+  /// in_s[v] = true puts v on the S side).
   std::vector<bool> shore;
 };
 
@@ -44,55 +37,45 @@ class ApproxMinCut {
  public:
   using Params = KSkeletonSketch::Params;
 
-  /// Levels k = 1, 2, 4, ... capped at k_cap (k_cap >= 1); level seeds
-  /// derive from `seed`, so one public seed reproduces the ladder.
+  /// The k = k_cap skeleton sketch (k_cap >= 1) seeded with `seed`.
   ApproxMinCut(size_t n, size_t max_rank, size_t k_cap, uint64_t seed,
                const Params& params = Params());
 
-  size_t n() const { return levels_.front().n(); }
-  size_t max_rank() const { return levels_.front().max_rank(); }
-  size_t k_cap() const { return k_cap_; }
-  size_t num_levels() const { return levels_.size(); }
+  size_t n() const { return skeleton_.n(); }
+  size_t max_rank() const { return skeleton_.max_rank(); }
+  size_t k_cap() const { return skeleton_.k(); }
 
-  void Update(const Hyperedge& e, int delta);
-  /// Batched ingestion through the shared ingestion plane (stream/
-  /// ingest_plane.h): encode + PrepareCoord + gutter routing happen ONCE
-  /// per update and every prepared batch fans out to the whole k = 1, 2,
-  /// 4, ..., k_cap ladder -- instead of one full pass per rung. With
-  /// engine.threads > 1 the levels keep their own parallel paths instead.
-  /// Bit-identical to ProcessIndependent for every setting.
+  void Update(const Hyperedge& e, int delta) { skeleton_.Update(e, delta); }
+  /// At engine.threads <= 1 the skeleton is an ingest plane's single
+  /// consumer (one encode + gutter pass feeds every layer); otherwise its
+  /// own Process shards the layers. Both land bit-identical state.
   void Process(std::span<const StreamUpdate> updates);
   void Process(const DynamicStream& stream);
-  /// The pre-plane baseline (each level re-encodes the updates itself);
-  /// the comparison target for the determinism suite and the prepare_once
-  /// bench rows.
-  void ProcessIndependent(std::span<const StreamUpdate> updates);
 
-  /// Ingest-plane hooks (stream/ingest_plane.h): all levels share one
-  /// codec domain; every update fans out to every level.
-  const EdgeCodec& codec() const { return levels_.front().codec(); }
+  /// Ingest-plane hooks (stream/ingest_plane.h), forwarded to the skeleton.
+  const EdgeCodec& codec() const { return skeleton_.codec(); }
   uint64_t PlaneRouteMask(const Hyperedge&) const { return 1; }
   void ApplyUpdateBatch(VertexId v, std::span<const VertexUpdate> batch) {
-    for (auto& level : levels_) level.ApplyUpdateBatch(v, batch);
+    skeleton_.ApplyUpdateBatch(v, batch);
   }
 
-  /// The doubling search: extract skeletons in ascending k, compute each
-  /// one's exact min cut, and return at the first level whose answer is
-  /// below its own k (that answer is lambda(G) whp). Non-destructive.
+  /// Extract the skeleton and run one exact min cut on it. Non-destructive.
   QueryResult<MinCutEstimate> Query() const;
 
-  size_t MemoryBytes() const;
+  size_t MemoryBytes() const { return skeleton_.MemoryBytes(); }
 
-  /// Zero every level (the empty-stream measurement); for bench reps.
-  void Clear();
+  /// Zero the skeleton (the empty-stream measurement); for bench reps.
+  void Clear() { skeleton_.Clear(); }
 
-  /// The raw ladder rungs, for frame-strength determinism checks.
-  const KSkeletonSketch& level(size_t i) const { return levels_[i]; }
+  const KSkeletonSketch& skeleton() const { return skeleton_; }
+  /// The answer's levels, for per-level tracing (perfbench cuts_road):
+  /// one level, the skeleton.
+  size_t num_levels() const { return 1; }
+  const KSkeletonSketch& level(size_t i) const;
 
  private:
-  size_t k_cap_;
-  Params params_;
-  std::vector<KSkeletonSketch> levels_;
+  size_t threads_;
+  KSkeletonSketch skeleton_;
 };
 
 }  // namespace apps

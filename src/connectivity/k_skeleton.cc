@@ -83,6 +83,8 @@ void KSkeletonSketch::RemoveHyperedges(const std::vector<Hyperedge>& edges) {
 Result<Hypergraph> KSkeletonSketch::Extract(
     ExtractStats* stats, std::span<const Hyperedge> peeled) const {
   Hypergraph skeleton(n_);
+  // Layer i peels `peeled` and F_1 .. F_{i-1}. Without an outside peel set
+  // that is the skeleton's own edge list, so no edge is copied for it.
   std::vector<Hyperedge> accumulated(peeled.begin(), peeled.end());
   if (stats != nullptr) *stats = ExtractStats();
   for (size_t i = 0; i < k_; ++i) {
@@ -93,11 +95,15 @@ Result<Hypergraph> KSkeletonSketch::Extract(
     ExtractStats layer_stats;
     auto forest = layers_[i].ExtractSpanningGraph(
         params_.engine.threads, stats != nullptr ? &layer_stats : nullptr,
-        accumulated);
+        peeled.empty() ? skeleton.Edges() : accumulated);
     if (!forest.ok()) return forest.status();
     if (stats != nullptr) AccumulateExtractStats(layer_stats, stats);
+    if (i == 0 && peeled.empty()) {
+      skeleton = std::move(*forest);  // F_1's edges are distinct
+      continue;
+    }
     for (const auto& e : forest->Edges()) {
-      if (skeleton.AddEdge(e)) accumulated.push_back(e);
+      if (skeleton.AddEdge(e) && !peeled.empty()) accumulated.push_back(e);
     }
   }
   return skeleton;

@@ -57,6 +57,9 @@ bool BridgeIndex::IsBridge(VertexId u, VertexId v) const {
 SketchServerParams SketchServerParams::Builder::Build() const {
   GMS_CHECK_MSG(p_.max_rank >= 2, "SketchServerParams: max_rank must be >= 2");
   ForestSketchParams::Builder(p_.forest).Build();
+  GMS_CHECK_MSG(!p_.serve_vc || p_.max_rank == 2,
+                "SketchServerParams: serve_vc takes graph streams, so "
+                "max_rank must be 2");
   if (p_.serve_vc) VcQueryParams::Builder(p_.vc).Build();
   ServingParams::Builder(p_.serving).Build();
   return p_;

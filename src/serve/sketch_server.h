@@ -85,7 +85,8 @@ struct SketchServerParams {
   ForestSketchParams forest;
   /// Maximum hyperedge cardinality the forest/skeleton engines accept.
   size_t max_rank = 2;
-  /// Serve Theorem 4 vertex-connectivity queries (graph streams only).
+  /// Serve Theorem 4 vertex-connectivity queries (graph streams only:
+  /// Build refuses serve_vc with max_rank > 2).
   bool serve_vc = false;
   VcQueryParams vc;
   /// Serve k-skeleton queries when nonzero (the skeleton's k).
@@ -154,8 +155,9 @@ class SketchServer {
   /// Ingest thread only: one shared encode/prepare/route pass per epoch
   /// chunk, fanned out to every enabled engine's open delta through the
   /// ingestion plane (stream/ingest_plane.h) -- one pass instead of three.
-  /// Engines that cannot share the plane (a VC engine under a max_rank > 2
-  /// codec, or R > 62 route bits) transparently fall back to their own
+  /// Engines whose route bits no longer fit the 64-bit route word (after
+  /// the forest's 1 bit, a VC engine with R > 63, or the skeleton's bit
+  /// beside a VC engine with R = 63) transparently fall back to their own
   /// Process on the same chunks.
   void Ingest(std::span<const StreamUpdate> updates);
   void Ingest(const DynamicStream& stream);

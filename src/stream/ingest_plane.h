@@ -3,13 +3,13 @@
 //
 // Every multi-sketch composition in the tree ingests the SAME updates into
 // several linear sketches: the serving layer's forest/VC/skeleton engines,
-// TwoEdgeConnect's two forest layers, ApproxMinCut's k = 1, 2, 4, ...
-// skeleton ladder. Run independently, each consumer pays the full hot path
-// -- EdgeCodec encoding, the PreparedCoord key fold + exponent reduction,
-// gutter routing -- once per consumer. But all of that work is a function
-// of the UPDATE alone, not of the sketch it lands in, so the plane does it
-// exactly once and fans the resulting per-vertex VertexUpdate batches out
-// to N consumers.
+// and the k forest layers of the skeleton each app holds (one consumer
+// whose batch apply reaches every layer). Run independently, each pays
+// the full hot path -- EdgeCodec encoding, the PreparedCoord key fold +
+// exponent reduction, gutter routing -- once per consumer. But all of
+// that work is a function of the UPDATE alone, not of the sketch it lands
+// in, so the plane does it exactly once and fans the resulting per-vertex
+// VertexUpdate batches out to N consumers.
 //
 // Gutters: the plane buffers one VertexUpdate per endpoint in that
 // endpoint's gutter and hands a gutter to the consumers when it fills, so

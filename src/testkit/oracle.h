@@ -46,12 +46,12 @@ enum class OracleKind : uint8_t {
   kHyperVcQuery,
   kSparsifier,
   kL0Sampler,
-  /// apps::TwoEdgeConnect (forest peeling) vs per-edge-removal brute
-  /// bridges + exact component count of the final graph.
+  /// apps::TwoEdgeConnect (a 2-skeleton's bridges) vs per-edge-removal
+  /// brute bridges + exact component count of the final graph.
   kTwoEdgeConnect,
-  /// apps::ApproxMinCut (k-skeleton doubling, k_cap = opt.k) vs exact
-  /// global min cut (brute enumeration for small n, Queyranne otherwise);
-  /// exact answers must also ship a shore achieving the value.
+  /// apps::ApproxMinCut (one k_cap-skeleton's min cut, k_cap = opt.k) vs
+  /// exact global min cut (brute enumeration for small n, Queyranne
+  /// otherwise); exact answers must also ship a shore achieving the value.
   kApproxMinCut,
   /// serve::SketchServer kIsBridge through the WIRE protocol (encode
   /// request, HandleFrame, decode response) vs brute bridges. Graph

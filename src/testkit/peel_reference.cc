@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "exact/strength.h"
-#include "graph/traversal.h"
 
 namespace gms {
 namespace testkit {
@@ -24,10 +23,15 @@ QueryResult<Hypergraph> PeelByCopy(const KSkeletonSketch& sketch,
   std::vector<Hyperedge> accumulated;
   ExtractStats stats;
   for (size_t i = 0; i < sketch.k(); ++i) {
-    SpanningForestSketch layer = sketch.layer(i);
-    layer.RemoveHyperedges(pre);
-    layer.RemoveHyperedges(accumulated);
-    QueryResult<Hypergraph> forest = layer.Query();
+    QueryResult<Hypergraph> forest = [&] {
+      // With nothing to remove (layer 1 of an unpeeled skeleton) the copy
+      // would hold the layer's own state: decode the layer in place.
+      if (pre.empty() && accumulated.empty()) return sketch.layer(i).Query();
+      SpanningForestSketch layer = sketch.layer(i);
+      layer.RemoveHyperedges(pre);
+      layer.RemoveHyperedges(accumulated);
+      return layer.Query();
+    }();
     AccumulateExtractStats(forest.stats(), &stats);
     if (!forest.ok()) return QueryResult<Hypergraph>(forest.status());
     for (const auto& e : forest.value().Edges()) {
@@ -39,23 +43,13 @@ QueryResult<Hypergraph> PeelByCopy(const KSkeletonSketch& sketch,
 
 QueryResult<apps::TwoEdgeConnectAnswer> TwoEdgeConnectByCopy(
     const apps::TwoEdgeConnect& app) {
-  ExtractStats stats;
-  QueryResult<Hypergraph> f1 = app.layer1().Query();
-  AccumulateExtractStats(f1.stats(), &stats);
-  if (!f1.ok()) return QueryResult<apps::TwoEdgeConnectAnswer>(f1.status());
-  QueryResult<Hypergraph> f2 = PeelByCopy(app.layer2(), f1.value().Edges());
-  AccumulateExtractStats(f2.stats(), &stats);
-  if (!f2.ok()) return QueryResult<apps::TwoEdgeConnectAnswer>(f2.status());
-
-  apps::TwoEdgeConnectAnswer answer;
-  answer.skeleton = std::move(f1).value();
-  answer.skeleton.AddAll(f2.value());
-  answer.num_components = NumComponents(answer.skeleton);
-  answer.bridges = BridgeHyperedges(answer.skeleton);
-  answer.connected = answer.num_components == 1;
-  answer.two_edge_connected = answer.connected && answer.bridges.empty();
-  return QueryResult<apps::TwoEdgeConnectAnswer>(std::move(answer),
-                                                 std::move(stats));
+  QueryResult<Hypergraph> skeleton = PeelByCopy(app.skeleton(), {});
+  if (!skeleton.ok()) {
+    return QueryResult<apps::TwoEdgeConnectAnswer>(skeleton.status());
+  }
+  ExtractStats stats = skeleton.stats();
+  return QueryResult<apps::TwoEdgeConnectAnswer>(
+      apps::AnswerFromSkeleton(std::move(skeleton).value()), std::move(stats));
 }
 
 Result<LightRecoveryResult> LightRecoverByCopy(

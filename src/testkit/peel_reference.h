@@ -31,12 +31,13 @@ QueryResult<Hypergraph> PeelByCopy(const SpanningForestSketch& sketch,
                                    size_t threads = 0);
 
 /// The k-skeleton of G - peeled by copies: layer i is copied, `peeled` and
-/// then F_1 .. F_{i-1} are removed from the copy, and the copy is decoded.
+/// then F_1 .. F_{i-1} are removed from the copy, and the copy is decoded
+/// (a layer with nothing to remove decodes in place).
 QueryResult<Hypergraph> PeelByCopy(const KSkeletonSketch& sketch,
                                    std::span<const Hyperedge> peeled);
 
-/// TwoEdgeConnect::Query by copy: F1 from layer 1, then F2 from a copy of
-/// layer 2 with F1 removed.
+/// TwoEdgeConnect::Query by copy: the app's 2-skeleton by copies, then the
+/// bridge step.
 QueryResult<apps::TwoEdgeConnectAnswer> TwoEdgeConnectByCopy(
     const apps::TwoEdgeConnect& app);
 

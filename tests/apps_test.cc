@@ -1,10 +1,13 @@
 // Composed-application suite (src/apps/ + the serve-layer bridge op):
-// TwoEdgeConnect's forest peeling against known bridge structure,
-// ApproxMinCut's doubling ladder against known cut values, shared-plane,
-// parallel and disk-file ingestion landing on the same answers, and the
-// SketchServer kIsBridge op over real wire frames including every refusal
-// path. Suite names contain "Apps" on purpose: the tsan preset's test
-// filter picks them up as the composed-pipeline data-race smoke.
+// TwoEdgeConnect (a 2-skeleton plus the bridge step) against known bridge
+// structure, ApproxMinCut (one k_cap-skeleton plus one exact min cut)
+// against known cut values, shared-plane, parallel and disk-file ingestion
+// landing on the same frames as separately ingested forests, each app
+// against the construction it queries (the served skeleton, a bare
+// KSkeletonSketch), and the SketchServer kIsBridge op over real wire
+// frames including every refusal path. Suite names contain "Apps" on
+// purpose: the tsan preset's test filter picks them up as the
+// composed-pipeline data-race smoke.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -12,6 +15,8 @@
 
 #include "apps/approx_min_cut.h"
 #include "apps/two_edge_connect.h"
+#include "connectivity/k_skeleton.h"
+#include "exact/hypergraph_mincut.h"
 #include "graph/generators.h"
 #include "graph/traversal.h"
 #include "serve/serve_protocol.h"
@@ -129,10 +134,10 @@ TEST(AppsTwoEdgeConnectTest, DisconnectedGraphReported) {
   EXPECT_TRUE(got.value().bridges.empty());
 }
 
-// Shared-plane ingestion (gutter batches fanned to both layers, the
-// threads = 1 path) must land on the same frames and answer as the
-// per-layer parallel paths a threads = 4 app takes -- the app's
-// ApplyUpdateBatch hook is exactly the per-layer fan-out.
+// Shared-plane ingestion (the threads = 1 path: gutter batches fanned to
+// both skeleton layers) and the skeleton's sharded Process (threads = 4)
+// must both land each layer on the frame of a separate forest built from
+// that layer's seed, and answer identically.
 TEST(AppsTwoEdgeConnectTest, PlaneMatchesParallelIndependentIngest) {
   constexpr size_t kN = 24;
   constexpr uint64_t kSeed = 19;
@@ -143,15 +148,18 @@ TEST(AppsTwoEdgeConnectTest, PlaneMatchesParallelIndependentIngest) {
   planed.Process(stream);
   apps::TwoEdgeConnect parallel(
       kN, 2, kSeed, ForestSketchParams::Builder().Threads(4).Build());
-  parallel.ProcessIndependent(std::span<const StreamUpdate>(stream.updates()));
+  parallel.Process(stream);
 
-  std::vector<uint8_t> a1, a2, b1, b2;
-  planed.layer1().Serialize(&a1);
-  planed.layer2().Serialize(&a2);
-  parallel.layer1().Serialize(&b1);
-  parallel.layer2().Serialize(&b2);
-  EXPECT_EQ(a1, b1);
-  EXPECT_EQ(a2, b2);
+  for (size_t i = 0; i < 2; ++i) {
+    SpanningForestSketch separate(kN, 2, planed.skeleton().layer(i).seed());
+    separate.Process(stream);
+    std::vector<uint8_t> want, a, b;
+    separate.Serialize(&want);
+    planed.skeleton().layer(i).Serialize(&a);
+    parallel.skeleton().layer(i).Serialize(&b);
+    EXPECT_EQ(a, want) << "layer " << i;
+    EXPECT_EQ(b, want) << "layer " << i;
+  }
 
   auto a = planed.Query();
   auto b = parallel.Query();
@@ -160,6 +168,55 @@ TEST(AppsTwoEdgeConnectTest, PlaneMatchesParallelIndependentIngest) {
   EXPECT_TRUE(a.value().skeleton == b.value().skeleton);
   EXPECT_EQ(a.value().num_components, b.value().num_components);
   EXPECT_EQ(a.value().two_edge_connected, b.value().two_edge_connected);
+}
+
+// The served bridges and the app are one construction: a SketchServer's
+// skeleton engine (seed + 2) and a TwoEdgeConnect with that seed and the
+// server's forest params decode the same 2-skeleton, so kIsBridge agrees
+// with the app's bridges on every final edge.
+TEST(AppsTwoEdgeConnectTest, ServedBridgesMatchTheApp) {
+  constexpr size_t kN = 48;
+  constexpr uint64_t kSeed = 31;
+  // Two Hamiltonian cycles joined by a bridge, with churn decoys.
+  Graph g = UnionOfHamiltonianCycles(kN / 2, 2, 33);
+  Graph joined(kN);
+  for (const Edge& e : g.Edges()) {
+    joined.AddEdge(e.u(), e.v());
+    joined.AddEdge(e.u() + kN / 2, e.v() + kN / 2);
+  }
+  joined.AddEdge(0, kN / 2);
+  const DynamicStream stream = DynamicStream::WithChurn(joined, kN, 35);
+
+  const serve::SketchServerParams params =
+      serve::SketchServerParams::Builder().SkeletonK(2).Build();
+  serve::SketchServer server(kN, params, kSeed);
+  server.Ingest(stream);
+  server.Flush();
+  apps::TwoEdgeConnect app(kN, 2, kSeed + 2, params.forest);
+  app.Process(stream);
+
+  auto answer = app.Query();
+  ASSERT_TRUE(answer.ok()) << answer.status().message();
+  auto served = server.skeleton_engine().Current();
+  ASSERT_TRUE(served->status.ok());
+  EXPECT_EQ(served->payload->Edges(), answer.value().skeleton.Edges());
+
+  const Hypergraph bridges(kN, answer.value().bridges);
+  EXPECT_TRUE(bridges.HasEdge(Hyperedge{0, kN / 2}));
+  for (const Edge& e : joined.Edges()) {
+    serve::ServeRequest req;
+    req.op = serve::ServeOp::kIsBridge;
+    req.u = e.u();
+    req.v = e.v();
+    std::vector<uint8_t> frame, reply;
+    serve::EncodeServeRequest(req, &frame);
+    server.HandleFrame(frame, &reply);
+    auto resp = serve::DecodeServeResponse(reply);
+    ASSERT_TRUE(resp.ok()) << resp.status().message();
+    ASSERT_EQ(resp->code, StatusCode::kOk);
+    EXPECT_EQ(resp->value != 0, bridges.HasEdge(Hyperedge(e)))
+        << e.u() << "-" << e.v();
+  }
 }
 
 // Disk-file composition: spec -> GMSB file -> mmap'd replay -> app
@@ -205,9 +262,7 @@ TEST(AppsMinCutTest, CycleResolvesExactlyTwo) {
   ASSERT_TRUE(got.ok()) << got.status().message();
   EXPECT_EQ(got.value().value, 2u);
   EXPECT_TRUE(got.value().exact);
-  // A cycle's min cut is 2: the k = 4 level is the first that can show a
-  // value strictly below its own k.
-  EXPECT_EQ(got.value().resolved_k, 4u);
+  EXPECT_EQ(got.value().resolved_k, 8u);
   ASSERT_EQ(got.value().shore.size(), kN);
   Hypergraph truth = Hypergraph::FromGraph(CycleGraph(kN));
   EXPECT_EQ(truth.CutSize(got.value().shore), 2u);
@@ -221,11 +276,15 @@ TEST(AppsMinCutTest, DisconnectedResolvesZero) {
   ASSERT_TRUE(got.ok()) << got.status().message();
   EXPECT_EQ(got.value().value, 0u);
   EXPECT_TRUE(got.value().exact);
-  EXPECT_EQ(got.value().resolved_k, 1u);
+  EXPECT_EQ(got.value().resolved_k, 4u);
+  // The shore is vertex 0's component: {0, 1}.
+  EXPECT_EQ(got.value().shore,
+            std::vector<bool>({true, true, false, false, false, false, false,
+                               false}));
 }
 
 TEST(AppsMinCutTest, WellConnectedGraphSaturatesTheCap) {
-  // K8 has min cut 7; a ladder capped at k = 4 must saturate: the answer
+  // K8 has min cut 7; a skeleton capped at k = 4 must saturate: the answer
   // is the certified lower bound k_cap, not an exact cut.
   constexpr size_t kN = 8;
   apps::ApproxMinCut app(kN, 2, /*k_cap=*/4, /*seed=*/53);
@@ -258,13 +317,41 @@ TEST(AppsMinCutTest, DeletionsLowerTheCut) {
   EXPECT_TRUE(got.value().exact);
 }
 
-TEST(AppsMinCutTest, LadderLevelsAreDoubling) {
-  apps::ApproxMinCut app(8, 2, /*k_cap=*/8, /*seed=*/61);
-  EXPECT_EQ(app.num_levels(), 4u);  // 1, 2, 4, 8
-  EXPECT_EQ(app.k_cap(), 8u);
-  apps::ApproxMinCut odd(8, 2, /*k_cap=*/5, /*seed=*/61);
-  EXPECT_EQ(odd.num_levels(), 4u);  // 1, 2, 4, 5
-  EXPECT_GT(odd.MemoryBytes(), 0u);
+// The app holds one k_cap-skeleton and nothing else: its memory is the
+// skeleton's, at an even and an odd cap.
+TEST(AppsMinCutTest, MemoryIsOneKCapSkeleton) {
+  for (size_t k_cap : {4u, 5u}) {
+    apps::ApproxMinCut app(8, 2, k_cap, /*seed=*/61);
+    EXPECT_EQ(app.k_cap(), k_cap);
+    EXPECT_EQ(app.MemoryBytes(),
+              KSkeletonSketch(8, 2, k_cap, /*seed=*/61).MemoryBytes())
+        << "k_cap " << k_cap;
+  }
+}
+
+// The app's answer is HypergraphMinCut on the decoded skeleton of a bare
+// KSkeletonSketch(n, r, k_cap, seed), capped at k_cap.
+TEST(AppsMinCutTest, AnswerIsTheSkeletonsMinCut) {
+  constexpr size_t kN = 32;
+  constexpr size_t kCap = 4;
+  constexpr uint64_t kSeed = 63;
+  const DynamicStream stream = DynamicStream::WithChurn(
+      UnionOfHamiltonianCycles(kN, 1, 65), /*decoys=*/kN, 67);
+  apps::ApproxMinCut app(kN, 2, kCap, kSeed);
+  app.Process(stream);
+  KSkeletonSketch skeleton(kN, 2, kCap, kSeed);
+  skeleton.Process(stream);
+
+  auto got = app.Query();
+  auto skel = skeleton.Query();
+  ASSERT_TRUE(got.ok()) << got.status().message();
+  ASSERT_TRUE(skel.ok()) << skel.status().message();
+  const HypergraphCut cut = HypergraphMinCut(skel.value());
+  const size_t want = std::min(static_cast<size_t>(cut.value + 0.5), kCap);
+  EXPECT_EQ(got.value().value, want);
+  EXPECT_EQ(got.value().exact, want < kCap);
+  EXPECT_EQ(got.value().shore, cut.side);
+  EXPECT_EQ(got.value().value, 2u);  // a Hamiltonian cycle
 }
 
 // ---------- serve-layer bridge queries ----------

@@ -19,6 +19,7 @@
 #include "connectivity/k_skeleton.h"
 #include "connectivity/spanning_forest_sketch.h"
 #include "graph/traversal.h"
+#include "serve/sketch_server.h"
 #include "sketch/l0_sampler.h"
 #include "sparsify/sparsifier_sketch.h"
 #include "vertexconn/hyper_vc_query.h"
@@ -220,6 +221,26 @@ TEST(EdgeCasesDeathTest, NOneHasNoEdgeDomain) {
                "at least 2");
   // The L0 analogue: a sampler over an empty coordinate domain.
   EXPECT_DEATH(L0Sampler(0, SketchConfig::Light(), kSeed), "empty domain");
+}
+
+TEST(EdgeCasesDeathTest, VcServingRefusesHyperedgeRank) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // The VC engine takes graph streams only, so a server that would accept
+  // rank-3 hyperedges beside it is refused when its params are built, not
+  // on the first rank-3 update.
+  EXPECT_DEATH(
+      serve::SketchServerParams::Builder().MaxRank(3).ServeVc(true).Build(),
+      "serve_vc.*max_rank");
+  EXPECT_DEATH(serve::SketchServerParams::Builder()
+                   .MaxRank(3)
+                   .Vc(SmallVcParams())
+                   .Build(),
+               "serve_vc.*max_rank");
+  // Either setting alone is fine.
+  EXPECT_EQ(serve::SketchServerParams::Builder().MaxRank(3).Build().max_rank,
+            3u);
+  EXPECT_TRUE(serve::SketchServerParams::Builder().ServeVc(true).Build()
+                  .serve_vc);
 }
 
 }  // namespace

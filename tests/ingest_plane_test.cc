@@ -192,44 +192,79 @@ static_assert(!PlaneConsumer<NoBatchApply>);
 static_assert(!PlaneConsumer<int>);
 
 // ---------------------------------------------------------------------------
-// Application call sites: Process (shared plane fan-out) vs
-// ProcessIndependent (each layer re-encodes), frame byte for byte.
+// Application call sites: each app is one KSkeletonSketch, so its Process
+// (the shared plane at threads = 1, the skeleton's sharded layers at
+// threads = 4) must land every layer on the frame of a separate
+// SpanningForestSketch built from that layer's seed and fed by its own
+// Process, byte for byte.
 // ---------------------------------------------------------------------------
+
+std::vector<std::vector<uint8_t>> LayerFrames(const KSkeletonSketch& skel) {
+  std::vector<std::vector<uint8_t>> frames;
+  for (size_t i = 0; i < skel.k(); ++i) frames.push_back(Frame(skel.layer(i)));
+  return frames;
+}
+
+// One separately ingested forest per layer of `skel`, with its seed.
+std::vector<SpanningForestSketch> SeparateForests(
+    const KSkeletonSketch& skel, std::span<const StreamUpdate> updates) {
+  std::vector<SpanningForestSketch> forests;
+  for (size_t i = 0; i < skel.k(); ++i) {
+    forests.emplace_back(skel.n(), skel.max_rank(), skel.layer(i).seed(),
+                         LightForest());
+    forests.back().Process(updates);
+  }
+  return forests;
+}
+
+std::vector<std::vector<uint8_t>> SeparateForestFrames(
+    const KSkeletonSketch& skel, std::span<const StreamUpdate> updates) {
+  std::vector<std::vector<uint8_t>> frames;
+  for (const SpanningForestSketch& f : SeparateForests(skel, updates)) {
+    frames.push_back(Frame(f));
+  }
+  return frames;
+}
+
+ForestSketchParams ThreadedLightForest() {
+  return ForestSketchParams::Builder(LightForest()).Threads(4).Build();
+}
 
 TEST(PlaneDeterminismTest, TwoEdgeConnectPlaneMatchesIndependent) {
   constexpr size_t kN = 64;
   constexpr uint64_t kSeed = 307;
   const Graph g = UnionOfHamiltonianCycles(kN, 3, kSeed);
   const DynamicStream stream = DynamicStream::WithChurn(g, 2 * kN, kSeed + 1);
-
-  apps::TwoEdgeConnect independent(kN, 2, kSeed, LightForest());
-  independent.ProcessIndependent(
-      std::span<const StreamUpdate>(stream.updates()));
+  const std::span<const StreamUpdate> updates(stream.updates());
 
   apps::TwoEdgeConnect planed(kN, 2, kSeed, LightForest());
   planed.Process(stream);
-  EXPECT_EQ(Frame(planed.layer1()), Frame(independent.layer1()));
-  EXPECT_EQ(Frame(planed.layer2()), Frame(independent.layer2()));
+  const auto want = SeparateForestFrames(planed.skeleton(), updates);
+  ASSERT_EQ(want.size(), 2u);
+  EXPECT_EQ(LayerFrames(planed.skeleton()), want);
+
+  apps::TwoEdgeConnect threaded(kN, 2, kSeed, ThreadedLightForest());
+  threaded.Process(stream);
+  EXPECT_EQ(LayerFrames(threaded.skeleton()), want);
 }
 
-TEST(PlaneDeterminismTest, ApproxMinCutLadderPlaneMatchesIndependent) {
+TEST(PlaneDeterminismTest, ApproxMinCutPlaneMatchesIndependent) {
   constexpr size_t kN = 48;
   constexpr uint64_t kSeed = 401;
-  constexpr size_t kCap = 8;  // rungs k = 1, 2, 4, 8
+  constexpr size_t kCap = 5;
   const Graph g = UnionOfHamiltonianCycles(kN, 3, kSeed);
   const DynamicStream stream = DynamicStream::WithChurn(g, kN, kSeed + 1);
-
-  apps::ApproxMinCut independent(kN, 2, kCap, kSeed, LightForest());
-  independent.ProcessIndependent(
-      std::span<const StreamUpdate>(stream.updates()));
+  const std::span<const StreamUpdate> updates(stream.updates());
 
   apps::ApproxMinCut planed(kN, 2, kCap, kSeed, LightForest());
   planed.Process(stream);
-  ASSERT_EQ(planed.num_levels(), independent.num_levels());
-  for (size_t i = 0; i < planed.num_levels(); ++i) {
-    EXPECT_EQ(Frame(planed.level(i)), Frame(independent.level(i)))
-        << "rung " << i;
-  }
+  const auto want = SeparateForestFrames(planed.skeleton(), updates);
+  ASSERT_EQ(want.size(), kCap);
+  EXPECT_EQ(LayerFrames(planed.skeleton()), want);
+
+  apps::ApproxMinCut threaded(kN, 2, kCap, kSeed, ThreadedLightForest());
+  threaded.Process(stream);
+  EXPECT_EQ(LayerFrames(threaded.skeleton()), want);
 }
 
 // The apps' plane Process fed in chunks of `chunk` updates.
@@ -280,46 +315,40 @@ EscalatingStream MakeEscalatingStream() {
 }
 
 // Chunk-size sweep: the plane Process of both apps, fed 1, 7 or 2048
-// updates per call or the whole stream at once, against ProcessIndependent
-// of the whole stream, frame byte for byte. Small chunks hand
+// updates per call or the whole stream at once, against separate forests
+// ingesting the whole stream, frame byte for byte. Small chunks hand
 // ApplyUpdateBatch one- and few-entry batches (the prefetch-first path);
 // large ones hand it full 64-entry gutters and the stars' partially
 // absorbed batches on both sides of the cutoff.
 TEST(PlaneDeterminismTest, AppsChunkSweepMatchesIndependent) {
   constexpr uint64_t kSeed = 419;
-  constexpr size_t kCap = 4;  // rungs k = 1, 2, 4
+  constexpr size_t kCap = 4;
   const EscalatingStream stream = MakeEscalatingStream();
   const std::span<const StreamUpdate> updates(stream.updates);
   const size_t n = stream.n;
   const size_t chunks[] = {1, 7, 2048, updates.size()};
 
-  apps::TwoEdgeConnect two_edge(n, 2, kSeed, LightForest());
-  two_edge.ProcessIndependent(updates);
-  const std::vector<uint8_t> want1 = Frame(two_edge.layer1());
-  const std::vector<uint8_t> want2 = Frame(two_edge.layer2());
+  const apps::TwoEdgeConnect two_edge(n, 2, kSeed, LightForest());
+  const std::vector<SpanningForestSketch> forests =
+      SeparateForests(two_edge.skeleton(), updates);
   for (VertexId hub : stream.hubs) {
-    ASSERT_TRUE(two_edge.layer1().VertexEscalated(hub)) << "hub " << hub;
+    ASSERT_TRUE(forests[0].VertexEscalated(hub)) << "hub " << hub;
   }
+  std::vector<std::vector<uint8_t>> want;
+  for (const SpanningForestSketch& f : forests) want.push_back(Frame(f));
   for (size_t chunk : chunks) {
     apps::TwoEdgeConnect planed(n, 2, kSeed, LightForest());
     ProcessInChunks(&planed, updates, chunk);
-    EXPECT_EQ(Frame(planed.layer1()), want1) << "chunk " << chunk;
-    EXPECT_EQ(Frame(planed.layer2()), want2) << "chunk " << chunk;
+    EXPECT_EQ(LayerFrames(planed.skeleton()), want) << "chunk " << chunk;
   }
 
-  apps::ApproxMinCut ladder(n, 2, kCap, kSeed, LightForest());
-  ladder.ProcessIndependent(updates);
-  std::vector<std::vector<uint8_t>> want_rungs;
-  for (size_t i = 0; i < ladder.num_levels(); ++i) {
-    want_rungs.push_back(Frame(ladder.level(i)));
-  }
+  const apps::ApproxMinCut min_cut(n, 2, kCap, kSeed, LightForest());
+  const auto want_layers = SeparateForestFrames(min_cut.skeleton(), updates);
   for (size_t chunk : chunks) {
     apps::ApproxMinCut planed(n, 2, kCap, kSeed, LightForest());
     ProcessInChunks(&planed, updates, chunk);
-    for (size_t i = 0; i < planed.num_levels(); ++i) {
-      EXPECT_EQ(Frame(planed.level(i)), want_rungs[i])
-          << "chunk " << chunk << ", rung " << i;
-    }
+    EXPECT_EQ(LayerFrames(planed.skeleton()), want_layers)
+        << "chunk " << chunk;
   }
 }
 
@@ -329,10 +358,9 @@ TEST(PlaneDeterminismTest, AppsChunkSweepMatchesIndependent) {
 // payloads as the pre-plane per-engine ingest.
 // ---------------------------------------------------------------------------
 
-serve::SketchServerParams ServerParams(size_t epoch_updates, size_t max_rank) {
+serve::SketchServerParams ServerParams(size_t epoch_updates) {
   return serve::SketchServerParams::Builder()
       .Forest(LightForest())
-      .MaxRank(max_rank)
       .Vc(LightVc(10))
       .SkeletonK(2)
       .EpochUpdates(epoch_updates)
@@ -404,25 +432,41 @@ TEST(PlaneDeterminismTest, ServerSharedIngestMatchesIndependent) {
   const DynamicStream stream = DynamicStream::WithChurn(g, kN, kSeed + 1);
 
   // Small epochs force several shared-delta chunks per Ingest call.
-  serve::SketchServer shared(kN, ServerParams(/*epoch_updates=*/64, 2), kSeed);
-  serve::SketchServer independent(kN, ServerParams(64, 2), kSeed);
+  serve::SketchServer shared(kN, ServerParams(/*epoch_updates=*/64), kSeed);
+  serve::SketchServer independent(kN, ServerParams(64), kSeed);
   shared.Ingest(stream);
   independent.IngestIndependent(
       std::span<const StreamUpdate>(stream.updates()));
   ExpectServersAgree(&shared, &independent);
 }
 
-// With max_rank = 3 the forest/skeleton codec domain is (n, 3) while the
-// VC engine's is (n, 2): the VC engine cannot join the plane and must fall
-// back to its own Process on the same chunks -- still byte-identical.
+// A VC engine with R = 64 subsamples cannot pack its route bits beside the
+// forest's bit: it must fall back to its own Process on the same chunks
+// while the forest and skeleton share the plane -- still byte-identical.
 TEST(PlaneDeterminismTest, ServerVcFallbackOutsidePlaneStillAgrees) {
   constexpr size_t kN = 40;
   constexpr uint64_t kSeed = 601;
+  constexpr size_t kWideR = 64;
   const Graph g = UnionOfHamiltonianCycles(kN, 2, kSeed);
   const DynamicStream stream = DynamicStream::WithChurn(g, kN, kSeed + 1);
 
-  serve::SketchServer shared(kN, ServerParams(/*epoch_updates=*/64, 3), kSeed);
-  serve::SketchServer independent(kN, ServerParams(64, 3), kSeed);
+  {
+    // The premise: after the forest, the wide VC engine is refused and the
+    // skeleton still joins.
+    SpanningForestSketch forest(kN, 2, kSeed, LightForest());
+    VcQuerySketch vc(kN, LightVc(kWideR), kSeed + 1);
+    KSkeletonSketch skel(kN, 2, 2, kSeed + 2, LightForest());
+    IngestPlane plane;
+    ASSERT_TRUE(plane.Add(&forest));
+    EXPECT_FALSE(plane.Add(&vc));
+    EXPECT_TRUE(plane.Add(&skel));
+  }
+  const serve::SketchServerParams params =
+      serve::SketchServerParams::Builder(ServerParams(/*epoch_updates=*/64))
+          .Vc(LightVc(kWideR))
+          .Build();
+  serve::SketchServer shared(kN, params, kSeed);
+  serve::SketchServer independent(kN, params, kSeed);
   shared.Ingest(stream);
   independent.IngestIndependent(
       std::span<const StreamUpdate>(stream.updates()));
