@@ -8,11 +8,17 @@
 // extraction hit pattern. Results print as a table and land machine-
 // readably in BENCH_serving.json.
 //
+// Rows: Hamiltonian-cycle unions at n = 2000, and an rmat stream at
+// n = 2^16 whose skewed degrees escalate a minority of columns (the shape
+// of perfbench's serve_rmat). Each row also reports the process's
+// high-water RSS after it ran; rows run in increasing n, so the largest
+// row's figure is its own.
+//
 // Hard asserts (both modes):
 //   - concurrency: every query thread answered queries while ingest ran;
 //   - staleness:   max observed staleness <= 2 * epoch_updates;
-//   - correctness: the post-Flush snapshot answers exactly (the generator
-//     graph is connected, so NumComponents == 1 and every pair connects).
+//   - correctness: the post-Flush snapshot answers exactly (component count
+//     and sampled pairs against the exact components of the final graph).
 // The full mode additionally demands >= 10k sustained queries/s during
 // ingest: answers are two array loads against the cached ComponentIndex,
 // so even a time-sliced single-CPU container clears this by orders of
@@ -43,6 +49,7 @@ namespace gms {
 namespace {
 
 struct ServingResult {
+  const char* family = "";
   size_t n = 0;
   size_t stream_updates = 0;
   size_t epoch_updates = 0;
@@ -54,23 +61,27 @@ struct ServingResult {
   uint64_t staleness_bound = 0;
   double post_flush_queries_per_sec = 0;
   double wire_queries_per_sec = 0;
+  /// Arena bytes the forest engine's three sketches (serving copy and two
+  /// recycled deltas) map, and the process high-water RSS after the row.
+  double mapped_arena_mb = 0;
+  double peak_rss_mb = 0;
   serve::SketchServer::ForestEngine::Stats engine;
 };
 
-ServingResult RunServing(size_t n, size_t decoys, size_t epoch_updates,
-                         size_t query_threads, bool require_rate,
-                         uint64_t seed) {
-  const Graph g = UnionOfHamiltonianCycles(n, 3, seed);
+ServingResult RunServing(const char* family, const Graph& g, size_t decoys,
+                         size_t epoch_updates, size_t query_threads,
+                         bool require_rate, uint64_t seed) {
+  const size_t n = g.NumVertices();
   const DynamicStream stream = DynamicStream::WithChurn(g, decoys, seed + 1);
   const auto& updates = stream.updates();
+  const std::vector<uint32_t> labels = ConnectedComponents(g);
 
-  const auto params =
-      serve::SketchServerParams::Builder()
-          .Forest(ForestSketchParams::Builder()
-                      .Config(SketchConfig::Light())
-                      .Build())
-          .EpochUpdates(epoch_updates)
-          .Build();
+  const ForestSketchParams forest =
+      ForestSketchParams::Builder().Config(SketchConfig::Light()).Build();
+  const auto params = serve::SketchServerParams::Builder()
+                          .Forest(forest)
+                          .EpochUpdates(epoch_updates)
+                          .Build();
   serve::SketchServer server(n, params, seed + 2);
 
   // `ingested` trails the true prefix (stored AFTER each chunk lands), so
@@ -146,15 +157,15 @@ ServingResult RunServing(size_t n, size_t decoys, size_t epoch_updates,
                   "serving bench: sustained query rate fell below 10k/s");
   }
 
-  // Post-Flush correctness: every update is covered, the generator graph
-  // is connected, and answers must say so.
+  // Post-Flush correctness: every update is covered, and answers must
+  // match the exact components of the final graph.
   {
     serve::ServeRequest req;
     req.op = serve::ServeOp::kNumComponents;
     const serve::ServeResponse resp = server.Handle(req);
     GMS_CHECK_MSG(resp.code == StatusCode::kOk,
                   "serving bench: post-flush query refused");
-    GMS_CHECK_MSG(resp.value == 1,
+    GMS_CHECK_MSG(resp.value == NumComponents(g),
                   "serving bench: post-flush component count is wrong");
     GMS_CHECK_MSG(resp.prefix_updates == updates.size(),
                   "serving bench: Flush left updates uncovered");
@@ -165,7 +176,8 @@ ServingResult RunServing(size_t n, size_t decoys, size_t epoch_updates,
       c.u = rng.Below(n);
       c.v = rng.Below(n);
       const serve::ServeResponse got = server.Handle(c);
-      GMS_CHECK_MSG(got.code == StatusCode::kOk && got.value == 1,
+      const uint64_t want = labels[c.u] == labels[c.v] ? 1 : 0;
+      GMS_CHECK_MSG(got.code == StatusCode::kOk && got.value == want,
                     "serving bench: post-flush connectivity answer is wrong");
     }
   }
@@ -210,6 +222,11 @@ ServingResult RunServing(size_t n, size_t decoys, size_t epoch_updates,
   }
 
   r.engine = server.forest_engine().stats();
+  r.family = family;
+  const SpanningForestSketch shape(n, 2, seed, forest);
+  r.mapped_arena_mb =
+      3.0 * static_cast<double>(shape.MemoryBytes()) / (1024.0 * 1024.0);
+  r.peak_rss_mb = bench::PeakRssMb();
   return r;
 }
 
@@ -292,7 +309,8 @@ void WriteJson(const std::vector<ServingResult>& rows,
     const ServingResult& r = rows[i];
     std::fprintf(
         f,
-        "    {\"n\": %zu, \"stream_updates\": %zu, \"epoch_updates\": %zu,\n"
+        "    {\"family\": %s, \"n\": %zu, \"stream_updates\": %zu, "
+        "\"epoch_updates\": %zu,\n"
         "     \"query_threads\": %zu, \"ingest_seconds\": %.6f,\n"
         "     \"queries_during_ingest\": %llu, \"queries_per_sec\": %.1f,\n"
         "     \"max_staleness_updates\": %llu, \"staleness_bound\": %llu,\n"
@@ -300,9 +318,10 @@ void WriteJson(const std::vector<ServingResult>& rows,
         "     \"wire_queries_per_sec\": %.1f,\n"
         "     \"epochs_sealed\": %llu, \"epochs_merged\": %llu,\n"
         "     \"cache_hits\": %llu, \"cache_rebuilds\": %llu,\n"
-        "     \"updates_ingested\": %llu, \"updates_merged\": %llu}%s\n",
-        r.n, r.stream_updates, r.epoch_updates, r.query_threads,
-        r.ingest_seconds,
+        "     \"updates_ingested\": %llu, \"updates_merged\": %llu,\n"
+        "     \"mapped_arena_mb\": %.1f, \"peak_rss_mb\": %.1f}%s\n",
+        bench::JsonQuote(r.family).c_str(), r.n, r.stream_updates,
+        r.epoch_updates, r.query_threads, r.ingest_seconds,
         static_cast<unsigned long long>(r.queries_during_ingest),
         r.queries_per_sec, static_cast<unsigned long long>(r.max_staleness),
         static_cast<unsigned long long>(r.staleness_bound),
@@ -313,7 +332,7 @@ void WriteJson(const std::vector<ServingResult>& rows,
         static_cast<unsigned long long>(r.engine.cache_rebuilds),
         static_cast<unsigned long long>(r.engine.updates_ingested),
         static_cast<unsigned long long>(r.engine.updates_merged),
-        i + 1 < rows.size() ? "," : "");
+        r.mapped_arena_mb, r.peak_rss_mb, i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"prepare_once\": [\n");
   for (size_t i = 0; i < prepare_rows.size(); ++i) {
@@ -341,27 +360,41 @@ int Run(bool smoke) {
   std::vector<ServingResult> rows;
   std::vector<PrepareOnceRow> prepare_rows;
   if (smoke) {
-    rows.push_back(RunServing(/*n=*/512, /*decoys=*/2000,
-                              /*epoch_updates=*/1024, /*query_threads=*/2,
-                              /*require_rate=*/false, /*seed=*/11));
+    rows.push_back(RunServing("hamiltonian3",
+                              UnionOfHamiltonianCycles(512, 3, /*seed=*/11),
+                              /*decoys=*/2000, /*epoch_updates=*/1024,
+                              /*query_threads=*/2, /*require_rate=*/false,
+                              /*seed=*/11));
     prepare_rows.push_back(
         RunPrepareOnce(/*n=*/512, /*decoys=*/2000, /*seed=*/21));
   } else {
-    rows.push_back(RunServing(/*n=*/2000, /*decoys=*/20000,
-                              /*epoch_updates=*/4096, /*query_threads=*/2,
-                              /*require_rate=*/true, /*seed=*/11));
-    rows.push_back(RunServing(/*n=*/2000, /*decoys=*/20000,
-                              /*epoch_updates=*/16384, /*query_threads=*/4,
-                              /*require_rate=*/true, /*seed=*/12));
+    rows.push_back(RunServing("hamiltonian3",
+                              UnionOfHamiltonianCycles(2000, 3, /*seed=*/11),
+                              /*decoys=*/20000, /*epoch_updates=*/4096,
+                              /*query_threads=*/2, /*require_rate=*/true,
+                              /*seed=*/11));
+    rows.push_back(RunServing("hamiltonian3",
+                              UnionOfHamiltonianCycles(2000, 3, /*seed=*/12),
+                              /*decoys=*/20000, /*epoch_updates=*/16384,
+                              /*query_threads=*/4, /*require_rate=*/true,
+                              /*seed=*/12));
+    // perfbench serve_rmat's shape at twice its n: m = 4n, n decoys, the
+    // default epoch. Runs last so its peak_rss_mb is its own.
+    constexpr size_t kLargeN = size_t{1} << 16;
+    rows.push_back(RunServing("rmat", RmatGraph(kLargeN, 4 * kLargeN, 13),
+                              /*decoys=*/kLargeN,
+                              kDefaultServingEpochUpdates,
+                              /*query_threads=*/2, /*require_rate=*/true,
+                              /*seed=*/13));
     prepare_rows.push_back(
         RunPrepareOnce(/*n=*/2000, /*decoys=*/20000, /*seed=*/21));
   }
 
-  Table table({"n", "updates", "epoch", "qthreads", "ingest", "queries/s",
-               "max_stale", "bound", "idle q/s", "wire q/s", "hits",
-               "rebuilds"});
+  Table table({"family", "n", "updates", "epoch", "qthreads", "ingest",
+               "queries/s", "max_stale", "bound", "idle q/s", "wire q/s",
+               "hits", "rebuilds", "mapped", "maxrss"});
   for (const ServingResult& r : rows) {
-    table.AddRow({Table::Fmt(r.n), Table::Fmt(r.stream_updates),
+    table.AddRow({r.family, Table::Fmt(r.n), Table::Fmt(r.stream_updates),
                Table::Fmt(r.epoch_updates), Table::Fmt(r.query_threads),
                Table::Fmt(r.ingest_seconds, 3) + "s",
                bench::Rate(r.queries_per_sec), Table::Fmt(r.max_staleness),
@@ -369,7 +402,9 @@ int Run(bool smoke) {
                bench::Rate(r.post_flush_queries_per_sec),
                bench::Rate(r.wire_queries_per_sec),
                Table::Fmt(r.engine.cache_hits),
-               Table::Fmt(r.engine.cache_rebuilds)});
+               Table::Fmt(r.engine.cache_rebuilds),
+               Table::Fmt(r.mapped_arena_mb, 0) + "MiB",
+               Table::Fmt(r.peak_rss_mb, 0) + "MiB"});
   }
   table.Print();
 

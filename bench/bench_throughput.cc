@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -846,6 +847,78 @@ int PlaneGuard() {
   return 0;
 }
 
+#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
+constexpr bool kSanitizedBuild = true;
+#elif defined(__has_feature)
+constexpr bool kSanitizedBuild =
+    __has_feature(thread_sanitizer) || __has_feature(address_sanitizer);
+#else
+constexpr bool kSanitizedBuild = false;
+#endif
+
+/// Resident-memory guard for the hybrid arena (part of `--perf_smoke`, and
+/// run first there, before any other section raises the process's RSS
+/// high-water mark). One Light forest at n = 2^15 (rounds 3) escalates
+/// every 16th column, 6.25% of them spread over the whole ordinal range;
+/// every other column stays sparse. Escalated columns take arena slots in
+/// escalation order, so the sketch's resident arena is about the escalated
+/// columns' bytes whatever n is. The guard fails if the max-RSS growth
+/// over ingest exceeds 2x those bytes: an arena placed by ordinal backs
+/// each scattered column with its own 2 MiB huge page (about 16x here).
+/// A ratio inside one process, so it holds on any CPU count. Sanitizer
+/// builds skip it: their shadow memory is not the sketch's.
+int MemoryGuard() {
+  if (kSanitizedBuild) {
+    std::printf("perf_smoke: memory guard skipped (sanitizer build)\n");
+    return 0;
+  }
+  constexpr size_t kN = 1 << 15;
+  constexpr VertexId kStride = 16;
+  const ForestSketchParams params = ForestSketchParams::Builder()
+                                        .Config(SketchConfig::Light())
+                                        .Rounds(3)
+                                        .Build();
+  // Hub h (every kStride-th vertex) gets T + 1 edges to the vertices above
+  // it, so it escalates; any other vertex hears from at most
+  // ceil((T + 1) / kStride) hubs and stays sparse.
+  const uint32_t reach = params.config.sparse_threshold + 1;
+  std::vector<StreamUpdate> updates;
+  for (VertexId h = 0; h < kN; h += kStride) {
+    for (VertexId j = 1; j <= reach; ++j) {
+      updates.emplace_back(Hyperedge{h, static_cast<VertexId>((h + j) % kN)},
+                           +1);
+    }
+  }
+  SpanningForestSketch sketch(kN, 2, /*seed=*/60, params);
+  const double before_mb = bench::PeakRssMb();
+  sketch.Process(std::span<const StreamUpdate>(updates));
+  const double growth_mb = bench::PeakRssMb() - before_mb;
+  const size_t escalated = sketch.SlotsUsed();
+  const double escalated_mb = static_cast<double>(escalated) *
+                              static_cast<double>(sketch.MemoryBytes()) /
+                              static_cast<double>(kN) / (1024.0 * 1024.0);
+  std::printf(
+      "perf_smoke: memory n=%zu escalated=%zu (%.2f%%) escalated_bytes=%.1f "
+      "MiB maxrss_growth=%.1f MiB (%.2fx; arena maps %.1f MiB)\n",
+      kN, escalated, 100.0 * static_cast<double>(escalated) / kN,
+      escalated_mb, growth_mb, growth_mb / std::max(escalated_mb, 1e-9),
+      static_cast<double>(sketch.MemoryBytes()) / (1024.0 * 1024.0));
+  if (escalated != kN / kStride) {
+    std::printf("perf_smoke: FAIL (memory guard escalated %zu columns, "
+                "expected %zu)\n",
+                escalated, kN / kStride);
+    return 1;
+  }
+  if (growth_mb > 2.0 * escalated_mb) {
+    std::printf(
+        "perf_smoke: FAIL (max-RSS growth %.1f MiB exceeds 2x the escalated "
+        "columns' %.1f MiB; the arena no longer packs escalated columns)\n",
+        growth_mb, escalated_mb);
+    return 1;
+  }
+  return 0;
+}
+
 /// `--perf_smoke`: a CI-sized guard on the finalize path (the `perf_smoke`
 /// ctest label, run in the tsan preset too). Ingests a reduced VcQuery
 /// workload and HARD-FAILS if finalize costs more than 2x ingest (plus a
@@ -853,6 +926,7 @@ int PlaneGuard() {
 /// sparse, so finalize is the exact sparse pre-round of every forest; the
 /// guard also fails if its stats show any other phase.
 int PerfSmoke() {
+  if (MemoryGuard() != 0) return 1;
   constexpr size_t kN = 1 << 12;
   const VcQueryParams params =
       VcQueryParams::Builder()

@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <new>
+#include <numeric>
 
 #include "connectivity/incidence.h"
 #include "graph/union_find.h"
@@ -156,11 +157,14 @@ SpanningForestSketch::SpanningForestSketch(size_t n, size_t max_rank,
     state_index_[v] = static_cast<int64_t>(num_active++);
   }
   num_active_ = num_active;
+  GMS_CHECK_MSG(num_active < (size_t{1} << 32),
+                "SpanningForestSketch: active count exceeds 32-bit slots");
   state_words_ = round_shapes_[0]->TotalWords();
   // Lazily-zeroed mapping (huge-page advised): untouched pages cost
-  // nothing, which is what makes CloneEmpty() and Clear() cheap.
-  arena_ =
-      ZeroedBuffer(num_active * static_cast<size_t>(rounds_) * state_words_);
+  // nothing, which is what makes CloneEmpty() and Clear() cheap. One column
+  // per active ordinal plus the reserved zero column.
+  arena_ = ZeroedBuffer((num_active + 1) * ColumnWords());
+  slot_.resize(num_active);
   dirty_words_per_round_ = (num_active + 63) / 64;
   dirty_.assign(static_cast<size_t>(rounds_) * dirty_words_per_round_, 0);
   level_mask_.assign(num_active * static_cast<size_t>(rounds_), 0);
@@ -169,6 +173,7 @@ SpanningForestSketch::SpanningForestSketch(size_t n, size_t max_rank,
     buffers_.resize(num_active);
     sparse_remaining_ = num_active;
   }
+  ResetSlots();
 }
 
 SpanningForestSketch::SpanningForestSketch(const SpanningForestSketch& other,
@@ -183,12 +188,28 @@ SpanningForestSketch::SpanningForestSketch(const SpanningForestSketch& other,
       num_active_(other.num_active_),
       state_words_(other.state_words_),
       arena_(other.arena_.size()),
+      slot_(other.slot_.size()),
       dirty_words_per_round_(other.dirty_words_per_round_),
       dirty_(other.dirty_.size(), 0),
       level_mask_(other.level_mask_.size(), 0),
       counters_(other.counters_.size(), 0),
       buffers_(other.buffers_.size()),
-      sparse_remaining_(other.counters_.empty() ? 0 : other.num_active_) {}
+      sparse_remaining_(other.counters_.empty() ? 0 : other.num_active_) {
+  ResetSlots();
+}
+
+void SpanningForestSketch::ResetSlots() {
+  // Only the used prefix was ever written; the rest of the arena (and the
+  // zero column) still reads as untouched zero pages.
+  arena_.Fill0(slots_used_ * ColumnWords());
+  if (Hybrid()) {
+    std::fill(slot_.begin(), slot_.end(), ZeroSlot());
+    slots_used_ = 0;
+  } else {
+    std::iota(slot_.begin(), slot_.end(), uint32_t{0});
+    slots_used_ = num_active_;
+  }
+}
 
 void SpanningForestSketch::ApplyToRound(int t, const Hyperedge& e,
                                         const PreparedCoord& pc, int delta,
@@ -240,14 +261,14 @@ void SpanningForestSketch::ApplyToRound(int t, const Hyperedge& e,
 
 void SpanningForestSketch::ApplyLocalOrd(size_t ord, const PreparedCoord& pc,
                                          int64_t coeff) {
-  for (int t = 0; t < rounds_; ++t) {
+  uint64_t* col = ColAt(ord, 0);
+  for (int t = 0; t < rounds_; ++t, col += state_words_) {
     const L0Shape& shape = *round_shapes_[static_cast<size_t>(t)];
     const int level = shape.LevelOfFolded(pc.fold);
     MarkDirtyOrd(t, ord);
     MarkLevelOrd(t, ord, level);
     SSparseSegmentUpdate(shape.level_shape(level),
-                         ColAt(ord, t) +
-                             static_cast<size_t>(level) * shape.SegmentWords(),
+                         col + static_cast<size_t>(level) * shape.SegmentWords(),
                          pc, coeff, shape.basis().PowerFromExp(pc.exponent));
   }
 }
@@ -276,6 +297,9 @@ void SpanningForestSketch::ReplayEntries(std::span<const SparseEntry> entries,
 }
 
 void SpanningForestSketch::EscalateOrdinal(size_t ord) {
+  // Take the next arena slot: escalated columns pack at the arena's front
+  // in escalation order, so resident memory follows the dense columns.
+  slot_[ord] = static_cast<uint32_t>(slots_used_++);
   // Replay the buffer straight into ord's arena rows (they share the
   // accumulator layout: rounds contiguous at stride state_words_), with the
   // exact level bits landing in ord's own level-mask words.
@@ -369,12 +393,15 @@ void SpanningForestSketch::ApplyUpdateBatch(
     if (start == batch.size()) return;
   }
   const std::span<const VertexUpdate> dense = batch.subspan(start);
+  // The column's slot is fixed from here on (it escalated above, if at
+  // all): resolve it once for every round.
+  uint64_t* const col0 = ColAt(ord, 0);
   if (dense.size() <= kPrefetchBatchMax) {
     // Prefetch every round's cell lines before the first write, so the
     // rounds' DRAM misses overlap instead of landing one round at a time.
     for (int t = 0; t < rounds_; ++t) {
       const L0Shape& shape = *round_shapes_[static_cast<size_t>(t)];
-      const uint64_t* col = ColAt(ord, t);
+      const uint64_t* col = col0 + static_cast<size_t>(t) * state_words_;
       for (const VertexUpdate& u : dense) {
         const int level = shape.LevelOfFolded(u.pc.fold);
         SSparseSegmentPrefetch(
@@ -385,7 +412,7 @@ void SpanningForestSketch::ApplyUpdateBatch(
   }
   for (int t = 0; t < rounds_; ++t) {
     const L0Shape& shape = *round_shapes_[static_cast<size_t>(t)];
-    uint64_t* col = ColAt(ord, t);
+    uint64_t* col = col0 + static_cast<size_t>(t) * state_words_;
     uint64_t levels = 0;
     for (const VertexUpdate& u : dense) {
       const int level = shape.LevelOfFolded(u.pc.fold);
@@ -397,8 +424,7 @@ void SpanningForestSketch::ApplyUpdateBatch(
     }
     MarkDirtyOrd(t, ord);
     // One OR of the vertex-major level-mask word covers the whole batch.
-    level_mask_[ord * static_cast<size_t>(rounds_) + static_cast<size_t>(t)] |=
-        levels;
+    MarkLevelMaskOrd(t, ord, levels);
   }
 }
 
@@ -1084,9 +1110,9 @@ Status SpanningForestSketch::MergeFrom(const SpanningForestSketch& other) {
   // the serial stream. Buffers merge by sorted concat-and-cancel; a
   // combined count past the threshold escalates by exact replay, after
   // which the arena walk below adds the other's dense cells. The other's
-  // still-sparse columns are all-zero in its arena, so the walk (which may
-  // visit them when the other came from Deserialize and is all-dirty)
-  // contributes exactly the dense part.
+  // still-sparse columns have no arena slot (they read its zero column), so
+  // the walk skips them even when the other came from Deserialize and is
+  // all-dirty; every column it does add is escalated on this side too.
   if (Hybrid()) {
     const uint32_t threshold = params_.config.sparse_threshold;
     for (VertexId v = 0; v < n_; ++v) {
@@ -1130,6 +1156,8 @@ Status SpanningForestSketch::MergeFrom(const SpanningForestSketch& other) {
   // so the result is bit-identical to the old dense sweep while a clone
   // that ingested a short stream slice merges in time proportional to what
   // it actually touched.
+  // Columns are addressed through each side's own slot table, so the two
+  // arenas may hold them in different orders.
   if (state_index_ == other.state_index_) {
     // Same active set: ordinals coincide, so walk raw bitmap words.
     for (int t = 0; t < rounds_; ++t) {
@@ -1138,18 +1166,15 @@ Status SpanningForestSketch::MergeFrom(const SpanningForestSketch& other) {
           static_cast<size_t>(t) * dirty_words_per_round_;
       for (size_t w = 0; w < dirty_words_per_round_; ++w) {
         uint64_t bits = other.dirty_[base + w];
-        if (bits == 0) continue;
-        dirty_[base + w] |= bits;
         while (bits != 0) {
           const size_t ord =
               (w << 6) + static_cast<size_t>(std::countr_zero(bits));
           bits &= bits - 1;
-          const size_t col =
-              ord * static_cast<size_t>(rounds_) + static_cast<size_t>(t);
-          const uint64_t src_mask = other.level_mask_[col];
-          level_mask_[col] |= src_mask;
-          L0AddRawMasked(shape, arena_.data() + col * state_words_,
-                         other.arena_.data() + col * state_words_, src_mask);
+          if (!other.Escalated(ord)) continue;
+          MarkDirtyOrd(t, ord);
+          const uint64_t src_mask = other.ColumnLevelMask(ord, t);
+          MarkLevelMaskOrd(t, ord, src_mask);
+          L0AddRawMasked(shape, ColAt(ord, t), other.ColAt(ord, t), src_mask);
         }
       }
     }
@@ -1159,27 +1184,38 @@ Status SpanningForestSketch::MergeFrom(const SpanningForestSketch& other) {
     for (VertexId v = 0; v < n_; ++v) {
       if (!other.IsActive(v)) continue;
       const size_t oo = static_cast<size_t>(other.state_index_[v]);
+      if (!other.Escalated(oo)) continue;
       const size_t mo = static_cast<size_t>(state_index_[v]);
       for (int t = 0; t < rounds_; ++t) {
         if (!other.IsDirty(t, oo)) continue;
-        MarkDirty(t, v);
-        const size_t ocol =
-            oo * static_cast<size_t>(rounds_) + static_cast<size_t>(t);
-        const size_t mcol =
-            mo * static_cast<size_t>(rounds_) + static_cast<size_t>(t);
-        const uint64_t src_mask = other.level_mask_[ocol];
-        level_mask_[mcol] |= src_mask;
-        L0AddRawMasked(*round_shapes_[static_cast<size_t>(t)],
-                       arena_.data() + mcol * state_words_,
-                       other.arena_.data() + ocol * state_words_, src_mask);
+        MarkDirtyOrd(t, mo);
+        const uint64_t src_mask = other.ColumnLevelMask(oo, t);
+        MarkLevelMaskOrd(t, mo, src_mask);
+        L0AddRawMasked(*round_shapes_[static_cast<size_t>(t)], ColAt(mo, t),
+                       other.ColAt(oo, t), src_mask);
       }
     }
   }
   return Status::OK();
 }
 
+bool SpanningForestSketch::StateEquals(const SpanningForestSketch& other) const {
+  if (n_ != other.n_ || rounds_ != other.rounds_ ||
+      state_words_ != other.state_words_ ||
+      state_index_ != other.state_index_ || buffers_ != other.buffers_) {
+    return false;
+  }
+  const size_t col_bytes = ColumnWords() * sizeof(uint64_t);
+  for (size_t ord = 0; ord < num_active_; ++ord) {
+    if (std::memcmp(ColAt(ord, 0), other.ColAt(ord, 0), col_bytes) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
 void SpanningForestSketch::Clear() {
-  arena_.Fill0();
+  ResetSlots();
   std::fill(dirty_.begin(), dirty_.end(), 0);
   std::fill(level_mask_.begin(), level_mask_.end(), 0);
   if (Hybrid()) {
@@ -1209,9 +1245,10 @@ void SpanningForestSketch::MarkAllDirty() {
 
 void SpanningForestSketch::AppendCells(wire::Writer* w) const {
   if (params_.config.sparse_threshold == 0) {
-    // Dense-from-the-start: a v1-style raw arena dump behind the repr byte.
+    // Dense-from-the-start: a v1-style raw arena dump behind the repr byte
+    // (identity slots, so the arena prefix is in ordinal order).
     w->U8(0);
-    w->Words(arena_.data(), arena_.size());
+    w->Words(arena_.data(), num_active_ * ColumnWords());
     return;
   }
   // Hybrid section: counters travel so the phase survives a round trip
@@ -1255,10 +1292,11 @@ Status SpanningForestSketch::ReadCells(wire::Reader* r) {
       return Status::InvalidArgument(
           "wire: dense forest cells under a sparse-threshold config");
     }
-    if (r->remaining() < arena_.size() * sizeof(uint64_t)) {
+    const size_t words = num_active_ * ColumnWords();
+    if (r->remaining() < words * sizeof(uint64_t)) {
       return Status::InvalidArgument("wire: forest payload size mismatch");
     }
-    GMS_RETURN_IF_ERROR(r->Words(arena_.data(), arena_.size()));
+    GMS_RETURN_IF_ERROR(r->Words(arena_.data(), words));
     // Frames carry no bitmap; correctness only needs dirty ⊇ nonzero, so
     // mark everything.
     MarkAllDirty();
@@ -1284,11 +1322,15 @@ Status SpanningForestSketch::ReadCells(wire::Reader* r) {
     }
     counters_[ord] = counter;
   }
-  const size_t col_words = static_cast<size_t>(rounds_) * state_words_;
+  const size_t col_words = ColumnWords();
   const u128 domain = codec_.DomainSize();
+  // Escalated columns take arena slots in ordinal order, as if they had
+  // escalated in that order on a fresh sketch.
+  ResetSlots();
   for (size_t ord = 0; ord < num_active_; ++ord) {
     if (counters_[ord] > threshold) {
       ++seen_escalated;
+      slot_[ord] = static_cast<uint32_t>(slots_used_++);
       GMS_RETURN_IF_ERROR(r->Words(ColAt(ord, 0), col_words));
       continue;
     }
@@ -1487,7 +1529,9 @@ size_t SpanningForestSketch::SpaceBytes() const {
 }
 
 size_t SpanningForestSketch::MemoryBytes() const {
-  return arena_.size() * sizeof(uint64_t);
+  // The arena's column per active ordinal (not the reserved zero column);
+  // what is resident is SlotsUsed() columns.
+  return num_active_ * ColumnWords() * sizeof(uint64_t);
 }
 
 size_t SpanningForestSketch::CellsPerVertex() const {

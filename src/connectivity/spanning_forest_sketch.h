@@ -227,6 +227,20 @@ class SpanningForestSketch {
     return Escalated(static_cast<size_t>(state_index_[v]));
   }
 
+  /// Arena placement (DESIGN.md Section 12): a column takes the next arena
+  /// slot when it escalates, so the escalated columns fill slots
+  /// 0 .. SlotsUsed() - 1 in escalation order and the touched arena is
+  /// that prefix, whatever n is. Threshold-0 sketches place ordinal i at
+  /// slot i. ArenaSlot is nullopt while v is still sparse (its column
+  /// reads a reserved, never-written zero column). Observers only.
+  size_t SlotsUsed() const { return slots_used_; }
+  std::optional<size_t> ArenaSlot(VertexId v) const {
+    GMS_CHECK_MSG(IsActive(v), "slot query on an inactive vertex");
+    const uint32_t slot = slot_[static_cast<size_t>(state_index_[v])];
+    if (slot == ZeroSlot()) return std::nullopt;
+    return slot;
+  }
+
   /// Linear update: insert (delta=+1) or delete (delta=-1) hyperedge e.
   /// CHECK-fails if any endpoint is inactive (callers filter first).
   void Update(const Hyperedge& e, int delta);
@@ -374,11 +388,9 @@ class SpanningForestSketch {
   /// update counters are NOT -- they count updates, so a net-zero stream
   /// would otherwise stop equalling a fresh sketch. The determinism suite
   /// pins the counters at serialized-frame strength instead.
-  bool StateEquals(const SpanningForestSketch& other) const {
-    return n_ == other.n_ && rounds_ == other.rounds_ &&
-           state_index_ == other.state_index_ && arena_ == other.arena_ &&
-           buffers_ == other.buffers_;
-  }
+  /// Columns compare by ordinal, so two sketches whose columns escalated
+  /// in different orders (different arena slots) still compare equal.
+  bool StateEquals(const SpanningForestSketch& other) const;
 
   /// Cell-wise field addition of another sketch of the SAME measurement:
   /// equal seed, n, max_rank, rounds, and config. The other sketch's active
@@ -590,8 +602,11 @@ class SpanningForestSketch {
     MarkLevelOrd(t, static_cast<size_t>(state_index_[v]), level);
   }
   void MarkLevelOrd(int t, size_t ord, int level) {
+    MarkLevelMaskOrd(t, ord, LevelMaskBit(level));
+  }
+  void MarkLevelMaskOrd(int t, size_t ord, uint64_t mask) {
     level_mask_[ord * static_cast<size_t>(rounds_) + static_cast<size_t>(t)] |=
-        LevelMaskBit(level);
+        mask;
   }
   uint64_t ColumnLevelMask(size_t ord, int t) const {
     return level_mask_[ord * static_cast<size_t>(rounds_) +
@@ -599,10 +614,12 @@ class SpanningForestSketch {
   }
 
   /// Start of vertex v's round-t sampler in the arena (v must be active).
-  /// The address is pure arithmetic on the dense index -- no pointer chase
-  /// through per-vertex objects -- so random-vertex updates expose every
-  /// cache miss to the out-of-order window instead of serializing a
-  /// state -> level-vector -> cell-array dependency chain.
+  /// The address is arithmetic on the column's slot -- one table load, no
+  /// pointer chase through per-vertex objects -- so random-vertex updates
+  /// expose every cache miss to the out-of-order window instead of
+  /// serializing a state -> level-vector -> cell-array dependency chain.
+  /// A still-sparse column resolves to the reserved zero column, which is
+  /// read (singleton sampling) but never written.
   uint64_t* ArenaAt(VertexId v, int t) {
     return ColAt(static_cast<size_t>(state_index_[v]), t);
   }
@@ -611,12 +628,24 @@ class SpanningForestSketch {
   }
   uint64_t* ColAt(size_t ord, int t) {
     return arena_.data() +
-           (ord * static_cast<size_t>(rounds_) + static_cast<size_t>(t)) *
+           (static_cast<size_t>(slot_[ord]) * static_cast<size_t>(rounds_) +
+            static_cast<size_t>(t)) *
                state_words_;
   }
   const uint64_t* ColAt(size_t ord, int t) const {
     return const_cast<SpanningForestSketch*>(this)->ColAt(ord, t);
   }
+
+  /// The slot every still-sparse ordinal maps to: the arena's last column.
+  uint32_t ZeroSlot() const { return static_cast<uint32_t>(num_active_); }
+  /// Words per column (all rounds of one ordinal).
+  size_t ColumnWords() const {
+    return static_cast<size_t>(rounds_) * state_words_;
+  }
+  /// Zero the used slot prefix and point every column back at its
+  /// empty-sketch slot: the zero column for a hybrid sketch, the identity
+  /// for a threshold-0 one.
+  void ResetSlots();
 
   size_t n_;
   int rounds_;
@@ -629,12 +658,22 @@ class SpanningForestSketch {
   // Dense ordinal of each active vertex, -1 if inactive.
   std::vector<int64_t> state_index_;
   size_t num_active_ = 0;
-  // Every active vertex's sampler state for every round, in ONE flat
-  // allocation: [active ordinal][round][level segment] with rounds
-  // contiguous per vertex. state_words_ = words per (vertex, round) = the
-  // shared L0Shape::TotalWords() (all rounds have identical geometry).
+  // Every dense column's sampler state for every round, in ONE flat
+  // allocation: [slot][round][level segment] with rounds contiguous per
+  // column. state_words_ = words per (vertex, round) = the shared
+  // L0Shape::TotalWords() (all rounds have identical geometry). The arena
+  // holds num_active_ + 1 columns; the last is the reserved zero column.
   size_t state_words_ = 0;
   ZeroedBuffer arena_;
+  // Arena slot of each active ordinal. A hybrid sketch hands out slots in
+  // escalation order (EscalateOrdinal, and ReadCells in ordinal order), so
+  // its resident arena is the slots_used_ prefix rather than one huge page
+  // per scattered escalated column; sparse ordinals map to ZeroSlot().
+  // Threshold-0 sketches keep slot = ordinal, so their raw dump is the
+  // arena prefix in ordinal order. Escalation runs only on serial paths,
+  // so the counter needs no atomics.
+  std::vector<uint32_t> slot_;
+  size_t slots_used_ = 0;
   // Transient touched-column bitmap (round-major; see MarkDirty): which
   // (vertex, round) columns have been updated since construction/Clear().
   // A superset of the nonzero columns, never part of the measurement: it

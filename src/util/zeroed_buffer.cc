@@ -126,16 +126,25 @@ ZeroedBuffer& ZeroedBuffer::operator=(ZeroedBuffer&& other) noexcept {
 
 ZeroedBuffer::~ZeroedBuffer() { Release(); }
 
-void ZeroedBuffer::Fill0() {
-  if (words_ == 0) return;
+void ZeroedBuffer::Fill0(size_t words) {
+  GMS_CHECK_MSG(words <= words_, "ZeroedBuffer::Fill0: prefix past the end");
+  if (words == 0) return;
+  size_t done = 0;
 #if defined(__linux__) && defined(MADV_DONTNEED)
   if (mapped_) {
     // Dropping the pages of a private anonymous mapping re-zeros them
-    // lazily; fall back to memset if the kernel refuses.
-    if (madvise(data_, words_ * sizeof(uint64_t), MADV_DONTNEED) == 0) return;
+    // lazily (the mapping starts page-aligned); fall back to memset if the
+    // kernel refuses. The whole buffer may end in a partial page: the
+    // mapping owns it, so it is dropped too.
+    const size_t pages =
+        words == words_ ? words : words / kPageWords * kPageWords;
+    if (pages > 0 &&
+        madvise(data_, pages * sizeof(uint64_t), MADV_DONTNEED) == 0) {
+      done = pages;
+    }
   }
 #endif
-  std::memset(data_, 0, words_ * sizeof(uint64_t));
+  std::memset(data_ + done, 0, (words - done) * sizeof(uint64_t));
 }
 
 bool operator==(const ZeroedBuffer& a, const ZeroedBuffer& b) {

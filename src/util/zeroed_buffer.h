@@ -40,7 +40,13 @@ class ZeroedBuffer {
   /// Zero every word. On the mapped path this drops the physical pages
   /// (subsequent reads see kernel zero pages), so clearing an arena that
   /// was mostly untouched is O(1) in memory traffic.
-  void Fill0();
+  void Fill0() { Fill0(words_); }
+
+  /// Zero the first `words` words (at most size()); the rest keep their
+  /// contents. Whole pages of the prefix are dropped like Fill0(), the
+  /// partial last page is overwritten -- so clearing a buffer written only
+  /// at its front costs what was written, not what was mapped.
+  void Fill0(size_t words);
 
   /// Word-wise content equality (sizes must match too).
   friend bool operator==(const ZeroedBuffer& a, const ZeroedBuffer& b);

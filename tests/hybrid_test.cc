@@ -14,6 +14,10 @@
 //  - A net-zero stream returns a sparse sketch to the empty measurement.
 //  - While sparse, extraction is EXACT: the buffered edges feed Borůvka
 //    directly, so a low-degree graph decodes with no sampling failure.
+//  - Escalated columns pack at the arena's front in escalation order, and
+//    the order is invisible: engines that escalate the same columns in
+//    different orders (and merges of deserialized or strict-subset
+//    sketches) land on the same frames and StateEquals.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -440,6 +444,215 @@ TEST(HybridTest, L0SamplerPhasesMatchForestSemantics) {
   cancel.Update(42, -1);
   EXPECT_TRUE(cancel.StateEquals(L0Sampler(kDomain, hybrid_config, kSeed)));
   EXPECT_FALSE(cancel.Sample().ok());
+}
+
+// Hubs whose escalations arrive in a different order per engine: the
+// serial stream round-robins over kHubs (40 first), the plane flushes
+// gutters in ascending vertex order (10 first), and sharded merge escalates
+// at merge time. Each hub gets `count` edges to its own leaves.
+constexpr VertexId kHubs[] = {40, 10, 30, 20};
+
+std::vector<StreamUpdate> HubsStream(uint32_t count) {
+  std::vector<StreamUpdate> updates;
+  for (uint32_t j = 0; j < count; ++j) {
+    for (size_t h = 0; h < std::size(kHubs); ++h) {
+      const VertexId leaf = static_cast<VertexId>(50 + 10 * h + j);
+      updates.emplace_back(Hyperedge{kHubs[h], leaf}, +1);
+    }
+  }
+  return updates;
+}
+
+TEST(HybridTest, EscalationOrderIsInvisibleAcrossEngines) {
+  constexpr size_t kN = 128;
+  constexpr uint64_t kSeed = 23;
+  constexpr uint32_t kT = 8;
+  ForestSketchParams params;
+  params.config = SketchConfig::Light();
+  params.config.sparse_threshold = kT;
+
+  for (uint32_t count : {kT - 1, kT, kT + 1}) {
+    const std::vector<StreamUpdate> updates = HubsStream(count);
+    const size_t want_slots = count > kT ? std::size(kHubs) : 0;
+    SpanningForestSketch serial(kN, 2, kSeed, params);
+    for (const auto& u : updates) serial.Update(u.edge, u.delta);
+    const std::vector<uint8_t> want = FrameOf(serial);
+    EXPECT_EQ(serial.SlotsUsed(), want_slots) << "count=" << count;
+
+    std::vector<SpanningForestSketch> others;
+    for (IngestMode mode :
+         {IngestMode::kColumnSharded, IngestMode::kShardedMerge}) {
+      others.emplace_back(
+          kN, 2, kSeed,
+          ForestSketchParams::Builder(params).Threads(4).Mode(mode).Build());
+      others.back().Process(std::span<const StreamUpdate>(updates));
+    }
+    others.emplace_back(kN, 2, kSeed, params);
+    {
+      IngestPlane plane;
+      ASSERT_TRUE(plane.Add(&others.back()));
+      plane.Process(std::span<const StreamUpdate>(updates));
+    }
+    if (count > kT) {
+      // The test only means something if the orders really differ.
+      EXPECT_EQ(serial.ArenaSlot(40), 0u);
+      EXPECT_EQ(others.back().ArenaSlot(10), 0u);
+    }
+    for (size_t i = 0; i < others.size(); ++i) {
+      const SpanningForestSketch& got = others[i];
+      EXPECT_EQ(got.SlotsUsed(), want_slots) << "count=" << count << " i=" << i;
+      EXPECT_TRUE(got.StateEquals(serial)) << "count=" << count << " i=" << i;
+      EXPECT_TRUE(serial.StateEquals(got)) << "count=" << count << " i=" << i;
+      EXPECT_EQ(FrameOf(got), want) << "count=" << count << " i=" << i;
+      auto reread = SpanningForestSketch::Deserialize(FrameOf(got));
+      ASSERT_TRUE(reread.ok()) << "count=" << count << " i=" << i;
+      EXPECT_TRUE(reread->StateEquals(serial)) << "count=" << count;
+      EXPECT_EQ(FrameOf(*reread), want) << "count=" << count << " i=" << i;
+    }
+    // A reread frame hands out slots in ordinal order.
+    auto reread = SpanningForestSketch::Deserialize(want);
+    ASSERT_TRUE(reread.ok());
+    if (count > kT) {
+      EXPECT_EQ(reread->ArenaSlot(10), 0u);
+      EXPECT_EQ(reread->ArenaSlot(40), 3u);
+    }
+  }
+}
+
+TEST(HybridTest, MergeOfDeserializedSparseSketchIntoDenseOne) {
+  constexpr size_t kN = 128;
+  constexpr uint64_t kSeed = 61;
+  constexpr uint32_t kT = 8;
+  ForestSketchParams params;
+  params.config = SketchConfig::Light();
+  params.config.sparse_threshold = kT;
+
+  // The dense side escalates the hubs; the sparse side holds a few edges
+  // per vertex, some on the hubs, some on vertices the dense side never
+  // saw. Deserialize marks every column of the sparse side dirty.
+  const std::vector<StreamUpdate> dense_part = HubsStream(kT + 2);
+  std::vector<StreamUpdate> sparse_part;
+  for (VertexId v = 0; v < 3; ++v) {
+    sparse_part.emplace_back(Hyperedge{kHubs[v], 100 + v}, +1);
+    sparse_part.emplace_back(Hyperedge{100 + v, 110 + v}, +1);
+  }
+  SpanningForestSketch serial(kN, 2, kSeed, params);
+  for (const auto& u : dense_part) serial.Update(u.edge, u.delta);
+  for (const auto& u : sparse_part) serial.Update(u.edge, u.delta);
+
+  SpanningForestSketch sparse_src(kN, 2, kSeed, params);
+  for (const auto& u : sparse_part) sparse_src.Update(u.edge, u.delta);
+  ASSERT_EQ(sparse_src.SlotsUsed(), 0u);
+  auto sparse = SpanningForestSketch::Deserialize(FrameOf(sparse_src));
+  ASSERT_TRUE(sparse.ok());
+
+  SpanningForestSketch dense(kN, 2, kSeed, params);
+  for (const auto& u : dense_part) dense.Update(u.edge, u.delta);
+  const std::vector<uint8_t> dense_frame = FrameOf(dense);
+  ASSERT_TRUE(dense.MergeFrom(*sparse).ok());
+  // The sparse side's columns have no slot and take none here.
+  EXPECT_EQ(dense.SlotsUsed(), std::size(kHubs));
+  EXPECT_TRUE(dense.StateEquals(serial));
+  EXPECT_EQ(FrameOf(dense), FrameOf(serial));
+
+  // And the mirror: the deserialized sparse sketch absorbs the dense one,
+  // itself deserialized (all-dirty on both sides).
+  auto dense_reread = SpanningForestSketch::Deserialize(dense_frame);
+  ASSERT_TRUE(dense_reread.ok());
+  ASSERT_TRUE(sparse->MergeFrom(*dense_reread).ok());
+  EXPECT_TRUE(sparse->StateEquals(serial));
+  EXPECT_EQ(FrameOf(*sparse), FrameOf(serial));
+}
+
+TEST(HybridTest, RefereeStrictSubsetMergeMatchesSerial) {
+  constexpr size_t kN = 64;
+  constexpr uint64_t kSeed = 77;
+  constexpr uint32_t kT = 4;
+  ForestSketchParams params;
+  params.config = SketchConfig::Light();
+  params.config.sparse_threshold = kT;
+
+  // Hub 9 escalates (degree 7 > T); every other vertex stays sparse.
+  Graph g(kN);
+  for (VertexId leaf = 20; leaf < 27; ++leaf) g.AddEdge(9, leaf);
+  g.AddEdge(20, 21);
+  SpanningForestSketch serial(kN, 2, kSeed, params);
+  for (const Edge& e : g.Edges()) serial.Update(Hyperedge(e), +1);
+
+  // Each player holds only its own vertex and sees only its incident
+  // edges; the referee folds the players in, highest vertex first.
+  SpanningForestSketch referee(kN, 2, kSeed, params);
+  for (VertexId v = kN; v-- > 0;) {
+    std::vector<bool> active(kN, false);
+    active[v] = true;
+    SpanningForestSketch player(kN, 2, kSeed, params, &active);
+    for (const Edge& e : g.Edges()) {
+      const Hyperedge he(e);
+      if (he.Contains(v)) player.UpdateLocal(v, he, +1);
+    }
+    EXPECT_EQ(player.SlotsUsed(), v == 9 ? 1u : 0u) << "v=" << v;
+    ASSERT_TRUE(referee.MergeFrom(player).ok()) << "v=" << v;
+  }
+  EXPECT_EQ(referee.SlotsUsed(), 1u);
+  EXPECT_EQ(referee.ArenaSlot(9), 0u);
+  EXPECT_TRUE(referee.StateEquals(serial));
+  EXPECT_EQ(FrameOf(referee), FrameOf(serial));
+}
+
+TEST(HybridTest, EscalatedColumnsPackAtTheFrontAndClearFreesThem) {
+  constexpr size_t kN = 256;
+  constexpr uint64_t kSeed = 5;
+  constexpr uint32_t kT = 4;
+  ForestSketchParams params;
+  params.config = SketchConfig::Light();
+  params.config.sparse_threshold = kT;
+
+  // Escalate scattered hubs one at a time, in a non-monotone order.
+  const VertexId hubs[] = {200, 7, 150, 33};
+  auto escalate = [&](SpanningForestSketch* s, VertexId hub) {
+    for (uint32_t j = 1; j <= kT + 1; ++j) {
+      s->Update(Hyperedge{hub, static_cast<VertexId>((hub + j) % kN)}, +1);
+    }
+  };
+  SpanningForestSketch sketch(kN, 2, kSeed, params);
+  EXPECT_EQ(sketch.SlotsUsed(), 0u);
+  for (size_t k = 0; k < std::size(hubs); ++k) {
+    escalate(&sketch, hubs[k]);
+    ASSERT_TRUE(sketch.VertexEscalated(hubs[k]));
+    EXPECT_EQ(sketch.SlotsUsed(), k + 1);
+  }
+  for (size_t k = 0; k < std::size(hubs); ++k) {
+    EXPECT_EQ(sketch.ArenaSlot(hubs[k]), k) << "hub=" << hubs[k];
+  }
+  EXPECT_EQ(sketch.ArenaSlot(1), std::nullopt);
+  EXPECT_EQ(sketch.MemoryBytes(), SpanningForestSketch(kN, 2, kSeed, params)
+                                      .MemoryBytes());
+
+  // Clear frees every slot; the next escalation reuses slot 0 and carries
+  // nothing over from the column that held it before.
+  sketch.Clear();
+  EXPECT_EQ(sketch.SlotsUsed(), 0u);
+  for (VertexId hub : hubs) EXPECT_EQ(sketch.ArenaSlot(hub), std::nullopt);
+  escalate(&sketch, 33);
+  EXPECT_EQ(sketch.ArenaSlot(33), 0u);
+  SpanningForestSketch fresh(kN, 2, kSeed, params);
+  escalate(&fresh, 33);
+  EXPECT_TRUE(sketch.StateEquals(fresh));
+  EXPECT_EQ(FrameOf(sketch), FrameOf(fresh));
+
+  // Threshold 0: every column is dense from the start at slot = ordinal,
+  // before and after Clear.
+  ForestSketchParams dense_params = params;
+  dense_params.config.sparse_threshold = 0;
+  SpanningForestSketch dense(kN, 2, kSeed, dense_params);
+  escalate(&dense, 200);
+  dense.Clear();
+  EXPECT_EQ(dense.SlotsUsed(), kN);
+  for (VertexId v : {VertexId{0}, VertexId{7}, VertexId{255}}) {
+    EXPECT_EQ(dense.ArenaSlot(v), v);
+  }
+  EXPECT_TRUE(dense.StateEquals(SpanningForestSketch(kN, 2, kSeed,
+                                                     dense_params)));
 }
 
 }  // namespace

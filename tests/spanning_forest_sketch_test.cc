@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <map>
+#include <ostream>
 
 #include "connectivity/spanning_forest_sketch.h"
 #include "graph/generators.h"
@@ -167,6 +168,14 @@ struct ForestCase {
   int family;  // 0 path, 1 cycle, 2 star, 3 random connected
   uint64_t seed;
 };
+
+// gtest (and ctest's discovered names) print each instance's parameter;
+// without this it dumps the struct's raw bytes, padding included, which
+// differ from build to build.
+void PrintTo(const ForestCase& tc, std::ostream* os) {
+  static const char* const kFamilies[] = {"path", "cycle", "star", "random"};
+  *os << kFamilies[tc.family] << "_n" << tc.n << "_seed" << tc.seed;
+}
 
 class ForestSweep : public ::testing::TestWithParam<ForestCase> {};
 
