@@ -38,31 +38,26 @@ namespace {
 // ---------- Section 1: parallel-engine throughput ----------
 
 struct EngineRow {
-  const char* mode = "column_sharded";
   size_t threads = 1;
-  double ingest_secs = 0;
-  double ingest_rate = 0;   // updates/s
-  double extract_secs = 0;  // Query (BuildUnionGraph)
-  ExtractStats stats;       // extraction-engine counters for that finalize
+  bench::Spread ingest_secs;
+  double ingest_rate = 0;    // updates/s at the median
+  bench::Spread query_secs;  // Query (BuildUnionGraph)
+  ExtractStats stats;        // extraction-engine counters of the last Query
 };
 
-// Best-of-3 timing lives in bench_util.h (bench::IngestTiming /
-// bench::BestOfThreeIngest) so every bench binary's printed and JSON
-// ingest rows flow through the same helper.
 using bench::BestOfThreeIngest;
 using bench::IngestTiming;
 
 /// The single constructor of an ingest row. The printed table and the
-/// JSON emitter both read the fields this fills from ONE IngestTiming, so
-/// the two outputs cannot disagree about which rep was reported.
-EngineRow MakeIngestRow(const char* mode, size_t threads,
-                        const IngestTiming& t, size_t updates) {
+/// JSON emitter both read the fields this fills from ONE list of reps, so
+/// the two outputs cannot disagree about which number was reported.
+EngineRow MakeIngestRow(size_t threads, const std::vector<double>& reps,
+                        size_t updates) {
   EngineRow row;
-  row.mode = mode;
   row.threads = threads;
-  row.ingest_secs = t.best_secs;
+  row.ingest_secs = bench::SpreadOf(reps);
   row.ingest_rate =
-      static_cast<double>(updates) / std::max(t.best_secs, 1e-9);
+      static_cast<double>(updates) / std::max(row.ingest_secs.median, 1e-9);
   return row;
 }
 
@@ -72,21 +67,21 @@ struct FrameSizeRow {
   double bytes_per_vertex = 0;
 };
 
-/// One VcQuerySketch ingestion + query per (mode, thread-count) cell.
-/// The sketch seed is identical across rows, so every row computes the
-/// bit-identical state and union graph (the determinism and merge suites
-/// assert this); only the wall clock may differ. Column-sharded rows shard
-/// the R sketch columns; sharded-merge rows slice the stream into private
-/// clones and tree-merge (threads x memory, but scales with stream length
-/// instead of column count).
+/// One VcQuerySketch ingestion + query per thread count, column-sharded
+/// (each worker owns a block of the R subsample sketches). The sketch seed
+/// is identical across rows, so every row computes the bit-identical state
+/// and union graph (the determinism suite asserts this); only the wall
+/// clock may differ. Reps alternate between the thread counts so host load
+/// drifts hit every row.
 void ParallelEngineSection(std::vector<EngineRow>* rows, size_t* out_n,
                            size_t* out_updates, size_t* out_r,
                            FrameSizeRow* frame_row) {
-  // ISSUE scale: n = 2^14, k = 4. R is held at a bench-friendly 16 (the
-  // paper's 16 k^2 ln n would be ~2500); rounds fixed low so one row fits
-  // in memory comfortably.
+  // n = 2^14, k = 4. R is held at a bench-friendly 16 (the paper's
+  // 16 k^2 ln n would be ~2500); rounds fixed low so the rows fit in memory
+  // comfortably.
   constexpr size_t kN = 1 << 14;
   constexpr size_t kK = 4;
+  constexpr int kReps = 5;
   VcQueryParams params;
   params.k = kK;
   params.explicit_r = 16;
@@ -99,133 +94,74 @@ void ParallelEngineSection(std::vector<EngineRow>* rows, size_t* out_n,
   *out_updates = stream.size();
 
   // Untimed warm-up: the first sketch constructed in the process pays the
-  // one-off cost of faulting in ~GBs of fresh arena pages, which would
-  // otherwise inflate every later row's "speedup" against the first cell.
+  // one-off cost of faulting in fresh arena pages, which would otherwise
+  // inflate every later row's "speedup" against the first cell.
   {
     VcQuerySketch warm(kN, params, /*seed=*/4);
     warm.Process(stream);
   }
 
-  struct Cell {
-    IngestMode mode;
-    const char* name;
-    size_t threads;
-  };
-  const Cell cells[] = {
-      {IngestMode::kColumnSharded, "column_sharded", 1},
-      {IngestMode::kColumnSharded, "column_sharded", 2},
-      {IngestMode::kColumnSharded, "column_sharded", 4},
-      {IngestMode::kColumnSharded, "column_sharded", 8},
-      {IngestMode::kShardedMerge, "sharded_merge", 1},
-      {IngestMode::kShardedMerge, "sharded_merge", 2},
-      {IngestMode::kShardedMerge, "sharded_merge", 8},
-  };
-  Table table(
-      {"mode", "threads", "ingest_s", "updates/s", "speedup", "query_s"});
-  double serial_rate = 0;
-  for (const Cell& cell : cells) {
-    const VcQueryParams p = VcQueryParams::Builder(params)
-                                .Mode(cell.mode)
-                                .Threads(cell.threads)
-                                .Build();
-    VcQuerySketch sketch(kN, p, /*seed=*/4);
-    *out_r = sketch.R();
-    IngestTiming timing = BestOfThreeIngest(&sketch, stream);
-    EngineRow row = MakeIngestRow(cell.name, cell.threads, timing,
-                                  stream.size());
-    if (frame_row->frame_bytes == 0) {
-      frame_row->frame_bytes = sketch.SpaceBytes();
-      frame_row->bytes_per_vertex =
-          static_cast<double>(frame_row->frame_bytes) / kN;
+  const size_t thread_counts[] = {1, 2, 4, 8};
+  std::vector<VcQuerySketch> sketches;
+  sketches.reserve(std::size(thread_counts));
+  for (size_t threads : thread_counts) {
+    sketches.emplace_back(
+        kN, VcQueryParams::Builder(params).Threads(threads).Build(),
+        /*seed=*/4);
+  }
+  *out_r = sketches[0].R();
+  std::vector<std::vector<double>> ingest(std::size(thread_counts));
+  std::vector<std::vector<double>> query(std::size(thread_counts));
+  std::vector<ExtractStats> stats(std::size(thread_counts));
+  for (int rep = 0; rep < kReps; ++rep) {
+    for (size_t c = 0; c < std::size(thread_counts); ++c) {
+      VcQuerySketch& sketch = sketches[c];
+      sketch.Clear();
+      Timer ti;
+      sketch.Process(stream);
+      ingest[c].push_back(ti.Seconds());
+      Timer tq;
+      auto snap = sketch.Query();
+      query[c].push_back(tq.Seconds());
+      if (snap.ok()) {
+        stats[c] = snap.stats();
+      } else {
+        std::printf("  (query failed at threads=%zu)\n", thread_counts[c]);
+      }
     }
-    Timer finalize;
-    auto snap = sketch.Query();
-    row.extract_secs = finalize.Seconds();
-    if (snap.ok()) {
-      row.stats = snap.stats();
-    } else {
-      std::printf("  (query failed at threads=%zu)\n", cell.threads);
-    }
-    if (serial_rate == 0) serial_rate = row.ingest_rate;
+  }
+  frame_row->frame_bytes = sketches[0].SpaceBytes();
+  frame_row->bytes_per_vertex =
+      static_cast<double>(frame_row->frame_bytes) / kN;
+
+  Table table({"threads", "ingest_med_s", "ingest_min_s", "ingest_max_s",
+               "updates/s", "speedup", "query_med_s"});
+  for (size_t c = 0; c < std::size(thread_counts); ++c) {
+    EngineRow row = MakeIngestRow(thread_counts[c], ingest[c], stream.size());
+    row.query_secs = bench::SpreadOf(query[c]);
+    row.stats = stats[c];
     rows->push_back(row);
-    table.AddRow({cell.name, Table::Fmt(uint64_t{cell.threads}),
-                  Table::Fmt(row.ingest_secs, 3), bench::Rate(row.ingest_rate),
+    const double serial_rate = rows->front().ingest_rate;
+    table.AddRow({Table::Fmt(uint64_t{row.threads}),
+                  Table::Fmt(row.ingest_secs.median, 3),
+                  Table::Fmt(row.ingest_secs.min, 3),
+                  Table::Fmt(row.ingest_secs.max, 3),
+                  bench::Rate(row.ingest_rate),
                   Table::Fmt(row.ingest_rate / std::max(serial_rate, 1e-9), 2),
-                  Table::Fmt(row.extract_secs, 3)});
+                  Table::Fmt(row.query_secs.median, 3)});
   }
-  table.Print("Parallel engine: VcQuerySketch ingest + query");
+  table.Print("Parallel engine: VcQuerySketch ingest + query, column-sharded");
   std::printf(
-      "\nwire frame: %zu bytes total, %.1f bytes/vertex (one VcQuery frame,\n"
+      "\n%d reps per thread count (alternating); speedup is at the median.\n"
+      "wire frame: %zu bytes total, %.1f bytes/vertex (one VcQuery frame,\n"
       "R=%zu subsamples; the paper's space measure is per-vertex polylog)\n",
-      frame_row->frame_bytes, frame_row->bytes_per_vertex, *out_r);
+      kReps, frame_row->frame_bytes, frame_row->bytes_per_vertex, *out_r);
   std::printf(
-      "\nExpected shape: identical outputs at every (mode, threads) cell\n"
-      "(the determinism and merge suites assert bit-identity). This\n"
-      "stream has ~4 updates per vertex, so every column stays in the\n"
-      "serial sparse-absorb pre-pass and column threads buy nothing.\n"
-      "sharded_merge@1 falls back to the serial column path by design; at\n"
-      "more threads it pays for its clones and a dirty-column merge whose\n"
-      "cost scales with the updates each clone absorbed, not the arena.\n"
-      "Its wins are the compact-state rows below and dense few-column\n"
-      "sketches at 2 threads (DESIGN.md S11).\n");
-}
-
-/// The sharded-merge sweet spot: a COMPACT sketch (small n, megabytes of
-/// state) fed a LONG churn stream. Here the per-update column path is the
-/// bottleneck and the clone+merge epilogue is noise, so slicing the stream
-/// across workers scales with core count -- the inverse of the big-state
-/// workload above. Same bit-identity guarantee applies.
-void CompactStateSection(std::vector<EngineRow>* rows, size_t* out_n,
-                         size_t* out_updates) {
-  constexpr size_t kN = 256;
-  Graph g = UnionOfHamiltonianCycles(kN, 3, /*seed=*/5);
-  DynamicStream stream =
-      DynamicStream::WithChurn(g, /*decoys=*/400 * kN, /*seed=*/6);
-  *out_n = kN;
-  *out_updates = stream.size();
-
-  ForestSketchParams params;
-  params.config = SketchConfig::Light();
-  {
-    SpanningForestSketch warm(kN, 2, /*seed=*/7, params);  // untimed warm-up
-    warm.Process(stream);
-  }
-  Table table({"mode", "threads", "ingest_s", "updates/s", "speedup"});
-  double serial_rate = 0;
-  struct Cell {
-    IngestMode mode;
-    const char* name;
-    size_t threads;
-  };
-  const Cell cells[] = {
-      {IngestMode::kColumnSharded, "column_sharded", 1},
-      {IngestMode::kShardedMerge, "sharded_merge", 2},
-      {IngestMode::kShardedMerge, "sharded_merge", 8},
-  };
-  for (const Cell& cell : cells) {
-    const ForestSketchParams p = ForestSketchParams::Builder(params)
-                                     .Mode(cell.mode)
-                                     .Threads(cell.threads)
-                                     .Build();
-    SpanningForestSketch sketch(kN, 2, /*seed=*/7, p);
-    IngestTiming timing = BestOfThreeIngest(&sketch, stream);
-    EngineRow row = MakeIngestRow(cell.name, cell.threads, timing,
-                                  stream.size());
-    if (serial_rate == 0) serial_rate = row.ingest_rate;
-    rows->push_back(row);
-    table.AddRow({cell.name, Table::Fmt(uint64_t{cell.threads}),
-                  Table::Fmt(row.ingest_secs, 3), bench::Rate(row.ingest_rate),
-                  Table::Fmt(row.ingest_rate / std::max(serial_rate, 1e-9),
-                             2)});
-  }
-  table.Print("Compact-state workload: SpanningForestSketch, long churn");
-  std::printf(
-      "\nExpected shape: with %zu updates against only n=%zu vertices of\n"
-      "state, the clone+merge epilogue is noise, so sharded_merge tracks\n"
-      "the PHYSICAL core count (a single-core host shows ~1.0 plus a small\n"
-      "merge tax at 8 clones). Pick it when the stream dwarfs the state,\n"
-      "the column engine otherwise (DESIGN.md S8).\n",
-      *out_updates, kN);
+      "\nExpected shape: identical outputs at every thread count (the\n"
+      "determinism suite asserts bit-identity). This stream has ~4 updates\n"
+      "per vertex, so every column stays in its sparse buffer; the workers\n"
+      "split the R subsample sketches, so the speedup is capped by the\n"
+      "host's cores (DESIGN.md S6, S11).\n");
 }
 
 /// Space-vs-stream-density sweep for the hybrid sparse/dense vertex
@@ -640,10 +576,13 @@ void AppendExtractCompare(FILE* f, const char* key,
                    row.inc_stats.sparse_exact_forests));
 }
 
+void AppendSpread(FILE* f, const bench::Spread& s) {
+  std::fprintf(f, "{\"median\": %.6f, \"min\": %.6f, \"max\": %.6f}",
+               s.median, s.min, s.max);
+}
+
 void WriteJson(const std::vector<EngineRow>& rows, size_t n, size_t updates,
-               size_t r, const std::vector<EngineRow>& compact_rows,
-               size_t compact_n, size_t compact_updates,
-               const FrameSizeRow& frame,
+               size_t r, const FrameSizeRow& frame,
                const ExtractCompareRow& extract,
                const ExtractCompareRow& dense_extract,
                const PeelCompareRow& peel,
@@ -663,16 +602,18 @@ void WriteJson(const std::vector<EngineRow>& rows, size_t n, size_t updates,
   std::fprintf(f, "  \"stream_updates\": %zu,\n  \"engine\": [\n", updates);
   for (size_t i = 0; i < rows.size(); ++i) {
     const EngineRow& row = rows[i];
+    std::fprintf(f, "    {\"threads\": %zu, \"ingest_seconds\": ",
+                 row.threads);
+    AppendSpread(f, row.ingest_secs);
+    std::fprintf(f, ", \"updates_per_sec\": %.1f,\n     \"finalize_seconds\": ",
+                 row.ingest_rate);
+    AppendSpread(f, row.query_secs);
     std::fprintf(f,
-                 "    {\"mode\": \"%s\", \"threads\": %zu, "
-                 "\"ingest_seconds\": %.6f, \"updates_per_sec\": %.1f, "
-                 "\"finalize_seconds\": %.6f,\n"
-                 "     \"finalize_breakdown\": {\"rounds_run\": %d, "
+                 ",\n     \"finalize_breakdown\": {\"rounds_run\": %d, "
                  "\"early_exit\": %s, \"summed_words\": %llu, "
                  "\"sample_attempts\": %llu, \"decode_attempts\": %llu, "
                  "\"edges_found\": %llu, \"groups_per_round\": ",
-                 row.mode, row.threads, row.ingest_secs, row.ingest_rate,
-                 row.extract_secs, row.stats.rounds_run,
+                 row.stats.rounds_run,
                  row.stats.early_exit ? "true" : "false",
                  static_cast<unsigned long long>(row.stats.summed_words),
                  static_cast<unsigned long long>(row.stats.sample_attempts),
@@ -686,44 +627,28 @@ void WriteJson(const std::vector<EngineRow>& rows, size_t n, size_t updates,
   AppendExtractCompare(f, "extraction_engine_dense", dense_extract);
   std::fprintf(f,
                "  \"peel\": {\"n\": %zu, \"peeled_edges\": %zu, "
-               "\"identical\": %s,\n"
-               "    \"peeled_seconds\": {\"median\": %.6f, \"min\": %.6f, "
-               "\"max\": %.6f},\n"
-               "    \"copy_seconds\": {\"median\": %.6f, \"min\": %.6f, "
-               "\"max\": %.6f},\n"
-               "    \"peeled_rss_growth_mb\": %.1f, "
+               "\"identical\": %s,\n    \"peeled_seconds\": ",
+               peel.n, peel.peeled_edges, peel.identical ? "true" : "false");
+  AppendSpread(f, peel.peeled_secs);
+  std::fprintf(f, ",\n    \"copy_seconds\": ");
+  AppendSpread(f, peel.copy_secs);
+  std::fprintf(f,
+               ",\n    \"peeled_rss_growth_mb\": %.1f, "
                "\"copy_rss_growth_mb\": %.1f},\n",
-               peel.n, peel.peeled_edges, peel.identical ? "true" : "false",
-               peel.peeled_secs.median, peel.peeled_secs.min,
-               peel.peeled_secs.max, peel.copy_secs.median, peel.copy_secs.min,
-               peel.copy_secs.max, peel.peeled_rss_growth_mb,
-               peel.copy_rss_growth_mb);
+               peel.peeled_rss_growth_mb, peel.copy_rss_growth_mb);
   std::fprintf(f,
                "  \"plane_chunks\": {\"n\": %zu, \"stream_updates\": %zu, "
                "\"rows\": [\n",
                chunk_n, chunk_updates);
   for (size_t i = 0; i < chunk_rows.size(); ++i) {
     const PlaneChunkRow& row = chunk_rows[i];
+    std::fprintf(f, "    {\"chunk\": %zu, \"seconds\": ", row.chunk);
+    AppendSpread(f, row.secs);
     std::fprintf(f,
-                 "    {\"chunk\": %zu, \"seconds\": {\"median\": %.6f, "
-                 "\"min\": %.6f, \"max\": %.6f}, "
-                 "\"updates_per_sec\": %.1f, \"escalated_fraction\": %.4f}%s\n",
-                 row.chunk, row.secs.median, row.secs.min, row.secs.max,
+                 ", \"updates_per_sec\": %.1f, "
+                 "\"escalated_fraction\": %.4f}%s\n",
                  row.updates_per_sec, row.escalated_frac,
                  i + 1 < chunk_rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]},\n");
-  std::fprintf(f,
-               "  \"engine_compact_state\": {\"n\": %zu, "
-               "\"stream_updates\": %zu, \"rows\": [\n",
-               compact_n, compact_updates);
-  for (size_t i = 0; i < compact_rows.size(); ++i) {
-    const EngineRow& row = compact_rows[i];
-    std::fprintf(f,
-                 "    {\"mode\": \"%s\", \"threads\": %zu, "
-                 "\"ingest_seconds\": %.6f, \"updates_per_sec\": %.1f}%s\n",
-                 row.mode, row.threads, row.ingest_secs, row.ingest_rate,
-                 i + 1 < compact_rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]},\n");
   std::fprintf(f,
@@ -1046,10 +971,11 @@ int PerfSmoke() {
     }
   }
   // Timing-consistency guard: the printed table and the JSON emitter both
-  // read the EngineRow that MakeIngestRow fills from ONE IngestTiming, so
-  // the reported number must be the exact min over the reps and the rate
-  // must invert back to it. A regression here means some emitter grew its
-  // own timing arithmetic again and the two outputs can drift apart.
+  // read the EngineRow that MakeIngestRow fills from ONE list of reps, so
+  // the reported spread must be the exact middle, least and greatest rep
+  // and the rate must invert back to the median. A regression here means
+  // some emitter grew its own timing arithmetic again and the two outputs
+  // can drift apart.
   {
     constexpr size_t kTinyN = 256;
     ForestSketchParams fp;
@@ -1057,17 +983,25 @@ int PerfSmoke() {
     SpanningForestSketch tiny(kTinyN, 2, /*seed=*/5, fp);
     DynamicStream tiny_stream =
         DynamicStream::InsertOnly(UnionOfHamiltonianCycles(kTinyN, 2, 6), 7);
-    IngestTiming t = BestOfThreeIngest(&tiny, tiny_stream);
-    EngineRow row =
-        MakeIngestRow("column_sharded", 1, t, tiny_stream.size());
-    const double min_rep = std::min({t.reps[0], t.reps[1], t.reps[2]});
+    std::vector<double> reps;
+    for (int rep = 0; rep < 5; ++rep) {
+      tiny.Clear();
+      Timer t;
+      tiny.Process(tiny_stream);
+      reps.push_back(t.Seconds());
+    }
+    const EngineRow row = MakeIngestRow(1, reps, tiny_stream.size());
+    std::vector<double> sorted = reps;
+    std::sort(sorted.begin(), sorted.end());
     const double rate = static_cast<double>(tiny_stream.size()) /
-                        std::max(row.ingest_secs, 1e-9);
-    if (row.ingest_secs != min_rep || row.ingest_rate != rate) {
+                        std::max(row.ingest_secs.median, 1e-9);
+    if (row.ingest_secs.median != sorted[2] ||
+        row.ingest_secs.min != sorted[0] || row.ingest_secs.max != sorted[4] ||
+        row.ingest_rate != rate) {
       std::printf(
-          "perf_smoke: FAIL (best-of-3 row disagrees with its reps: "
-          "secs=%.9f min_rep=%.9f rate=%.3f expected=%.3f)\n",
-          row.ingest_secs, min_rep, row.ingest_rate, rate);
+          "perf_smoke: FAIL (engine row disagrees with its reps: "
+          "median=%.9f want=%.9f rate=%.3f expected=%.3f)\n",
+          row.ingest_secs.median, sorted[2], row.ingest_rate, rate);
       return 1;
     }
   }
@@ -1278,6 +1212,10 @@ int main(int argc, char** argv) {
     if (std::string(argv[i]) == "--perf_smoke") return gms::PerfSmoke();
     if (std::string(argv[i]) == "--plane_smoke") return gms::PlaneGuard();
   }
+  // Reject unknown flags before the engine sections run for a minute and
+  // overwrite BENCH_throughput.json.
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   gms::bench::Banner(
       "E-throughput: update/decode constants + parallel engine",
       "Sharded-ownership parallel ingestion is bit-identical to serial; "
@@ -1286,9 +1224,6 @@ int main(int argc, char** argv) {
   size_t n = 0, updates = 0, r = 0;
   gms::FrameSizeRow frame;
   gms::ParallelEngineSection(&rows, &n, &updates, &r, &frame);
-  std::vector<gms::EngineRow> compact_rows;
-  size_t compact_n = 0, compact_updates = 0;
-  gms::CompactStateSection(&compact_rows, &compact_n, &compact_updates);
   gms::ExtractCompareRow extract;
   gms::ExtractionEngineSection(&extract);
   gms::ExtractCompareRow dense_extract;
@@ -1305,14 +1240,11 @@ int main(int argc, char** argv) {
   gms::bench::KernelTimings kt = gms::bench::CompareUpdateKernels();
   std::printf("\nupdate kernel: old %.1f ns -> new %.1f ns (%.2fx)\n",
               kt.old_ns, kt.new_ns, kt.speedup);
-  gms::WriteJson(rows, n, updates, r, compact_rows, compact_n,
-                 compact_updates, frame, extract, dense_extract, peel,
+  gms::WriteJson(rows, n, updates, r, frame, extract, dense_extract, peel,
                  chunk_rows, chunk_n, chunk_updates, density_rows, density_n,
                  density_threshold, kt);
   if (!dense_ok || !chunks_ok) return 1;
 
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

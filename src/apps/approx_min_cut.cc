@@ -13,7 +13,7 @@ namespace apps {
 
 ApproxMinCut::ApproxMinCut(size_t n, size_t max_rank, size_t k_cap,
                            uint64_t seed, const Params& params)
-    : threads_(params.engine.threads),
+    : threads_(params.threads),
       skeleton_(n, max_rank, k_cap, seed, params) {}
 
 void ApproxMinCut::Process(std::span<const StreamUpdate> updates) {

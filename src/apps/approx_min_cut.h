@@ -46,9 +46,9 @@ class ApproxMinCut {
   size_t k_cap() const { return skeleton_.k(); }
 
   void Update(const Hyperedge& e, int delta) { skeleton_.Update(e, delta); }
-  /// At engine.threads <= 1 the skeleton is an ingest plane's single
-  /// consumer (one encode + gutter pass feeds every layer); otherwise its
-  /// own Process shards the layers. Both land bit-identical state.
+  /// At threads <= 1 the skeleton is an ingest plane's single consumer
+  /// (one encode + gutter pass feeds every layer); otherwise its own
+  /// Process shards the layers. Both land bit-identical state.
   void Process(std::span<const StreamUpdate> updates);
   void Process(const DynamicStream& stream);
 

@@ -10,7 +10,7 @@ namespace apps {
 
 TwoEdgeConnect::TwoEdgeConnect(size_t n, size_t max_rank, uint64_t seed,
                                const Params& params)
-    : threads_(params.engine.threads),
+    : threads_(params.threads),
       skeleton_(n, max_rank, /*k=*/2, seed, params) {}
 
 void TwoEdgeConnect::Process(std::span<const StreamUpdate> updates) {

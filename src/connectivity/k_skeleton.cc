@@ -2,7 +2,6 @@
 
 #include <new>
 
-#include "stream/sharded_merge.h"
 #include "util/check.h"
 #include "util/parallel.h"
 #include "util/random.h"
@@ -46,12 +45,6 @@ void KSkeletonSketch::UpdatePrepared(const Hyperedge& e,
 
 void KSkeletonSketch::Process(std::span<const StreamUpdate> updates) {
   if (layers_.empty() || updates.empty()) return;
-  if (UseShardedMerge(params_.engine, updates.size())) {
-    ShardedMergeIngest(
-        this, updates,
-        ShardedMergeShards(params_.engine.threads, updates.size()));
-    return;
-  }
   // One encode + coordinate preparation per update, shared by all k layers.
   const EdgeCodec& codec = layers_[0].codec();
   std::vector<PreparedCoord> prepared(updates.size());
@@ -61,7 +54,7 @@ void KSkeletonSketch::Process(std::span<const StreamUpdate> updates) {
     prepared[j] = PrepareCoord(codec.Encode(updates[j].edge));
   }
   // Layers are independent sketches; shard them across the pool.
-  ParallelFor(params_.engine.threads, layers_.size(),
+  ParallelFor(params_.threads, layers_.size(),
               [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
       for (size_t j = 0; j < updates.size(); ++j) {
@@ -94,7 +87,7 @@ Result<Hypergraph> KSkeletonSketch::Extract(
     // per-round component summations use the pool.
     ExtractStats layer_stats;
     auto forest = layers_[i].ExtractSpanningGraph(
-        params_.engine.threads, stats != nullptr ? &layer_stats : nullptr,
+        params_.threads, stats != nullptr ? &layer_stats : nullptr,
         peeled.empty() ? skeleton.Edges() : accumulated);
     if (!forest.ok()) return forest.status();
     if (stats != nullptr) AccumulateExtractStats(layer_stats, stats);

@@ -46,8 +46,8 @@ class KSkeletonSketch {
   void UpdatePrepared(const Hyperedge& e, const PreparedCoord& pc, int delta);
 
   /// Batched ingestion: encodes each update once and shards the k
-  /// independent layers across params.engine.threads workers (bit-identical to
-  /// the serial path; each layer is owned by one worker).
+  /// independent layers across params.threads workers (bit-identical to the
+  /// serial path; each layer is owned by one worker).
   void Process(std::span<const StreamUpdate> updates);
   void Process(const DynamicStream& stream);
 

@@ -11,7 +11,6 @@
 
 #include "connectivity/incidence.h"
 #include "graph/union_find.h"
-#include "stream/sharded_merge.h"
 #include "util/check.h"
 #include "util/parallel.h"
 #include "util/random.h"
@@ -123,7 +122,7 @@ Status ReadForestParams(wire::Reader* r, ForestSketchParams* params) {
   if (params->rounds < 0 || params->rounds > (1 << 20)) {
     return Status::InvalidArgument("wire: forest rounds out of range");
   }
-  params->engine = EngineParams();
+  params->threads = 1;
   return Status::OK();
 }
 
@@ -429,17 +428,6 @@ void SpanningForestSketch::ApplyUpdateBatch(
 }
 
 void SpanningForestSketch::Process(std::span<const StreamUpdate> updates) {
-  if (UseShardedMerge(params_.engine, updates.size())) {
-    ShardedMergeIngest(
-        this, updates,
-        ShardedMergeShards(params_.engine.threads, updates.size()));
-    return;
-  }
-  ProcessColumns(updates);
-}
-
-void SpanningForestSketch::ProcessColumns(
-    std::span<const StreamUpdate> updates) {
   // Encode and prepare once per update (the combinadic rank, key fold, and
   // exponent reduction are the same for every round), then hand each worker
   // a contiguous block of rounds: round columns are disjoint state -- and
@@ -503,7 +491,7 @@ void SpanningForestSketch::ProcessColumns(
   // latency across the ~8 lines an update touches, near enough that the
   // lines are still resident when reached.
   constexpr size_t kPrefetchAhead = 12;
-  ParallelFor(params_.engine.threads, static_cast<size_t>(rounds_),
+  ParallelFor(params_.threads, static_cast<size_t>(rounds_),
               [&](size_t begin, size_t end) {
                 for (size_t t = begin; t < end; ++t) {
                   for (size_t k = 0; k < count; ++k) {
@@ -527,12 +515,12 @@ void SpanningForestSketch::Process(const DynamicStream& stream) {
 void SpanningForestSketch::RemoveHyperedges(
     const std::vector<Hyperedge>& edges) {
   if (edges.empty()) return;
-  // Batch the subtraction through the column path: one encode per edge and
-  // the round fan-out / prefetch of Process.
+  // Batch the subtraction through Process: one encode per edge and the
+  // round fan-out / prefetch.
   std::vector<StreamUpdate> updates;
   updates.reserve(edges.size());
   for (const auto& e : edges) updates.emplace_back(e, -1);
-  ProcessColumns(updates);
+  Process(updates);
 }
 
 bool SpanningForestSketch::SampleGroupEdge(int t, const uint64_t* src,
@@ -737,7 +725,7 @@ Result<Hypergraph> SpanningForestSketch::ExtractImpl(
     size_t threads, ExtractStats* stats, bool incremental,
     const PeelOverlay* ov) const {
   GMS_DCHECK(incremental || ov == nullptr);
-  if (threads == 0) threads = params_.engine.threads;
+  if (threads == 0) threads = params_.threads;
   Hypergraph result(n_);
   UnionFind uf(n_);
   std::vector<VertexId> active_vertices;

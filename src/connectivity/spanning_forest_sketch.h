@@ -108,19 +108,17 @@ struct ForestSketchParams {
   SketchConfig config = SketchConfig::Default();
   /// Borůvka rounds; 0 means ceil(log2 n) + config.extra_boruvka_rounds.
   int rounds = 0;
-  /// Worker threads for batched Process and for the per-round component
-  /// summation in ExtractSpanningGraph (see util/parallel.h; outputs are
-  /// bit-identical for every setting).
-  EngineParams engine;
+  /// Worker threads for batched Process (sharding the Borůvka rounds) and
+  /// for the per-round component summation in ExtractSpanningGraph (see
+  /// util/parallel.h). Local execution policy: never on the wire, and
+  /// outputs are bit-identical for every setting.
+  size_t threads = 1;
 
   class Builder;
 };
 
 /// Fluent construction: ForestSketchParams::Builder().Rounds(12)
-///     .Engine(EngineParams::Builder().Threads(8).Build()).Build().
-/// Build() validates the sketch-shape knobs here and funnels the engine
-/// knobs through ValidateEngineParams (the single validator every params
-/// builder shares).
+///     .Threads(8).Build(). Build() validates every knob.
 class ForestSketchParams::Builder {
  public:
   Builder() = default;
@@ -136,18 +134,8 @@ class ForestSketchParams::Builder {
     p_.rounds = rounds;
     return *this;
   }
-  Builder& Engine(const EngineParams& engine) {
-    p_.engine = engine;
-    return *this;
-  }
-  /// Shortcuts into the embedded engine (the two knobs every thread-sweep
-  /// test and bench overrides).
   Builder& Threads(size_t threads) {
-    p_.engine.threads = threads;
-    return *this;
-  }
-  Builder& Mode(IngestMode mode) {
-    p_.engine.mode = mode;
+    p_.threads = threads;
     return *this;
   }
   ForestSketchParams Build() const {
@@ -161,7 +149,8 @@ class ForestSketchParams::Builder {
                   "ForestSketchParams: buckets_per_capacity must be >= 1");
     GMS_CHECK_MSG(p_.config.extra_boruvka_rounds >= 0,
                   "ForestSketchParams: extra_boruvka_rounds must be >= 0");
-    ValidateEngineParams(p_.engine);
+    GMS_CHECK_MSG(p_.threads >= 1,
+                  "ForestSketchParams: threads must be >= 1");
     return p_;
   }
 
@@ -255,11 +244,9 @@ class SpanningForestSketch {
   /// one update out to many sketches prepare once for all of them.
   void UpdatePrepared(const Hyperedge& e, const PreparedCoord& pc, int delta);
 
-  /// Batched ingestion. Column mode encodes each update once, then shards
-  /// the Borůvka rounds (independent sketch columns) across the workers;
-  /// sharded-merge mode slices the stream into private clones and
-  /// tree-merges (see util/parallel.h). Bit-identical to updating serially
-  /// in order either way.
+  /// Batched ingestion: encodes each update once, then shards the Borůvka
+  /// rounds (independent sketch columns) across params.threads workers
+  /// (see util/parallel.h). Bit-identical to updating serially in order.
   void Process(std::span<const StreamUpdate> updates);
 
   /// Prefetch the cells UpdatePrepared(e, pc, .) will touch. Batch ingest
@@ -314,7 +301,7 @@ class SpanningForestSketch {
   /// and sample directly from the arena (no accumulator at all);
   /// accumulators cover fixed windows of kAccWindowRounds future rounds so
   /// merges are whole-block additions. Per-component work fans out across
-  /// `threads` workers (0 = the engine.threads this sketch was built
+  /// `threads` workers (0 = the params.threads this sketch was built
   /// with); all arithmetic is exact field addition and every serial
   /// decision (block ids, union order) runs in group order, so the decode
   /// is bit-identical for every thread count. The loop exits early once no
@@ -542,11 +529,6 @@ class SpanningForestSketch {
                              ArenaAt(e[pos], t) + level_off, pc.fold);
     }
   }
-
-  /// The column-sharded batched ingest (encode once, shard the Borůvka
-  /// rounds across workers). Process() dispatches here unless sharded
-  /// merge applies; RemoveHyperedges batches its subtraction through it.
-  void ProcessColumns(std::span<const StreamUpdate> updates);
 
   /// Shared Borůvka driver: incremental or reference accumulation. `ov`
   /// (incremental only) decodes the residual G - peeled.

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <new>
 
-#include "stream/sharded_merge.h"
 #include "util/check.h"
 #include "util/parallel.h"
 #include "util/random.h"
@@ -74,12 +73,6 @@ void HypergraphSparsifierSketch::Update(const Hyperedge& e, int delta) {
 
 void HypergraphSparsifierSketch::Process(std::span<const StreamUpdate> updates) {
   if (updates.empty()) return;
-  if (UseShardedMerge(params_.engine, updates.size())) {
-    ShardedMergeIngest(
-        this, updates,
-        ShardedMergeShards(params_.engine.threads, updates.size()));
-    return;
-  }
   // Prepare each update's coordinate once (the sampling hash and every
   // level row share the same (n, max_rank) domain and the fold is
   // hash-independent) and derive its sampling depth from the shared fold.
@@ -91,7 +84,7 @@ void HypergraphSparsifierSketch::Process(std::span<const StreamUpdate> updates) 
   }
   // Shard the level rows: each row is an independent linear sketch owned by
   // one worker, ingesting exactly the updates whose depth reaches it.
-  ParallelFor(params_.engine.threads, level_sketches_.size(),
+  ParallelFor(params_.threads, level_sketches_.size(),
               [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
       for (size_t j = 0; j < updates.size(); ++j) {

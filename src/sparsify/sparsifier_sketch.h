@@ -36,7 +36,7 @@ struct SparsifierParams {
   bool reparameterize = false;
   /// Worker threads sharding the level rows during batched Process (see
   /// util/parallel.h; outputs are bit-identical for every setting).
-  EngineParams engine;
+  size_t threads = 1;
   ForestSketchParams forest;
 
   size_t ResolveLevels(size_t n) const;
@@ -46,9 +46,8 @@ struct SparsifierParams {
 };
 
 /// Fluent construction: SparsifierParams::Builder().Epsilon(0.5).Levels(8)
-///     .Engine(...).Build(). Build() validates the sparsifier knobs here
-/// and funnels the embedded engine/forest params through the shared
-/// ValidateEngineParams / ForestSketchParams::Builder validation.
+///     .Threads(4).Build(). Build() validates the sparsifier knobs here
+/// and the embedded forest params through ForestSketchParams::Builder.
 class SparsifierParams::Builder {
  public:
   Builder() = default;
@@ -76,22 +75,12 @@ class SparsifierParams::Builder {
     p_.reparameterize = reparameterize;
     return *this;
   }
-  Builder& Engine(const EngineParams& engine) {
-    p_.engine = engine;
-    return *this;
-  }
   Builder& Forest(const ForestSketchParams& forest) {
     p_.forest = forest;
     return *this;
   }
-  /// Shortcuts into the embedded engine (the two knobs every thread-sweep
-  /// test and bench overrides).
   Builder& Threads(size_t threads) {
-    p_.engine.threads = threads;
-    return *this;
-  }
-  Builder& Mode(IngestMode mode) {
-    p_.engine.mode = mode;
+    p_.threads = threads;
     return *this;
   }
   SparsifierParams Build() const {
@@ -99,11 +88,8 @@ class SparsifierParams::Builder {
     GMS_CHECK_MSG(p_.k > 0 || p_.k_constant > 0.0,
                   "SparsifierParams: k_constant must be positive unless k "
                   "overrides the resolved threshold");
-    ValidateEngineParams(p_.engine);
-    ForestSketchParams::Builder().Config(p_.forest.config)
-        .Rounds(p_.forest.rounds)
-        .Engine(p_.forest.engine)
-        .Build();
+    GMS_CHECK_MSG(p_.threads >= 1, "SparsifierParams: threads must be >= 1");
+    ForestSketchParams::Builder(p_.forest).Build();
     return p_;
   }
 
@@ -138,7 +124,7 @@ class HypergraphSparsifierSketch {
 
   /// Batched ingestion: each update's codec index and sampling depth are
   /// computed once; the level rows (independent light-recovery sketches)
-  /// are sharded across params.engine.threads workers. Bit-identical to serial.
+  /// are sharded across params.threads workers. Bit-identical to serial.
   void Process(std::span<const StreamUpdate> updates);
   void Process(const DynamicStream& stream);
 

@@ -73,9 +73,8 @@ void ThreadPool::HelperLoop(size_t helper) {
 void ThreadPool::Run(size_t shards, const std::function<void(size_t)>& fn) {
   if (shards <= 1) {
     if (shards == 1) {
-      // Still a "shard of some Run": mark the region so nested engine
-      // dispatch (UseShardedMerge, ParallelFor) degrades to inline/serial
-      // paths instead of recursing back into the pool.
+      // Still a "shard of some Run": mark the region so a nested
+      // ParallelFor runs inline instead of recursing back into the pool.
       const bool prev = t_in_parallel_region;
       t_in_parallel_region = true;
       fn(0);

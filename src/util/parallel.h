@@ -15,12 +15,11 @@
 #include <algorithm>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <mutex>
 #include <thread>
 #include <vector>
-
-#include "util/check.h"
 
 namespace gms {
 
@@ -41,10 +40,9 @@ class ThreadPool {
   /// shards return. Top-level only -- a shard that itself reaches a
   /// ParallelFor runs it inline (see below), so nesting cannot deadlock.
   /// Run(1, fn) invokes fn(0) on the calling thread but still marks it as
-  /// inside a parallel region, so nested engine dispatch degrades to the
-  /// serial column path (sharded_merge.h relies on this for its
-  /// degenerate-split fallback). Deliberately NOT clamped to
-  /// HardwareThreads(): tests exercise oversubscribed shard counts here.
+  /// inside a parallel region, so a ParallelFor inside fn runs inline.
+  /// Deliberately NOT clamped to HardwareThreads(): tests exercise
+  /// oversubscribed shard counts here.
   void Run(size_t shards, const std::function<void(size_t)>& fn);
 
   /// True while the calling thread is executing a shard of some Run.
@@ -86,74 +84,6 @@ struct ShardRange {
 inline ShardRange ShardOf(size_t n, size_t shard, size_t shards) {
   return ShardRange{shard * n / shards, (shard + 1) * n / shards};
 }
-
-/// How a batched Process(span) call turns the update stream into
-/// parallelism. Both modes are bit-identical to the serial path.
-enum class IngestMode : uint8_t {
-  /// Shard the sketch's independent state COLUMNS (Borůvka rounds, the R
-  /// subsamples, skeleton layers, sparsifier level rows) across workers;
-  /// every worker scans the whole update stream. No extra memory, but the
-  /// parallelism is capped by the number of columns.
-  kColumnSharded = 0,
-  /// Shard the update STREAM: each worker ingests a disjoint slice into a
-  /// private zeroed clone of the sketch, then a tree of MergeFrom calls
-  /// combines the clones (exact cell-wise field addition, so the result is
-  /// bit-identical to serial by linearity). Scales with stream length even
-  /// for single-column sketches, at threads x the sketch's memory.
-  kShardedMerge = 1,
-};
-
-/// The engine knobs shared by every sketch's params struct (embedded as
-/// `engine`; brace elision keeps positional aggregate init working).
-struct EngineParams {
-  /// Worker threads for batched ingestion and extraction (1 = serial).
-  /// Pure execution policy, like `mode`: never on the wire, and outputs
-  /// are bit-identical for every value.
-  size_t threads = 1;
-  IngestMode mode = IngestMode::kColumnSharded;
-
-  class Builder;
-};
-
-/// THE engine-knob validator: every params builder (here, forest, VC,
-/// sparsifier) funnels its embedded EngineParams through this one function,
-/// so a bad knob combination fails identically no matter which surface it
-/// entered through. Aborts (GMS_CHECK) -- a malformed params struct is a
-/// programming error, not a runtime condition.
-inline const EngineParams& ValidateEngineParams(const EngineParams& p) {
-  GMS_CHECK_MSG(p.threads >= 1, "EngineParams: threads must be >= 1");
-  GMS_CHECK_MSG(p.mode == IngestMode::kColumnSharded ||
-                    p.mode == IngestMode::kShardedMerge,
-                "EngineParams: unknown ingest mode");
-  return p;
-}
-
-/// Fluent construction: EngineParams::Builder().Threads(8)
-///     .Mode(IngestMode::kShardedMerge).Build().
-/// Build() routes through ValidateEngineParams, so hand-rolled aggregates
-/// and built params obey the same rules. The struct itself stays an
-/// aggregate (a nested class does not forfeit aggregate-ness), so existing
-/// brace/field initialization keeps compiling during migration.
-class EngineParams::Builder {
- public:
-  Builder() = default;
-  /// Copy-with: seed the builder from existing params, override a few
-  /// knobs, Build(). (Re-)validates everything, including untouched fields.
-  explicit Builder(const EngineParams& from) : p_(from) {}
-
-  Builder& Threads(size_t threads) {
-    p_.threads = threads;
-    return *this;
-  }
-  Builder& Mode(IngestMode mode) {
-    p_.mode = mode;
-    return *this;
-  }
-  EngineParams Build() const { return ValidateEngineParams(p_); }
-
- private:
-  EngineParams p_;
-};
 
 /// Run body(begin, end) over contiguous static shards of [0, n). The shard
 /// count is min(threads, n, HardwareThreads()): requesting more workers
@@ -199,9 +129,9 @@ inline void ParallelForAligned(size_t threads, size_t n, size_t grain,
 }
 
 /// Tag for the empty-clone constructors behind the mergeable-sketch
-/// CloneEmpty() concept (sharded_merge.h, the serving layer's epoch
-/// deltas): same seed, shapes, and active sets as the source sketch, but
-/// zero cells -- WITHOUT copying the source arena first.
+/// CloneEmpty() concept (the serving layer's epoch deltas): same seed,
+/// shapes, and active sets as the source sketch, but zero cells --
+/// WITHOUT copying the source arena first.
 struct CloneEmptyTag {};
 
 }  // namespace gms

@@ -9,7 +9,7 @@ HyperVcQuerySketch::HyperVcQuerySketch(size_t n, size_t max_rank,
                                        const Params& params, uint64_t seed)
     : params_(params),
       forests_(n, max_rank, params.k, params.ResolveR(n), seed, params.forest,
-               params.engine) {}
+               params.threads) {}
 
 QueryResult<HyperVcUnionSnapshot> HyperVcQuerySketch::Query() const {
   ExtractStats stats;

@@ -90,8 +90,8 @@ class HyperVcQuerySketch {
     return forests_.MergeFrom(other.forests_);
   }
   void Clear() { forests_.Clear(); }
-  /// A sketch of the SAME measurement with zero state (the sharded-merge
-  /// and serving-delta clone); the parent's cells are never copied.
+  /// A sketch of the SAME measurement with zero state (the serving-delta
+  /// clone); the parent's cells are never copied.
   HyperVcQuerySketch CloneEmpty() const {
     return HyperVcQuerySketch(params_, forests_.CloneEmpty());
   }

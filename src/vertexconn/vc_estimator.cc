@@ -22,7 +22,7 @@ VcEstimator::VcEstimator(size_t n, const VcEstimatorParams& params,
                          uint64_t seed)
     : params_(params),
       forests_(n, /*max_rank=*/2, params.k, params.ResolveR(n), seed,
-               params.forest, params.engine) {}
+               params.forest, params.threads) {}
 
 Result<size_t> VcEstimator::EstimateKappa() const {
   auto h = forests_.BuildUnionGraph();

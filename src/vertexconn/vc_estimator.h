@@ -22,7 +22,7 @@ struct VcEstimatorParams {
   size_t explicit_r = 0;
   /// Worker threads sharding the R sketches (see
   /// util/parallel.h; outputs are bit-identical for every setting).
-  EngineParams engine;
+  size_t threads = 1;
   ForestSketchParams forest;
 
   size_t ResolveR(size_t n) const;

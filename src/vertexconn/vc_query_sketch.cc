@@ -7,7 +7,6 @@
 
 #include "exact/vertex_connectivity.h"
 #include "graph/traversal.h"
-#include "stream/sharded_merge.h"
 #include "util/check.h"
 #include "util/parallel.h"
 #include "util/random.h"
@@ -99,8 +98,8 @@ SubsampledForestUnion::SubsampledForestUnion(size_t n, size_t max_rank,
                                              size_t k, size_t r_subgraphs,
                                              uint64_t seed,
                                              const ForestSketchParams& params,
-                                             const EngineParams& engine)
-    : n_(n), k_(k), seed_(seed), engine_(engine) {
+                                             size_t threads)
+    : n_(n), k_(k), seed_(seed), threads_(threads) {
   GMS_CHECK(k >= 1);
   GMS_CHECK(r_subgraphs >= 1);
   Rng rng(seed);
@@ -117,7 +116,7 @@ SubsampledForestUnion::SubsampledForestUnion(const SubsampledForestUnion& other,
     : n_(other.n_),
       k_(other.k_),
       seed_(other.seed_),
-      engine_(other.engine_),
+      threads_(other.threads_),
       kept_(other.kept_) {
   sketches_.reserve(other.sketches_.size());
   for (const auto& sketch : other.sketches_) {
@@ -158,11 +157,6 @@ void SubsampledForestUnion::ApplyUpdateBatch(
 
 void SubsampledForestUnion::Process(std::span<const StreamUpdate> updates) {
   if (sketches_.empty() || updates.empty()) return;
-  if (UseShardedMerge(engine_, updates.size())) {
-    ShardedMergeIngest(this, updates,
-                       ShardedMergeShards(engine_.threads, updates.size()));
-    return;
-  }
   // Encode and prepare once per update: every subsample shares the same
   // (n, max_rank) codec, and the key fold / exponent reduction are shape-
   // independent, so none of the per-key arithmetic is re-derived R times.
@@ -179,7 +173,7 @@ void SubsampledForestUnion::Process(std::span<const StreamUpdate> updates) {
   // Shard the R independent sketches: each is owned by exactly one worker
   // and sees its updates in stream order, so the result is bit-identical
   // to the serial path.
-  ParallelFor(engine_.threads, sketches_.size(),
+  ParallelFor(threads_, sketches_.size(),
               [&](size_t begin, size_t end) {
     std::vector<uint32_t> hits;
     for (size_t i = begin; i < end; ++i) {
@@ -219,7 +213,7 @@ SubsampledForestUnion::DecodeForests(ExtractStats* stats) const {
   std::vector<Status> status(sketches_.size());
   std::vector<ExtractStats> per_sketch(stats != nullptr ? sketches_.size()
                                                         : 0);
-  ParallelFor(engine_.threads, sketches_.size(),
+  ParallelFor(threads_, sketches_.size(),
               [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
       // All-sparse forests decode exactly from their buffers alone --
@@ -351,7 +345,7 @@ size_t VcQueryParams::ResolveR(size_t n) const {
 VcQuerySketch::VcQuerySketch(size_t n, const Params& params, uint64_t seed)
     : params_(params),
       forests_(n, /*max_rank=*/2, params.k, params.ResolveR(n), seed,
-               params.forest, params.engine) {}
+               params.forest, params.threads) {}
 
 Result<bool> VcUnionSnapshot::Disconnects(
     const std::vector<VertexId>& s) const {

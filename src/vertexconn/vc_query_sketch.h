@@ -42,14 +42,14 @@ Result<std::vector<VertexId>> NormalizeQuerySet(const std::vector<VertexId>& s,
 /// HyperVcQuerySketch a rank-r one.
 class SubsampledForestUnion {
  public:
-  /// keep probability 1/k; R independent subsamples. `engine` workers
+  /// keep probability 1/k; R independent subsamples. `threads` workers
   /// shard the R sketches for batched ingestion and union-graph extraction
   /// (each sketch is owned by exactly one worker; results are bit-identical
   /// to the serial path for every thread count).
   SubsampledForestUnion(size_t n, size_t max_rank, size_t k,
                         size_t r_subgraphs, uint64_t seed,
                         const ForestSketchParams& params,
-                        const EngineParams& engine = EngineParams());
+                        size_t threads = 1);
 
   size_t n() const { return n_; }
   size_t max_rank() const { return sketches_[0].max_rank(); }
@@ -143,7 +143,7 @@ class SubsampledForestUnion {
   size_t n_;
   size_t k_;
   uint64_t seed_;
-  EngineParams engine_;
+  size_t threads_;
   std::vector<std::vector<bool>> kept_;  // kept_[i][v]
   std::vector<SpanningForestSketch> sketches_;
 };
@@ -157,7 +157,7 @@ struct VcQueryParams {
   size_t explicit_r = 0;
   /// Worker threads sharding the R sketches during Process/Query (see
   /// util/parallel.h; outputs are bit-identical for every setting).
-  EngineParams engine;
+  size_t threads = 1;
   ForestSketchParams forest;
 
   size_t ResolveR(size_t n) const;
@@ -166,9 +166,8 @@ struct VcQueryParams {
 };
 
 /// Fluent construction: VcQueryParams::Builder().K(3).RMultiplier(0.5)
-///     .Engine(...).Build(). Build() validates the VC knobs here and
-/// funnels the embedded engine/forest params through the shared
-/// ValidateEngineParams / ForestSketchParams::Builder validation.
+///     .Threads(4).Build(). Build() validates the VC knobs here and
+/// the embedded forest params through ForestSketchParams::Builder.
 class VcQueryParams::Builder {
  public:
   Builder() = default;
@@ -188,22 +187,12 @@ class VcQueryParams::Builder {
     p_.explicit_r = r;
     return *this;
   }
-  Builder& Engine(const EngineParams& engine) {
-    p_.engine = engine;
-    return *this;
-  }
   Builder& Forest(const ForestSketchParams& forest) {
     p_.forest = forest;
     return *this;
   }
-  /// Shortcuts into the embedded engine (the two knobs every thread-sweep
-  /// test and bench overrides).
   Builder& Threads(size_t threads) {
-    p_.engine.threads = threads;
-    return *this;
-  }
-  Builder& Mode(IngestMode mode) {
-    p_.engine.mode = mode;
+    p_.threads = threads;
     return *this;
   }
   VcQueryParams Build() const {
@@ -211,11 +200,8 @@ class VcQueryParams::Builder {
     GMS_CHECK_MSG(p_.explicit_r > 0 || p_.r_multiplier > 0.0,
                   "VcQueryParams: r_multiplier must be positive unless "
                   "explicit_r overrides R");
-    ValidateEngineParams(p_.engine);
-    ForestSketchParams::Builder().Config(p_.forest.config)
-        .Rounds(p_.forest.rounds)
-        .Engine(p_.forest.engine)
-        .Build();
+    GMS_CHECK_MSG(p_.threads >= 1, "VcQueryParams: threads must be >= 1");
+    ForestSketchParams::Builder(p_.forest).Build();
     return p_;
   }
 

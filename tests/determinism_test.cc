@@ -6,6 +6,7 @@
 // and under the `tsan` preset it doubles as the engine's data-race test.
 #include <gtest/gtest.h>
 
+#include <span>
 #include <vector>
 
 #include "connectivity/k_skeleton.h"
@@ -15,6 +16,7 @@
 #include "stream/ingest_plane.h"
 #include "stream/stream.h"
 #include "testkit/stream_spec.h"
+#include "util/parallel.h"
 #include "vertexconn/hyper_vc_query.h"
 #include "vertexconn/vc_query_sketch.h"
 
@@ -103,9 +105,7 @@ TEST(DeterminismTest, SubsampledForestUnionBitIdentical) {
   ASSERT_TRUE(serial_h.ok());
 
   for (size_t threads : kThreadSweep) {
-    SubsampledForestUnion parallel(
-        kN, 2, 2, 12, kSeed, forest,
-        EngineParams::Builder().Threads(threads).Build());
+    SubsampledForestUnion parallel(kN, 2, 2, 12, kSeed, forest, threads);
     parallel.Process(stream);
     EXPECT_TRUE(parallel.StateEquals(serial)) << "threads=" << threads;
     auto h = parallel.BuildUnionGraph();
@@ -306,14 +306,14 @@ TEST(DeterminismTest, PlaneRoutedContainersBitIdentical) {
   }
 }
 
-// Workload-corpus families through every ingest mode: one power-law
+// Workload-corpus families through every ingest path: one power-law
 // (kRmat, with churn) and one temporal-churn instance (the family that
-// owns its own sliding-delete schedule), serial vs column@4 vs
-// sharded-merge@4 vs the inline ingest plane, compared at serialized-frame
-// strength. These families stress skew the expander specs do not: rmat
-// hubs concentrate
-// updates on few gutters, and temporal churn interleaves every insert
-// with a delete of the edge that expired.
+// owns its own sliding-delete schedule), serial vs column@4 vs the inline
+// ingest plane vs CloneEmpty + MergeFrom over 2 and 4 contiguous slices,
+// compared at serialized-frame strength. These families stress skew the
+// expander specs do not: rmat hubs concentrate updates on few gutters,
+// and temporal churn interleaves every insert with a delete of the edge
+// that expired (so a slice holds deletes of edges another slice inserted).
 TEST(DeterminismTest, WorkloadFamiliesAcrossIngestModesBitIdentical) {
   constexpr uint64_t kSeed = 67;
   std::vector<testkit::StreamSpec> specs(2);
@@ -349,19 +349,24 @@ TEST(DeterminismTest, WorkloadFamiliesAcrossIngestModesBitIdentical) {
     EXPECT_TRUE(column.StateEquals(serial));
     EXPECT_EQ(Frame(column), serial_frame) << "column@4 frame diverges";
 
-    SpanningForestSketch sharded(spec.n, 2, kSeed,
-                                 ForestSketchParams::Builder(serial_params)
-                                     .Threads(4)
-                                     .Mode(IngestMode::kShardedMerge)
-                                     .Build());
-    sharded.Process(built.stream);
-    EXPECT_TRUE(sharded.StateEquals(serial));
-    EXPECT_EQ(Frame(sharded), serial_frame) << "sharded-merge frame diverges";
-
     SpanningForestSketch planed(spec.n, 2, kSeed, serial_params);
     PlaneIngest(&planed, built.stream);
     EXPECT_TRUE(planed.StateEquals(serial));
     EXPECT_EQ(Frame(planed), serial_frame) << "plane frame diverges";
+
+    const std::span<const StreamUpdate> updates(built.stream.updates());
+    for (size_t slices : {2u, 4u}) {
+      SpanningForestSketch merged(spec.n, 2, kSeed, serial_params);
+      for (size_t s = 0; s < slices; ++s) {
+        const ShardRange r = ShardOf(updates.size(), s, slices);
+        SpanningForestSketch slice = merged.CloneEmpty();
+        slice.Process(updates.subspan(r.begin, r.end - r.begin));
+        ASSERT_TRUE(merged.MergeFrom(slice).ok()) << "slices=" << slices;
+      }
+      EXPECT_TRUE(merged.StateEquals(serial)) << "slices=" << slices;
+      EXPECT_EQ(Frame(merged), serial_frame)
+          << slices << "-slice merge frame diverges";
+    }
   }
 }
 

@@ -223,6 +223,22 @@ TEST(EdgeCasesDeathTest, NOneHasNoEdgeDomain) {
   EXPECT_DEATH(L0Sampler(0, SketchConfig::Light(), kSeed), "empty domain");
 }
 
+TEST(EdgeCasesDeathTest, BuildersRejectZeroThreads) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // Every params builder checks its worker count, the embedded forest's
+  // included.
+  EXPECT_DEATH(ForestSketchParams::Builder().Threads(0).Build(),
+               "threads must be >= 1");
+  EXPECT_DEATH(VcQueryParams::Builder().Threads(0).Build(),
+               "threads must be >= 1");
+  EXPECT_DEATH(SparsifierParams::Builder().Threads(0).Build(),
+               "threads must be >= 1");
+  ForestSketchParams zero;
+  zero.threads = 0;
+  EXPECT_DEATH(VcQueryParams::Builder().Forest(zero).Build(),
+               "threads must be >= 1");
+}
+
 TEST(EdgeCasesDeathTest, VcServingRefusesHyperedgeRank) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   // The VC engine takes graph streams only, so a server that would accept

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "connectivity/spanning_forest_sketch.h"
-#include "stream/sharded_merge.h"
 #include "stream/stream.h"
 #include "testkit/stream_spec.h"
 #include "util/random.h"
@@ -189,93 +188,6 @@ TEST(ExtractionSerdeTest, DirtyBitmapIsNotPartOfTheWireFrame) {
   roundtrip->Serialize(&reserialized);
   EXPECT_EQ(direct, reserialized);
   EXPECT_TRUE(roundtrip->StateEquals(sketch));
-}
-
-// ---------- sharded-merge guard and ingest agree on degenerate splits ----
-
-TEST(ExtractionShardedMergeTest, GuardAndIngestAgreeOnTinySpans) {
-  // UseShardedMerge refuses a span the shard policy cannot split in two;
-  // ShardedMergeIngest called DIRECTLY with the same span must still
-  // terminate (serial fallback inside a width-1 pool region -- the
-  // nested Process sees InParallelRegion and takes the column path, so
-  // no recursion) and produce the serial state.
-  StreamSpec spec;
-  spec.family = testkit::Family::kPath;
-  spec.n = 16;
-  BuiltStream built = spec.Build();
-  const auto& updates = built.stream.updates();
-  ASSERT_GE(updates.size(), 1u);
-
-  const EngineParams engine = EngineParams::Builder()
-                                  .Mode(IngestMode::kShardedMerge)
-                                  .Threads(2)
-                                  .Build();
-  EXPECT_FALSE(UseShardedMerge(engine, 0));
-  EXPECT_FALSE(UseShardedMerge(engine, 1));
-  EXPECT_EQ(ShardedMergeShards(2, 1), 1u);
-  EXPECT_EQ(ShardedMergeShards(8, 0), 0u);
-
-  const ForestSketchParams params =
-      ForestSketchParams::Builder(LightParams()).Engine(engine).Build();
-  SpanningForestSketch sharded(spec.n, built.max_rank, /*seed=*/29, params);
-  std::span<const StreamUpdate> one(updates.data(), 1);
-  ShardedMergeIngest(&sharded, one, /*max_shards=*/2);
-  ShardedMergeIngest(&sharded, std::span<const StreamUpdate>(), 8);  // no-op
-
-  SpanningForestSketch serial(spec.n, built.max_rank, /*seed=*/29,
-                              LightParams());
-  serial.Process(one);
-  EXPECT_TRUE(sharded.StateEquals(serial));
-}
-
-TEST(ExtractionShardedMergeTest, TinySpansFallBackSerialAndStayBitIdentical) {
-  // Regression: spans SHORTER than the requested thread complement must
-  // refuse the sharded path (they would split into ~1-update shards, each
-  // paying a clone arena + merge), while spans >= threads may take it.
-  // Either way Process must stay bit-identical to serial, pinned at the
-  // boundary sizes {0, 1, threads-1, threads, threads+1}.
-  StreamSpec spec;
-  spec.family = testkit::Family::kExpander;
-  spec.n = 24;
-  spec.k = 3;
-  BuiltStream built = spec.Build();
-  const auto& updates = built.stream.updates();
-
-  constexpr size_t kThreads = 4;
-  ASSERT_GE(updates.size(), kThreads + 1);
-
-  const EngineParams engine = EngineParams::Builder()
-                                  .Mode(IngestMode::kShardedMerge)
-                                  .Threads(kThreads)
-                                  .Build();
-  EXPECT_FALSE(UseShardedMerge(engine, 0));
-  EXPECT_FALSE(UseShardedMerge(engine, 1));
-  EXPECT_FALSE(UseShardedMerge(engine, kThreads - 1));
-  // At >= threads the guard defers to the CPU clamp: sharded when this
-  // machine can actually run 2+ workers, serial otherwise -- never a
-  // degenerate sub-thread split.
-  EXPECT_EQ(UseShardedMerge(engine, kThreads), HardwareThreads() >= 2);
-  EXPECT_EQ(UseShardedMerge(engine, kThreads + 1), HardwareThreads() >= 2);
-
-  for (size_t len : {size_t{0}, size_t{1}, kThreads - 1, kThreads,
-                     kThreads + 1}) {
-    std::span<const StreamUpdate> prefix(updates.data(), len);
-
-    const ForestSketchParams params =
-        ForestSketchParams::Builder(LightParams()).Engine(engine).Build();
-    SpanningForestSketch sharded(spec.n, built.max_rank, /*seed=*/31, params);
-    sharded.Process(prefix);
-
-    SpanningForestSketch serial(spec.n, built.max_rank, /*seed=*/31,
-                                LightParams());
-    for (const auto& u : prefix) serial.Update(u.edge, u.delta);
-
-    EXPECT_TRUE(sharded.StateEquals(serial)) << "span len=" << len;
-    std::vector<uint8_t> a, b;
-    serial.Serialize(&a);
-    sharded.Serialize(&b);
-    EXPECT_EQ(a, b) << "span len=" << len;
-  }
 }
 
 }  // namespace

@@ -4,9 +4,9 @@
 //
 //  - Escalation is invisible in the measurement: around the threshold
 //    (T-1, T, T+1 updates) every ingest engine -- serial, column-sharded,
-//    sharded-merge, the inline ingest plane (whose batch apply absorbs and
-//    then escalates mid-batch), and explicit clone+MergeFrom shard splits
-//    -- serializes to byte-identical frames.
+//    the inline ingest plane (whose batch apply absorbs and then escalates
+//    mid-batch), and explicit clone+MergeFrom shard splits -- serializes
+//    to byte-identical frames.
 //  - An escalated column's raw words are bit-identical to a
 //    dense-from-the-start (threshold 0) sketch of the same stream.
 //  - MergeFrom is exact across every phase pairing (sparse x sparse,
@@ -67,19 +67,14 @@ TEST(HybridTest, EscalationBoundaryBitIdentityAcrossEngines) {
     EXPECT_EQ(serial.VertexEscalated(0), count > kT) << "count=" << count;
     const std::vector<uint8_t> want = FrameOf(serial);
 
-    // Both parallel ingest modes must land on the same frame bytes
-    // (counters included -- the phase is part of the round-trip).
-    const IngestMode modes[] = {IngestMode::kColumnSharded,
-                                IngestMode::kShardedMerge};
-    for (IngestMode mode : modes) {
-      const ForestSketchParams engine_params =
-          ForestSketchParams::Builder(params).Threads(4).Mode(mode).Build();
-      SpanningForestSketch parallel(kN, 2, kSeed, engine_params);
+    // Column-sharded ingest must land on the same frame bytes (counters
+    // included -- the phase is part of the round-trip).
+    {
+      SpanningForestSketch parallel(
+          kN, 2, kSeed, ForestSketchParams::Builder(params).Threads(4).Build());
       parallel.Process(std::span<const StreamUpdate>(updates));
-      EXPECT_TRUE(parallel.StateEquals(serial))
-          << "count=" << count << " mode=" << static_cast<int>(mode);
-      EXPECT_EQ(FrameOf(parallel), want)
-          << "count=" << count << " mode=" << static_cast<int>(mode);
+      EXPECT_TRUE(parallel.StateEquals(serial)) << "count=" << count;
+      EXPECT_EQ(FrameOf(parallel), want) << "count=" << count << " column@4";
     }
 
     // Inline plane: the hub's updates arrive as one gutter batch, so
@@ -448,8 +443,8 @@ TEST(HybridTest, L0SamplerPhasesMatchForestSemantics) {
 
 // Hubs whose escalations arrive in a different order per engine: the
 // serial stream round-robins over kHubs (40 first), the plane flushes
-// gutters in ascending vertex order (10 first), and sharded merge escalates
-// at merge time. Each hub gets `count` edges to its own leaves.
+// gutters in ascending vertex order (10 first), and a 2-slice merge
+// escalates at merge time. Each hub gets `count` edges to its own leaves.
 constexpr VertexId kHubs[] = {40, 10, 30, 20};
 
 std::vector<StreamUpdate> HubsStream(uint32_t count) {
@@ -480,12 +475,21 @@ TEST(HybridTest, EscalationOrderIsInvisibleAcrossEngines) {
     EXPECT_EQ(serial.SlotsUsed(), want_slots) << "count=" << count;
 
     std::vector<SpanningForestSketch> others;
-    for (IngestMode mode :
-         {IngestMode::kColumnSharded, IngestMode::kShardedMerge}) {
-      others.emplace_back(
-          kN, 2, kSeed,
-          ForestSketchParams::Builder(params).Threads(4).Mode(mode).Build());
-      others.back().Process(std::span<const StreamUpdate>(updates));
+    others.emplace_back(kN, 2, kSeed,
+                        ForestSketchParams::Builder(params).Threads(4).Build());
+    others.back().Process(std::span<const StreamUpdate>(updates));
+    {
+      // Two contiguous halves: neither half pushes a hub past T, so every
+      // escalation happens inside MergeFrom.
+      const std::span<const StreamUpdate> all(updates);
+      const size_t half = all.size() / 2;
+      others.emplace_back(kN, 2, kSeed, params);
+      SpanningForestSketch tail = others.back().CloneEmpty();
+      others.back().Process(all.first(half));
+      tail.Process(all.subspan(half));
+      EXPECT_EQ(others.back().SlotsUsed(), 0u) << "count=" << count;
+      EXPECT_EQ(tail.SlotsUsed(), 0u) << "count=" << count;
+      ASSERT_TRUE(others.back().MergeFrom(tail).ok()) << "count=" << count;
     }
     others.emplace_back(kN, 2, kSeed, params);
     {

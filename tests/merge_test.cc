@@ -3,8 +3,7 @@
 // cell-wise equals sketching the whole stream serially -- BIT-identically,
 // because cell updates are exact field arithmetic, not floats. This file
 // checks that property for every sketch type under insert/delete churn,
-// for contiguous and interleaved splits, for 2-way and 3-way trees, and
-// for the engine's kShardedMerge ingest mode at threads in {1, 2, 8}.
+// for interleaved splits and for 2-way and 3-way trees.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,11 +12,9 @@
 #include "connectivity/k_skeleton.h"
 #include "connectivity/spanning_forest_sketch.h"
 #include "graph/generators.h"
-#include "graph/traversal.h"
 #include "sketch/l0_sampler.h"
 #include "sparsify/sparsifier_sketch.h"
 #include "stream/stream.h"
-#include "util/parallel.h"
 #include "vertexconn/hyper_vc_query.h"
 #include "vertexconn/vc_query_sketch.h"
 
@@ -203,122 +200,6 @@ TEST(MergeTest, ClearedSketchReingestsIdentically) {
   reused.Clear();
   reused.Process(stream);
   EXPECT_TRUE(reused.StateEquals(fresh));
-}
-
-// ---------- engine sharded-merge mode ----------
-
-// kShardedMerge ingest at every thread count must be bit-identical to the
-// default serial column path (threads=1 exercises the fall-back, >1 the
-// clone/merge tree). One test per engine-bearing sketch type.
-
-constexpr size_t kThreadSweep[] = {1, 2, 8};
-
-TEST(ShardedMergeTest, SpanningForestBitIdentical) {
-  DynamicStream stream = GraphStream(64, 73);
-  ForestSketchParams serial_params;
-  serial_params.config = SketchConfig::Light();
-  SpanningForestSketch serial(64, 2, /*seed=*/79, serial_params);
-  serial.Process(stream);
-  for (size_t threads : kThreadSweep) {
-    const ForestSketchParams p = ForestSketchParams::Builder(serial_params)
-                                     .Mode(IngestMode::kShardedMerge)
-                                     .Threads(threads)
-                                     .Build();
-    SpanningForestSketch sharded(64, 2, /*seed=*/79, p);
-    sharded.Process(stream);
-    EXPECT_TRUE(sharded.StateEquals(serial)) << "threads=" << threads;
-  }
-}
-
-TEST(ShardedMergeTest, KSkeletonBitIdentical) {
-  DynamicStream stream = HypergraphStream(40, 3, 83);
-  KSkeletonSketch::Params serial_params;
-  serial_params.config = SketchConfig::Light();
-  KSkeletonSketch serial(40, 3, /*k=*/2, /*seed=*/89, serial_params);
-  serial.Process(stream);
-  for (size_t threads : kThreadSweep) {
-    const KSkeletonSketch::Params p =
-        ForestSketchParams::Builder(serial_params)
-            .Mode(IngestMode::kShardedMerge)
-            .Threads(threads)
-            .Build();
-    KSkeletonSketch sharded(40, 3, /*k=*/2, /*seed=*/89, p);
-    sharded.Process(stream);
-    EXPECT_TRUE(sharded.StateEquals(serial)) << "threads=" << threads;
-  }
-}
-
-TEST(ShardedMergeTest, VcQueryBitIdentical) {
-  DynamicStream stream = GraphStream(40, 97);
-  VcQueryParams serial_params;
-  serial_params.k = 2;
-  serial_params.explicit_r = 6;
-  serial_params.forest.config = SketchConfig::Light();
-  VcQuerySketch serial(40, serial_params, /*seed=*/101);
-  serial.Process(stream);
-  for (size_t threads : kThreadSweep) {
-    const VcQueryParams p = VcQueryParams::Builder(serial_params)
-                                .Mode(IngestMode::kShardedMerge)
-                                .Threads(threads)
-                                .Build();
-    VcQuerySketch sharded(40, p, /*seed=*/101);
-    sharded.Process(stream);
-    EXPECT_TRUE(sharded.StateEquals(serial)) << "threads=" << threads;
-  }
-}
-
-TEST(ShardedMergeTest, HyperVcQueryBitIdentical) {
-  DynamicStream stream = HypergraphStream(30, 3, 103);
-  VcQueryParams serial_params;
-  serial_params.k = 2;
-  serial_params.explicit_r = 4;
-  serial_params.forest.config = SketchConfig::Light();
-  HyperVcQuerySketch serial(30, 3, serial_params, /*seed=*/107);
-  serial.Process(stream);
-  for (size_t threads : kThreadSweep) {
-    const VcQueryParams p = VcQueryParams::Builder(serial_params)
-                                .Mode(IngestMode::kShardedMerge)
-                                .Threads(threads)
-                                .Build();
-    HyperVcQuerySketch sharded(30, 3, p, /*seed=*/107);
-    sharded.Process(stream);
-    EXPECT_TRUE(sharded.StateEquals(serial)) << "threads=" << threads;
-  }
-}
-
-TEST(ShardedMergeTest, SparsifierBitIdentical) {
-  DynamicStream stream = HypergraphStream(28, 3, 109);
-  SparsifierParams serial_params;
-  serial_params.k = 2;
-  serial_params.levels = 6;
-  serial_params.forest.config = SketchConfig::Light();
-  HypergraphSparsifierSketch serial(28, 3, serial_params, /*seed=*/113);
-  serial.Process(stream);
-  for (size_t threads : kThreadSweep) {
-    const SparsifierParams p = SparsifierParams::Builder(serial_params)
-                                   .Mode(IngestMode::kShardedMerge)
-                                   .Threads(threads)
-                                   .Build();
-    HypergraphSparsifierSketch sharded(28, 3, p, /*seed=*/113);
-    sharded.Process(stream);
-    EXPECT_TRUE(sharded.StateEquals(serial)) << "threads=" << threads;
-  }
-}
-
-TEST(ShardedMergeTest, ShardedResultsDecodeCorrectly) {
-  // Bit-identity already implies this, but check the end-to-end claim on
-  // its own terms: a sharded-merge sketch answers the query correctly.
-  const ForestSketchParams p = ForestSketchParams::Builder()
-                                   .Config(SketchConfig::Light())
-                                   .Mode(IngestMode::kShardedMerge)
-                                   .Threads(8)
-                                   .Build();
-  Graph g = UnionOfHamiltonianCycles(64, 3, 5);
-  SpanningForestSketch sketch(64, 2, /*seed=*/127, p);
-  sketch.Process(DynamicStream::WithChurn(g, /*decoys=*/128, 6));
-  auto forest = sketch.ExtractSpanningGraph();
-  ASSERT_TRUE(forest.ok()) << forest.status().message();
-  EXPECT_EQ(NumComponents(forest.value()), 1u);
 }
 
 }  // namespace
