@@ -154,12 +154,6 @@ Result<SparseEntry> L0SampleRawMasked(const L0Shape& shape,
   return Status::DecodeFailure("no decodable level");
 }
 
-Result<std::vector<SparseEntry>> L0State::TryRecoverLevel(int level) const {
-  GMS_CHECK(level >= 0 && level < shape_->num_levels());
-  static thread_local SSparseDecoder decoder;
-  return decoder.Decode(shape_->level_shape(level), LevelSegment(level));
-}
-
 size_t L0State::MemoryBytes() const {
   return sizeof(*this) + buf_.size() * sizeof(uint64_t);
 }
@@ -176,101 +170,38 @@ uint64_t L0StateWords(u128 domain, const SketchConfig& config) {
          static_cast<uint64_t>(config.buckets_per_capacity);
 }
 
+namespace {
+
+// The sampler is purely linear: whatever threshold the caller's config
+// carries, the stored (and serialized) config has none.
+SketchConfig DenseConfig(SketchConfig config) {
+  config.sparse_threshold = 0;
+  return config;
+}
+
+}  // namespace
+
 L0Sampler::L0Sampler(u128 domain, const Params& config, uint64_t seed)
     : seed_(seed),
-      config_(config),
-      shape_(std::make_shared<const L0Shape>(domain, config, seed)),
+      config_(DenseConfig(config)),
+      shape_(std::make_shared<const L0Shape>(domain, config_, seed)),
       state_(shape_.get()) {}
 
 void L0Sampler::Process(std::span<const L0Update> updates) {
   for (const L0Update& u : updates) Update(u.index, u.delta);
 }
 
-void L0Sampler::Escalate() {
-  // Exact replay: state is linear, so summing the NET weight per
-  // coordinate yields cells bit-identical to applying the original
-  // updates one by one (no count cell can wrap on a stream-reachable
-  // buffer).
-  for (const SparseEntry& entry : buffer_) {
-    state_.Update(entry.index, entry.value);
-  }
-  buffer_.clear();
-  buffer_.shrink_to_fit();
-}
-
-void L0Sampler::AbsorbUpdate(u128 index, int64_t delta) {
-  const uint32_t threshold = config_.sparse_threshold;
-  if (count_ >= threshold) {
-    count_ = threshold + 1;
-    Escalate();
-    state_.Update(index, delta);
-    return;
-  }
-  ++count_;
-  SparseBufferAdd(&buffer_, index, delta);
-}
-
-Result<SparseEntry> L0Sampler::Sample() const {
-  if (!Escalated()) {
-    if (buffer_.empty()) {
-      return Status::DecodeFailure("vector is zero (nothing to sample)");
-    }
-    const SparseEntry* best = &buffer_[0];
-    uint64_t best_h = shape_->SelectionHash(buffer_[0].index);
-    for (size_t i = 1; i < buffer_.size(); ++i) {
-      const uint64_t h = shape_->SelectionHash(buffer_[i].index);
-      if (h < best_h) {
-        best_h = h;
-        best = &buffer_[i];
-      }
-    }
-    return *best;
-  }
-  return state_.Sample();
-}
-
 Status L0Sampler::MergeFrom(const L0Sampler& other) {
   // Config geometry is part of the measurement: distinct (capacity, rows,
   // buckets) combinations can tie on total word count while laying cells
-  // out differently, so the word-count check alone is not enough. The
-  // sparse threshold is part of it too: it decides the phase boundary, so
-  // merging different thresholds would break merge/serial equivalence.
+  // out differently, so the word-count check alone is not enough.
   if (seed_ != other.seed_ || shape_->domain() != other.shape_->domain() ||
       config_.sparse_capacity != other.config_.sparse_capacity ||
       config_.rows != other.config_.rows ||
       config_.buckets_per_capacity != other.config_.buckets_per_capacity ||
-      config_.sparse_threshold != other.config_.sparse_threshold ||
       state_.NumWords() != other.state_.NumWords()) {
     return Status::InvalidArgument(
         "L0Sampler::MergeFrom: seed/shape mismatch (different measurement)");
-  }
-  // Phase lattice, as in the forest sketch: counters add saturating at
-  // threshold + 1, buffers concat-and-cancel, a combined count past the
-  // threshold escalates by exact replay.
-  const uint32_t threshold = config_.sparse_threshold;
-  if (Escalated()) {
-    if (!other.Escalated()) {
-      for (const SparseEntry& entry : other.buffer_) {
-        state_.Update(entry.index, entry.value);
-      }
-      return Status::OK();
-    }
-  } else if (other.Escalated()) {
-    count_ = threshold + 1;
-    Escalate();
-  } else {
-    if (other.count_ == 0) return Status::OK();
-    const uint32_t combined = count_ + other.count_;  // both <= threshold
-    for (const SparseEntry& entry : other.buffer_) {
-      SparseBufferAdd(&buffer_, entry.index, entry.value);
-    }
-    if (combined > threshold) {
-      count_ = threshold + 1;
-      Escalate();
-      return Status::OK();
-    }
-    count_ = combined;
-    return Status::OK();
   }
   state_.AddRaw(other.state_.data());
   return Status::OK();
@@ -282,24 +213,10 @@ void L0Sampler::Serialize(std::vector<uint8_t>* out) const {
   fb.writer().U64(seed_);
   WriteSketchConfig(config_, &fb.writer());
   fb.EndHeader();
-  if (config_.sparse_threshold == 0) {
-    // Dense-from-the-start: a v1-style raw word dump behind the repr byte.
-    fb.writer().U8(0);
-    fb.writer().Words(state_.data(), state_.NumWords());
-  } else {
-    // Hybrid: the counter travels so the phase survives a round trip.
-    fb.writer().U8(1);
-    fb.writer().U32(count_);
-    if (Escalated()) {
-      fb.writer().Words(state_.data(), state_.NumWords());
-    } else {
-      fb.writer().U32(static_cast<uint32_t>(buffer_.size()));
-      for (const SparseEntry& entry : buffer_) {
-        fb.writer().U128(entry.index);
-        fb.writer().U64(static_cast<uint64_t>(entry.value));
-      }
-    }
-  }
+  // Repr byte 0, then the raw cell words. Repr 1 (a sparse buffer) is
+  // retired; the reader rejects it.
+  fb.writer().U8(0);
+  fb.writer().Words(state_.data(), state_.NumWords());
   fb.Finish();
 }
 
@@ -317,96 +234,28 @@ Result<L0Sampler> L0Sampler::Deserialize(std::span<const uint8_t> bytes) {
   if (domain < 1 || (domain >> 126) != 0) {
     return Status::InvalidArgument("wire: L0 domain out of range");
   }
-  const uint64_t words = L0StateWords(domain, config);
-  const uint32_t threshold = config.sparse_threshold;
   wire::Reader payload(frame->payload);
   uint8_t repr = 0;
   GMS_RETURN_IF_ERROR(payload.U8(&repr));
-  if (repr == 0) {
-    if (threshold != 0) {
-      return Status::InvalidArgument(
-          "wire: dense L0 cells under a sparse-threshold config");
-    }
-    // Size check BEFORE construction: the state allocation is then bounded
-    // by the bytes the caller actually supplied.
-    if (!wire::PayloadMatchesShape(frame->payload.size() - 1, {words})) {
-      return Status::InvalidArgument("wire: L0 payload size mismatch");
-    }
-    L0Sampler sampler(domain, config, seed);
-    GMS_RETURN_IF_ERROR(
-        payload.Words(sampler.state_.data(), sampler.state_.NumWords()));
-    GMS_RETURN_IF_ERROR(payload.ExpectEnd());
-    return sampler;
+  if (repr == 1) {
+    return Status::InvalidArgument("wire: retired sparse L0 frame");
   }
-  if (repr != 1) {
+  if (repr != 0) {
     return Status::InvalidArgument("wire: unknown L0 cell repr");
   }
-  if (threshold == 0) {
+  if (config.sparse_threshold != 0) {
     return Status::InvalidArgument(
-        "wire: hybrid L0 cells under a dense config");
+        "wire: dense L0 cells under a sparse-threshold config");
   }
-  uint32_t counter = 0;
-  GMS_RETURN_IF_ERROR(payload.U32(&counter));
-  if (counter > threshold + 1) {
-    return Status::InvalidArgument(
-        "wire: L0 sparse counter above saturation");
-  }
-  if (counter > threshold) {
-    // Escalated: raw words follow, so the frame still bounds the state.
-    if (!wire::PayloadMatchesShape(frame->payload.size() - 5, {words})) {
-      return Status::InvalidArgument("wire: L0 payload size mismatch");
-    }
-    L0Sampler sampler(domain, config, seed);
-    sampler.count_ = counter;
-    GMS_RETURN_IF_ERROR(
-        payload.Words(sampler.state_.data(), sampler.state_.NumWords()));
-    GMS_RETURN_IF_ERROR(payload.ExpectEnd());
-    return sampler;
-  }
-  // Sparse: a tiny frame commands a full (zero) state allocation, so the
-  // frame size no longer bounds it -- cap the shape instead. Real configs
-  // sit far below this; only hostile headers trip it.
-  if (words > (uint64_t{1} << 26)) {
-    return Status::InvalidArgument(
-        "wire: sparse L0 frame over a shape too large to commit");
-  }
-  uint32_t entry_count = 0;
-  GMS_RETURN_IF_ERROR(payload.U32(&entry_count));
-  if (entry_count > counter) {
-    return Status::InvalidArgument(
-        "wire: L0 buffer larger than its update counter");
-  }
-  if (frame->payload.size() !=
-      9 + static_cast<uint64_t>(entry_count) * 24) {
+  // Size check BEFORE construction: the state allocation is then bounded
+  // by the bytes the caller actually supplied.
+  if (!wire::PayloadMatchesShape(frame->payload.size() - 1,
+                                 {L0StateWords(domain, config)})) {
     return Status::InvalidArgument("wire: L0 payload size mismatch");
   }
   L0Sampler sampler(domain, config, seed);
-  sampler.count_ = counter;
-  sampler.buffer_.reserve(entry_count);
-  u128 prev_key = 0;
-  for (uint32_t i = 0; i < entry_count; ++i) {
-    u128 key = 0;
-    uint64_t value_bits = 0;
-    GMS_RETURN_IF_ERROR(payload.U128(&key));
-    GMS_RETURN_IF_ERROR(payload.U64(&value_bits));
-    // Canonical form only: strictly ascending keys inside the domain, no
-    // explicit zeros. Anything else cannot have come from Serialize.
-    if (i > 0 && key <= prev_key) {
-      return Status::InvalidArgument(
-          "wire: L0 sparse buffer keys out of order");
-    }
-    if (key >= domain) {
-      return Status::InvalidArgument(
-          "wire: L0 sparse key outside the domain");
-    }
-    if (value_bits == 0) {
-      return Status::InvalidArgument(
-          "wire: L0 sparse entry with zero weight");
-    }
-    prev_key = key;
-    sampler.buffer_.push_back(
-        SparseEntry{key, static_cast<int64_t>(value_bits)});
-  }
+  GMS_RETURN_IF_ERROR(
+      payload.Words(sampler.state_.data(), sampler.state_.NumWords()));
   GMS_RETURN_IF_ERROR(payload.ExpectEnd());
   return sampler;
 }

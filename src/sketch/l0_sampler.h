@@ -111,10 +111,6 @@ class L0State {
   /// vector appears to be zero everywhere.
   Result<SparseEntry> Sample() const;
 
-  /// Recover the entire support if some single level holds all of it
-  /// (useful for tests); normally callers should use Sample().
-  Result<std::vector<SparseEntry>> TryRecoverLevel(int level) const;
-
   size_t MemoryBytes() const;
 
   /// Zero every cell (the measurement of the empty stream).
@@ -222,7 +218,10 @@ uint64_t L0StateWords(u128 domain, const SketchConfig& config);
 /// state, and implements the library-wide mergeable-sketch concept --
 /// Process / MergeFrom / Serialize / Deserialize / SpaceBytes / Clear /
 /// seed() -- so the substrate type can travel on the wire and participate
-/// in merges like the graph sketches built on it.
+/// in merges like the graph sketches built on it. Purely linear, like the
+/// paper's sampler: the config's sparse_threshold is ignored (stored as 0),
+/// since the hybrid sparse phase is a property of the forest sketch's
+/// vertex columns, not of one sampler.
 class L0Sampler {
  public:
   using Params = SketchConfig;
@@ -234,27 +233,15 @@ class L0Sampler {
   const L0Shape& shape() const { return *shape_; }
   const L0State& state() const { return state_; }
 
-  /// Linear update: vector[index] += delta. With a nonzero
-  /// config.sparse_threshold the first updates are buffered exactly (the
-  /// sparse phase); past the threshold the buffer replays through the
-  /// dense state once, bit-identical thereafter to dense-from-the-start.
-  void Update(u128 index, int64_t delta) {
-    if (Escalated()) {
-      state_.Update(index, delta);
-      return;
-    }
-    AbsorbUpdate(index, delta);
-  }
+  /// Linear update: vector[index] += delta.
+  void Update(u128 index, int64_t delta) { state_.Update(index, delta); }
 
   /// Batched ingestion (updates applied in order; serial -- one state has
   /// a single column).
   void Process(std::span<const L0Update> updates);
 
-  /// Sample one nonzero coordinate (see L0State::Sample). While sparse,
-  /// the support is known EXACTLY, so the sample is the buffered entry
-  /// with the smallest selection hash -- the same symmetric tie-break the
-  /// dense decoder applies to a recovered level, with no failure event.
-  Result<SparseEntry> Sample() const;
+  /// Sample one nonzero coordinate (see L0State::Sample).
+  Result<SparseEntry> Sample() const { return state_.Sample(); }
 
   /// Cell-wise field addition. Valid iff the other sampler carries the
   /// SAME measurement: equal seed, domain, and config. After a successful
@@ -262,19 +249,7 @@ class L0Sampler {
   Status MergeFrom(const L0Sampler& other);
 
   /// Zero the state (the empty-stream measurement); shape is untouched.
-  /// Re-enters the sparse phase when the config has one.
-  void Clear() {
-    state_.Clear();
-    count_ = 0;
-    buffer_.clear();
-    buffer_.shrink_to_fit();
-  }
-
-  /// True once this sampler left the sparse phase (or never had one).
-  bool Escalated() const {
-    return config_.sparse_threshold == 0 ||
-           count_ > config_.sparse_threshold;
-  }
+  void Clear() { state_.Clear(); }
 
   /// A sampler of the SAME measurement (shared shape, same seed) with zero
   /// state: the clone a stream slice is sketched into before MergeFrom.
@@ -289,41 +264,25 @@ class L0Sampler {
   /// Append one wire frame (wire::FrameType::kL0Sampler) to *out.
   void Serialize(std::vector<uint8_t>* out) const;
 
-  /// Parse a frame produced by Serialize. Truncation, corruption, and
-  /// out-of-range shape fields return Status; never aborts.
+  /// Parse a frame produced by Serialize. Truncation, corruption,
+  /// out-of-range shape fields and the retired sparse cell repr return
+  /// Status; never aborts.
   static Result<L0Sampler> Deserialize(std::span<const uint8_t> bytes);
 
   /// Measured size of the serialized frame in bytes (the protocol message
   /// size; this is what comm/ reports as bytes on the wire).
   size_t SpaceBytes() const;
 
-  /// Equal measurement VALUE: dense cells plus the exact sparse buffer.
-  /// The saturating update counter is deliberately excluded -- a stream
-  /// and its inverse return the state to the empty measurement even
-  /// though the counter remembers the traffic (the serde suite pins the
-  /// counter at serialized-frame strength instead).
+  /// Equal measurement value (cell-wise).
   bool StateEquals(const L0Sampler& other) const {
-    return state_ == other.state_ && buffer_ == other.buffer_;
+    return state_ == other.state_;
   }
 
  private:
-  /// Sparse-phase slow path: buffer the update, escalating at the
-  /// threshold crossing (replay the buffer, then apply densely).
-  void AbsorbUpdate(u128 index, int64_t delta);
-  /// Replay the exact buffer through the dense state and drop it.
-  void Escalate();
-
   uint64_t seed_;
   Params config_;
   std::shared_ptr<const L0Shape> shape_;
   L0State state_;
-  /// Updates absorbed, saturating at sparse_threshold + 1 (escalated iff
-  /// count_ > threshold). min(a + b, T + 1) is associative/commutative,
-  /// so merges escalate at the same total as the serial stream.
-  uint32_t count_ = 0;
-  /// Exact signed support while sparse (ascending index, net weights,
-  /// entries cancel at zero); empty once escalated.
-  std::vector<SparseEntry> buffer_;
 };
 
 }  // namespace gms

@@ -41,6 +41,7 @@ struct SketchConfig {
   /// arithmetic) and escalates to the dense L0 arena by replaying the
   /// buffer once the count exceeds the threshold. 0 disables the sparse
   /// phase entirely (dense-from-the-start, the pre-hybrid behaviour).
+  /// Forest columns only: a standalone L0Sampler is always dense.
   uint32_t sparse_threshold = 32;
 
   int BucketsPerRow() const { return sparse_capacity * buckets_per_capacity; }

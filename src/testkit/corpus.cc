@@ -13,6 +13,7 @@
 #include "testkit/stream_spec.h"
 #include "vertexconn/hyper_vc_query.h"
 #include "vertexconn/vc_query_sketch.h"
+#include "wire/wire.h"
 
 namespace gms {
 namespace testkit {
@@ -95,8 +96,8 @@ std::vector<CorpusEntry> WireSeedCorpus() {
   }
   {
     // Hybrid sparse-phase frames: a mixed forest (escalated hub, sparse
-    // leaves) and a sparse L0 sampler, plus truncation/corruption variants
-    // so the variable-length sparse sections' reject paths stay seeded.
+    // leaves), plus truncation/corruption variants so the variable-length
+    // sparse sections' reject paths stay seeded.
     ForestSketchParams p;
     p.config = SketchConfig::Light();
     p.config.sparse_threshold = 4;
@@ -113,13 +114,26 @@ std::vector<CorpusEntry> WireSeedCorpus() {
     add("spanning_forest_hybrid_corrupt.bin", flipped);
   }
   {
+    // Hostile: a well-formed L0 frame in the retired sparse repr 1 (update
+    // counter, then the exact buffer of ascending keys and net weights),
+    // which the reader must reject.
     SketchConfig config = SketchConfig::Light();
     config.sparse_threshold = 8;
-    L0Sampler sampler(1000, config, 16);
-    for (int i = 0; i < 3; ++i) sampler.Update(static_cast<u128>(i * 53), +1);
     std::vector<uint8_t> bytes;
-    sampler.Serialize(&bytes);
-    add("l0_sampler_sparse.bin", bytes);
+    wire::FrameBuilder fb(wire::FrameType::kL0Sampler, &bytes);
+    fb.writer().U128(1000);
+    fb.writer().U64(16);
+    WriteSketchConfig(config, &fb.writer());
+    fb.EndHeader();
+    fb.writer().U8(1);
+    fb.writer().U32(3);  // updates absorbed
+    fb.writer().U32(3);  // buffered entries
+    for (int i = 0; i < 3; ++i) {
+      fb.writer().U128(static_cast<u128>(i * 53));
+      fb.writer().U64(1);
+    }
+    fb.Finish();
+    add("l0_sampler_retired_sparse.bin", bytes);
   }
   {
     KSkeletonSketch sketch(10, 3, 2, 7);

@@ -4,6 +4,8 @@
 #include <sched.h>
 #endif
 
+#include "util/check.h"
+
 namespace gms {
 
 namespace {
@@ -71,17 +73,7 @@ void ThreadPool::HelperLoop(size_t helper) {
 }
 
 void ThreadPool::Run(size_t shards, const std::function<void(size_t)>& fn) {
-  if (shards <= 1) {
-    if (shards == 1) {
-      // Still a "shard of some Run": mark the region so a nested
-      // ParallelFor runs inline instead of recursing back into the pool.
-      const bool prev = t_in_parallel_region;
-      t_in_parallel_region = true;
-      fn(0);
-      t_in_parallel_region = prev;
-    }
-    return;
-  }
+  GMS_CHECK_MSG(shards >= 2, "ThreadPool::Run needs at least 2 shards");
   std::lock_guard<std::mutex> run_lock(run_mu_);
   {
     std::lock_guard<std::mutex> lock(mu_);

@@ -39,10 +39,9 @@ class ThreadPool {
   /// calling thread, shard s > 0 on helper thread s-1. Blocks until all
   /// shards return. Top-level only -- a shard that itself reaches a
   /// ParallelFor runs it inline (see below), so nesting cannot deadlock.
-  /// Run(1, fn) invokes fn(0) on the calling thread but still marks it as
-  /// inside a parallel region, so a ParallelFor inside fn runs inline.
-  /// Deliberately NOT clamped to HardwareThreads(): tests exercise
-  /// oversubscribed shard counts here.
+  /// Requires shards >= 2: ParallelFor runs a single shard inline without
+  /// the pool. Deliberately NOT clamped to HardwareThreads(): tests
+  /// exercise oversubscribed shard counts here.
   void Run(size_t shards, const std::function<void(size_t)>& fn);
 
   /// True while the calling thread is executing a shard of some Run.

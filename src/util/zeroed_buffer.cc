@@ -1,6 +1,5 @@
 #include "util/zeroed_buffer.h"
 
-#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 
@@ -78,21 +77,7 @@ ZeroedBuffer::ZeroedBuffer(size_t words) { Allocate(words); }
 
 ZeroedBuffer::ZeroedBuffer(const ZeroedBuffer& other) {
   Allocate(other.words_);
-  if (words_ == 0) return;
-  if (!mapped_) {
-    std::memcpy(data_, other.data_, words_ * sizeof(uint64_t));
-    return;
-  }
-  // A fresh mapping already reads as zero: copy only the source pages that
-  // hold a nonzero word, so a copy of a mostly-untouched arena stays lazy
-  // (no page of the copy is written, none enters the resident set).
-  for (size_t page = 0; page < words_; page += kPageWords) {
-    const size_t len = std::min(kPageWords, words_ - page);
-    const uint64_t* src = other.data_ + page;
-    if (std::any_of(src, src + len, [](uint64_t w) { return w != 0; })) {
-      std::memcpy(data_ + page, src, len * sizeof(uint64_t));
-    }
-  }
+  if (words_ > 0) std::memcpy(data_, other.data_, words_ * sizeof(uint64_t));
 }
 
 ZeroedBuffer::ZeroedBuffer(ZeroedBuffer&& other) noexcept
@@ -104,9 +89,6 @@ ZeroedBuffer::ZeroedBuffer(ZeroedBuffer&& other) noexcept
 
 ZeroedBuffer& ZeroedBuffer::operator=(const ZeroedBuffer& other) {
   if (this == &other) return *this;
-  // A new allocation copies like the copy constructor (nonzero pages only
-  // when mapped); a same-size buffer may hold stale words, so it is
-  // overwritten in full.
   if (words_ != other.words_) return *this = ZeroedBuffer(other);
   if (words_ > 0) std::memcpy(data_, other.data_, words_ * sizeof(uint64_t));
   return *this;

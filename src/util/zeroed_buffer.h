@@ -7,12 +7,10 @@
 // Backing large buffers with fresh anonymous mappings makes both lazy: the
 // kernel hands out zero pages on first touch, so an untouched clone costs
 // page-table entries instead of a full-arena write, and Clear() is an
-// madvise instead of a memset. A copy into a fresh mapping (copy
-// construction, or assignment that changes the size) writes only the pages
-// that hold a nonzero word, so copying a mostly-untouched arena (as
-// KSkeletonSketch::Extract does per layer) does not make it resident.
-// Small buffers fall back to aligned_alloc + memset, which is cheaper than
-// a syscall at that size.
+// madvise instead of a memset. Copies are plain word copies (only tests
+// and the testkit's peel-by-copy oracle copy an arena). Small buffers fall
+// back to aligned_alloc + memset, which is cheaper than a syscall at that
+// size.
 #ifndef GMS_UTIL_ZEROED_BUFFER_H_
 #define GMS_UTIL_ZEROED_BUFFER_H_
 

@@ -23,6 +23,7 @@ struct VcEstimatorParams {
   /// Worker threads sharding the R sketches (see
   /// util/parallel.h; outputs are bit-identical for every setting).
   size_t threads = 1;
+  /// Per-subsample forest params; forest.threads must stay 1.
   ForestSketchParams forest;
 
   size_t ResolveR(size_t n) const;

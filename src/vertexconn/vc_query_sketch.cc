@@ -102,6 +102,9 @@ SubsampledForestUnion::SubsampledForestUnion(size_t n, size_t max_rank,
     : n_(n), k_(k), seed_(seed), threads_(threads) {
   GMS_CHECK(k >= 1);
   GMS_CHECK(r_subgraphs >= 1);
+  GMS_CHECK_MSG(params.threads == 1,
+                "SubsampledForestUnion: forest.threads must be 1 (the union "
+                "shards its R sketches by its own threads)");
   Rng rng(seed);
   kept_.reserve(r_subgraphs);
   sketches_.reserve(r_subgraphs);

@@ -45,7 +45,8 @@ class SubsampledForestUnion {
   /// keep probability 1/k; R independent subsamples. `threads` workers
   /// shard the R sketches for batched ingestion and union-graph extraction
   /// (each sketch is owned by exactly one worker; results are bit-identical
-  /// to the serial path for every thread count).
+  /// to the serial path for every thread count). params.threads must be 1:
+  /// each subsample sketch runs on the one worker that owns it.
   SubsampledForestUnion(size_t n, size_t max_rank, size_t k,
                         size_t r_subgraphs, uint64_t seed,
                         const ForestSketchParams& params,
@@ -158,6 +159,7 @@ struct VcQueryParams {
   /// Worker threads sharding the R sketches during Process/Query (see
   /// util/parallel.h; outputs are bit-identical for every setting).
   size_t threads = 1;
+  /// Per-subsample forest params; forest.threads must stay 1.
   ForestSketchParams forest;
 
   size_t ResolveR(size_t n) const;

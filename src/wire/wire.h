@@ -40,7 +40,8 @@ inline constexpr uint32_t kMagic = 0x4B534D47u;  // "GMSK"
 /// Version 2 added the hybrid sparse/dense cell sections (a `repr` byte
 /// followed by either raw arena words or per-column exact buffers) and the
 /// sparse_threshold field in every SketchConfig header. v1 frames carry
-/// neither and are rejected.
+/// neither and are rejected. kL0Sampler frames carry only the raw-word
+/// repr 0 under a zero threshold; their sparse repr 1 is retired.
 inline constexpr uint16_t kVersion = 2;
 /// Bytes before the header (magic + version + type + lengths).
 inline constexpr size_t kPreambleBytes = 20;

@@ -237,6 +237,11 @@ TEST(EdgeCasesDeathTest, BuildersRejectZeroThreads) {
   zero.threads = 0;
   EXPECT_DEATH(VcQueryParams::Builder().Forest(zero).Build(),
                "threads must be >= 1");
+  // The Theorem 4 union shards its R sketches by its own threads; a worker
+  // count inside the per-subsample forest params would be ignored.
+  VcQueryParams vc;
+  vc.forest.threads = 2;
+  EXPECT_DEATH(VcQuerySketch(8, vc, kSeed), "forest.threads must be 1");
 }
 
 TEST(EdgeCasesDeathTest, VcServingRefusesHyperedgeRank) {

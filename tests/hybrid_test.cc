@@ -28,7 +28,6 @@
 #include "connectivity/spanning_forest_sketch.h"
 #include "graph/generators.h"
 #include "graph/union_find.h"
-#include "sketch/l0_sampler.h"
 #include "stream/ingest_plane.h"
 #include "stream/stream.h"
 #include "wire/wire.h"
@@ -373,72 +372,6 @@ TEST(HybridTest, SparseFrameRejectsEveryByteFlipAndTruncation) {
             .ok())
         << "truncated to " << len;
   }
-}
-
-TEST(HybridTest, L0SamplerPhasesMatchForestSemantics) {
-  const u128 kDomain = u128{1} << 20;
-  constexpr uint64_t kSeed = 11;
-  SketchConfig hybrid_config = SketchConfig::Light();
-  hybrid_config.sparse_threshold = 6;
-  SketchConfig dense_config = hybrid_config;
-  dense_config.sparse_threshold = 0;
-
-  std::vector<L0Update> updates;
-  for (uint64_t i = 0; i < 12; ++i) {
-    updates.push_back(L0Update{u128{i * 977 + 5}, +1});
-  }
-
-  // Sparse phase: exact support, exact sample, tiny frame.
-  L0Sampler sparse(kDomain, hybrid_config, kSeed);
-  sparse.Process(std::span<const L0Update>(updates.data(), 4));
-  EXPECT_FALSE(sparse.Escalated());
-  auto sample = sparse.Sample();
-  ASSERT_TRUE(sample.ok());
-  EXPECT_EQ(sample->value, 1);
-  {
-    L0Sampler dense(kDomain, dense_config, kSeed);
-    dense.Process(std::span<const L0Update>(updates.data(), 4));
-    EXPECT_LT(sparse.SpaceBytes(), dense.SpaceBytes() / 4);
-  }
-  std::vector<uint8_t> bytes;
-  sparse.Serialize(&bytes);
-  auto reread = L0Sampler::Deserialize(bytes);
-  ASSERT_TRUE(reread.ok());
-  EXPECT_TRUE(reread->StateEquals(sparse));
-  EXPECT_FALSE(reread->Escalated());
-
-  // Escalation: bit-identical to dense-from-the-start (StateEquals
-  // compares cells + buffer, both empty after escalation on both sides).
-  L0Sampler escalated(kDomain, hybrid_config, kSeed);
-  escalated.Process(updates);
-  EXPECT_TRUE(escalated.Escalated());
-  L0Sampler dense(kDomain, dense_config, kSeed);
-  dense.Process(updates);
-  EXPECT_TRUE(escalated.StateEquals(dense));
-
-  // Merge lattice: sparse x sparse and sparse x dense splits both equal
-  // the serial sampler, frame bytes included.
-  std::vector<uint8_t> want;
-  escalated.Serialize(&want);
-  for (size_t split : {size_t{2}, size_t{5}, size_t{9}}) {
-    L0Sampler a(kDomain, hybrid_config, kSeed);
-    L0Sampler b = a.CloneEmpty();
-    a.Process(std::span<const L0Update>(updates.data(), split));
-    b.Process(std::span<const L0Update>(updates.data() + split,
-                                        updates.size() - split));
-    ASSERT_TRUE(a.MergeFrom(b).ok()) << "split=" << split;
-    EXPECT_TRUE(a.StateEquals(escalated)) << "split=" << split;
-    std::vector<uint8_t> merged;
-    a.Serialize(&merged);
-    EXPECT_EQ(merged, want) << "split=" << split;
-  }
-
-  // Net zero while sparse: back to the empty measurement, sample honest.
-  L0Sampler cancel(kDomain, hybrid_config, kSeed);
-  cancel.Update(42, +1);
-  cancel.Update(42, -1);
-  EXPECT_TRUE(cancel.StateEquals(L0Sampler(kDomain, hybrid_config, kSeed)));
-  EXPECT_FALSE(cancel.Sample().ok());
 }
 
 // Hubs whose escalations arrive in a different order per engine: the

@@ -29,6 +29,16 @@ TEST(L0SamplerTest, ZeroVectorReportsDecodeFailure) {
   auto s = state.Sample();
   EXPECT_FALSE(s.ok());
   EXPECT_TRUE(s.status().IsDecodeFailure());
+
+  // A net-zero stream returns a sampler to the empty measurement.
+  const L0Sampler fresh(1000, SketchConfig::Default(), 2);
+  L0Sampler sampler = fresh;
+  sampler.Update(42, +1);
+  sampler.Update(42, -1);
+  EXPECT_TRUE(sampler.StateEquals(fresh));
+  auto empty = sampler.Sample();
+  EXPECT_FALSE(empty.ok());
+  EXPECT_TRUE(empty.status().IsDecodeFailure());
 }
 
 TEST(L0SamplerTest, SampleIsFromSupport) {

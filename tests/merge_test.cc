@@ -153,6 +153,11 @@ TEST(MergeTest, L0SamplerMergeEqualsSerial) {
   ASSERT_TRUE(a.MergeFrom(b).ok());
   ASSERT_TRUE(a.MergeFrom(c).ok());
   EXPECT_TRUE(a.StateEquals(serial));
+  // Frame strength: the merged sampler serializes to the serial bytes.
+  std::vector<uint8_t> merged, want;
+  a.Serialize(&merged);
+  serial.Serialize(&want);
+  EXPECT_EQ(merged, want);
 }
 
 TEST(MergeTest, MergeIsOrderIndependent) {

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "connectivity/k_skeleton.h"
@@ -434,6 +435,47 @@ TEST(SerdeAdversarialTest, PayloadSizeMismatchIsStatus) {
     fb.Finish();
   }
   EXPECT_FALSE(L0Sampler::Deserialize(frame).ok());
+}
+
+TEST(SerdeAdversarialTest, RetiredSparseL0FrameIsRejected) {
+  // The L0 sampler's sparse repr 1 (update counter, then an exact buffer
+  // or, once escalated, raw words) is retired. Well-formed, checksummed
+  // frames in that layout must come back as a Status.
+  SketchConfig config = SketchConfig::Light();
+  config.sparse_threshold = 8;
+  const u128 domain = u128{1} << 16;
+  auto repr1 = [&](bool escalated) {
+    std::vector<uint8_t> frame;
+    wire::FrameBuilder fb(wire::FrameType::kL0Sampler, &frame);
+    fb.writer().U128(domain);
+    fb.writer().U64(9);
+    WriteSketchConfig(config, &fb.writer());
+    fb.EndHeader();
+    fb.writer().U8(1);
+    if (escalated) {
+      fb.writer().U32(config.sparse_threshold + 1);
+      const std::vector<uint64_t> words(L0StateWords(domain, config), 0);
+      fb.writer().Words(words.data(), words.size());
+    } else {
+      fb.writer().U32(2);  // updates absorbed
+      fb.writer().U32(2);  // buffered entries, ascending keys
+      for (uint64_t key : {5u, 77u}) {
+        fb.writer().U128(key);
+        fb.writer().U64(1);
+      }
+    }
+    fb.Finish();
+    return frame;
+  };
+  for (bool escalated : {false, true}) {
+    const std::vector<uint8_t> frame = repr1(escalated);
+    ASSERT_TRUE(wire::ParseFrame(frame, wire::FrameType::kL0Sampler).ok());
+    auto r = L0Sampler::Deserialize(frame);
+    ASSERT_FALSE(r.ok()) << "escalated=" << escalated;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(r.status().message().find("retired"), std::string::npos)
+        << r.status().message();
+  }
 }
 
 TEST(SerdeAdversarialTest, FrameLengthOverflowIsRejected) {

@@ -6,6 +6,8 @@
 // get back a repro of at most a handful of edges.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
 #include <set>
 #include <string>
 #include <vector>
@@ -337,6 +339,31 @@ TEST(CorpusTest, StreamSeedCorpusIsNonTrivial) {
   for (const CorpusEntry& entry : entries) {
     DecodedFuzzStream dec = DecodeFuzzStream(entry.bytes);
     EXPECT_FALSE(dec.updates.empty()) << entry.name;
+  }
+}
+
+TEST(CorpusTest, CheckedInSeedsMatchGenerator) {
+  // Every generated seed is checked in byte for byte, so a wire-format or
+  // generator change that forgot `gms_gen_corpus fuzz/corpus` fails here.
+  // Checked-in files the generator no longer emits are allowed.
+  const struct {
+    const char* subdir;
+    std::vector<CorpusEntry> entries;
+  } corpora[] = {
+      {"wire", WireSeedCorpus()},
+      {"stream", StreamSeedCorpus()},
+  };
+  for (const auto& corpus : corpora) {
+    for (const CorpusEntry& entry : corpus.entries) {
+      const std::string path = std::string(GMS_FUZZ_CORPUS_DIR) + "/" +
+                               corpus.subdir + "/" + entry.name;
+      std::ifstream in(path, std::ios::binary);
+      ASSERT_TRUE(in.good()) << path << " is not checked in";
+      const std::vector<uint8_t> on_disk(
+          (std::istreambuf_iterator<char>(in)),
+          std::istreambuf_iterator<char>());
+      EXPECT_EQ(on_disk, entry.bytes) << path << " differs from the generator";
+    }
   }
 }
 
