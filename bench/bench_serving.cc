@@ -3,9 +3,10 @@
 // One ingest thread streams a churny graph into a SketchServer while query
 // threads hammer Connected(u, v) against the published epoch snapshots.
 // Measures sustained answered-queries/s DURING ingestion, the observed
-// answer staleness against the engine's guarantee (at most one sealed
-// epoch plus the open epoch behind the ingested prefix), and the cached-
-// extraction hit pattern. Results print as a table and land machine-
+// answer staleness against the engine's guarantee (fewer than three epochs
+// behind the updates whose Ingest call returned: one merged epoch whose
+// extraction was deferred, one sealed, one open), and the cached-
+// extraction hit and deferral pattern. Results print as a table and land machine-
 // readably in BENCH_serving.json.
 //
 // Rows: Hamiltonian-cycle unions at n = 2000, and an rmat stream at
@@ -16,7 +17,9 @@
 //
 // Hard asserts (both modes):
 //   - concurrency: every query thread answered queries while ingest ran;
-//   - staleness:   max observed staleness <= 2 * epoch_updates;
+//   - staleness:   max observed staleness < 3 * epoch_updates;
+//   - counters:    epochs_merged == cache_hits + cache_rebuilds +
+//                  extractions_deferred;
 //   - correctness: the post-Flush snapshot answers exactly (component count
 //     and sampled pairs against the exact components of the final graph).
 // The full mode additionally demands >= 10k sustained queries/s during
@@ -31,7 +34,6 @@
 #include <atomic>
 #include <cstdio>
 #include <cstring>
-#include <optional>
 #include <span>
 #include <thread>
 #include <vector>
@@ -139,7 +141,7 @@ ServingResult RunServing(const char* family, const Graph& g, size_t decoys,
   r.epoch_updates = epoch_updates;
   r.query_threads = query_threads;
   r.ingest_seconds = ingest_seconds;
-  r.staleness_bound = 2 * epoch_updates;
+  r.staleness_bound = 3 * epoch_updates;
   for (const auto& t : per_thread) {
     GMS_CHECK_MSG(t.answered > 0,
                   "serving bench: a query thread answered nothing -- no "
@@ -147,9 +149,8 @@ ServingResult RunServing(const char* family, const Graph& g, size_t decoys,
     r.queries_during_ingest += t.answered;
     r.max_staleness = std::max(r.max_staleness, t.max_staleness);
   }
-  GMS_CHECK_MSG(r.max_staleness <= r.staleness_bound,
-                "serving bench: staleness exceeded one sealed + one open "
-                "epoch");
+  GMS_CHECK_MSG(r.max_staleness < r.staleness_bound,
+                "serving bench: staleness reached three epochs");
   r.queries_per_sec =
       static_cast<double>(r.queries_during_ingest) / ingest_seconds;
   if (require_rate) {
@@ -222,6 +223,11 @@ ServingResult RunServing(const char* family, const Graph& g, size_t decoys,
   }
 
   r.engine = server.forest_engine().stats();
+  GMS_CHECK_MSG(r.engine.epochs_merged ==
+                    r.engine.cache_hits + r.engine.cache_rebuilds +
+                        r.engine.extractions_deferred,
+                "serving bench: merged epochs are not hits + rebuilds + "
+                "deferrals");
   r.family = family;
   const SpanningForestSketch shape(n, 2, seed, forest);
   r.mapped_arena_mb =
@@ -233,16 +239,18 @@ ServingResult RunServing(const char* family, const Graph& g, size_t decoys,
 // prepare_once comparison: SketchServer::Ingest routes ONE shared
 // encode/prepare/route pass through the ingest plane into every engine's
 // open delta; IngestIndependent is the pre-plane baseline where each
-// engine re-prepares every update. Both timings flow through the shared
-// best-of-3 helper (bench_util.h), so the printed table and the JSON row
-// cannot report different reps. The two paths must land bit-identical
-// snapshots -- asserted here on the flushed forest payload (gms_plane_tests
-// covers all three engines at frame strength).
+// engine re-prepares every update. The two run in alternating reps on
+// fresh servers, and the row reports the median, min and max of each. The
+// two paths must land bit-identical snapshots -- asserted here on the
+// flushed forest payload of every rep (gms_plane_tests covers all three
+// engines at frame strength).
+constexpr size_t kPrepareReps = 5;
+
 struct PrepareOnceRow {
   size_t n = 0;
   size_t updates = 0;
-  double shared_seconds = 0;
-  double independent_seconds = 0;
+  bench::Spread shared_seconds;
+  bench::Spread independent_seconds;
 };
 
 PrepareOnceRow RunPrepareOnce(size_t n, size_t decoys, uint64_t seed) {
@@ -270,28 +278,30 @@ PrepareOnceRow RunPrepareOnce(size_t n, size_t decoys, uint64_t seed) {
           .SkeletonK(2)
           .EpochUpdates(4096)
           .Build();
-  std::optional<serve::SketchServer> server;
-  const auto reset = [&] { server.emplace(n, params, seed + 2); };
+  std::vector<double> shared_reps, independent_reps;
+  for (size_t rep = 0; rep < kPrepareReps; ++rep) {
+    serve::SketchServer shared(n, params, seed + 2);
+    Timer ts;
+    shared.Ingest(updates);
+    shared_reps.push_back(ts.Seconds());
+    shared.Flush();
 
-  reset();
-  const bench::IngestTiming shared =
-      bench::BestOfThree(reset, [&] { server->Ingest(updates); });
-  server->Flush();
-  const Hypergraph shared_forest = *server->forest_engine().Current()->payload;
-
-  reset();
-  const bench::IngestTiming independent =
-      bench::BestOfThree(reset, [&] { server->IngestIndependent(updates); });
-  server->Flush();
-  GMS_CHECK_MSG(*server->forest_engine().Current()->payload == shared_forest,
-                "serving bench: prepare_once forest payload diverges from "
-                "the independent ingest baseline");
+    serve::SketchServer independent(n, params, seed + 2);
+    Timer ti;
+    independent.IngestIndependent(updates);
+    independent_reps.push_back(ti.Seconds());
+    independent.Flush();
+    GMS_CHECK_MSG(*independent.forest_engine().Current()->payload ==
+                      *shared.forest_engine().Current()->payload,
+                  "serving bench: prepare_once forest payload diverges from "
+                  "the independent ingest baseline");
+  }
 
   PrepareOnceRow r;
   r.n = n;
   r.updates = updates.size();
-  r.shared_seconds = shared.best_secs;
-  r.independent_seconds = independent.best_secs;
+  r.shared_seconds = bench::SpreadOf(std::move(shared_reps));
+  r.independent_seconds = bench::SpreadOf(std::move(independent_reps));
   return r;
 }
 
@@ -317,7 +327,8 @@ void WriteJson(const std::vector<ServingResult>& rows,
         "     \"post_flush_queries_per_sec\": %.1f,\n"
         "     \"wire_queries_per_sec\": %.1f,\n"
         "     \"epochs_sealed\": %llu, \"epochs_merged\": %llu,\n"
-        "     \"cache_hits\": %llu, \"cache_rebuilds\": %llu,\n"
+        "     \"cache_hits\": %llu, \"cache_rebuilds\": %llu, "
+        "\"extractions_deferred\": %llu,\n"
         "     \"updates_ingested\": %llu, \"updates_merged\": %llu,\n"
         "     \"mapped_arena_mb\": %.1f, \"peak_rss_mb\": %.1f}%s\n",
         bench::JsonQuote(r.family).c_str(), r.n, r.stream_updates,
@@ -330,6 +341,7 @@ void WriteJson(const std::vector<ServingResult>& rows,
         static_cast<unsigned long long>(r.engine.epochs_merged),
         static_cast<unsigned long long>(r.engine.cache_hits),
         static_cast<unsigned long long>(r.engine.cache_rebuilds),
+        static_cast<unsigned long long>(r.engine.extractions_deferred),
         static_cast<unsigned long long>(r.engine.updates_ingested),
         static_cast<unsigned long long>(r.engine.updates_merged),
         r.mapped_arena_mb, r.peak_rss_mb, i + 1 < rows.size() ? "," : "");
@@ -339,11 +351,19 @@ void WriteJson(const std::vector<ServingResult>& rows,
     const PrepareOnceRow& r = prepare_rows[i];
     std::fprintf(
         f,
-        "    {\"n\": %zu, \"updates\": %zu, \"shared_seconds\": %.6f,\n"
-        "     \"independent_seconds\": %.6f, "
-        "\"prepare_once_speedup\": %.3f}%s\n",
-        r.n, r.updates, r.shared_seconds, r.independent_seconds,
-        r.independent_seconds / std::max(r.shared_seconds, 1e-9),
+        "    {\"n\": %zu, \"updates\": %zu, \"reps\": %zu,\n"
+        "     \"shared_median_seconds\": %.6f, \"shared_min_seconds\": %.6f, "
+        "\"shared_max_seconds\": %.6f,\n"
+        "     \"independent_median_seconds\": %.6f, "
+        "\"independent_min_seconds\": %.6f, "
+        "\"independent_max_seconds\": %.6f,\n"
+        "     \"prepare_once_speedup\": %.3f}%s\n",
+        r.n, r.updates, kPrepareReps, r.shared_seconds.median,
+        r.shared_seconds.min, r.shared_seconds.max,
+        r.independent_seconds.median, r.independent_seconds.min,
+        r.independent_seconds.max,
+        r.independent_seconds.median /
+            std::max(r.shared_seconds.median, 1e-9),
         i + 1 < prepare_rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -354,8 +374,8 @@ void WriteJson(const std::vector<ServingResult>& rows,
 int Run(bool smoke) {
   bench::Banner("EXPERIMENT serving (DESIGN.md §13)",
                 "Sustained queries/s against epoch snapshots while the "
-                "stream keeps ingesting; staleness <= 1 sealed + 1 open "
-                "epoch.");
+                "stream keeps ingesting; staleness < 3 epochs (one "
+                "deferred + one sealed + one open).");
 
   std::vector<ServingResult> rows;
   std::vector<PrepareOnceRow> prepare_rows;
@@ -392,7 +412,7 @@ int Run(bool smoke) {
 
   Table table({"family", "n", "updates", "epoch", "qthreads", "ingest",
                "queries/s", "max_stale", "bound", "idle q/s", "wire q/s",
-               "hits", "rebuilds", "mapped", "maxrss"});
+               "hits", "rebuilds", "deferred", "mapped", "maxrss"});
   for (const ServingResult& r : rows) {
     table.AddRow({r.family, Table::Fmt(r.n), Table::Fmt(r.stream_updates),
                Table::Fmt(r.epoch_updates), Table::Fmt(r.query_threads),
@@ -403,23 +423,31 @@ int Run(bool smoke) {
                bench::Rate(r.wire_queries_per_sec),
                Table::Fmt(r.engine.cache_hits),
                Table::Fmt(r.engine.cache_rebuilds),
+               Table::Fmt(r.engine.extractions_deferred),
                Table::Fmt(r.mapped_arena_mb, 0) + "MiB",
                Table::Fmt(r.peak_rss_mb, 0) + "MiB"});
   }
   table.Print();
 
-  Table prepare_table(
-      {"n", "updates", "shared_s", "independent_s", "prep1x"});
+  Table prepare_table({"n", "updates", "shared_s", "shared_range",
+                       "independent_s", "independent_range", "prep1x"});
+  const auto range = [](const bench::Spread& s) {
+    return Table::Fmt(s.min, 3) + "-" + Table::Fmt(s.max, 3);
+  };
   for (const PrepareOnceRow& r : prepare_rows) {
     prepare_table.AddRow(
         {Table::Fmt(r.n), Table::Fmt(r.updates),
-         Table::Fmt(r.shared_seconds, 3), Table::Fmt(r.independent_seconds, 3),
-         Table::Fmt(r.independent_seconds / std::max(r.shared_seconds, 1e-9),
+         Table::Fmt(r.shared_seconds.median, 3), range(r.shared_seconds),
+         Table::Fmt(r.independent_seconds.median, 3),
+         range(r.independent_seconds),
+         Table::Fmt(r.independent_seconds.median /
+                        std::max(r.shared_seconds.median, 1e-9),
                     2)});
   }
   prepare_table.Print(
       "prepare_once: one shared encode/route pass (Ingest) vs per-engine "
-      "re-prepare (IngestIndependent), forest + vc + skeleton");
+      "re-prepare (IngestIndependent), forest + vc + skeleton; medians and "
+      "ranges over alternating reps");
 
   if (!smoke) WriteJson(rows, prepare_rows);
   std::printf("serving bench: all assertions held\n");

@@ -134,10 +134,11 @@ int main() {
   const auto stats = server.forest_engine().stats();
   std::printf(
       "\nserver internals: %llu epochs sealed, %llu merged, "
-      "%llu cache rebuilds, %llu hits\n",
+      "%llu cache rebuilds, %llu hits, %llu extractions deferred\n",
       static_cast<unsigned long long>(stats.epochs_sealed),
       static_cast<unsigned long long>(stats.epochs_merged),
       static_cast<unsigned long long>(stats.cache_rebuilds),
-      static_cast<unsigned long long>(stats.cache_hits));
+      static_cast<unsigned long long>(stats.cache_hits),
+      static_cast<unsigned long long>(stats.extractions_deferred));
   return 0;
 }

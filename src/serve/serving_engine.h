@@ -22,12 +22,22 @@
 //     (moved into the merge queue) every `epoch_updates` stream updates,
 //     or on demand (AdvanceEpoch / Flush).
 //   - the sealed delta in flight: at most ONE -- sealing blocks until the
-//     merger has retired the previous epoch (backpressure), so a query's
-//     staleness is bounded by one sealed epoch plus the open epoch.
+//     merger hands back the recycled delta (backpressure).
 //
 // The two deltas are recycled (double buffering): the merger Clear()s a
 // retired delta and hands it back as the next open buffer, so steady-state
 // serving allocates nothing on the ingest path.
+//
+// Deferred extraction: the merger normally hands the delta back after it
+// publishes. When a dirty epoch has just been merged, the ingest side is
+// already blocked in SealEpoch waiting for that delta, and the previous
+// merged epoch was published, the merger hands the delta back AT ONCE and
+// merges the next sealed epoch before extracting: that extraction would
+// be superseded by the next one before anyone had waited on it. The one
+// extraction that follows publishes both epochs' exact prefix (epoch
+// steps by 2). Never twice in a row, so at most one merged epoch is ever
+// unpublished and a query's staleness stays below three epochs: the
+// unpublished merged epoch, the sealed one, and the open one.
 //
 // Cached extraction: each merged epoch publishes an immutable Snapshot
 // (std::shared_ptr -- queries pin it lock-free after one mutex-protected
@@ -72,11 +82,12 @@
 namespace gms {
 
 /// Default epoch length, in stream updates. A serving epoch bounds answer
-/// staleness. A merge replays the delta's sparse buffers into the serving
-/// sketch's columns and escalates those that outgrow the sparse threshold
-/// (about 27 ms per epoch at n = 2^15: a traced serve_rmat run merged 24
-/// epochs in 0.64 s), and each dirty epoch re-extracts the forest: cheap
-/// enough to take every few thousand updates.
+/// staleness (below 3 * epoch_updates). A merge replays the delta's sparse
+/// buffers into the serving sketch's columns and escalates those that
+/// outgrow the sparse threshold, and each published dirty epoch
+/// re-extracts the forest: at n = 2^15 (serve_rmat, 24 epochs) the merges
+/// take 0.57-0.72 s and the extractions 0.65-0.87 s in total, about 25
+/// and 30 ms per epoch -- cheap enough to take every few thousand updates.
 inline constexpr size_t kDefaultServingEpochUpdates = 1 << 13;
 
 struct ServingParams {
@@ -144,14 +155,23 @@ class ServingEngine {
   struct Stats {
     uint64_t epochs_sealed = 0;
     uint64_t epochs_merged = 0;
-    /// Merged epochs whose delta was clean: the previous payload pointer
-    /// was re-published without re-extracting.
+    /// Merged epochs whose delta was clean. Published alone, such an
+    /// epoch re-publishes the previous payload pointer without
+    /// re-extracting; right after a deferral it publishes the deferred
+    /// epoch's extraction.
     uint64_t cache_hits = 0;
     /// Merged epochs that dirtied the measurement and re-extracted.
     uint64_t cache_rebuilds = 0;
+    /// Dirty merged epochs whose extraction was folded into the next
+    /// epoch's (see the header comment). epochs_merged == cache_hits +
+    /// cache_rebuilds + extractions_deferred.
+    uint64_t extractions_deferred = 0;
+    /// Seals that found the recycled delta still held by the merger and
+    /// blocked for it (backpressure events).
+    uint64_t seal_waits = 0;
     uint64_t updates_ingested = 0;
     /// Updates covered by the published snapshot (<= updates_ingested; the
-    /// difference is in the open/sealed deltas).
+    /// difference is in the open and sealed deltas and a deferred epoch).
     uint64_t updates_merged = 0;
     /// Epochs sealed by the wall-clock pacer rather than the update count
     /// (only ever nonzero when epoch_deadline_ms > 0).
@@ -199,8 +219,8 @@ class ServingEngine {
   ServingEngine& operator=(const ServingEngine&) = delete;
 
   /// Ingest thread only. Feeds the open delta, sealing an epoch every
-  /// params.epoch_updates updates; blocks (backpressure) while a previous
-  /// sealed epoch is still being merged.
+  /// params.epoch_updates updates; a seal blocks (backpressure) while the
+  /// merger still holds the recycled delta.
   void Process(std::span<const StreamUpdate> updates) {
     size_t i = 0;
     while (i < updates.size()) {
@@ -322,10 +342,18 @@ class ServingEngine {
     last_seal_ = Clock::now();
     std::unique_lock<std::mutex> lock(mu_);
     // Backpressure barrier: wait for the recycled delta (the merger hands
-    // it back when the previous epoch retires). Bounds staleness to one
-    // sealed epoch + the open epoch, and bounds memory to three sketches.
-    sealed_cv_.wait(lock,
-                    [&] { return !sealed_.has_value() && spare_.has_value(); });
+    // it back when the previous epoch is published, or at once when it
+    // defers that epoch's extraction because this seal is waiting). Bounds
+    // staleness below three epochs, and memory to three sketches.
+    const auto ready = [&] {
+      return !sealed_.has_value() && spare_.has_value();
+    };
+    if (!ready()) {
+      ++stats_.seal_waits;
+      seal_waiting_ = true;
+      sealed_cv_.wait(lock, ready);
+      seal_waiting_ = false;
+    }
     sealed_.emplace(SealedJob{std::move(open_), open_count_});
     open_ = std::move(*spare_);
     spare_.reset();
@@ -360,57 +388,88 @@ class ServingEngine {
   }
 
   void MergerLoop() {
+    // A deferral leaves one merged epoch unpublished; the next publish
+    // covers it too.
+    bool deferred = false;
+    uint64_t deferred_updates = 0;
     for (;;) {
       std::optional<SealedJob> job;
+      // Only this thread ever publishes, so the prior snapshot's counters
+      // are stable across the unlocked stretches below.
+      uint64_t base_epoch, base_prefix;
       {
         std::unique_lock<std::mutex> lock(mu_);
         merger_cv_.wait(lock, [&] { return stop_ || sealed_.has_value(); });
-        if (!sealed_.has_value()) return;  // stopped and drained
+        if (!sealed_.has_value()) {
+          // Stopped and drained. A deferral only happens while a seal
+          // waits, and that seal lands before the ingest call returns, so
+          // no merged epoch can be left unpublished here.
+          GMS_CHECK_MSG(!deferred,
+                        "ServingEngine: stopped with an unpublished epoch");
+          return;
+        }
         job.emplace(std::move(*sealed_));
         sealed_.reset();
         merging_ = true;
-      }
-      // A clean delta provably contributed nothing to any cell (dirty
-      // summaries are monotone ORs over every touched cell), so the cached
-      // payload stays valid and the merge itself can be skipped.
-      const bool dirty = job->delta.SnapshotDirty();
-      // Only this thread ever publishes, so the prior snapshot's counters
-      // are stable across the unlocked stretch below.
-      uint64_t base_epoch, base_prefix;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
         base_epoch = snapshot_->epoch;
         base_prefix = snapshot_->prefix_updates;
       }
-      std::shared_ptr<const Snapshot> next;
+      // A clean delta provably contributed nothing to any cell (dirty
+      // summaries are monotone ORs over every touched cell), so the merge
+      // can be skipped, and so can the extraction unless a deferred epoch
+      // is waiting to be published.
+      const bool dirty = job->delta.SnapshotDirty();
       if (dirty) {
         const Status merged = serving_.MergeFrom(job->delta);
         GMS_CHECK_MSG(merged.ok(),
                       "ServingEngine: delta/serving shape mismatch");
         job->delta.Clear();
-        // Extract WITHOUT holding mu_: backpressure guarantees no new seal
-        // lands until spare_ is handed back below, so serving_ is stable,
+        if (!deferred) {
+          std::unique_lock<std::mutex> lock(mu_);
+          if (seal_waiting_) {
+            // The ingest side holds the next epoch and waits only for this
+            // delta: hand it back now and publish after the next merge.
+            ++stats_.epochs_merged;
+            ++stats_.extractions_deferred;
+            spare_.emplace(std::move(job->delta));
+            lock.unlock();
+            sealed_cv_.notify_all();
+            deferred = true;
+            deferred_updates = job->updates;
+            continue;
+          }
+        }
+      }
+      const uint64_t epoch = base_epoch + (deferred ? 2 : 1);
+      const uint64_t prefix = base_prefix + deferred_updates + job->updates;
+      std::shared_ptr<const Snapshot> next;
+      if (dirty || deferred) {
+        // Extract WITHOUT holding mu_: only this thread writes serving_,
         // and query threads keep copying the old snapshot pointer
         // unblocked while the rebuild runs.
-        next = ExtractSnapshot(base_epoch + 1, base_prefix + job->updates);
+        next = ExtractSnapshot(epoch, prefix);
       }
       {
         std::lock_guard<std::mutex> lock(mu_);
+        ++stats_.epochs_merged;
         if (dirty) {
           ++stats_.cache_rebuilds;
         } else {
           ++stats_.cache_hits;
+        }
+        if (next == nullptr) {
           auto reuse = std::make_shared<Snapshot>(*snapshot_);
-          reuse->epoch = base_epoch + 1;
-          reuse->prefix_updates = base_prefix + job->updates;
+          reuse->epoch = epoch;
+          reuse->prefix_updates = prefix;
           next = std::move(reuse);
         }
-        ++stats_.epochs_merged;
-        stats_.updates_merged += job->updates;
+        stats_.updates_merged = prefix;
         snapshot_.swap(next);  // next now holds the retired snapshot
         spare_.emplace(std::move(job->delta));
         merging_ = false;
       }
+      deferred = false;
+      deferred_updates = 0;
       sealed_cv_.notify_all();
       // Drop the retired snapshot outside mu_: when this is its last
       // reference, freeing its payload (an n-vertex Hypergraph) under the
@@ -444,7 +503,10 @@ class ServingEngine {
   std::condition_variable sealed_cv_;  // signals: spare returned, drained
   std::optional<Sketch> spare_;
   std::optional<SealedJob> sealed_;
+  /// The merger holds a sealed job or an unpublished merged epoch.
   bool merging_ = false;
+  /// The ingest thread or the pacer is blocked in SealEpoch for spare_.
+  bool seal_waiting_ = false;
   bool stop_ = false;
   std::shared_ptr<const Snapshot> snapshot_;
   Stats stats_;

@@ -11,7 +11,10 @@
 // (serve_protocol.h) via HandleFrame -- the same envelope that ships
 // sketch state, so one socket loop can serve both. Every answer carries
 // the snapshot coordinates (epoch, prefix_updates) it was computed
-// against, letting clients bound staleness themselves.
+// against, letting clients bound staleness themselves. Each engine keeps
+// its answers fewer than 3 * epoch_updates updates behind the updates
+// whose Ingest call has returned, and its epoch may step by 2 where the
+// merger folded one extraction into the next (serving_engine.h).
 //
 // Connectivity answers come from a ComponentIndex -- a union-find over the
 // served forest payload, flattened to one component id per vertex -- built

@@ -3,8 +3,14 @@
 // dispatch surface, and adversarial decoding of the serve protocol.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <memory>
+#include <mutex>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "graph/generators.h"
 #include "graph/traversal.h"
@@ -475,6 +481,345 @@ TEST(ServeAdaptivePacingTest, DisabledPacerLeavesOpenDeltaParked) {
   EXPECT_EQ(engine.Current()->prefix_updates, 0u);
   EXPECT_EQ(engine.stats().deadline_seals, 0u);
   EXPECT_EQ(engine.stats().epochs_sealed, 0u);
+}
+
+
+// ---------------------------------------------------------------------------
+// Deferred extraction, pinned with a gated test double: the double's
+// MergeFrom blocks until the test releases it, so a test can hold the
+// merger mid-merge while the ingest thread runs into backpressure.
+// ---------------------------------------------------------------------------
+
+/// The double's Query() payload: how many updates the state covers and a
+/// linear checksum over them, so a snapshot proves which prefix it holds.
+struct CountPayload {
+  uint64_t updates = 0;
+  uint64_t checksum = 0;
+};
+
+/// Shared by the test and every copy of the double: merge permits, and
+/// the merger's call log ('M' per MergeFrom, 'Q' per Query).
+class MergeGate {
+ public:
+  /// Let `permits` more MergeFrom calls through.
+  void Release(size_t permits) {
+    std::lock_guard<std::mutex> lock(mu_);
+    permits_ += permits;
+    cv_.notify_all();
+  }
+  /// Let every MergeFrom through from now on, each after `delay`.
+  void Open(std::chrono::microseconds delay = {}) {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+    delay_ = delay;
+    cv_.notify_all();
+  }
+  /// Block until `count` MergeFrom calls have started.
+  void WaitEntered(size_t count) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return entered_ >= count; });
+  }
+
+  void Merge() {
+    std::unique_lock<std::mutex> lock(mu_);
+    ++entered_;
+    cv_.notify_all();
+    cv_.wait(lock, [&] { return open_ || permits_ > 0; });
+    if (!open_) --permits_;
+    const auto delay = delay_;
+    log_ += 'M';
+    lock.unlock();
+    if (delay.count() > 0) std::this_thread::sleep_for(delay);
+  }
+  void Extract(uint64_t updates) {
+    std::lock_guard<std::mutex> lock(mu_);
+    log_ += 'Q';
+    extracted_.push_back(updates);
+  }
+
+  std::string log() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return log_;
+  }
+  /// The update count of every state Query() ran on, in call order.
+  std::vector<uint64_t> extracted() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return extracted_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::condition_variable cv_;
+  size_t permits_ = 0;
+  size_t entered_ = 0;
+  bool open_ = false;
+  std::chrono::microseconds delay_{0};
+  std::string log_;
+  std::vector<uint64_t> extracted_;
+};
+
+/// A linear "sketch" of the stream for ServingEngine: it counts updates
+/// and sums their larger endpoints.
+class GatedSketch {
+ public:
+  explicit GatedSketch(std::shared_ptr<MergeGate> gate)
+      : gate_(std::move(gate)) {}
+
+  void Process(std::span<const StreamUpdate> updates) {
+    for (const StreamUpdate& u : updates) {
+      ++state_.updates;
+      state_.checksum += u.edge[1];
+    }
+  }
+  bool SnapshotDirty() const { return state_.updates > 0; }
+  GatedSketch CloneEmpty() const { return GatedSketch(gate_); }
+  Status MergeFrom(const GatedSketch& other) {
+    gate_->Merge();
+    state_.updates += other.state_.updates;
+    state_.checksum += other.state_.checksum;
+    return Status::OK();
+  }
+  void Clear() { state_ = CountPayload(); }
+  QueryResult<CountPayload> Query() const {
+    gate_->Extract(state_.updates);
+    return QueryResult<CountPayload>(state_);
+  }
+
+ private:
+  std::shared_ptr<MergeGate> gate_;
+  CountPayload state_;
+};
+
+using GatedEngine = ServingEngine<GatedSketch>;
+
+/// Update i (0-based) is the edge {0, i + 1}, so a prefix of p updates
+/// has checksum p (p + 1) / 2.
+std::vector<StreamUpdate> NumberedUpdates(size_t count) {
+  std::vector<StreamUpdate> updates;
+  for (size_t i = 0; i < count; ++i) {
+    updates.emplace_back(Hyperedge{0, static_cast<VertexId>(i + 1)}, +1);
+  }
+  return updates;
+}
+
+std::span<const StreamUpdate> Slice(const std::vector<StreamUpdate>& updates,
+                                    size_t begin, size_t end) {
+  return std::span<const StreamUpdate>(updates.data() + begin, end - begin);
+}
+
+void ExpectExactPrefix(const GatedEngine::Snapshot& snap) {
+  ASSERT_TRUE(snap.status.ok());
+  const uint64_t p = snap.prefix_updates;
+  EXPECT_EQ(snap.payload->updates, p);
+  EXPECT_EQ(snap.payload->checksum, p * (p + 1) / 2);
+}
+
+void ExpectCountersAddUp(const GatedEngine::Stats& stats) {
+  EXPECT_EQ(stats.epochs_merged, stats.cache_hits + stats.cache_rebuilds +
+                                     stats.extractions_deferred);
+}
+
+void WaitForSealWaits(const GatedEngine& engine, uint64_t count) {
+  while (engine.stats().seal_waits < count) std::this_thread::yield();
+}
+
+TEST(ServeDeferralTest, DefersOnlyWhileASealIsBlocked) {
+  auto gate = std::make_shared<MergeGate>();
+  GatedEngine engine(GatedSketch(gate), SmallEpochs(4));
+  const auto updates = NumberedUpdates(12);
+
+  // Epoch 1 seals at once; the merger then sits in its MergeFrom. No seal
+  // waits behind it, so releasing the merge publishes epoch 1 directly.
+  engine.Process(Slice(updates, 0, 4));
+  gate->WaitEntered(1);
+  gate->Release(1);
+  engine.Flush();
+  EXPECT_EQ(engine.Current()->epoch, 1u);
+  EXPECT_EQ(engine.stats().seal_waits, 0u);
+  EXPECT_EQ(engine.stats().extractions_deferred, 0u);
+
+  // Epoch 2 seals and the merger holds it; epoch 3's seal then blocks for
+  // the recycled delta. Finishing that merge defers its extraction: the
+  // delta goes straight back, epoch 3 seals, and the merger moves on to it
+  // with epoch 2 merged but unpublished.
+  std::thread ingest([&] { engine.Process(Slice(updates, 4, 12)); });
+  gate->WaitEntered(2);
+  WaitForSealWaits(engine, 1);
+  gate->Release(1);
+  gate->WaitEntered(3);
+  ingest.join();
+  EXPECT_EQ(engine.Current()->epoch, 1u);
+  EXPECT_EQ(engine.Current()->prefix_updates, 4u);
+  EXPECT_EQ(engine.stats().extractions_deferred, 1u);
+  EXPECT_EQ(engine.stats().epochs_merged, 2u);
+
+  // One extraction publishes both epochs.
+  gate->Release(1);
+  engine.Flush();
+  const auto snap = engine.Current();
+  EXPECT_EQ(snap->epoch, 3u);
+  EXPECT_EQ(snap->prefix_updates, 12u);
+  ExpectExactPrefix(*snap);
+  const auto stats = engine.stats();
+  EXPECT_EQ(stats.epochs_merged, 3u);
+  EXPECT_EQ(stats.cache_rebuilds, 2u);
+  EXPECT_EQ(stats.cache_hits, 0u);
+  EXPECT_EQ(stats.extractions_deferred, 1u);
+  EXPECT_EQ(stats.updates_merged, 12u);
+  ExpectCountersAddUp(stats);
+  EXPECT_EQ(gate->log(), "QMQMMQ");
+}
+
+TEST(ServeDeferralTest, NeverDefersTwiceInARow) {
+  auto gate = std::make_shared<MergeGate>();
+  GatedEngine engine(GatedSketch(gate), SmallEpochs(4));
+  const auto updates = NumberedUpdates(16);
+  std::thread ingest([&] { engine.Process(updates); });
+
+  // Epoch 1's merge finishes while epoch 2's seal waits: deferred.
+  gate->WaitEntered(1);
+  WaitForSealWaits(engine, 1);
+  gate->Release(1);
+
+  // Epoch 2's merge finishes while epoch 3's seal waits, but epoch 1 is
+  // unpublished, so this time the merger extracts. Until then answers lag
+  // by all three epochs: the deferred one, the merging one and the full
+  // open one whose seal waits.
+  gate->WaitEntered(2);
+  WaitForSealWaits(engine, 2);
+  EXPECT_EQ(engine.Current()->prefix_updates, 0u);
+  EXPECT_EQ(engine.stats().updates_ingested, 12u);
+  gate->Release(1);
+
+  // Epoch 3 follows a published epoch, and epoch 4's seal waits: deferred.
+  gate->WaitEntered(3);
+  WaitForSealWaits(engine, 3);
+  EXPECT_EQ(engine.Current()->epoch, 2u);
+  EXPECT_EQ(engine.Current()->prefix_updates, 8u);
+  ExpectExactPrefix(*engine.Current());
+  gate->Release(1);
+
+  gate->WaitEntered(4);
+  gate->Release(1);
+  ingest.join();
+  engine.Flush();
+  const auto snap = engine.Current();
+  EXPECT_EQ(snap->epoch, 4u);
+  ExpectExactPrefix(*snap);
+  const auto stats = engine.stats();
+  EXPECT_EQ(stats.extractions_deferred, 2u);
+  EXPECT_EQ(stats.cache_rebuilds, 2u);
+  ExpectCountersAddUp(stats);
+  EXPECT_EQ(gate->log(), "QMMQMMQ");
+}
+
+TEST(ServeDeferralTest, SnapshotsStayExactPrefixesUnderBackpressure) {
+  constexpr size_t kEpoch = 8;
+  constexpr size_t kChunk = 3;
+  auto gate = std::make_shared<MergeGate>();
+  // A slow merge keeps the ingest thread blocked on seals, so deferrals
+  // interleave with plain publishes.
+  gate->Open(std::chrono::microseconds(200));
+  GatedEngine engine(GatedSketch(gate), SmallEpochs(kEpoch));
+  const auto updates = NumberedUpdates(1500);
+
+  // Updates whose Process call has returned (stored after each call).
+  std::atomic<uint64_t> returned{0};
+  std::atomic<bool> done{false};
+  std::atomic<size_t> observing{0};
+  constexpr size_t kQueryThreads = 2;
+  std::vector<uint64_t> snapshots_seen(kQueryThreads, 0);
+  std::vector<std::thread> queriers;
+  for (size_t q = 0; q < kQueryThreads; ++q) {
+    queriers.emplace_back([&, q] {
+      uint64_t last_epoch = 0, last_prefix = 0;
+      observing.fetch_add(1, std::memory_order_release);
+      while (!done.load(std::memory_order_acquire)) {
+        const uint64_t seen = returned.load(std::memory_order_acquire);
+        const auto snap = engine.Current();
+        ExpectExactPrefix(*snap);
+        ASSERT_GE(snap->epoch, last_epoch);
+        ASSERT_GE(snap->prefix_updates, last_prefix);
+        ASSERT_LT(seen, snap->prefix_updates + 3 * kEpoch)
+            << "answer lags returned ingest by three epochs";
+        last_epoch = snap->epoch;
+        last_prefix = snap->prefix_updates;
+        ++snapshots_seen[q];
+      }
+    });
+  }
+  while (observing.load(std::memory_order_acquire) < kQueryThreads) {
+    std::this_thread::yield();
+  }
+  for (size_t i = 0; i < updates.size(); i += kChunk) {
+    const size_t end = std::min(updates.size(), i + kChunk);
+    engine.Process(Slice(updates, i, end));
+    returned.store(end, std::memory_order_release);
+  }
+  engine.Flush();
+  done.store(true, std::memory_order_release);
+  for (auto& t : queriers) t.join();
+
+  const auto snap = engine.Current();
+  EXPECT_EQ(snap->prefix_updates, updates.size());
+  ExpectExactPrefix(*snap);
+  const auto stats = engine.stats();
+  EXPECT_EQ(stats.epochs_merged, stats.epochs_sealed);
+  EXPECT_EQ(snap->epoch, stats.epochs_merged);
+  EXPECT_LE(stats.extractions_deferred, stats.seal_waits);
+  ExpectCountersAddUp(stats);
+  // A deferral is a merge with no extraction after it; never two in a
+  // row, so three merges never run back to back.
+  const std::string log = gate->log();
+  EXPECT_EQ(log.find("MMM"), std::string::npos);
+  uint64_t adjacent = 0;
+  for (size_t i = 1; i < log.size(); ++i) {
+    adjacent += log[i - 1] == 'M' && log[i] == 'M';
+  }
+  EXPECT_EQ(adjacent, stats.extractions_deferred);
+  for (uint64_t seen : snapshots_seen) EXPECT_GT(seen, 0u);
+}
+
+TEST(ServeDeferralTest, FlushPublishesTheDeferredPrefix) {
+  auto gate = std::make_shared<MergeGate>();
+  GatedEngine engine(GatedSketch(gate), SmallEpochs(4));
+  const auto updates = NumberedUpdates(6);
+
+  // Epoch 1 seals and the merger holds it; Flush's seal of the partial
+  // epoch 2 then waits, so epoch 1's extraction is deferred.
+  std::thread ingest([&] {
+    engine.Process(updates);
+    engine.Flush();
+  });
+  gate->WaitEntered(1);
+  WaitForSealWaits(engine, 1);
+  gate->Open();
+  ingest.join();
+
+  const auto snap = engine.Current();
+  EXPECT_EQ(snap->epoch, 2u);
+  EXPECT_EQ(snap->prefix_updates, 6u);
+  ExpectExactPrefix(*snap);
+  EXPECT_EQ(engine.stats().extractions_deferred, 1u);
+  ExpectCountersAddUp(engine.stats());
+}
+
+TEST(ServeDeferralTest, DestructorPublishesEveryMergedEpoch) {
+  auto gate = std::make_shared<MergeGate>();
+  const auto updates = NumberedUpdates(8);
+  {
+    GatedEngine engine(GatedSketch(gate), SmallEpochs(4));
+    // Epoch 2's seal waits on epoch 1's merge, which then defers; the
+    // engine is destroyed right after the ingest call returns, possibly
+    // before epoch 2 is even merged.
+    std::thread ingest([&] { engine.Process(updates); });
+    gate->WaitEntered(1);
+    WaitForSealWaits(engine, 1);
+    gate->Open();
+    ingest.join();
+  }
+  EXPECT_EQ(gate->log(), "QMMQ");
+  EXPECT_EQ(gate->extracted().back(), 8u);
 }
 
 }  // namespace
