@@ -6,8 +6,8 @@
 // answer staleness against the engine's guarantee (fewer than three epochs
 // behind the updates whose Ingest call returned: one merged epoch whose
 // extraction was deferred, one sealed, one open), and the cached-
-// extraction hit and deferral pattern. Results print as a table and land machine-
-// readably in BENCH_serving.json.
+// extraction hit and deferral pattern. Results print as a table and land
+// machine-readably in BENCH_serving.json.
 //
 // Rows: Hamiltonian-cycle unions at n = 2000, and an rmat stream at
 // n = 2^16 whose skewed degrees escalate a minority of columns (the shape
