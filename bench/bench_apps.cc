@@ -8,7 +8,9 @@
 //      (one k_cap = 4 skeleton) ingest rates -- the prepare-once shared
 //      plane vs one separate forest per skeleton layer, each re-preparing
 //      for itself (median, min and max over alternating reps) -- plus the
-//      one-shot query cost.
+//      one-shot query cost. A dense temporal_churn row (about 80 updates
+//      per vertex, every column escalated) times TwoEdgeConnect the same
+//      way, so the plane choice is measured off the sparse phase too.
 //   2. Corpus replay: the same spec ingested from memory vs replayed from
 //      its disk-resident GMSB file in decoded chunks
 //      (ProcessBinaryFileStream); the file path must hold most of the
@@ -86,6 +88,9 @@ struct AppRow {
   bench::Spread separate_seconds;  // one forest per layer, each re-preparing
   double query_seconds = 0;
   size_t memory_bytes = 0;
+  /// Escalated share of the skeleton's (layer, vertex) columns after
+  /// ingest: 0 on an all-sparse stream, 1 on a fully dense one.
+  double escalated_frac = 0;
 };
 
 /// Reps per ingest path in the app rows, alternating between the paths so
@@ -137,6 +142,14 @@ AppRow RunApp(const char* name, const testkit::StreamSpec& spec,
   }
   row.shared_seconds = bench::SpreadOf(shared_reps);
   row.separate_seconds = bench::SpreadOf(separate_reps);
+  size_t escalated = 0;
+  for (size_t i = 0; i < app.skeleton().k(); ++i) {
+    for (VertexId v = 0; v < spec.n; ++v) {
+      escalated += app.skeleton().layer(i).VertexEscalated(v) ? 1 : 0;
+    }
+  }
+  row.escalated_frac = static_cast<double>(escalated) /
+                       static_cast<double>(app.skeleton().k() * spec.n);
 
   Timer t;
   auto answer = app.Query();
@@ -328,14 +341,14 @@ void WriteJson(const std::vector<AppRow>& apps,
         "\"shared_max_seconds\": %.6f,\n"
         "     \"separate_median_seconds\": %.6f, "
         "\"separate_min_seconds\": %.6f, \"separate_max_seconds\": %.6f,\n"
-        "     \"prepare_once_speedup\": %.3f,\n"
+        "     \"prepare_once_speedup\": %.3f, \"escalated_frac\": %.4f,\n"
         "     \"query_seconds\": %.6f, \"memory_bytes\": %zu}%s\n",
         r.app.c_str(), r.family.c_str(), r.n, r.updates, kAppReps,
         r.shared_seconds.median, r.shared_seconds.min, r.shared_seconds.max,
         r.separate_seconds.median, r.separate_seconds.min,
         r.separate_seconds.max,
         r.separate_seconds.median / std::max(r.shared_seconds.median, 1e-9),
-        r.query_seconds, r.memory_bytes,
+        r.escalated_frac, r.query_seconds, r.memory_bytes,
         i + 1 < apps.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"corpus\": [\n");
@@ -414,6 +427,25 @@ int Run(bool smoke) {
                                     /*seed=*/11);
         }));
   }
+  // Dense temporal_churn: m + 2 * decoys = 40 n updates, so about 80 per
+  // vertex and every column past the threshold of 32. Half the app rows'
+  // n, since its arena is resident (about 1.1 GB across the plane-fed
+  // skeleton and the separate forests); TwoEdgeConnect only.
+  {
+    const size_t dense_n = n / 2;
+    const size_t dense_m = 3 * dense_n;
+    testkit::StreamSpec dense = MakeSpec(
+        testkit::Family::kTemporalChurn, dense_n, dense_m,
+        (40 * dense_n - dense_m) / 2);
+    AppRow row = RunApp<apps::TwoEdgeConnect>(
+        "two_edge_connect", dense, [&](size_t max_rank) {
+          return apps::TwoEdgeConnect(dense.n, max_rank, /*seed=*/7);
+        });
+    GMS_CHECK_MSG(row.escalated_frac == 1.0,
+                  "apps bench: a dense temporal_churn column stayed sparse");
+    row.family += "_dense";
+    app_rows.push_back(std::move(row));
+  }
 
   // Smoke asserts: the shared plane (threads = 1) and the skeleton's
   // sharded layers (threads = 4) answer identically, and every plane-fed
@@ -447,7 +479,7 @@ int Run(bool smoke) {
   }
 
   Table app_table({"app", "family", "n", "updates", "shared", "shared min-max",
-                   "separate", "prep1x", "query", "memory"});
+                   "separate", "prep1x", "escalated", "query", "memory"});
   for (const AppRow& r : app_rows) {
     auto rate = [&](double secs) {
       return bench::Rate(static_cast<double>(r.updates) /
@@ -462,6 +494,7 @@ int Run(bool smoke) {
          Table::Fmt(r.separate_seconds.median /
                         std::max(r.shared_seconds.median, 1e-9),
                     2),
+         Table::Fmt(r.escalated_frac, 3),
          Table::Fmt(r.query_seconds * 1e3, 2) + "ms",
          bench::Kb(r.memory_bytes)});
   }

@@ -9,11 +9,12 @@
 // extraction hit and deferral pattern. Results print as a table and land
 // machine-readably in BENCH_serving.json.
 //
-// Rows: Hamiltonian-cycle unions at n = 2000, and an rmat stream at
-// n = 2^16 whose skewed degrees escalate a minority of columns (the shape
-// of perfbench's serve_rmat). Each row also reports the process's
-// high-water RSS after it ran; rows run in increasing n, so the largest
-// row's figure is its own.
+// Rows: Hamiltonian-cycle unions at n = 2000, and rmat streams at n = 2^15
+// (perfbench serve_rmat's n) and 2^16 whose skewed degrees escalate a
+// minority of columns. Each row reports the merger's time in MergeFrom
+// and in extraction beside ingest, the buffered entries its extractions
+// replayed, and the process's high-water RSS after it ran; rows run in
+// increasing n, so the largest row's figure is its own.
 //
 // Hard asserts (both modes):
 //   - concurrency: every query thread answered queries while ingest ran;
@@ -330,6 +331,8 @@ void WriteJson(const std::vector<ServingResult>& rows,
         "     \"cache_hits\": %llu, \"cache_rebuilds\": %llu, "
         "\"extractions_deferred\": %llu,\n"
         "     \"updates_ingested\": %llu, \"updates_merged\": %llu,\n"
+        "     \"merge_seconds\": %.6f, \"extract_seconds\": %.6f, "
+        "\"sparse_entries_replayed\": %llu,\n"
         "     \"mapped_arena_mb\": %.1f, \"peak_rss_mb\": %.1f}%s\n",
         bench::JsonQuote(r.family).c_str(), r.n, r.stream_updates,
         r.epoch_updates, r.query_threads, r.ingest_seconds,
@@ -344,6 +347,8 @@ void WriteJson(const std::vector<ServingResult>& rows,
         static_cast<unsigned long long>(r.engine.extractions_deferred),
         static_cast<unsigned long long>(r.engine.updates_ingested),
         static_cast<unsigned long long>(r.engine.updates_merged),
+        r.engine.merge_seconds, r.engine.extract_seconds,
+        static_cast<unsigned long long>(r.engine.sparse_entries_replayed),
         r.mapped_arena_mb, r.peak_rss_mb, i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"prepare_once\": [\n");
@@ -398,25 +403,30 @@ int Run(bool smoke) {
                               /*decoys=*/20000, /*epoch_updates=*/16384,
                               /*query_threads=*/4, /*require_rate=*/true,
                               /*seed=*/12));
-    // perfbench serve_rmat's shape at twice its n: m = 4n, n decoys, the
-    // default epoch. Runs last so its peak_rss_mb is its own.
-    constexpr size_t kLargeN = size_t{1} << 16;
-    rows.push_back(RunServing("rmat", RmatGraph(kLargeN, 4 * kLargeN, 13),
-                              /*decoys=*/kLargeN,
-                              kDefaultServingEpochUpdates,
-                              /*query_threads=*/2, /*require_rate=*/true,
-                              /*seed=*/13));
+    // perfbench serve_rmat's shape (m = 4n, n decoys, the default epoch)
+    // at its n and at twice it. The larger runs last so its peak_rss_mb
+    // is its own.
+    for (const size_t n : {size_t{1} << 15, size_t{1} << 16}) {
+      rows.push_back(RunServing("rmat", RmatGraph(n, 4 * n, 13),
+                                /*decoys=*/n, kDefaultServingEpochUpdates,
+                                /*query_threads=*/2, /*require_rate=*/true,
+                                /*seed=*/13));
+    }
     prepare_rows.push_back(
         RunPrepareOnce(/*n=*/2000, /*decoys=*/20000, /*seed=*/21));
   }
 
   Table table({"family", "n", "updates", "epoch", "qthreads", "ingest",
-               "queries/s", "max_stale", "bound", "idle q/s", "wire q/s",
-               "hits", "rebuilds", "deferred", "mapped", "maxrss"});
+               "merge", "extract", "replayed", "queries/s", "max_stale",
+               "bound", "idle q/s", "wire q/s", "hits", "rebuilds",
+               "deferred", "mapped", "maxrss"});
   for (const ServingResult& r : rows) {
     table.AddRow({r.family, Table::Fmt(r.n), Table::Fmt(r.stream_updates),
                Table::Fmt(r.epoch_updates), Table::Fmt(r.query_threads),
                Table::Fmt(r.ingest_seconds, 3) + "s",
+               Table::Fmt(r.engine.merge_seconds, 3) + "s",
+               Table::Fmt(r.engine.extract_seconds, 3) + "s",
+               Table::Fmt(r.engine.sparse_entries_replayed),
                bench::Rate(r.queries_per_sec), Table::Fmt(r.max_staleness),
                Table::Fmt(r.staleness_bound),
                bench::Rate(r.post_flush_queries_per_sec),

@@ -1014,7 +1014,8 @@ int PerfSmoke() {
   // escalated columns take the pre-hybrid dense kernel. A trip means the
   // buffering, the replay or the phase check leaked into the kernel loop.
   // 25% relative + 20ms absolute slack absorbs CI (and tsan) jitter;
-  // expected value is parity.
+  // expected value is parity. The two configs' reps alternate, best of 5
+  // each, so a burst of load from parallel tests hits both sides.
   {
     constexpr size_t kDenseN = 1 << 12;
     Graph dg = UnionOfHamiltonianCycles(kDenseN, 20, /*seed=*/30);  // deg 40
@@ -1030,20 +1031,32 @@ int PerfSmoke() {
       warm.Process(dense_stream);
     }
     SpanningForestSketch dense(kDenseN, 2, /*seed=*/32, dense_p);
-    IngestTiming dense_t = BestOfThreeIngest(&dense, dense_stream);
     SpanningForestSketch hybrid(kDenseN, 2, /*seed=*/32, hybrid_p);
-    IngestTiming hybrid_t = BestOfThreeIngest(&hybrid, dense_stream);
+    // Clear + re-Process replays the identical measurement (linearity).
+    const auto time_rep = [&](SpanningForestSketch* sketch, int rep) {
+      if (rep > 0) sketch->Clear();
+      Timer timer;
+      sketch->Process(dense_stream);
+      return timer.Seconds();
+    };
+    constexpr int kReps = 5;
+    double dense_best = 0, hybrid_best = 0;
+    for (int rep = 0; rep < kReps; ++rep) {
+      const double d = time_rep(&dense, rep);
+      const double h = time_rep(&hybrid, rep);
+      dense_best = rep == 0 ? d : std::min(dense_best, d);
+      hybrid_best = rep == 0 ? h : std::min(hybrid_best, h);
+    }
     std::printf(
         "perf_smoke: all-dense ingest threshold0=%.4fs hybrid=%.4fs "
         "(%.2fx)\n",
-        dense_t.best_secs, hybrid_t.best_secs,
-        dense_t.best_secs / std::max(hybrid_t.best_secs, 1e-9));
-    if (hybrid_t.best_secs > 1.25 * dense_t.best_secs + 0.02) {
+        dense_best, hybrid_best, dense_best / std::max(hybrid_best, 1e-9));
+    if (hybrid_best > 1.25 * dense_best + 0.02) {
       std::printf(
           "perf_smoke: FAIL (hybrid all-dense ingest %.4fs exceeds 1.25x "
           "threshold-0 + 20ms = %.4fs; the sparse-phase check slowed the "
           "dense path)\n",
-          hybrid_t.best_secs, 1.25 * dense_t.best_secs + 0.02);
+          hybrid_best, 1.25 * dense_best + 0.02);
       return 1;
     }
   }

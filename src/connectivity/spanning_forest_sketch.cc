@@ -95,10 +95,39 @@ struct SpanningForestSketch::PeelOverlay {
   }
 };
 
+// The incremental no-peel decode's record of the buffered entries that add
+// nothing to any component sketch (DESIGN.md Section 10). An entry cancels
+// when every endpoint of its hyperedge is active and sparse, holds the key,
+// and the held values sum to exactly zero: the pre-round united those
+// endpoints, so in every round their copies land in ONE component and add
+// zero to each of its cells. One bit per buffered entry, in active-ordinal
+// and key order.
+struct SpanningForestSketch::CancelSet {
+  std::vector<size_t> off;  // first bit of each active ordinal's buffer
+  std::vector<uint64_t> bits;
+
+  explicit CancelSet(const std::vector<std::vector<SparseEntry>>& buffers)
+      : off(buffers.size() + 1, 0) {
+    for (size_t ord = 0; ord < buffers.size(); ++ord) {
+      off[ord + 1] = off[ord] + buffers[ord].size();
+    }
+    bits.assign((off.back() + 63) / 64, 0);
+  }
+  bool Cancels(size_t ord, size_t i) const {
+    const size_t b = off[ord] + i;
+    return (bits[b >> 6] >> (b & 63)) & 1;
+  }
+  void Mark(size_t ord, size_t i) {
+    const size_t b = off[ord] + i;
+    bits[b >> 6] |= uint64_t{1} << (b & 63);
+  }
+};
+
 void AccumulateExtractStats(const ExtractStats& in, ExtractStats* out) {
   out->rounds_run = std::max(out->rounds_run, in.rounds_run);
   out->early_exit = out->early_exit || in.early_exit;
   out->summed_words += in.summed_words;
+  out->sparse_entries_replayed += in.sparse_entries_replayed;
   out->sample_attempts += in.sample_attempts;
   out->decode_attempts += in.decode_attempts;
   out->edges_found += in.edges_found;
@@ -645,64 +674,121 @@ std::span<const SparseEntry> SpanningForestSketch::ResidualBuffer(
       ov->list_off[ord], ov->list_off[ord + 1] - ov->list_off[ord]);
 }
 
-uint64_t SpanningForestSketch::AddResidualRows(const PeelOverlay* ov,
-                                               size_t ord, int w0, int w1,
-                                               uint64_t* dst,
-                                               uint64_t* masks) const {
+void SpanningForestSketch::AddResidualRows(const PeelOverlay* ov,
+                                           const CancelSet* cancel, size_t ord,
+                                           int w0, int w1, uint64_t* dst,
+                                           uint64_t* masks,
+                                           RowTally* tally) const {
   if (!ResidualEscalated(ov, ord)) {
     // A sparse column's measurement lives in its exact buffer, not the
-    // (zero) arena: replay it.
-    ReplayEntries(ResidualBuffer(ov, ord), w0, w1, dst, masks);
-    return 0;
+    // (zero) arena: replay it, less the entries that cancel.
+    const std::span<const SparseEntry> buf = ResidualBuffer(ov, ord);
+    for (size_t i = 0; i < buf.size(); ++i) {
+      if (cancel != nullptr && cancel->Cancels(ord, i)) continue;
+      AddCoordRounds(PrepareCoord(buf[i].index), buf[i].value, w0, w1, dst,
+                     masks);
+      ++tally->entries;
+    }
+    return;
   }
-  uint64_t words = 0;
   if (Escalated(ord)) {
     const uint64_t* src = ColAt(ord, w0);
     for (int r = w0; r < w1; ++r) {
       const size_t off = static_cast<size_t>(r - w0) * state_words_;
       const uint64_t m = ColumnLevelMask(ord, r);
       masks[r - w0] |= m;
-      words += L0AddRawMasked(*round_shapes_[static_cast<size_t>(r)],
-                              dst + off, src + off, m);
+      tally->words += L0AddRawMasked(*round_shapes_[static_cast<size_t>(r)],
+                                     dst + off, src + off, m);
     }
   } else {
     // Escalated by the peel alone: RemoveHyperedges would have replayed
     // the buffer into the arena, and by linearity the replay of the stored
     // buffer plus every overlay entry is that arena column.
     ReplayEntries(buffers_[ord], w0, w1, dst, masks);
+    tally->entries += buffers_[ord].size();
   }
   if (ov != nullptr) {
     for (const PeelOverlay::Entry& entry : ov->Of(ord)) {
       AddCoordRounds(entry.pc, entry.coeff, w0, w1, dst, masks);
     }
   }
-  return words;
 }
 
 uint64_t SpanningForestSketch::SparsePreRound(UnionFind* uf,
-                                              Hypergraph* result,
-                                              const PeelOverlay* ov) const {
+                                              std::vector<Hyperedge>* forest,
+                                              const PeelOverlay* ov,
+                                              CancelSet* cancel) const {
+  GMS_DCHECK(cancel == nullptr || ov == nullptr);
   uint64_t exact_edges = 0;
+  // Decoded endpoints, reused for every entry: only merging edges become
+  // Hyperedges.
+  std::vector<VertexId> e;
+  e.reserve(codec_.max_rank());
+  // Buffers are separate heap blocks walked in ordinal order: fetch a few
+  // columns ahead so the walk does not wait out each block's first miss.
+  constexpr size_t kBufferAhead = 4;
   for (VertexId v = 0; v < n_; ++v) {
     if (!IsActive(v)) continue;
     const size_t ord = static_cast<size_t>(state_index_[v]);
+    if (ord + kBufferAhead < num_active_) {
+      __builtin_prefetch(buffers_[ord + kBufferAhead].data());
+    }
     if (ResidualEscalated(ov, ord)) continue;
-    for (const SparseEntry& entry : ResidualBuffer(ov, ord)) {
-      auto decoded = codec_.Decode(entry.index);
-      if (!decoded.ok()) continue;  // hostile key; skip defensively
-      const Hyperedge& e = *decoded;
+    const std::span<const SparseEntry> buf = ResidualBuffer(ov, ord);
+    for (size_t i = 0; i < buf.size(); ++i) {
+      // Marked at its hyperedge's head (a smaller vertex, visited earlier),
+      // which already united every endpoint.
+      if (cancel != nullptr && cancel->Cancels(ord, i)) continue;
+      if (!codec_.DecodeInto(buf[i].index, &e).ok()) {
+        continue;  // hostile key; skip defensively
+      }
       bool valid = true;
       for (VertexId u : e) valid = valid && IsActive(u);
       if (!valid) continue;  // only hostile frames buffer such keys
       bool merged = false;
-      for (size_t i = 1; i < e.size(); ++i) merged |= uf->Union(e[0], e[i]);
+      for (size_t j = 1; j < e.size(); ++j) merged |= uf->Union(e[0], e[j]);
       if (merged) {
-        result->AddEdge(e);
+        forest->emplace_back(e);
         ++exact_edges;
       }
+      if (cancel != nullptr && e[0] == v) MarkIfCancels(e, ord, i, cancel);
     }
   }
   return exact_edges;
+}
+
+void SpanningForestSketch::MarkIfCancels(std::span<const VertexId> e,
+                                         size_t head_ord, size_t i,
+                                         CancelSet* cancel) const {
+  const u128 key = buffers_[head_ord][i].index;
+  // Position of the key in ord's buffer, or SIZE_MAX if it lacks the key.
+  const auto find = [&](size_t ord) -> size_t {
+    const std::vector<SparseEntry>& buf = buffers_[ord];
+    const auto it = std::lower_bound(
+        buf.begin(), buf.end(), key,
+        [](const SparseEntry& x, u128 k) { return x.index < k; });
+    if (it == buf.end() || it->index != key) return SIZE_MAX;
+    return static_cast<size_t>(it - buf.begin());
+  };
+  // The exact integer sum: every cell is a ring image of the integer
+  // weight (wrapping count, index sum mod 2^128, fingerprint mod p), so
+  // copies summing to zero in Z add zero to every cell. A wrapping int64
+  // sum would not do for hostile weights.
+  i128 sum = buffers_[head_ord][i].value;
+  for (size_t j = 1; j < e.size(); ++j) {
+    const size_t ord = static_cast<size_t>(state_index_[e[j]]);
+    if (Escalated(ord)) return;  // its copy lives in the arena
+    const size_t pos = find(ord);
+    // A partner lacking the key (only hostile frames do) keeps every copy.
+    if (pos == SIZE_MAX) return;
+    sum += buffers_[ord][pos].value;
+  }
+  if (sum != 0) return;
+  cancel->Mark(head_ord, i);
+  for (size_t j = 1; j < e.size(); ++j) {
+    const size_t ord = static_cast<size_t>(state_index_[e[j]]);
+    cancel->Mark(ord, find(ord));
+  }
 }
 
 Result<Hypergraph> SpanningForestSketch::ExtractSparseExact(
@@ -713,12 +799,12 @@ Result<Hypergraph> SpanningForestSketch::ExtractSparseExact(
     *stats = ExtractStats();
     stats->sparse_exact_forests = 1;
   }
-  Hypergraph result(n_);
-  if (num_active_ <= 1) return result;
+  if (num_active_ <= 1) return Hypergraph(n_);
   UnionFind uf(n_);
-  const uint64_t exact_edges = SparsePreRound(&uf, &result);
+  std::vector<Hyperedge> forest;
+  const uint64_t exact_edges = SparsePreRound(&uf, &forest);
   if (stats != nullptr) stats->edges_found += exact_edges;
-  return result;
+  return Hypergraph::FromDistinctEdges(n_, std::move(forest));
 }
 
 Result<Hypergraph> SpanningForestSketch::ExtractImpl(
@@ -726,7 +812,6 @@ Result<Hypergraph> SpanningForestSketch::ExtractImpl(
     const PeelOverlay* ov) const {
   GMS_DCHECK(incremental || ov == nullptr);
   if (threads == 0) threads = params_.threads;
-  Hypergraph result(n_);
   UnionFind uf(n_);
   std::vector<VertexId> active_vertices;
   active_vertices.reserve(num_active_);
@@ -734,16 +819,27 @@ Result<Hypergraph> SpanningForestSketch::ExtractImpl(
     if (IsActive(v)) active_vertices.push_back(v);
   }
   if (stats != nullptr) *stats = ExtractStats();
-  if (active_vertices.size() <= 1) return result;
+  if (active_vertices.size() <= 1) return Hypergraph(n_);
+  // The spanning graph's edges in the order they united components; every
+  // one merged something, so they are distinct and the payload is built
+  // once at the end.
+  std::vector<Hyperedge> forest;
 
   // Hybrid exact pre-round: a sparse-phase vertex's buffer lists its net
   // incident hyperedges VERBATIM, so they feed Borůvka directly -- no
   // sampling, no decode attempts. Deterministic (vertices in active order,
   // entries in key order) and shared by both decode paths, so the
-  // incremental-vs-reference stats stay identical.
+  // incremental-vs-reference stats stay identical. The incremental no-peel
+  // decode also records the entries that cancel inside their component;
+  // no accumulator replays those.
   const bool hybrid = Hybrid();
+  std::optional<CancelSet> cancel_set;
+  CancelSet* cancel = nullptr;
   if (hybrid) {
-    const uint64_t exact_edges = SparsePreRound(&uf, &result, ov);
+    if (incremental && ov == nullptr && sparse_remaining_ > 0) {
+      cancel = &cancel_set.emplace(buffers_);
+    }
+    const uint64_t exact_edges = SparsePreRound(&uf, &forest, ov, cancel);
     if (stats != nullptr) stats->edges_found += exact_edges;
   }
 
@@ -761,6 +857,7 @@ Result<Hypergraph> SpanningForestSketch::ExtractImpl(
   size_t blocks_used = 0;
 
   std::atomic<uint64_t> summed_words{0};
+  std::atomic<uint64_t> entries_replayed{0};
   std::atomic<uint64_t> sample_attempts{0};
   std::atomic<uint64_t> decode_attempts{0};
   std::atomic<bool> round_saw_nonzero{false};
@@ -817,7 +914,7 @@ Result<Hypergraph> SpanningForestSketch::ExtractImpl(
         es.block_masks.resize(blocks_used * kAccWindowRounds);
       }
       ParallelFor(threads, groups.size(), [&](size_t begin, size_t end) {
-        uint64_t local_words = 0;
+        RowTally local;
         for (size_t g = begin; g < end; ++g) {
           if (block_id[g] == SIZE_MAX) continue;
           const auto& group = groups[g];
@@ -827,12 +924,13 @@ Result<Hypergraph> SpanningForestSketch::ExtractImpl(
           std::memset(dst, 0, block_words * sizeof(uint64_t));
           std::memset(masks, 0, kAccWindowRounds * sizeof(uint64_t));
           for (VertexId member : group) {
-            local_words += AddResidualRows(
-                ov, static_cast<size_t>(state_index_[member]), block_w0,
-                block_w1, dst, masks);
+            AddResidualRows(ov, cancel,
+                            static_cast<size_t>(state_index_[member]),
+                            block_w0, block_w1, dst, masks, &local);
           }
         }
-        summed_words.fetch_add(local_words, std::memory_order_relaxed);
+        summed_words.fetch_add(local.words, std::memory_order_relaxed);
+        entries_replayed.fetch_add(local.entries, std::memory_order_relaxed);
       });
       for (size_t g = 0; g < groups.size(); ++g) {
         if (block_id[g] != SIZE_MAX) {
@@ -852,7 +950,8 @@ Result<Hypergraph> SpanningForestSketch::ExtractImpl(
     ParallelForAligned(
         threads, groups.size(), /*grain=*/64, [&](size_t begin, size_t end) {
           std::vector<uint64_t> acc;  // reference-path accumulator
-          uint64_t local_samples = 0, local_decodes = 0, local_words = 0;
+          uint64_t local_samples = 0, local_decodes = 0;
+          RowTally local;
           bool local_nonzero = false;
           for (size_t g = begin; g < end; ++g) {
             const auto& group = groups[g];
@@ -869,7 +968,8 @@ Result<Hypergraph> SpanningForestSketch::ExtractImpl(
               if (acc.empty()) acc.resize(state_words_);
               std::memset(acc.data(), 0, state_words_ * sizeof(uint64_t));
               uint64_t m = 0;
-              local_words += AddResidualRows(ov, ord0, t, t + 1, acc.data(), &m);
+              AddResidualRows(ov, cancel, ord0, t, t + 1, acc.data(), &m,
+                              &local);
               src = acc.data();
               src_mask = m;
             } else if (group.size() == 1) {
@@ -887,9 +987,9 @@ Result<Hypergraph> SpanningForestSketch::ExtractImpl(
               std::memset(acc.data(), 0, state_words_ * sizeof(uint64_t));
               uint64_t m = 0;
               for (VertexId member : group) {
-                local_words += AddResidualRows(
-                    ov, static_cast<size_t>(state_index_[member]), 0, 1,
-                    acc.data(), &m);
+                AddResidualRows(ov, cancel,
+                                static_cast<size_t>(state_index_[member]), 0,
+                                1, acc.data(), &m, &local);
               }
               src = acc.data();
               src_mask = m;
@@ -916,12 +1016,13 @@ Result<Hypergraph> SpanningForestSketch::ExtractImpl(
                   uint64_t scratch_mask = 0;
                   ReplayEntries(buffers_[ord], t, t + 1, acc.data(),
                                 &scratch_mask);
+                  local.entries += buffers_[ord].size();
                   continue;
                 }
                 L0AddRaw(*round_shapes_[static_cast<size_t>(t)], acc.data(),
                          ColAt(ord, t));
               }
-              local_words += group.size() * state_words_;
+              local.words += group.size() * state_words_;
               src = acc.data();
             }
             L0SampleProbe probe;
@@ -936,7 +1037,8 @@ Result<Hypergraph> SpanningForestSketch::ExtractImpl(
           }
           sample_attempts.fetch_add(local_samples, std::memory_order_relaxed);
           decode_attempts.fetch_add(local_decodes, std::memory_order_relaxed);
-          summed_words.fetch_add(local_words, std::memory_order_relaxed);
+          summed_words.fetch_add(local.words, std::memory_order_relaxed);
+          entries_replayed.fetch_add(local.entries, std::memory_order_relaxed);
           if (local_nonzero) {
             round_saw_nonzero.store(true, std::memory_order_relaxed);
           }
@@ -946,11 +1048,11 @@ Result<Hypergraph> SpanningForestSketch::ExtractImpl(
     size_t merges = 0;
     for (size_t g = 0; g < groups.size(); ++g) {
       if (!has_found[g]) continue;
-      const Hyperedge& e = found[g];
+      Hyperedge& e = found[g];
       bool merged = false;
       for (size_t i = 1; i < e.size(); ++i) merged |= uf.Union(e[0], e[i]);
       if (merged) {
-        result.AddEdge(e);
+        forest.push_back(std::move(e));
         ++merges;
       }
     }
@@ -1013,7 +1115,7 @@ Result<Hypergraph> SpanningForestSketch::ExtractImpl(
     }
     ParallelFor(
         threads, merged_sets.size(), [&](size_t begin, size_t end) {
-          uint64_t local_words = 0;
+          RowTally local;
           for (size_t j = begin; j < end; ++j) {
             const auto& parts = sets[merged_sets[j]];
             uint64_t* dst = es.blocks.data() + set_block[j] * block_words;
@@ -1028,9 +1130,9 @@ Result<Hypergraph> SpanningForestSketch::ExtractImpl(
                 // buffer is empty for every stream-reachable state, but a
                 // hostile frame's block must still equal the reference
                 // re-sum).
-                local_words += AddResidualRows(
-                    ov, static_cast<size_t>(state_index_[group[0]]),
-                    block_w0, block_w1, dst, dmask);
+                AddResidualRows(ov, cancel,
+                                static_cast<size_t>(state_index_[group[0]]),
+                                block_w0, block_w1, dst, dmask, &local);
                 continue;
               }
               const size_t b =
@@ -1043,13 +1145,14 @@ Result<Hypergraph> SpanningForestSketch::ExtractImpl(
                     static_cast<size_t>(r - block_w0) * state_words_;
                 const uint64_t m = smask[r - block_w0];
                 dmask[r - block_w0] |= m;
-                local_words +=
+                local.words +=
                     L0AddRawMasked(*round_shapes_[static_cast<size_t>(r)],
                                    dst + off, src + off, m);
               }
             }
           }
-          summed_words.fetch_add(local_words, std::memory_order_relaxed);
+          summed_words.fetch_add(local.words, std::memory_order_relaxed);
+          entries_replayed.fetch_add(local.entries, std::memory_order_relaxed);
         });
     // Retire the parts' blocks (their values are folded into the merged
     // block) and point the united roots at it; serial, in set order.
@@ -1066,10 +1169,12 @@ Result<Hypergraph> SpanningForestSketch::ExtractImpl(
   }
   if (stats != nullptr) {
     stats->summed_words = summed_words.load(std::memory_order_relaxed);
+    stats->sparse_entries_replayed =
+        entries_replayed.load(std::memory_order_relaxed);
     stats->sample_attempts = sample_attempts.load(std::memory_order_relaxed);
     stats->decode_attempts = decode_attempts.load(std::memory_order_relaxed);
   }
-  return result;
+  return Hypergraph::FromDistinctEdges(n_, std::move(forest));
 }
 
 Status SpanningForestSketch::MergeFrom(const SpanningForestSketch& other) {
@@ -1103,6 +1208,7 @@ Status SpanningForestSketch::MergeFrom(const SpanningForestSketch& other) {
   // all-dirty; every column it does add is escalated on this side too.
   if (Hybrid()) {
     const uint32_t threshold = params_.config.sparse_threshold;
+    std::vector<VertexUpdate> batch;
     for (VertexId v = 0; v < n_; ++v) {
       if (!other.IsActive(v)) continue;
       const size_t oo = static_cast<size_t>(other.state_index_[v]);
@@ -1111,10 +1217,15 @@ Status SpanningForestSketch::MergeFrom(const SpanningForestSketch& other) {
       const size_t mo = static_cast<size_t>(state_index_[v]);
       if (Escalated(mo)) {
         if (!other.Escalated(oo)) {
-          // dense x sparse: replay the other's exact buffer into my arena.
+          // dense x sparse: replay the other's exact buffer into my arena
+          // as one batch, which walks the column round by round with every
+          // entry's cells in flight (and prefetched, for short buffers).
+          batch.clear();
           for (const SparseEntry& entry : other.buffers_[oo]) {
-            ApplyLocalOrd(mo, PrepareCoord(entry.index), entry.value);
+            batch.push_back(
+                VertexUpdate{PrepareCoord(entry.index), 0, entry.value});
           }
+          ApplyUpdateBatch(v, batch);
         }
         continue;  // my counter is already saturated at threshold + 1
       }

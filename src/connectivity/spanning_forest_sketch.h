@@ -34,8 +34,9 @@ class UnionFind;
 /// Instrumentation from one spanning-graph extraction (or, accumulated, a
 /// whole Query over R forests). Every counter is a deterministic
 /// function of the sketch state -- independent of thread count -- except
-/// summed_words, which measures the work the chosen extraction PATH did
-/// (the incremental path's whole point is that it is much smaller).
+/// summed_words and sparse_entries_replayed, which measure the work the
+/// chosen extraction PATH did (the incremental path's whole point is that
+/// it is much smaller).
 struct ExtractStats {
   /// Borůvka rounds actually executed (<= the sketch's round budget).
   int rounds_run = 0;
@@ -45,6 +46,10 @@ struct ExtractStats {
   bool early_exit = false;
   /// Words field-added or copied into component accumulators.
   uint64_t summed_words = 0;
+  /// Buffered sparse entries replayed into component accumulators (one
+  /// per entry per replay, whatever the rounds it covers). The incremental
+  /// no-peel decode skips entries that cancel inside their component.
+  uint64_t sparse_entries_replayed = 0;
   /// Component sample calls (one per multi-candidate group per round).
   uint64_t sample_attempts = 0;
   /// s-sparse decode attempts inside those sample calls.
@@ -306,6 +311,11 @@ class SpanningForestSketch {
   /// decision (block ids, union order) runs in group order, so the decode
   /// is bit-identical for every thread count. The loop exits early once no
   /// component merged and every remaining component's sketch is zero.
+  /// The hybrid pre-round also marks the buffered entries that cancel: all
+  /// endpoints sparse and active, every one holding the key, the held
+  /// values summing to exactly zero. Those endpoints share a component from
+  /// then on, so the entries add zero to it in every round and no
+  /// accumulator replays them (DESIGN.md Section 10).
   ///
   /// Peeled decode: a nonempty `peeled` multiset decodes the spanning graph
   /// of G - peeled, i.e. of the sketch after RemoveHyperedges(peeled),
@@ -482,7 +492,8 @@ class SpanningForestSketch {
 
   /// AddCoordRounds for every entry of an exact sparse buffer. Extraction
   /// gives sparse members of multi-vertex components their exact
-  /// contribution this way; escalation replays into the arena with it.
+  /// contribution this way (less the cancelling entries, on the incremental
+  /// no-peel path); escalation replays into the arena with it.
   void ReplayEntries(std::span<const SparseEntry> entries, int w0, int w1,
                      uint64_t* dst, uint64_t* masks) const;
 
@@ -490,6 +501,18 @@ class SpanningForestSketch {
   /// built by MakePeelOverlay, never stored on the sketch).
   struct PeelOverlay;
   PeelOverlay MakePeelOverlay(std::span<const Hyperedge> peeled) const;
+
+  /// Per-call record of the buffered entries that cancel inside their
+  /// component (defined in the .cc; filled by SparsePreRound for the
+  /// incremental no-peel decode, which never replays them).
+  struct CancelSet;
+
+  /// Work an accumulator fill did: arena words added, buffered entries
+  /// replayed.
+  struct RowTally {
+    uint64_t words = 0;
+    uint64_t entries = 0;
+  };
 
   /// The hybrid phase RemoveHyperedges(peeled) would leave ord in: escalated
   /// iff already escalated or its count c plus its d overlay entries
@@ -507,9 +530,11 @@ class SpanningForestSketch {
   /// residual buffer replay for a residual-sparse ordinal; otherwise the
   /// arena rows (escalated) or buffer replay (escalated only by the peel),
   /// plus ord's overlay entries. Every incremental-path reader of member
-  /// rows goes through this. Returns the arena words added.
-  uint64_t AddResidualRows(const PeelOverlay* ov, size_t ord, int w0, int w1,
-                           uint64_t* dst, uint64_t* masks) const;
+  /// rows goes through this. A non-null `cancel` (no peel) leaves out the
+  /// buffered entries it marks. Adds the work done to *tally.
+  void AddResidualRows(const PeelOverlay* ov, const CancelSet* cancel,
+                       size_t ord, int w0, int w1, uint64_t* dst,
+                       uint64_t* masks, RowTally* tally) const;
 
   /// Prefetch round t's target cells for hyperedge e (see PrefetchPrepared).
   /// `endpoint_dense`, when given, flags the endpoints ApplyToRound will
@@ -539,10 +564,18 @@ class SpanningForestSketch {
   /// The hybrid exact pre-round shared by ExtractImpl and
   /// ExtractSparseExact: feed every (residual-)sparse vertex's buffered
   /// hyperedges into the union-find verbatim (active-vertex order, key
-  /// order), appending each merging edge to *result. Returns the edges
-  /// added.
-  uint64_t SparsePreRound(UnionFind* uf, Hypergraph* result,
-                          const PeelOverlay* ov = nullptr) const;
+  /// order), appending each merging edge to *forest. A non-null `cancel`
+  /// (no peel only) is filled with the entries whose copies sum to zero
+  /// over their all-sparse endpoints. Returns the edges added.
+  uint64_t SparsePreRound(UnionFind* uf, std::vector<Hyperedge>* forest,
+                          const PeelOverlay* ov = nullptr,
+                          CancelSet* cancel = nullptr) const;
+
+  /// Mark entry i of head_ord's buffer, and its partners' copies, in
+  /// *cancel if they cancel. `e` is the entry's decoded hyperedge, all
+  /// active, with head_ord's vertex at e[0].
+  void MarkIfCancels(std::span<const VertexId> e, size_t head_ord, size_t i,
+                     CancelSet* cancel) const;
 
   /// Sample round t's accumulated state `src` (whose nonzero levels are
   /// covered by `src_mask`; pass all-ones for a dense scan) for component

@@ -83,6 +83,12 @@ u128 EdgeCodec::Encode(const Hyperedge& e) const {
 }
 
 Result<Hyperedge> EdgeCodec::Decode(u128 index) const {
+  std::vector<VertexId> vs;
+  GMS_RETURN_IF_ERROR(DecodeInto(index, &vs));
+  return Hyperedge(std::move(vs));
+}
+
+Status EdgeCodec::DecodeInto(u128 index, std::vector<VertexId>* out) const {
   if (index >= domain_size_) {
     return Status::InvalidArgument("coordinate index out of range");
   }
@@ -98,8 +104,9 @@ Result<Hyperedge> EdgeCodec::Decode(u128 index) const {
         (1.0 + std::sqrt(8.0 * static_cast<double>(r) + 1.0)) / 2.0);
     while (m * (m - 1) / 2 > r) --m;
     while ((m + 1) * m / 2 <= r) ++m;
-    return Hyperedge(Edge(static_cast<VertexId>(r - m * (m - 1) / 2),
-                          static_cast<VertexId>(m)));
+    out->assign({static_cast<VertexId>(r - m * (m - 1) / 2),
+                 static_cast<VertexId>(m)});
+    return Status::OK();
   }
   // Locate the size block (>= 3: pairs returned above).
   size_t s = max_rank_;
@@ -111,7 +118,7 @@ Result<Hyperedge> EdgeCodec::Decode(u128 index) const {
     }
   }
   u128 rank = index - offset_[s];
-  std::vector<VertexId> vs(s);
+  out->resize(s);
   // Greedy colex unranking from the largest position down.
   uint64_t upper = n_;  // exclusive bound for the next vertex
   for (size_t pos = s; pos >= 1; --pos) {
@@ -127,7 +134,7 @@ Result<Hyperedge> EdgeCodec::Decode(u128 index) const {
         hi = mid - 1;
       }
     }
-    vs[pos - 1] = static_cast<VertexId>(best);
+    (*out)[pos - 1] = static_cast<VertexId>(best);
     rank -= Binomial(best, static_cast<unsigned>(pos));
     upper = best;
     if (pos == 1) break;
@@ -135,7 +142,7 @@ Result<Hyperedge> EdgeCodec::Decode(u128 index) const {
   if (rank != 0) {
     return Status::Internal("combinadic unranking left a residue");
   }
-  return Hyperedge(std::move(vs));
+  return Status::OK();
 }
 
 }  // namespace gms

@@ -49,6 +49,11 @@ class EdgeCodec {
   /// Unrank. Returns InvalidArgument for out-of-range indices.
   Result<Hyperedge> Decode(u128 index) const;
 
+  /// Unrank into *out, ascending, with Decode's errors. The vector's
+  /// capacity is reused, so a caller decoding many keys allocates nothing
+  /// once it has held max_rank() ids (Decode wraps this).
+  Status DecodeInto(u128 index, std::vector<VertexId>* out) const;
+
  private:
   size_t n_;
   size_t max_rank_;

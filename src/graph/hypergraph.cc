@@ -20,6 +20,30 @@ Hypergraph Hypergraph::FromGraph(const Graph& g) {
   return h;
 }
 
+Hypergraph Hypergraph::FromDistinctEdges(size_t n,
+                                         std::vector<Hyperedge> edges) {
+  GMS_CHECK_MSG(edges.size() < (size_t{1} << 32), "too many hyperedges");
+  Hypergraph h(n);
+  std::vector<uint32_t> degree(n, 0);
+  for (const auto& e : edges) {
+    GMS_CHECK_MSG(e.vertices().back() < n, "hyperedge vertex out of range");
+    for (VertexId v : e) ++degree[v];
+  }
+  for (size_t v = 0; v < n; ++v) {
+    if (degree[v] != 0) h.incident_[v].reserve(degree[v]);
+  }
+  h.index_.reserve(edges.size());
+  for (size_t i = 0; i < edges.size(); ++i) {
+    const auto idx = static_cast<uint32_t>(i);
+    [[maybe_unused]] const bool inserted =
+        h.index_.emplace(edges[i], idx).second;
+    GMS_DCHECK(inserted);
+    for (VertexId v : edges[i]) h.incident_[v].push_back(idx);
+  }
+  h.edges_ = std::move(edges);
+  return h;
+}
+
 size_t Hypergraph::Rank() const {
   size_t r = 0;
   for (const auto& e : edges_) r = std::max(r, e.size());

@@ -23,6 +23,13 @@ class Hypergraph {
   /// Lift a graph into a 2-uniform hypergraph.
   static Hypergraph FromGraph(const Graph& g);
 
+  /// Build from hyperedges the caller guarantees pairwise distinct (a
+  /// spanning forest's edges each united components, so none repeats), in
+  /// one pass: the incidence lists are sized exactly and the index
+  /// reserved up front, with no duplicate probe. Edges() keeps the given
+  /// order, so the result equals AddEdge-ing them in turn.
+  static Hypergraph FromDistinctEdges(size_t n, std::vector<Hyperedge> edges);
+
   size_t NumVertices() const { return incident_.size(); }
   size_t NumEdges() const { return index_.size(); }
 

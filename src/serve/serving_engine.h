@@ -176,6 +176,12 @@ class ServingEngine {
     /// Epochs sealed by the wall-clock pacer rather than the update count
     /// (only ever nonzero when epoch_deadline_ms > 0).
     uint64_t deadline_seals = 0;
+    /// Merger wall time in MergeFrom + Clear and in extraction, summed over
+    /// the merged epochs: the M and X of the cycle model (DESIGN.md §13).
+    double merge_seconds = 0;
+    double extract_seconds = 0;
+    /// ExtractStats::sparse_entries_replayed summed over those extractions.
+    uint64_t sparse_entries_replayed = 0;
   };
 
   /// Takes ownership of `base` (its state, possibly non-empty, becomes
@@ -419,11 +425,14 @@ class ServingEngine {
       // can be skipped, and so can the extraction unless a deferred epoch
       // is waiting to be published.
       const bool dirty = job->delta.SnapshotDirty();
+      double merge_seconds = 0;
       if (dirty) {
+        const Clock::time_point merge_start = Clock::now();
         const Status merged = serving_.MergeFrom(job->delta);
         GMS_CHECK_MSG(merged.ok(),
                       "ServingEngine: delta/serving shape mismatch");
         job->delta.Clear();
+        merge_seconds = SecondsSince(merge_start);
         if (!deferred) {
           std::unique_lock<std::mutex> lock(mu_);
           if (seal_waiting_) {
@@ -431,6 +440,7 @@ class ServingEngine {
             // delta: hand it back now and publish after the next merge.
             ++stats_.epochs_merged;
             ++stats_.extractions_deferred;
+            stats_.merge_seconds += merge_seconds;
             spare_.emplace(std::move(job->delta));
             lock.unlock();
             sealed_cv_.notify_all();
@@ -443,15 +453,24 @@ class ServingEngine {
       const uint64_t epoch = base_epoch + (deferred ? 2 : 1);
       const uint64_t prefix = base_prefix + deferred_updates + job->updates;
       std::shared_ptr<const Snapshot> next;
+      double extract_seconds = 0;
       if (dirty || deferred) {
         // Extract WITHOUT holding mu_: only this thread writes serving_,
         // and query threads keep copying the old snapshot pointer
         // unblocked while the rebuild runs.
+        const Clock::time_point extract_start = Clock::now();
         next = ExtractSnapshot(epoch, prefix);
+        extract_seconds = SecondsSince(extract_start);
       }
       {
         std::lock_guard<std::mutex> lock(mu_);
         ++stats_.epochs_merged;
+        stats_.merge_seconds += merge_seconds;
+        if (next != nullptr) {
+          stats_.extract_seconds += extract_seconds;
+          stats_.sparse_entries_replayed +=
+              next->extract_stats.sparse_entries_replayed;
+        }
         if (dirty) {
           ++stats_.cache_rebuilds;
         } else {
@@ -479,6 +498,10 @@ class ServingEngine {
   }
 
   using Clock = std::chrono::steady_clock;
+
+  static double SecondsSince(Clock::time_point start) {
+    return std::chrono::duration<double>(Clock::now() - start).count();
+  }
 
   const ServingParams params_;
 

@@ -2,10 +2,13 @@
 // incremental decoder's block maintenance and the sparse MergeFrom fan
 // work across the pool).
 //
-// Three contracts, each asserted bit-exactly:
+// Four contracts, each asserted bit-exactly:
 //   1. The incremental windowed-accumulator decoder produces the SAME
 //      Hypergraph as the retained reference re-sum decoder, at every
-//      thread count, over the whole DefaultSpecGrid().
+//      thread count, over the whole DefaultSpecGrid() -- also on hybrid
+//      states and hand-built frames where the incremental decode leaves
+//      out buffered entries that cancel, and the serving engine's epoch
+//      payloads equal a one-shot Query of each prefix.
 //   2. Sparse (dirty-bitmap driven) MergeFrom equals the serial single
 //      -sketch ingest on random shard splits of the stream -- including
 //      against an all-dirty (deserialized, hence dense) clone.
@@ -18,12 +21,15 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "connectivity/spanning_forest_sketch.h"
+#include "serve/serving_engine.h"
 #include "stream/stream.h"
 #include "testkit/stream_spec.h"
 #include "util/random.h"
+#include "wire/wire.h"
 
 namespace gms {
 namespace {
@@ -65,6 +71,197 @@ TEST(ExtractionTest, IncrementalMatchesReferenceAcrossGridAndThreads) {
       EXPECT_EQ(inc_stats.edges_found, ref_stats.edges_found);
       EXPECT_EQ(inc_stats.groups_per_round, ref_stats.groups_per_round);
     }
+  }
+}
+
+// Incremental vs reference on one sketch: the same edges in the same order
+// and equal decision counters. Returns the two replay counts.
+struct ReplayCounts {
+  uint64_t incremental = 0;
+  uint64_t reference = 0;
+};
+
+ReplayCounts ExpectIncrementalMatchesReference(
+    const SpanningForestSketch& sketch, const std::string& label) {
+  ExtractStats ref_stats;
+  auto reference = sketch.ExtractSpanningGraphReference(1, &ref_stats);
+  EXPECT_TRUE(reference.ok()) << label;
+  ReplayCounts counts{0, ref_stats.sparse_entries_replayed};
+  if (!reference.ok()) return counts;
+  for (size_t threads : {1u, 4u}) {
+    ExtractStats inc_stats;
+    auto incremental = sketch.ExtractSpanningGraph(threads, &inc_stats);
+    EXPECT_TRUE(incremental.ok()) << label;
+    if (!incremental.ok()) return counts;
+    EXPECT_EQ(incremental->Edges(), reference->Edges())
+        << label << " threads=" << threads;
+    EXPECT_EQ(inc_stats.rounds_run, ref_stats.rounds_run) << label;
+    EXPECT_EQ(inc_stats.early_exit, ref_stats.early_exit) << label;
+    EXPECT_EQ(inc_stats.sample_attempts, ref_stats.sample_attempts) << label;
+    EXPECT_EQ(inc_stats.decode_attempts, ref_stats.decode_attempts) << label;
+    EXPECT_EQ(inc_stats.edges_found, ref_stats.edges_found) << label;
+    EXPECT_EQ(inc_stats.groups_per_round, ref_stats.groups_per_round)
+        << label;
+    counts.incremental = inc_stats.sparse_entries_replayed;
+  }
+  return counts;
+}
+
+TEST(ExtractionTest, CancellingEntriesSkippedOnHybridStates) {
+  // A low threshold leaves the hubs escalated and the rest sparse, so
+  // components mix sparse members (whose shared entries cancel) with
+  // escalated ones (whose entries must still be replayed).
+  for (uint32_t rank : {2u, 3u}) {
+    StreamSpec spec;
+    spec.family = rank == 2 ? testkit::Family::kRmat
+                            : testkit::Family::kRandomUniform;
+    spec.n = 128;
+    spec.m = rank == 2 ? 384 : 160;
+    spec.rank = rank;
+    spec.churn = testkit::Churn::kWithChurn;
+    spec.decoys = 128;
+    ForestSketchParams params = LightParams();
+    params.config.sparse_threshold = 6;
+    uint64_t skipped = 0;
+    for (uint64_t trial = 0; trial < 4; ++trial) {
+      const StreamSpec t = spec.WithTrial(trial);
+      BuiltStream built = t.Build();
+      SpanningForestSketch sketch(t.n, built.max_rank, /*seed=*/29 + trial,
+                                  params);
+      sketch.Process(built.stream);
+      size_t escalated = 0;
+      for (VertexId v = 0; v < t.n; ++v) {
+        escalated += sketch.VertexEscalated(v) ? 1 : 0;
+      }
+      ASSERT_GT(escalated, 0u) << t.ToString();
+      ASSERT_LT(escalated, t.n) << t.ToString();
+      const ReplayCounts counts =
+          ExpectIncrementalMatchesReference(sketch, t.ToString());
+      EXPECT_LE(counts.incremental, counts.reference);
+      skipped += counts.reference - counts.incremental;
+    }
+    EXPECT_GT(skipped, 0u) << "rank " << rank << ": nothing cancelled";
+  }
+}
+
+// A hand-built all-sparse forest frame: n = 8, rank 2, threshold 4, one
+// buffer per vertex given as (u, w, weight) edge keys.
+struct BufferedKey {
+  VertexId holder;
+  VertexId u;
+  VertexId w;
+  int64_t weight;
+};
+
+Result<SpanningForestSketch> SparseFrame(
+    const std::vector<BufferedKey>& keys) {
+  constexpr size_t kN = 8;
+  ForestSketchParams params = LightParams();
+  params.config.sparse_threshold = 4;
+  params.rounds = 6;
+  const EdgeCodec codec(kN, 2);
+  std::vector<std::vector<SparseEntry>> buffers(kN);
+  for (const BufferedKey& k : keys) {
+    SparseBufferAdd(&buffers[k.holder], codec.Encode(Hyperedge{k.u, k.w}),
+                    k.weight);
+  }
+  std::vector<uint8_t> frame;
+  wire::FrameBuilder fb(wire::FrameType::kSpanningForest, &frame);
+  fb.writer().U64(kN);
+  fb.writer().U64(2);
+  fb.writer().U64(/*seed=*/41);
+  WriteForestParams(params, &fb.writer());
+  fb.writer().BoolVec(std::vector<bool>(kN, true));
+  fb.EndHeader();
+  uint64_t entries = 0;
+  for (const auto& buf : buffers) entries += buf.size();
+  fb.writer().U8(1);  // hybrid cells
+  fb.writer().U64(0);  // no escalated column
+  fb.writer().U64(entries);
+  for (const auto& buf : buffers) {
+    fb.writer().U32(static_cast<uint32_t>(buf.size()));  // update counter
+  }
+  for (const auto& buf : buffers) {
+    fb.writer().U32(static_cast<uint32_t>(buf.size()));
+    for (const SparseEntry& entry : buf) {
+      fb.writer().U128(entry.index);
+      fb.writer().U64(static_cast<uint64_t>(entry.value));
+    }
+  }
+  fb.Finish();
+  return SpanningForestSketch::Deserialize(frame);
+}
+
+TEST(ExtractionTest, CancellationHoldsOnHostileFrames) {
+  // Every frame pairs a legitimate cancelling edge {4,5} with keys a
+  // stream could not leave: the decode must skip only what sums to zero
+  // over the key's own endpoints.
+  const std::vector<BufferedKey> honest = {{4, 4, 5, +1}, {5, 4, 5, -1}};
+  struct Case {
+    const char* name;
+    std::vector<BufferedKey> keys;
+  };
+  const std::vector<Case> cases = {
+      // Vertex 0 holds {0,1}; vertex 1 lacks it.
+      {"asymmetric", {{0, 0, 1, +1}, {2, 2, 3, +1}, {3, 2, 3, -1}}},
+      // Both endpoints hold {0,1}, but 1 + 1 != 0.
+      {"nonzero_sum", {{0, 0, 1, +1}, {1, 0, 1, +1}, {6, 6, 7, +3},
+                       {7, 6, 7, -2}}},
+      // Weights that cancel mod 2^64 but not in the integers.
+      {"wrapping_sum",
+       {{0, 0, 1, INT64_MIN}, {1, 0, 1, INT64_MIN}, {2, 2, 3, +1},
+        {3, 2, 3, -1}}},
+      // Vertex 4 holds a key of {2,3}, which cancels between 2 and 3.
+      {"foreign_key", {{2, 2, 3, +1}, {3, 2, 3, -1}, {4, 2, 3, +5}}},
+  };
+  for (const Case& c : cases) {
+    std::vector<BufferedKey> keys = c.keys;
+    keys.insert(keys.end(), honest.begin(), honest.end());
+    auto sketch = SparseFrame(keys);
+    ASSERT_TRUE(sketch.ok()) << c.name << ": " << sketch.status().ToString();
+    const ReplayCounts counts = ExpectIncrementalMatchesReference(*sketch,
+                                                                  c.name);
+    // {4,5} cancels; at least one hostile copy must still be replayed.
+    EXPECT_LT(counts.incremental, counts.reference) << c.name;
+    EXPECT_GT(counts.incremental, 0u) << c.name;
+  }
+}
+
+TEST(ExtractionServeTest, EpochPayloadsEqualWholePrefixQuery) {
+  // Each published epoch's payload -- merged deltas, then an incremental
+  // decode that skips cancelling entries -- equals a fresh sketch's Query
+  // of the same prefix, edge order included.
+  StreamSpec spec;
+  spec.family = testkit::Family::kRmat;
+  spec.n = 256;
+  spec.m = 1024;
+  spec.churn = testkit::Churn::kWithChurn;
+  spec.decoys = 256;
+  const BuiltStream built = spec.Build();
+  const auto& updates = built.stream.updates();
+  ForestSketchParams params = LightParams();
+  params.config.sparse_threshold = 8;
+  constexpr uint64_t kSeed = 43;
+  ServingEngine<SpanningForestSketch> engine(
+      SpanningForestSketch(spec.n, 2, kSeed, params),
+      ServingParams::Builder().EpochUpdates(1 << 20).Build());
+  constexpr size_t kEpoch = 300;
+  for (size_t begin = 0; begin < updates.size(); begin += kEpoch) {
+    const size_t end = std::min(updates.size(), begin + kEpoch);
+    const std::span<const StreamUpdate> slice(updates.data() + begin,
+                                              end - begin);
+    engine.Process(slice);
+    engine.AdvanceEpoch();
+    engine.Flush();
+    const auto snap = engine.Current();
+    ASSERT_TRUE(snap->status.ok());
+    ASSERT_EQ(snap->prefix_updates, end);
+    SpanningForestSketch prefix(spec.n, 2, kSeed, params);
+    prefix.Process(std::span<const StreamUpdate>(updates.data(), end));
+    auto direct = prefix.Query();
+    ASSERT_TRUE(direct.ok());
+    EXPECT_EQ(snap->payload->Edges(), direct.value().Edges())
+        << "prefix " << end;
   }
 }
 

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "graph/edge.h"
 #include "graph/graph.h"
@@ -123,6 +124,24 @@ TEST(HypergraphTest, RemoveMiddleKeepsIncidenceConsistent) {
     }
   }
   EXPECT_EQ(total_incidence, 2u + 2u + 4u);
+}
+
+TEST(HypergraphTest, FromDistinctEdgesEqualsAddingInTurn) {
+  const std::vector<Hyperedge> edges = {
+      Hyperedge{3, 4}, Hyperedge{0, 1, 5}, Hyperedge{1, 2}, Hyperedge{4, 6, 7}};
+  Hypergraph added(9);
+  for (const Hyperedge& e : edges) ASSERT_TRUE(added.AddEdge(e));
+  const Hypergraph built = Hypergraph::FromDistinctEdges(9, edges);
+  EXPECT_EQ(built.Edges(), added.Edges());
+  EXPECT_TRUE(built == added);
+  for (VertexId v = 0; v < 9; ++v) {
+    EXPECT_EQ(built.IncidentIndices(v), added.IncidentIndices(v)) << v;
+  }
+  // The index is live: duplicate probes and removals behave as usual.
+  Hypergraph copy = built;
+  EXPECT_FALSE(copy.AddEdge(Hyperedge{1, 2}));
+  EXPECT_TRUE(copy.RemoveEdge(Hyperedge{0, 1, 5}));
+  EXPECT_EQ(copy.NumEdges(), 3u);
 }
 
 TEST(HypergraphTest, RankAndConversion) {
