@@ -24,16 +24,10 @@ Hypergraph Hypergraph::FromDistinctEdges(size_t n,
                                          std::vector<Hyperedge> edges) {
   GMS_CHECK_MSG(edges.size() < (size_t{1} << 32), "too many hyperedges");
   Hypergraph h(n);
-  std::vector<uint32_t> degree(n, 0);
-  for (const auto& e : edges) {
-    GMS_CHECK_MSG(e.vertices().back() < n, "hyperedge vertex out of range");
-    for (VertexId v : e) ++degree[v];
-  }
-  for (size_t v = 0; v < n; ++v) {
-    if (degree[v] != 0) h.incident_[v].reserve(degree[v]);
-  }
   h.index_.reserve(edges.size());
   for (size_t i = 0; i < edges.size(); ++i) {
+    GMS_CHECK_MSG(edges[i].vertices().back() < n,
+                  "hyperedge vertex out of range");
     const auto idx = static_cast<uint32_t>(i);
     [[maybe_unused]] const bool inserted =
         h.index_.emplace(edges[i], idx).second;

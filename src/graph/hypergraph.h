@@ -25,9 +25,9 @@ class Hypergraph {
 
   /// Build from hyperedges the caller guarantees pairwise distinct (a
   /// spanning forest's edges each united components, so none repeats), in
-  /// one pass: the incidence lists are sized exactly and the index
-  /// reserved up front, with no duplicate probe. Edges() keeps the given
-  /// order, so the result equals AddEdge-ing them in turn.
+  /// one pass: the index is reserved up front, there is no duplicate
+  /// probe, and the edge list is moved in rather than copied. Edges()
+  /// keeps the given order, so the result equals AddEdge-ing them in turn.
   static Hypergraph FromDistinctEdges(size_t n, std::vector<Hyperedge> edges);
 
   size_t NumVertices() const { return incident_.size(); }
