@@ -24,7 +24,9 @@ Hypergraph Hypergraph::FromDistinctEdges(size_t n,
                                          std::vector<Hyperedge> edges) {
   GMS_CHECK_MSG(edges.size() < (size_t{1} << 32), "too many hyperedges");
   Hypergraph h(n);
-  h.index_.reserve(edges.size());
+  // reserve(0) would still allocate a bucket array; an empty graph (every
+  // fresh sketch's first snapshot) keeps the map's inline bucket.
+  if (!edges.empty()) h.index_.reserve(edges.size());
   for (size_t i = 0; i < edges.size(); ++i) {
     GMS_CHECK_MSG(edges[i].vertices().back() < n,
                   "hyperedge vertex out of range");
