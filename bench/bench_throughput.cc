@@ -20,6 +20,7 @@
 #include "apps/two_edge_connect.h"
 #include "connectivity/k_skeleton.h"
 #include "connectivity/spanning_forest_sketch.h"
+#include "graph/edge_codec.h"
 #include "graph/generators.h"
 #include "reconstruct/light_recovery.h"
 #include "reconstruct/row_reconstruct.h"
@@ -542,6 +543,48 @@ bool PlaneChunkSection(std::vector<PlaneChunkRow>* rows, size_t* out_n,
   return dense;
 }
 
+/// One row of the key-resolution timing: a named key domain and its
+/// production vs. reference ns per (key, round).
+struct ResolveRow {
+  const char* name = "";
+  bench::ResolveTimings timings;
+};
+
+/// The rank-2 batch_dense domain (n = 2^12) the --perf_smoke guard reuses.
+u128 Rank2Domain(size_t n) { return EdgeCodec(n, 2).DomainSize(); }
+
+/// The kernel section: the update-kernel before/after row plus ns per
+/// (key, round) for resolving level, cells and power, production against
+/// the reference arithmetic, at rank-2 n = 2^12 and 2^16 (keys below 2^64,
+/// 3 and 4 power windows) and at a 2^80 domain (keys above 2^64, up to 8
+/// windows, the mixer product taken). Returns false if a row's production
+/// and reference resolutions disagree.
+bool KernelSection(bench::KernelTimings* kt, std::vector<ResolveRow>* rows) {
+  *kt = bench::CompareUpdateKernels();
+  std::printf("\nupdate kernel: old %.1f ns -> new %.1f ns (%.2fx)\n",
+              kt->old_ns, kt->new_ns, kt->speedup);
+  const ResolveRow specs[] = {
+      {"rank2_n4096", bench::CompareResolve(Rank2Domain(size_t{1} << 12))},
+      {"rank2_n65536", bench::CompareResolve(Rank2Domain(size_t{1} << 16))},
+      {"domain_2^80", bench::CompareResolve(u128{1} << 80)},
+  };
+  Table table({"domain", "key_bits", "rounds", "reference_ns", "resolve_ns",
+               "speedup", "identical"});
+  bool identical = true;
+  for (const ResolveRow& row : specs) {
+    const bench::ResolveTimings& t = row.timings;
+    identical = identical && t.identical;
+    table.AddRow({row.name, Table::Fmt(uint64_t(BitWidth128(t.domain - 1))),
+                  Table::Fmt(uint64_t(t.rounds)), Table::Fmt(t.ref_ns, 2),
+                  Table::Fmt(t.new_ns, 2), Table::Fmt(t.speedup, 2),
+                  t.identical ? "yes" : "NO"});
+    rows->push_back(row);
+  }
+  table.Print("Key resolution per (key, round): level + cells + power, "
+              "best of 5 alternating reps (Light rounds, no cell writes)");
+  return identical;
+}
+
 /// Machine-readable mirror of the engine table for trend tracking, plus
 /// the update-kernel before/after row (old = FpPow + `%` bucketing, new =
 /// windowed power table + multiply-shift; see bench/kernel_compare.h).
@@ -590,7 +633,8 @@ void WriteJson(const std::vector<EngineRow>& rows, size_t n, size_t updates,
                size_t chunk_updates,
                const std::vector<SparseDensityRow>& density_rows,
                size_t density_n, uint32_t density_threshold,
-               const bench::KernelTimings& kt) {
+               const bench::KernelTimings& kt,
+               const std::vector<ResolveRow>& resolve_rows) {
   FILE* f = std::fopen("BENCH_throughput.json", "w");
   if (f == nullptr) {
     std::printf("could not open BENCH_throughput.json for writing\n");
@@ -681,8 +725,23 @@ void WriteJson(const std::vector<EngineRow>& rows, size_t n, size_t updates,
   std::fprintf(f, "  ]},\n");
   std::fprintf(f,
                "  \"kernel\": {\"old_ns_per_update\": %.2f, "
-               "\"new_ns_per_update\": %.2f, \"speedup\": %.3f}\n",
+               "\"new_ns_per_update\": %.2f, \"speedup\": %.3f,\n"
+               "    \"resolve\": [\n",
                kt.old_ns, kt.new_ns, kt.speedup);
+  for (size_t i = 0; i < resolve_rows.size(); ++i) {
+    const bench::ResolveTimings& t = resolve_rows[i].timings;
+    std::fprintf(f,
+                 "      {\"domain\": \"%s\", \"key_bits\": %d, "
+                 "\"rounds\": %d, \"keys\": %zu, "
+                 "\"reference_ns_per_key_round\": %.2f, "
+                 "\"resolve_ns_per_key_round\": %.2f, \"speedup\": %.3f, "
+                 "\"identical\": %s}%s\n",
+                 resolve_rows[i].name, BitWidth128(t.domain - 1), t.rounds,
+                 t.keys, t.ref_ns, t.new_ns, t.speedup,
+                 t.identical ? "true" : "false",
+                 i + 1 < resolve_rows.size() ? "," : "");
+  }
+  std::fprintf(f, "  ]}\n");
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("wrote BENCH_throughput.json\n");
@@ -852,6 +911,31 @@ int MemoryGuard() {
 /// guard also fails if its stats show any other phase.
 int PerfSmoke() {
   if (MemoryGuard() != 0) return 1;
+  // Key-resolution guard: the production resolve (short-exponent power,
+  // one-multiply 2-wise hashes) must not be slower than the reference
+  // arithmetic on the rank-2 n = 2^12 domain, whose keys need 3 of the 8
+  // power windows. A ratio inside one binary, best of 5 alternating reps,
+  // so it holds on any host; a trip means the compiler lost the power's
+  // early exit or the hashes' shortcuts. The resolutions must also agree.
+  {
+    const bench::ResolveTimings t =
+        bench::CompareResolve(Rank2Domain(size_t{1} << 12));
+    std::printf(
+        "perf_smoke: key resolve rank-2 n=4096 reference=%.2fns "
+        "resolve=%.2fns per (key, round) (%.2fx)\n",
+        t.ref_ns, t.new_ns, t.speedup);
+    if (!t.identical) {
+      std::printf("perf_smoke: FAIL (resolve disagrees with the reference "
+                  "arithmetic)\n");
+      return 1;
+    }
+    if (t.new_ns > t.ref_ns) {
+      std::printf("perf_smoke: FAIL (resolve %.2fns is slower than the "
+                  "reference %.2fns)\n",
+                  t.new_ns, t.ref_ns);
+      return 1;
+    }
+  }
   constexpr size_t kN = 1 << 12;
   const VcQueryParams params =
       VcQueryParams::Builder()
@@ -1250,13 +1334,13 @@ int main(int argc, char** argv) {
   size_t density_n = 0;
   uint32_t density_threshold = 0;
   gms::SparseDensitySection(&density_rows, &density_n, &density_threshold);
-  gms::bench::KernelTimings kt = gms::bench::CompareUpdateKernels();
-  std::printf("\nupdate kernel: old %.1f ns -> new %.1f ns (%.2fx)\n",
-              kt.old_ns, kt.new_ns, kt.speedup);
+  gms::bench::KernelTimings kt;
+  std::vector<gms::ResolveRow> resolve_rows;
+  const bool resolve_ok = gms::KernelSection(&kt, &resolve_rows);
   gms::WriteJson(rows, n, updates, r, frame, extract, dense_extract, peel,
                  chunk_rows, chunk_n, chunk_updates, density_rows, density_n,
-                 density_threshold, kt);
-  if (!dense_ok || !chunks_ok) return 1;
+                 density_threshold, kt, resolve_rows);
+  if (!dense_ok || !chunks_ok || !resolve_ok) return 1;
 
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

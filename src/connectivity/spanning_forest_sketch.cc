@@ -43,9 +43,33 @@ constexpr int kAccWindowRounds = 4;
 // (2048-update chunks over 4096 vertices: about one entry per column),
 // and each of their rounds otherwise stalls on its own cold segment
 // lines. Larger batches keep enough independent writes in flight per
-// round on their own; prefetching every batch made whole-stream ingest
-// 25% slower on a 4-vCPU Xeon (DESIGN.md §17 has the sweep).
+// round on their own. Prefetching every batch once made whole-stream
+// ingest 25% slower on a 4-vCPU Xeon; since the prefetch and the write
+// share one key resolution it ties with 8, and no cutoff won on both
+// chunk sizes (DESIGN.md §17 has both sweeps).
 constexpr size_t kPrefetchBatchMax = 8;
+
+// The small-batch path resolves its entries for this many rounds at a time
+// into a stack tile (8 x 16 resolutions, about 10 KiB), so the scratch is
+// bounded for any round count; the default configurations run 14-20 rounds.
+constexpr int kResolveTileRounds = 16;
+
+// Process resolves each live update this many updates ahead of its write,
+// prefetching with the resolution and keeping it in a ring for the write.
+constexpr size_t kPrefetchAhead = 12;
+constexpr size_t kResolveRing = 16;  // > kPrefetchAhead, a power of two
+static_assert(kResolveRing > kPrefetchAhead &&
+              (kResolveRing & (kResolveRing - 1)) == 0);
+
+// Resolve pc against `shape` and add coeff times it into the round column
+// `col`. Returns the level it landed in.
+int AddCoordToColumn(const L0Shape& shape, uint64_t* col,
+                     const PreparedCoord& pc, int64_t coeff) {
+  L0Resolved res;
+  shape.Resolve(pc, &res);
+  L0ApplyResolved(shape, col, res, pc, coeff);
+  return res.level;
+}
 
 int WindowStart(int t) {
   return 1 + kAccWindowRounds * ((t - 1) / kAccWindowRounds);
@@ -239,28 +263,23 @@ void SpanningForestSketch::ResetSlots() {
   }
 }
 
-void SpanningForestSketch::ApplyToRound(int t, const Hyperedge& e,
-                                        const PreparedCoord& pc, int delta,
-                                        const char* endpoint_dense) {
+void SpanningForestSketch::ApplyResolved(int t, const Hyperedge& e,
+                                         const PreparedCoord& pc, int delta,
+                                         const L0Resolved& res,
+                                         const char* endpoint_dense) {
   const L0Shape& shape = *round_shapes_[static_cast<size_t>(t)];
-  const int level = shape.LevelOfFolded(pc.fold);
+  const int level = res.level;
   const SSparseShape& ls = shape.level_shape(level);
   const size_t level_off = static_cast<size_t>(level) * shape.SegmentWords();
   const size_t cells = static_cast<size_t>(ls.NumCells());
   const int rows = ls.rows();
   // Everything below the incidence sign depends only on the key, not the
-  // endpoint: resolve the target cells and the +delta-magnitude deltas once
-  // and apply them per endpoint with the coefficient from Section 4.1's
-  // encoding (|e|-1 at min e, -1 elsewhere; vertices_ is sorted, so the
-  // min is position 0 -- no per-vertex membership search).
-  GMS_DCHECK(rows <= kMaxSketchRows);
-  size_t idx[kMaxSketchRows];
-  for (int r = 0; r < rows; ++r) {
-    idx[r] = static_cast<size_t>(r) * ls.buckets() +
-             static_cast<size_t>(ls.BucketFolded(r, pc.fold));
-  }
-  const uint64_t power = shape.basis().PowerFromExp(pc.exponent);
-  const uint64_t fp_unit = FpMul(FpFromInt64(delta), power);
+  // endpoint: the target cells are resolved, the +delta-magnitude deltas
+  // are computed once here, and both are applied per endpoint with the
+  // coefficient from Section 4.1's encoding (|e|-1 at min e, -1
+  // elsewhere; vertices_ is sorted, so the min is position 0 -- no
+  // per-vertex membership search).
+  const uint64_t fp_unit = FpMul(FpFromInt64(delta), res.power);
   const u128 is_unit =
       pc.index * static_cast<u128>(static_cast<i128>(delta));
   const int64_t head = static_cast<int64_t>(e.size()) - 1;
@@ -278,10 +297,10 @@ void SpanningForestSketch::ApplyToRound(int t, const Hyperedge& e,
       const int64_t wdelta = head * delta;
       const uint64_t fp =
           head == 1 ? fp_unit : FpMul(FpReduce(static_cast<u128>(head)), fp_unit);
-      SSparseSegmentApply(seg, idx, rows, cells, wdelta,
+      SSparseSegmentApply(seg, res.cell, rows, cells, wdelta,
                           is_unit * static_cast<u128>(head), fp);
     } else {
-      SSparseSegmentApply(seg, idx, rows, cells, -delta, -is_unit,
+      SSparseSegmentApply(seg, res.cell, rows, cells, -delta, -is_unit,
                           FpNeg(fp_unit));
     }
   }
@@ -291,13 +310,10 @@ void SpanningForestSketch::ApplyLocalOrd(size_t ord, const PreparedCoord& pc,
                                          int64_t coeff) {
   uint64_t* col = ColAt(ord, 0);
   for (int t = 0; t < rounds_; ++t, col += state_words_) {
-    const L0Shape& shape = *round_shapes_[static_cast<size_t>(t)];
-    const int level = shape.LevelOfFolded(pc.fold);
+    const int level = AddCoordToColumn(*round_shapes_[static_cast<size_t>(t)],
+                                       col, pc, coeff);
     MarkDirtyOrd(t, ord);
     MarkLevelOrd(t, ord, level);
-    SSparseSegmentUpdate(shape.level_shape(level),
-                         col + static_cast<size_t>(level) * shape.SegmentWords(),
-                         pc, coeff, shape.basis().PowerFromExp(pc.exponent));
   }
 }
 
@@ -306,13 +322,10 @@ void SpanningForestSketch::AddCoordRounds(const PreparedCoord& pc,
                                           uint64_t* dst,
                                           uint64_t* masks) const {
   for (int r = w0; r < w1; ++r) {
-    const L0Shape& shape = *round_shapes_[static_cast<size_t>(r)];
-    const int level = shape.LevelOfFolded(pc.fold);
+    const int level = AddCoordToColumn(
+        *round_shapes_[static_cast<size_t>(r)],
+        dst + static_cast<size_t>(r - w0) * state_words_, pc, coeff);
     masks[r - w0] |= LevelMaskBit(level);
-    SSparseSegmentUpdate(shape.level_shape(level),
-                         dst + static_cast<size_t>(r - w0) * state_words_ +
-                             static_cast<size_t>(level) * shape.SegmentWords(),
-                         pc, coeff, shape.basis().PowerFromExp(pc.exponent));
   }
 }
 
@@ -372,8 +385,12 @@ void SpanningForestSketch::UpdatePrepared(const Hyperedge& e,
                                           const PreparedCoord& pc, int delta) {
   if (sparse_remaining_ == 0) {
     // Every endpoint is dense (or the sparse phase is disabled): the
-    // pre-hybrid fast path, unchanged.
-    for (int t = 0; t < rounds_; ++t) ApplyToRound(t, e, pc, delta);
+    // pre-hybrid fast path, one resolution per round for all endpoints.
+    for (int t = 0; t < rounds_; ++t) {
+      L0Resolved res;
+      round_shapes_[static_cast<size_t>(t)]->Resolve(pc, &res);
+      ApplyResolved(t, e, pc, delta, res);
+    }
     return;
   }
   // Route each endpoint through its own phase with its Section 4.1
@@ -422,36 +439,50 @@ void SpanningForestSketch::ApplyUpdateBatch(
   }
   const std::span<const VertexUpdate> dense = batch.subspan(start);
   // The column's slot is fixed from here on (it escalated above, if at
-  // all): resolve it once for every round.
+  // all): look it up once for every round.
   uint64_t* const col0 = ColAt(ord, 0);
+  auto round_col = [&](int t) {
+    return col0 + static_cast<size_t>(t) * state_words_;
+  };
   if (dense.size() <= kPrefetchBatchMax) {
-    // Prefetch every round's cell lines before the first write, so the
-    // rounds' DRAM misses overlap instead of landing one round at a time.
-    for (int t = 0; t < rounds_; ++t) {
-      const L0Shape& shape = *round_shapes_[static_cast<size_t>(t)];
-      const uint64_t* col = col0 + static_cast<size_t>(t) * state_words_;
-      for (const VertexUpdate& u : dense) {
-        const int level = shape.LevelOfFolded(u.pc.fold);
-        SSparseSegmentPrefetch(
-            shape.level_shape(level),
-            col + static_cast<size_t>(level) * shape.SegmentWords(), u.pc.fold);
+    // Resolve every (entry, round) once and prefetch its cells before the
+    // first write, so the rounds' DRAM misses overlap instead of landing
+    // one round at a time; the writes then reuse the resolutions.
+    L0Resolved tile[kResolveTileRounds][kPrefetchBatchMax];
+    for (int t0 = 0; t0 < rounds_; t0 += kResolveTileRounds) {
+      const int t1 = std::min(rounds_, t0 + kResolveTileRounds);
+      for (int t = t0; t < t1; ++t) {
+        const L0Shape& shape = *round_shapes_[static_cast<size_t>(t)];
+        for (size_t i = 0; i < dense.size(); ++i) {
+          L0Resolved& res = tile[t - t0][i];
+          shape.Resolve(dense[i].pc, &res);
+          L0PrefetchResolved(shape, round_col(t), res);
+        }
+      }
+      for (int t = t0; t < t1; ++t) {
+        const L0Shape& shape = *round_shapes_[static_cast<size_t>(t)];
+        uint64_t levels = 0;
+        for (size_t i = 0; i < dense.size(); ++i) {
+          const L0Resolved& res = tile[t - t0][i];
+          levels |= LevelMaskBit(res.level);
+          L0ApplyResolved(shape, round_col(t), res, dense[i].pc,
+                          dense[i].coeff);
+        }
+        MarkDirtyOrd(t, ord);
+        // One OR of the vertex-major level-mask word covers the batch.
+        MarkLevelMaskOrd(t, ord, levels);
       }
     }
+    return;
   }
   for (int t = 0; t < rounds_; ++t) {
     const L0Shape& shape = *round_shapes_[static_cast<size_t>(t)];
-    uint64_t* col = col0 + static_cast<size_t>(t) * state_words_;
     uint64_t levels = 0;
     for (const VertexUpdate& u : dense) {
-      const int level = shape.LevelOfFolded(u.pc.fold);
-      levels |= LevelMaskBit(level);
-      SSparseSegmentUpdate(
-          shape.level_shape(level),
-          col + static_cast<size_t>(level) * shape.SegmentWords(), u.pc,
-          u.coeff, shape.basis().PowerFromExp(u.pc.exponent));
+      levels |= LevelMaskBit(AddCoordToColumn(shape, round_col(t), u.pc,
+                                              u.coeff));
     }
     MarkDirtyOrd(t, ord);
-    // One OR of the vertex-major level-mask word covers the whole batch.
     MarkLevelMaskOrd(t, ord, levels);
   }
 }
@@ -516,22 +547,33 @@ void SpanningForestSketch::Process(std::span<const StreamUpdate> updates) {
   auto dense_at = [&](size_t j) {
     return filtered ? endpoint_dense.data() + endpoint_off[j] : nullptr;
   };
-  // Lookahead distance for the cell prefetch: far enough to cover DRAM
-  // latency across the ~8 lines an update touches, near enough that the
-  // lines are still resident when reached.
-  constexpr size_t kPrefetchAhead = 12;
+  // Each round resolves every live update once, kPrefetchAhead updates
+  // before its write: far enough to cover DRAM latency across the ~8 lines
+  // an update touches, near enough that the lines are still resident when
+  // reached. The prefetch uses the resolution and the write reuses it
+  // from the ring.
   ParallelFor(params_.threads, static_cast<size_t>(rounds_),
               [&](size_t begin, size_t end) {
-                for (size_t t = begin; t < end; ++t) {
-                  for (size_t k = 0; k < count; ++k) {
-                    if (k + kPrefetchAhead < count) {
-                      const size_t jp = update_at(k + kPrefetchAhead);
-                      PrefetchRound(static_cast<int>(t), updates[jp].edge,
-                                    prepared[jp], dense_at(jp));
-                    }
+                L0Resolved ring[kResolveRing];
+                for (size_t tt = begin; tt < end; ++tt) {
+                  const int t = static_cast<int>(tt);
+                  const L0Shape& shape = *round_shapes_[tt];
+                  const auto resolve = [&](size_t k) {
                     const size_t j = update_at(k);
-                    ApplyToRound(static_cast<int>(t), updates[j].edge,
-                                 prepared[j], updates[j].delta, dense_at(j));
+                    L0Resolved& res = ring[k % kResolveRing];
+                    shape.Resolve(prepared[j], &res);
+                    PrefetchResolved(t, updates[j].edge, res, dense_at(j));
+                  };
+                  for (size_t k = 0; k < std::min(kPrefetchAhead, count);
+                       ++k) {
+                    resolve(k);
+                  }
+                  for (size_t k = 0; k < count; ++k) {
+                    if (k + kPrefetchAhead < count) resolve(k + kPrefetchAhead);
+                    const size_t j = update_at(k);
+                    ApplyResolved(t, updates[j].edge, prepared[j],
+                                  updates[j].delta, ring[k % kResolveRing],
+                                  dense_at(j));
                   }
                 }
               });

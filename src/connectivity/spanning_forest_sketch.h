@@ -262,7 +262,11 @@ class SpanningForestSketch {
   /// prefetch wrapper (see SSparseSegmentPrefetch).
   [[gnu::always_inline]] void PrefetchPrepared(const Hyperedge& e,
                                                const PreparedCoord& pc) const {
-    for (int t = 0; t < rounds_; ++t) PrefetchRound(t, e, pc);
+    for (int t = 0; t < rounds_; ++t) {
+      L0Resolved res;
+      round_shapes_[static_cast<size_t>(t)]->Resolve(pc, &res);
+      PrefetchResolved(t, e, res);
+    }
   }
 
   /// Ingest a whole stream.
@@ -449,12 +453,14 @@ class SpanningForestSketch {
   /// zero arena and clean dirty bitmap (see CloneEmpty).
   SpanningForestSketch(const SpanningForestSketch& other, CloneEmptyTag);
 
-  /// Apply hyperedge e (prepared coordinate) to round t's column only.
-  /// `endpoint_dense` (parallel to e's positions) restricts the write to
-  /// the flagged endpoints -- the hybrid column ingest absorbs the sparse
-  /// endpoints in a serial pre-pass and fans only the dense ones out here.
-  void ApplyToRound(int t, const Hyperedge& e, const PreparedCoord& pc,
-                    int delta, const char* endpoint_dense = nullptr);
+  /// Apply hyperedge e (prepared coordinate, resolved against round t's
+  /// shape as `res`) to round t's column only. `endpoint_dense` (parallel
+  /// to e's positions) restricts the write to the flagged endpoints -- the
+  /// hybrid column ingest absorbs the sparse endpoints in a serial pre-pass
+  /// and fans only the dense ones out here.
+  void ApplyResolved(int t, const Hyperedge& e, const PreparedCoord& pc,
+                     int delta, const L0Resolved& res,
+                     const char* endpoint_dense = nullptr);
 
   /// Hybrid phase predicates. A sketch built with sparse_threshold == 0
   /// allocates no counters at all and reports every ordinal escalated.
@@ -465,7 +471,7 @@ class SpanningForestSketch {
   }
 
   /// The dense single-endpoint apply: add coeff * coordinate pc to every
-  /// round column of ordinal `ord`. Bit-identical to ApplyToRound's
+  /// round column of ordinal `ord`. Bit-identical to ApplyResolved's
   /// per-endpoint write (every cell is an exact field value, so the
   /// coefficient-times-unit product equals the staged per-endpoint form).
   void ApplyLocalOrd(size_t ord, const PreparedCoord& pc, int64_t coeff);
@@ -536,22 +542,20 @@ class SpanningForestSketch {
                        size_t ord, int w0, int w1, uint64_t* dst,
                        uint64_t* masks, RowTally* tally) const;
 
-  /// Prefetch round t's target cells for hyperedge e (see PrefetchPrepared).
-  /// `endpoint_dense`, when given, flags the endpoints ApplyToRound will
+  /// Prefetch round t's target cells for hyperedge e, resolved against
+  /// round t's shape as `res` (the resolution ApplyResolved then reuses).
+  /// `endpoint_dense`, when given, flags the endpoints ApplyResolved will
   /// write; the others were absorbed by the hybrid pre-pass. Defined here
   /// and always inlined, so callers in every translation unit keep the
   /// prefetches (see SSparseSegmentPrefetch).
-  [[gnu::always_inline]] void PrefetchRound(
-      int t, const Hyperedge& e, const PreparedCoord& pc,
+  [[gnu::always_inline]] void PrefetchResolved(
+      int t, const Hyperedge& e, const L0Resolved& res,
       const char* endpoint_dense = nullptr) const {
     const L0Shape& shape = *round_shapes_[static_cast<size_t>(t)];
-    const int level = shape.LevelOfFolded(pc.fold);
-    const size_t level_off = static_cast<size_t>(level) * shape.SegmentWords();
     for (size_t pos = 0; pos < e.size(); ++pos) {
       if (endpoint_dense != nullptr && !endpoint_dense[pos]) continue;
       if (!IsActive(e[pos])) continue;
-      SSparseSegmentPrefetch(shape.level_shape(level),
-                             ArenaAt(e[pos], t) + level_off, pc.fold);
+      L0PrefetchResolved(shape, ArenaAt(e[pos], t), res);
     }
   }
 

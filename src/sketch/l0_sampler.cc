@@ -40,10 +40,9 @@ L0State::L0State(const L0Shape* shape)
 void L0State::Update(u128 index, int64_t delta) {
   GMS_DCHECK(index < shape_->domain());
   const PreparedCoord pc = PrepareCoord(index);
-  const int level = shape_->LevelOfFolded(pc.fold);
-  // The basis is shared across levels, so the power does not depend on
-  // which level the coordinate routes to.
-  UpdatePrepared(pc, delta, level, shape_->basis().PowerFromExp(pc.exponent));
+  L0Resolved res;
+  shape_->Resolve(pc, &res);
+  L0ApplyResolved(*shape_, buf_.data(), res, pc, delta);
 }
 
 void L0State::Add(const L0State& other) {

@@ -27,6 +27,20 @@
 
 namespace gms {
 
+/// A coordinate resolved against one L0Shape: the level its key subsamples
+/// to, each row's cell within that level's segment, and the fingerprint
+/// power. This is all the per-key arithmetic of an update; the write is
+/// then pure cell adds. Paths that prefetch before writing resolve once
+/// and hand the same resolution to both passes.
+///
+/// Left uninitialized by default: hot paths keep arrays of these on the
+/// stack and fill each entry before reading it.
+struct L0Resolved {
+  uint64_t power;
+  int level;
+  uint32_t cell[kMaxSketchRows];
+};
+
 class L0Shape {
  public:
   /// domain: exclusive upper bound on coordinate indices (< 2^126).
@@ -52,11 +66,18 @@ class L0Shape {
   /// Which level an index belongs to (partition semantics: exactly one).
   int LevelOf(u128 index) const { return level_hash_.Level(index); }
 
-  /// As LevelOf with the key folded once by the caller (the fold is
-  /// hash-independent, so it is shared with the row hashes below).
-  int LevelOfFolded(FoldedKey fold) const {
-    return level_hash_.LevelFolded(fold);
+  /// Resolve a prepared coordinate's level, cells and power (see
+  /// L0Resolved). Every level shares one geometry and one basis, so only
+  /// the cells depend on the level.
+  void Resolve(const PreparedCoord& pc, L0Resolved* out) const {
+    const int level = level_hash_.LevelFolded(pc.fold);
+    out->level = level;
+    levels_[static_cast<size_t>(level)].CellsFolded(pc.fold, out->cell);
+    out->power = basis_->PowerFromExp(pc.exponent);
   }
+
+  /// The subsampling level hash (reference evaluations read it).
+  const LevelHash& level_hash() const { return level_hash_; }
 
   /// Selection hash used to break ties uniformly among recovered entries.
   uint64_t SelectionHash(u128 index) const {
@@ -75,25 +96,38 @@ class L0Shape {
   size_t segment_words_ = 0;
 };
 
+/// Add coeff times the coordinate pc, resolved against `shape` as `res`,
+/// into `buf`, one flat L0 buffer of shape.TotalWords() words (an
+/// L0State's, or one round column of a forest arena). Bit-identical to
+/// SSparseSegmentUpdate on res.level's segment.
+inline void L0ApplyResolved(const L0Shape& shape, uint64_t* buf,
+                            const L0Resolved& res, const PreparedCoord& pc,
+                            int64_t coeff) {
+  const SSparseShape& ls = shape.level_shape(res.level);
+  SSparseSegmentApply(
+      buf + static_cast<size_t>(res.level) * shape.SegmentWords(), res.cell,
+      ls.rows(), static_cast<size_t>(ls.NumCells()), coeff,
+      pc.index * static_cast<u128>(static_cast<i128>(coeff)),
+      FpMul(FpFromInt64(coeff), res.power));
+}
+
+/// Prefetch, for writing, the lines L0ApplyResolved(shape, buf, res, ...)
+/// touches. Always inlined (see SSparseSegmentPrefetch).
+[[gnu::always_inline]] inline void L0PrefetchResolved(const L0Shape& shape,
+                                                      const uint64_t* buf,
+                                                      const L0Resolved& res) {
+  const SSparseShape& ls = shape.level_shape(res.level);
+  SSparseSegmentPrefetch(
+      buf + static_cast<size_t>(res.level) * shape.SegmentWords(), res.cell,
+      ls.rows(), static_cast<size_t>(ls.NumCells()));
+}
+
 class L0State {
  public:
   explicit L0State(const L0Shape* shape);
 
   /// Apply a linear update: vector[index] += delta.
   void Update(u128 index, int64_t delta);
-
-  /// As Update, with the coordinate prepared and the level and fingerprint
-  /// power precomputed by the caller (they depend only on the shared shape,
-  /// so callers updating many states with the same coordinate compute them
-  /// once). This is the whole ingest hot path: one computed offset into the
-  /// state's single flat buffer, then the segment kernel.
-  void UpdatePrepared(const PreparedCoord& pc, int64_t delta, int level,
-                      uint64_t power) {
-    SSparseSegmentUpdate(
-        shape_->level_shape(level),
-        buf_.data() + static_cast<size_t>(level) * shape_->SegmentWords(), pc,
-        delta, power);
-  }
 
   /// Coordinate-wise addition of another state of the same shape.
   void Add(const L0State& other);

@@ -26,7 +26,6 @@ FingerprintBasis::FingerprintBasis(uint64_t z) : z_(z) {
   // Window w holds z^(256^w * d) for d in [0, 256), so z^e is the product
   // of one entry per base-256 digit of e. Each window is a running product
   // seeded by the previous window's 256th power.
-  table_.resize(static_cast<size_t>(kWindows) * kDigits);
   uint64_t base = z_;  // z^(256^w)
   for (int w = 0; w < kWindows; ++w) {
     uint64_t* row = &table_[static_cast<size_t>(w) * kDigits];

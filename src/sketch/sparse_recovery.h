@@ -17,16 +17,21 @@
 // Update kernel (the hot path every stream update funnels through):
 //   * Fingerprint powers z^(e mod p-1) come from a windowed power table
 //     (FingerprintBasis: z^(256^w * d) for window w in [0,8), digit d in
-//     [0,256)): at most 8 table loads + 7 FpMul instead of a ~60-multiply
-//     FpPow. The binary-exponentiation path survives as FingerprintPowerRef
-//     for differential testing. A basis can be SHARED by many shapes (the
-//     L0 sampler shares one across its ~log(domain) levels) -- soundness
-//     only needs the per-cell fingerprint collision bound, which is a
-//     union bound and does not require independent z per level.
+//     [0,256)): one table load per base-256 digit of e up to its top
+//     nonzero one (3 for a rank-2 key at n = 2^12) instead of a
+//     ~60-multiply FpPow. The binary-exponentiation path survives as
+//     FingerprintPowerRef for differential testing. A basis can be SHARED
+//     by many shapes (the L0 sampler shares one across its ~log(domain)
+//     levels) -- soundness only needs the per-cell fingerprint collision
+//     bound, which is a union bound and does not require independent z
+//     per level.
 //   * Bucket choice is division-free (Lemire multiply-shift, FieldToBucket)
 //     and each 128-bit key is folded to field halves ONCE per update
 //     (FoldedKey / PreparedCoord), shared across all row hashes and the
-//     sampler's level hash instead of re-folding per row.
+//     sampler's level hash instead of re-folding per row. A caller that
+//     prefetches before writing resolves the cells once (CellsFolded) and
+//     hands the same indices to SSparseSegmentPrefetch and
+//     SSparseSegmentApply.
 //   * Cells are stored structure-of-arrays in one contiguous "segment" of
 //     four equal uint64 arrays (weight | index_sum.lo | index_sum.hi |
 //     fingerprint). The segment kernels (SSparseSegment*) operate on raw
@@ -37,6 +42,7 @@
 #ifndef GMS_SKETCH_SPARSE_RECOVERY_H_
 #define GMS_SKETCH_SPARSE_RECOVERY_H_
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -102,23 +108,37 @@ inline PreparedCoord PrepareCoord(u128 index) {
 /// Fingerprint randomness: a uniform nonzero field element z plus the
 /// windowed table of its powers, z^(256^w * d) for w in [0,8), d in
 /// [0,256). 8 windows of 8 bits cover any exponent < 2^64 >= p - 1, so a
-/// power is <= 8 table loads + 7 multiplies. 16 KiB; share one basis
-/// across shapes whose fingerprints never mix (e.g. L0 levels) to keep the
-/// hot tables small.
+/// power is <= 8 table loads + 7 multiplies. 16 KiB, held inline; share
+/// one basis across shapes whose fingerprints never mix (e.g. L0 levels)
+/// to keep the hot tables small.
 class FingerprintBasis {
  public:
+  static constexpr int kWindows = 8;
+  static constexpr int kDigits = 256;
+
   explicit FingerprintBasis(uint64_t z);
 
   uint64_t z() const { return z_; }
 
-  /// z^e for a reduced exponent e = index mod (p-1): the windowed product.
+  /// z^e for a reduced exponent e = index mod (p-1): the windowed product,
+  /// stopping at e's top nonzero byte. Every higher window's digit is 0 and
+  /// would multiply by z^0 = 1, so the short product is bit-identical to
+  /// the all-windows one: a rank-2 key at n = 2^12 takes 3 windows, at
+  /// n = 2^16 it takes 4.
   uint64_t PowerFromExp(uint64_t e) const {
-    const uint64_t* t = table_.data();
-    uint64_t r = t[e & 0xff];
-    for (int w = 1; w < kWindows; ++w) {
-      r = FpMul(r, t[static_cast<size_t>(w) * kDigits + ((e >> (8 * w)) & 0xff)]);
+    const uint64_t* row = table_.data();
+    uint64_t r = row[e & 0xff];
+    for (e >>= 8; e != 0; e >>= 8) {
+      row += kDigits;
+      r = FpMul(r, row[e & 0xff]);
     }
     return r;
+  }
+
+  /// Table entry z^(256^window * digit) (reference evaluations read it).
+  uint64_t Entry(int window, int digit) const {
+    return table_[static_cast<size_t>(window) * kDigits +
+                  static_cast<size_t>(digit)];
   }
 
   /// Reference power by full binary exponentiation (the old kernel, with
@@ -128,11 +148,9 @@ class FingerprintBasis {
   }
 
  private:
-  static constexpr int kWindows = 8;
-  static constexpr int kDigits = 256;
-
   uint64_t z_;
-  std::vector<uint64_t> table_;  // [window][digit] = z^(256^w * d)
+  std::array<uint64_t, static_cast<size_t>(kWindows) * kDigits>
+      table_;  // [window][digit] = z^(256^w * d)
 };
 
 /// Upper bound on rows per s-sparse structure (lets hot paths keep
@@ -174,6 +192,21 @@ class SSparseShape {
     return static_cast<int>(
         row_hash_[static_cast<size_t>(row)].EvalBelowFolded(
             fold, static_cast<uint32_t>(buckets_)));
+  }
+
+  /// Every row's target cell for a folded key: cell[r] = r * buckets +
+  /// BucketFolded(r, fold), the row-major index within a segment. The
+  /// write and prefetch kernels below take these indices, so a caller that
+  /// prefetches before writing hashes each row once.
+  void CellsFolded(FoldedKey fold, uint32_t* cell) const {
+    for (int r = 0; r < rows_; ++r) {
+      cell[r] = static_cast<uint32_t>(r * buckets_ + BucketFolded(r, fold));
+    }
+  }
+
+  /// Row r's bucket hash (reference evaluations read its coefficients).
+  const PolyHash& row_hash(int r) const {
+    return row_hash_[static_cast<size_t>(r)];
   }
 
   /// Reference bucket via the pre-table kernel's hardware `%` reduction.
@@ -223,64 +256,13 @@ inline size_t SSparseSegmentWords(const SSparseShape& shape) {
   return static_cast<size_t>(shape.NumCells()) * 4;
 }
 
-/// The hot-path update: apply (coordinate, delta) to a segment, with the
-/// coordinate prepared and the fingerprint power computed once by the
-/// caller so several measurements ingesting the same coordinate share all
-/// per-key arithmetic.
-inline void SSparseSegmentUpdate(const SSparseShape& shape, uint64_t* seg,
-                                 const PreparedCoord& pc, int64_t delta,
-                                 uint64_t power) {
-  GMS_DCHECK(pc.index < shape.domain());
-  if (delta == 0) return;
-  const uint64_t fp_delta = FpMul(FpFromInt64(delta), power);
-  const u128 is_delta = pc.index * static_cast<u128>(static_cast<i128>(delta));
-  const uint64_t is_lo = static_cast<uint64_t>(is_delta);
-  const uint64_t is_hi = static_cast<uint64_t>(is_delta >> 64);
-  const size_t cells = static_cast<size_t>(shape.NumCells());
-  const int buckets = shape.buckets();
-  uint64_t* w = seg;
-  uint64_t* il = w + cells;
-  uint64_t* ih = il + cells;
-  uint64_t* fp = ih + cells;
-  for (int r = 0; r < shape.rows(); ++r) {
-    const size_t i = static_cast<size_t>(r) * buckets +
-                     static_cast<size_t>(shape.BucketFolded(r, pc.fold));
-    w[i] += static_cast<uint64_t>(delta);
-    const uint64_t nl = il[i] + is_lo;
-    ih[i] += is_hi + (nl < il[i] ? 1 : 0);
-    il[i] = nl;
-    fp[i] = FpAdd(fp[i], fp_delta);
-  }
-}
-
-/// Prefetch, for writing, every line SSparseSegmentUpdate(shape, seg, pc,
-/// ...) touches for a coordinate with pc.fold == fold: one line in each of
-/// the four component arrays per row. Purely a hint; no state changes.
-///
-/// Always inlined, and so must be every wrapper around it: GCC's IPA
-/// pure-const pass counts a prefetch as no side effect, so it deems a
-/// function that only prefetches `const` and deletes each call to it that
-/// was not inlined into code that writes.
-[[gnu::always_inline]] inline void SSparseSegmentPrefetch(
-    const SSparseShape& shape, const uint64_t* seg, FoldedKey fold) {
-  const size_t cells = static_cast<size_t>(shape.NumCells());
-  for (int r = 0; r < shape.rows(); ++r) {
-    const size_t i = static_cast<size_t>(r) * shape.buckets() +
-                     static_cast<size_t>(shape.BucketFolded(r, fold));
-    __builtin_prefetch(seg + i, 1, 1);
-    __builtin_prefetch(seg + cells + i, 1, 1);
-    __builtin_prefetch(seg + 2 * cells + i, 1, 1);
-    __builtin_prefetch(seg + 3 * cells + i, 1, 1);
-  }
-}
-
 /// Apply precomputed per-cell deltas: for each of the `rows` cell indices
-/// in `idx`, weight += wdelta, index_sum += is (mod 2^128), fingerprint +=
-/// fp (over F_p). Callers that fan one key out to several endpoint
-/// measurements (the incidence encoding: same buckets, same magnitudes,
-/// only the sign differs) resolve the buckets and deltas once and invoke
-/// this per endpoint.
-inline void SSparseSegmentApply(uint64_t* seg, const size_t* idx, int rows,
+/// in `cell` (see SSparseShape::CellsFolded), weight += wdelta, index_sum
+/// += is (mod 2^128), fingerprint += fp (over F_p). Callers that fan one
+/// key out to several endpoint measurements (the incidence encoding: same
+/// cells, same magnitudes, only the sign differs) resolve the cells and
+/// deltas once and invoke this per endpoint.
+inline void SSparseSegmentApply(uint64_t* seg, const uint32_t* cell, int rows,
                                 size_t cells, int64_t wdelta, u128 is,
                                 uint64_t fp) {
   const uint64_t is_lo = static_cast<uint64_t>(is);
@@ -290,12 +272,48 @@ inline void SSparseSegmentApply(uint64_t* seg, const size_t* idx, int rows,
   uint64_t* ih = il + cells;
   uint64_t* fpp = ih + cells;
   for (int r = 0; r < rows; ++r) {
-    const size_t i = idx[r];
+    const size_t i = cell[r];
     w[i] += static_cast<uint64_t>(wdelta);
     const uint64_t nl = il[i] + is_lo;
     ih[i] += is_hi + (nl < il[i] ? 1 : 0);
     il[i] = nl;
     fpp[i] = FpAdd(fpp[i], fp);
+  }
+}
+
+/// The hot-path update: apply (coordinate, delta) to a segment, with the
+/// coordinate prepared and the fingerprint power computed once by the
+/// caller so several measurements ingesting the same coordinate share all
+/// per-key arithmetic.
+inline void SSparseSegmentUpdate(const SSparseShape& shape, uint64_t* seg,
+                                 const PreparedCoord& pc, int64_t delta,
+                                 uint64_t power) {
+  GMS_DCHECK(pc.index < shape.domain());
+  if (delta == 0) return;
+  uint32_t cell[kMaxSketchRows];
+  shape.CellsFolded(pc.fold, cell);
+  SSparseSegmentApply(seg, cell, shape.rows(),
+                      static_cast<size_t>(shape.NumCells()), delta,
+                      pc.index * static_cast<u128>(static_cast<i128>(delta)),
+                      FpMul(FpFromInt64(delta), power));
+}
+
+/// Prefetch, for writing, every line SSparseSegmentApply(seg, cell, rows,
+/// cells, ...) touches: one line in each of the four component arrays per
+/// row. Purely a hint; no state changes.
+///
+/// Always inlined, and so must be every wrapper around it: GCC's IPA
+/// pure-const pass counts a prefetch as no side effect, so it deems a
+/// function that only prefetches `const` and deletes each call to it that
+/// was not inlined into code that writes.
+[[gnu::always_inline]] inline void SSparseSegmentPrefetch(
+    const uint64_t* seg, const uint32_t* cell, int rows, size_t cells) {
+  for (int r = 0; r < rows; ++r) {
+    const size_t i = cell[r];
+    __builtin_prefetch(seg + i, 1, 1);
+    __builtin_prefetch(seg + cells + i, 1, 1);
+    __builtin_prefetch(seg + 2 * cells + i, 1, 1);
+    __builtin_prefetch(seg + 3 * cells + i, 1, 1);
   }
 }
 

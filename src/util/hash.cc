@@ -4,11 +4,13 @@ namespace gms {
 
 PolyHash::PolyHash(int independence, uint64_t seed) {
   GMS_CHECK_MSG(independence >= 2, "need independence >= 2");
+  GMS_CHECK_MSG(independence <= kMaxPolyIndependence,
+                "independence exceeds the inline coefficient cap");
   Rng rng(seed);
-  coeffs_.resize(static_cast<size_t>(independence));
-  for (auto& c : coeffs_) {
+  t_ = independence;
+  for (int i = 0; i < t_; ++i) {
     // Uniform in [0, p).
-    c = rng.Below(kMersenne61);
+    coeffs_[i] = rng.Below(kMersenne61);
   }
   // Leading coefficient nonzero so the polynomial has full degree.
   if (coeffs_[0] == 0) coeffs_[0] = 1;

@@ -17,7 +17,6 @@
 #define GMS_UTIL_HASH_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "util/field.h"
 #include "util/random.h"
@@ -50,10 +49,16 @@ inline uint32_t FieldToBucket(uint64_t h, uint32_t bound) {
   return static_cast<uint32_t>((static_cast<u128>(h) * bound) >> 61);
 }
 
+/// Most coefficients a PolyHash keeps inline (independence t <= this).
+/// Every production hash is 2-wise; the cap leaves room for the tests'
+/// higher-independence families without a heap vector per hash.
+inline constexpr int kMaxPolyIndependence = 4;
+
 /// t-wise independent hash from u128 keys to [0, p).
 class PolyHash {
  public:
-  /// Build a hash with the given independence t >= 2, seeded deterministically.
+  /// Build a hash with the given independence 2 <= t <=
+  /// kMaxPolyIndependence, seeded deterministically.
   PolyHash(int independence, uint64_t seed);
 
   /// Default-constructed hash is unusable; assign before use.
@@ -63,12 +68,15 @@ class PolyHash {
   uint64_t Eval(u128 key) const { return EvalFolded(FoldKey128(key)); }
 
   /// As Eval, with the key already folded by the caller (the hot path:
-  /// fold once, evaluate many hashes).
+  /// fold once, evaluate many hashes). Bit-identical to Horner from zero
+  /// with x = lo + hi * mixer: the first step FpMul(0, x) adds nothing, so
+  /// Horner starts at the leading coefficient (a 2-wise hash is one
+  /// multiply), and keys below 2^64 (hi == 0) skip the mixer product.
   uint64_t EvalFolded(FoldedKey k) const {
-    GMS_DCHECK(!coeffs_.empty());
-    uint64_t x = FpAdd(k.lo, FpMul(k.hi, mixer_));
-    uint64_t acc = 0;
-    for (uint64_t c : coeffs_) acc = FpAdd(FpMul(acc, x), c);
+    GMS_DCHECK(t_ >= 2);
+    const uint64_t x = k.hi == 0 ? k.lo : FpAdd(k.lo, FpMul(k.hi, mixer_));
+    uint64_t acc = FpAdd(FpMul(coeffs_[0], x), coeffs_[1]);
+    for (int i = 2; i < t_; ++i) acc = FpAdd(FpMul(acc, x), coeffs_[i]);
     return acc;
   }
 
@@ -84,11 +92,17 @@ class PolyHash {
     return FieldToBucket(EvalFolded(k), bound);
   }
 
-  int independence() const { return static_cast<int>(coeffs_.size()); }
+  int independence() const { return t_; }
+
+  /// Coefficient i, leading first (degree t-1 .. 0), and the high-half
+  /// multiplier: what a reference evaluation needs.
+  uint64_t coeff(int i) const { return coeffs_[i]; }
+  uint64_t mixer() const { return mixer_; }
 
  private:
-  std::vector<uint64_t> coeffs_;  // degree t-1 .. 0
-  uint64_t mixer_ = 1;            // random multiplier for the high half
+  uint64_t coeffs_[kMaxPolyIndependence] = {};  // degree t-1 .. 0
+  int t_ = 0;
+  uint64_t mixer_ = 1;  // random multiplier for the high half
 };
 
 /// Geometric level function for L0-sampler subsampling: level(key) = number
@@ -111,6 +125,7 @@ class LevelHash {
   }
 
   int max_level() const { return max_level_; }
+  const PolyHash& hash() const { return hash_; }
 
  private:
   PolyHash hash_;

@@ -233,6 +233,36 @@ TEST(HashTest, Distinguishes128BitKeys) {
   EXPECT_NE(h.Eval(a), h.Eval(b));
 }
 
+TEST(HashTest, EvalFoldedMatchesTextbookHorner) {
+  // EvalFolded starts Horner at the leading coefficient and skips the
+  // mixer product when hi == 0; both shortcuts are exact. Compare with
+  // Horner from acc = 0 over x = lo + hi * mixer, keys with hi == 0 and
+  // hi != 0, at every supported independence.
+  Rng rng(17);
+  for (int t = 2; t <= kMaxPolyIndependence; ++t) {
+    const PolyHash h(t, 100 + static_cast<uint64_t>(t));
+    ASSERT_EQ(h.independence(), t);
+    for (int i = 0; i < 2000; ++i) {
+      const u128 key = i % 2 == 0
+                           ? static_cast<u128>(rng.Next())
+                           : (static_cast<u128>(rng.Next() | 1) << 64) |
+                                 rng.Next();
+      const FoldedKey k = FoldKey128(key);
+      const uint64_t x = FpAdd(k.lo, FpMul(k.hi, h.mixer()));
+      uint64_t want = 0;
+      for (int c = 0; c < t; ++c) want = FpAdd(FpMul(want, x), h.coeff(c));
+      ASSERT_EQ(h.EvalFolded(k), want) << "t " << t << " i " << i;
+      ASSERT_EQ(h.Eval(key), want);
+    }
+  }
+}
+
+TEST(HashDeathTest, IndependenceAboveInlineCapIsRefused) {
+  EXPECT_DEATH(PolyHash(kMaxPolyIndependence + 1, 1),
+               "inline coefficient cap");
+  EXPECT_DEATH(PolyHash(1, 1), "independence >= 2");
+}
+
 TEST(LevelHashTest, GeometricDistribution) {
   LevelHash lh(16, 40);
   std::vector<int> counts(41, 0);
