@@ -22,8 +22,9 @@ double ForestSuccess(const SketchConfig& cfg, int rounds, size_t trials) {
     p.rounds = rounds;
     SpanningForestSketch sketch(96, 2, seed * 11 + 3, p);
     sketch.Process(DynamicStream::WithChurn(g, 200, seed + 1));
-    auto span = sketch.ExtractSpanningGraph();
-    return span.ok() && ConnectedComponents(*span) == ConnectedComponents(g);
+    auto span = sketch.Query();
+    return span.ok() &&
+           ConnectedComponents(span.value()) == ConnectedComponents(g);
   });
 }
 

@@ -29,9 +29,9 @@ PeelStats AdaptiveStats(const Graph& g, size_t layers,
     sketch.Process(DynamicStream::InsertOnly(g, seed));
     Hypergraph recovered(g.NumVertices());
     for (size_t i = 0; i < layers; ++i) {
-      auto span = sketch.ExtractSpanningGraph();
-      if (!span.ok() || span->NumEdges() == 0) break;
-      std::vector<Hyperedge> layer = span->Edges();
+      auto span = sketch.Query();
+      if (!span.ok() || span.value().NumEdges() == 0) break;
+      std::vector<Hyperedge> layer = span.value().Edges();
       sketch.RemoveHyperedges(layer);
       for (const auto& e : layer) recovered.AddEdge(e);
     }
@@ -57,10 +57,10 @@ PeelStats IndependentStats(const Graph& g, size_t layers,
   for (uint64_t seed = 0; seed < trials; ++seed) {
     KSkeletonSketch sketch(g.NumVertices(), 2, layers, 2000 + seed, p);
     sketch.Process(DynamicStream::InsertOnly(g, seed));
-    auto skel = sketch.Extract();
+    auto skel = sketch.Query();
     size_t ghosts = 0, real = 0;
     if (skel.ok()) {
-      for (const auto& e : skel->Edges()) {
+      for (const auto& e : skel.value().Edges()) {
         (g.HasEdge(e.AsEdge()) ? real : ghosts) += 1;
       }
     }

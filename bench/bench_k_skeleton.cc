@@ -5,8 +5,8 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "apps/approx_min_cut.h"
 #include "bench_util.h"
-#include "connectivity/connectivity_query.h"
 #include "connectivity/k_skeleton.h"
 #include "exact/stoer_wagner.h"
 #include "graph/generators.h"
@@ -49,7 +49,7 @@ void SkeletonQuality() {
     for (size_t k : {1, 2, 4, 6}) {
       KSkeletonSketch sketch(c.h.NumVertices(), c.rank, k, 100 + k);
       sketch.Process(DynamicStream::InsertOnly(c.h, k));
-      auto skel = sketch.Extract();
+      auto skel = sketch.Query();
       if (!skel.ok()) {
         table.AddRow({c.name, Table::Fmt(c.h.NumVertices()),
                       Table::Fmt(c.h.NumEdges()), Table::Fmt(uint64_t{k}),
@@ -57,10 +57,11 @@ void SkeletonQuality() {
         continue;
       }
       double preserved =
-          CutPreservationRate(c.h, *skel, k, 200 + k);
+          CutPreservationRate(c.h, skel.value(), k, 200 + k);
       table.AddRow({c.name, Table::Fmt(c.h.NumVertices()),
                     Table::Fmt(c.h.NumEdges()), Table::Fmt(uint64_t{k}),
-                    Table::Fmt(skel->NumEdges()), Table::Fmt(preserved, 3),
+                    Table::Fmt(skel.value().NumEdges()),
+                    Table::Fmt(preserved, 3),
                     bench::Kb(sketch.MemoryBytes())});
     }
   }
@@ -84,11 +85,11 @@ void EdgeConnectivityReadout() {
   for (auto& c : cases) {
     size_t exact = EdgeConnectivity(c.g);
     for (size_t k : {2, 4, 8}) {
-      EdgeConnectivityQuery q(c.g.NumVertices(), 2, k, 300 + k);
+      apps::ApproxMinCut q(c.g.NumVertices(), 2, k, 300 + k);
       q.Process(DynamicStream::InsertOnly(c.g, k));
-      auto capped = q.EdgeConnectivityCapped();
+      auto capped = q.Query();
       table.AddRow({c.name, Table::Fmt(exact), Table::Fmt(uint64_t{k}),
-                    capped.ok() ? Table::Fmt(*capped) : "fail"});
+                    capped.ok() ? Table::Fmt(capped.value().value) : "fail"});
     }
   }
   table.Print("Dynamic k-edge-connectivity via skeletons");
@@ -102,12 +103,12 @@ void PlantedHypergraphCuts() {
   for (size_t cut : {1, 2, 3}) {
     auto planted = PlantedHypergraphCut(24, 3, cut, 30, 40 + cut);
     for (size_t k : {2, 4}) {
-      EdgeConnectivityQuery q(24, 3, k, 50 + cut * 10 + k);
+      apps::ApproxMinCut q(24, 3, k, 50 + cut * 10 + k);
       q.Process(DynamicStream::InsertOnly(planted.hypergraph, cut));
-      auto capped = q.EdgeConnectivityCapped();
+      auto capped = q.Query();
       table.AddRow({"24", "3", Table::Fmt(uint64_t{cut}),
                     Table::Fmt(uint64_t{k}),
-                    capped.ok() ? Table::Fmt(*capped) : "fail"});
+                    capped.ok() ? Table::Fmt(capped.value().value) : "fail"});
     }
   }
   table.Print("Hypergraph planted min cuts recovered (Section 4.1)");

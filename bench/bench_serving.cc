@@ -239,8 +239,8 @@ ServingResult RunServing(const char* family, const Graph& g, size_t decoys,
 
 // prepare_once comparison: SketchServer::Ingest routes ONE shared
 // encode/prepare/route pass through the ingest plane into every engine's
-// open delta; IngestIndependent is the pre-plane baseline where each
-// engine re-prepares every update. The two run in alternating reps on
+// open delta; the pre-plane baseline drives each engine's own Process, so
+// each engine re-prepares every update. The two run in alternating reps on
 // fresh servers, and the row reports the median, min and max of each. The
 // two paths must land bit-identical snapshots -- asserted here on the
 // flushed forest payload of every rep (gms_plane_tests covers all three
@@ -289,7 +289,9 @@ PrepareOnceRow RunPrepareOnce(size_t n, size_t decoys, uint64_t seed) {
 
     serve::SketchServer independent(n, params, seed + 2);
     Timer ti;
-    independent.IngestIndependent(updates);
+    independent.forest_engine().Process(updates);
+    independent.vc_engine().Process(updates);
+    independent.skeleton_engine().Process(updates);
     independent_reps.push_back(ti.Seconds());
     independent.Flush();
     GMS_CHECK_MSG(*independent.forest_engine().Current()->payload ==
@@ -456,8 +458,8 @@ int Run(bool smoke) {
   }
   prepare_table.Print(
       "prepare_once: one shared encode/route pass (Ingest) vs per-engine "
-      "re-prepare (IngestIndependent), forest + vc + skeleton; medians and "
-      "ranges over alternating reps");
+      "re-prepare (each engine's Process), forest + vc + skeleton; medians "
+      "and ranges over alternating reps");
 
   if (!smoke) WriteJson(rows, prepare_rows);
   std::printf("serving bench: all assertions held\n");

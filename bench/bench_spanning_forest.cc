@@ -25,9 +25,9 @@ bool ForestTrial(const Hypergraph& h, size_t max_rank, bool churn,
             : DynamicStream::InsertOnly(h, seed);
   if (!churn && achieved_decoys != nullptr) *achieved_decoys = 0;
   sketch.Process(stream);
-  auto span = sketch.ExtractSpanningGraph();
+  auto span = sketch.Query();
   if (!span.ok()) return false;
-  return ConnectedComponents(*span) == ConnectedComponents(h);
+  return ConnectedComponents(span.value()) == ConnectedComponents(h);
 }
 
 void GraphFamilies() {

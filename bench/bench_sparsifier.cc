@@ -39,9 +39,9 @@ void ErrorVsK() {
         HypergraphSparsifierSketch sketch(c.h.NumVertices(), c.rank, p,
                                           900 + 37 * k + t);
         sketch.Process(DynamicStream::InsertOnly(c.h, k + t));
-        auto out = sketch.ExtractSparsifier();
+        auto out = sketch.Query();
         if (!out.ok()) continue;
-        auto report = VerifySparsifier(c.h, out->sparsifier, 1.0);
+        auto report = VerifySparsifier(c.h, out.value().sparsifier, 1.0);
         max_err += report.stats.max_rel_error;
         avg_err += report.stats.avg_rel_error;
         compress += report.compression;
@@ -80,9 +80,9 @@ void RankSweep() {
     p.forest.config = SketchConfig::Light();
     HypergraphSparsifierSketch sketch(13, r, p, 20 + r);
     sketch.Process(DynamicStream::InsertOnly(h, r));
-    auto out = sketch.ExtractSparsifier();
+    auto out = sketch.Query();
     if (!out.ok()) continue;
-    auto report = VerifySparsifier(h, out->sparsifier, 1.0);
+    auto report = VerifySparsifier(h, out.value().sparsifier, 1.0);
     table.AddRow({Table::Fmt(uint64_t{r}), "13", Table::Fmt(h.NumEdges()),
                   "8", Table::Fmt(report.stats.max_rel_error, 3),
                   Table::Fmt(report.stats.zero_mismatches),
@@ -103,14 +103,15 @@ void LevelProfile() {
   p.forest.config = SketchConfig::Light();
   HypergraphSparsifierSketch sketch(16, 2, p, 33);
   sketch.Process(DynamicStream::InsertOnly(h, 3));
-  auto out = sketch.ExtractSparsifier();
+  auto out = sketch.Query();
   if (!out.ok()) {
     std::printf("level profile: extraction failed\n");
     return;
   }
   Table table({"level i", "|F_i|", "weight 2^i"});
-  for (size_t i = 0; i < out->level_sizes.size(); ++i) {
-    table.AddRow({Table::Fmt(uint64_t{i}), Table::Fmt(out->level_sizes[i]),
+  const std::vector<size_t>& sizes = out.value().level_sizes;
+  for (size_t i = 0; i < sizes.size(); ++i) {
+    table.AddRow({Table::Fmt(uint64_t{i}), Table::Fmt(sizes[i]),
                   Table::Fmt(uint64_t{1} << i)});
   }
   table.Print("Per-level light sets F_i on K16 (Section 5 algorithm)");
@@ -118,7 +119,7 @@ void LevelProfile() {
       "\nExpected shape: |F_i| shrinks geometrically -- each level "
       "half-samples the\nresidual heavy part until nothing heavy "
       "remains%s.\n",
-      out->truncated ? " (TRUNCATED: level budget too small)" : "");
+      out.value().truncated ? " (TRUNCATED: level budget too small)" : "");
 }
 
 void BaselineComparison() {
@@ -176,12 +177,12 @@ void BaselineComparison() {
         sp.forest.config = SketchConfig::Light();
         HypergraphSparsifierSketch sketch(14, 2, sp, 60 + t);
         sketch.Process(DynamicStream::InsertOnly(h, t));
-        auto out = sketch.ExtractSparsifier();
+        auto out = sketch.Query();
         if (!out.ok()) continue;
-        auto rep = VerifySparsifier(h, out->sparsifier, 1.0);
+        auto rep = VerifySparsifier(h, out.value().sparsifier, 1.0);
         max_err += rep.stats.max_rel_error;
         avg_err += rep.stats.avg_rel_error;
-        edges += static_cast<double>(out->sparsifier.size());
+        edges += static_cast<double>(out.value().sparsifier.size());
       }
       table.AddRow({c.name, "stream sketch", "k=" + Table::Fmt(uint64_t{k}),
                     Table::Fmt(edges / trials, 1),

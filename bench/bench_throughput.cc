@@ -27,6 +27,7 @@
 #include "sparsify/sparsifier_sketch.h"
 #include "stream/ingest_plane.h"
 #include "stream/stream.h"
+#include "testkit/forest_reference.h"
 #include "testkit/peel_reference.h"
 #include "testkit/stream_spec.h"
 #include "util/parallel.h"
@@ -272,13 +273,13 @@ void SparseDensitySection(std::vector<SparseDensityRow>* rows, size_t* out_n,
       "escalated fast path is the pre-hybrid dense path).\n");
 }
 
-/// Old-vs-new finalize engine, measured where the two paths share an API:
-/// one SpanningForestSketch at a full round budget (default log2 n + extra,
-/// where the window refills actually amortize). Times the incremental
-/// extraction against the retained reference re-sum decoder, serial and
-/// parallel, and checks all four Hypergraphs are bit-identical. Two
-/// twins: a churn stream with ~6 updates per vertex (nearly every column
-/// stays in its exact sparse buffer) and the all-dense stream below.
+/// Old-vs-new finalize engine: one SpanningForestSketch at a full round
+/// budget (default log2 n + extra, where the window refills actually
+/// amortize). Times Query (the incremental decode) against the testkit
+/// reference re-sum decoder, serial and parallel, and checks all four
+/// Hypergraphs are bit-identical. Two twins: a churn stream with ~6
+/// updates per vertex (nearly every column stays in its exact sparse
+/// buffer) and the all-dense stream below.
 struct ExtractCompareRow {
   size_t n = 0;
   int rounds = 0;
@@ -317,23 +318,25 @@ void CompareExtraction(const SpanningForestSketch& sketch, const char* title,
   out->n = sketch.n();
   out->rounds = sketch.rounds();
   out->escalated_frac = EscalatedFrac(sketch);
-  (void)sketch.ExtractSpanningGraph(1);  // untimed warm-up
+  (void)sketch.Query(1);  // untimed warm-up
 
   Timer t_inc_s;
-  auto inc_serial = sketch.ExtractSpanningGraph(1);
+  auto inc_serial = sketch.Query(1);
   out->inc_serial_secs = t_inc_s.Seconds();
   Timer t_inc_p;
-  auto inc_parallel = sketch.ExtractSpanningGraph(8, &out->inc_stats);
+  auto inc_parallel = sketch.Query(8);
   out->inc_parallel_secs = t_inc_p.Seconds();
   Timer t_ref_s;
-  auto ref_serial = sketch.ExtractSpanningGraphReference(1);
+  auto ref_serial = testkit::ExtractSpanningGraphReference(sketch, 1);
   out->ref_serial_secs = t_ref_s.Seconds();
   Timer t_ref_p;
-  auto ref_parallel = sketch.ExtractSpanningGraphReference(8, &out->ref_stats);
+  auto ref_parallel = testkit::ExtractSpanningGraphReference(sketch, 8);
   out->ref_parallel_secs = t_ref_p.Seconds();
-  out->identical = inc_serial.ok() && inc_parallel.ok() && ref_serial.ok() &&
-                   ref_parallel.ok() && *inc_serial == *inc_parallel &&
-                   *inc_serial == *ref_serial && *inc_serial == *ref_parallel;
+  out->inc_stats = inc_parallel.stats();
+  out->ref_stats = ref_parallel.stats();
+  out->identical = inc_serial.value() == inc_parallel.value() &&
+                   inc_serial.value() == ref_serial.value() &&
+                   inc_serial.value() == ref_parallel.value();
 
   Table table({"path", "threads", "extract_s", "speedup_vs_ref",
                "summed_words"});
@@ -369,9 +372,9 @@ void ExtractionEngineSection(ExtractCompareRow* out) {
   Graph g = UnionOfHamiltonianCycles(kN, 3, /*seed=*/22);
   sketch.Process(DynamicStream::WithChurn(g, /*decoys=*/kN / 2, 23));
   CompareExtraction(sketch,
-                    "Extraction engine: incremental window blocks vs "
-                    "reference re-sum (one forest, full round budget, "
-                    "sparse-phase stream)",
+                    "Extraction engine: Query vs reference re-sum (one "
+                    "forest, full round budget, sparse-phase stream; an "
+                    "all-sparse Query stops after the exact pre-round)",
                     out);
 }
 
@@ -1190,7 +1193,7 @@ void BM_ForestDecode(benchmark::State& state) {
   sketch.Process(
       DynamicStream::InsertOnly(UnionOfHamiltonianCycles(n, 2, 6), 7));
   for (auto _ : state) {
-    auto span = sketch.ExtractSpanningGraph();
+    auto span = sketch.Query();
     benchmark::DoNotOptimize(span);
   }
 }

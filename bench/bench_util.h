@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <string>
 #include <vector>
@@ -116,11 +117,12 @@ inline std::string JsonQuote(const std::string& s) {
 
 /// HEAD of the source tree this bench was built from, read when the bench
 /// runs rather than when it was configured, so a stale build directory
-/// cannot label its rows with an old rev. "unknown" outside a repository.
+/// cannot label its rows with an old rev. A tree whose tracked files
+/// differ from HEAD (staged or not) reads "<rev>-dirty": such rows were
+/// not built from the rev alone. "unknown" outside a repository.
 inline std::string GitRev() {
-  const std::string cmd =
-      "git -C '" GMS_BENCH_SOURCE_DIR "' rev-parse HEAD 2>/dev/null";
-  FILE* p = popen(cmd.c_str(), "r");
+  const std::string git = "git -C '" GMS_BENCH_SOURCE_DIR "' ";
+  FILE* p = popen((git + "rev-parse HEAD 2>/dev/null").c_str(), "r");
   if (p == nullptr) return "unknown";
   char buf[64] = {};
   const bool got = std::fgets(buf, sizeof(buf), p) != nullptr;
@@ -129,7 +131,12 @@ inline std::string GitRev() {
   while (!rev.empty() && (rev.back() == '\n' || rev.back() == '\r')) {
     rev.pop_back();
   }
-  return rev.empty() ? "unknown" : rev;
+  if (rev.empty()) return "unknown";
+  // `diff --quiet` exits 1 when a tracked file differs from HEAD.
+  if (std::system((git + "diff --quiet HEAD -- 2>/dev/null").c_str()) != 0) {
+    rev += "-dirty";
+  }
+  return rev;
 }
 
 /// The "host" member every BENCH_*.json carries right after "bench": the

@@ -3,8 +3,8 @@
 // before/after row in BENCH_throughput.json). Both loops perform the
 // identical segment read-modify-write via the raw segment kernels; they
 // differ only in the arithmetic the overhaul replaced:
-//   old: fingerprint power by binary exponentiation (FingerprintPowerRef)
-//        and row buckets by hardware `%` (BucketRef);
+//   old: fingerprint power by binary exponentiation and row buckets by
+//        hardware `%` (testkit::FingerprintPowerRef, testkit::BucketRef);
 //   new: windowed power table (PowerFromExp) and the Lemire multiply-shift
 //        reduction, as baked into SSparseSegmentUpdate.
 // CompareResolve times the per-(key, round) resolution alone -- level,
@@ -55,10 +55,11 @@ inline KernelTimings CompareUpdateKernels(size_t updates = 200000) {
   {
     Timer t;
     for (const u128 k : keys) {
-      const uint64_t power = shape.FingerprintPowerRef(k);
+      const uint64_t power = testkit::FingerprintPowerRef(shape, k);
       uint32_t idx[kMaxSketchRows];
       for (int r = 0; r < rows; ++r) {
-        idx[r] = static_cast<uint32_t>(r * buckets + shape.BucketRef(r, k));
+        idx[r] = static_cast<uint32_t>(r * buckets +
+                                       testkit::BucketRef(shape, r, k));
       }
       // delta = 1, so the fingerprint delta is the power itself.
       SSparseSegmentApply(seg.data(), idx, rows, cells, 1, k, power);

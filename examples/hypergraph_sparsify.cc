@@ -44,21 +44,21 @@ int main() {
   std::printf("sketch state: %.1f KiB, peeling threshold k=%zu, %zu levels\n",
               sketch.MemoryBytes() / 1024.0, sketch.k(), sketch.levels());
 
-  auto out = sketch.ExtractSparsifier();
+  auto out = sketch.Query();
   if (!out.ok()) {
     std::printf("extraction failed: %s\n", out.status().ToString().c_str());
     return 1;
   }
   std::printf("\nsparsifier: %zu weighted hyperedges (%.0f%% of input)\n",
-              out->sparsifier.size(),
-              100.0 * static_cast<double>(out->sparsifier.size()) /
+              out.value().sparsifier.size(),
+              100.0 * static_cast<double>(out.value().sparsifier.size()) /
                   static_cast<double>(record_db.NumEdges()));
   std::printf("level profile |F_i|: ");
-  for (size_t s : out->level_sizes) std::printf("%zu ", s);
+  for (size_t s : out.value().level_sizes) std::printf("%zu ", s);
   std::printf("\n");
 
   // Exhaustive verification (n is small enough to enumerate all cuts).
-  auto report = VerifySparsifier(record_db, out->sparsifier, 1.0);
+  auto report = VerifySparsifier(record_db, out.value().sparsifier, 1.0);
   std::printf(
       "\ncut fidelity over all %zu cuts: max err %.3f, avg err %.3f, "
       "zero-mismatches %zu\n",
@@ -66,8 +66,8 @@ int main() {
       report.stats.avg_rel_error, report.stats.zero_mismatches);
 
   // Downstream analysis on the sparsifier: find the community split.
-  auto sparse_cut = HypergraphMinCut(n, out->sparsifier.edges,
-                                     out->sparsifier.weights);
+  auto sparse_cut = HypergraphMinCut(n, out.value().sparsifier.edges,
+                                     out.value().sparsifier.weights);
   auto exact_cut = HypergraphMinCut(record_db);
   std::printf(
       "\nmin-cut analysis:\n  exact min cut      = %.0f (planted %zu)\n"

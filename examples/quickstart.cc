@@ -5,8 +5,10 @@
 //   $ ./quickstart
 #include <cstdio>
 
-#include "connectivity/connectivity_query.h"
+#include "apps/approx_min_cut.h"
+#include "connectivity/spanning_forest_sketch.h"
 #include "graph/generators.h"
+#include "graph/traversal.h"
 #include "stream/stream.h"
 #include "vertexconn/vc_query_sketch.h"
 
@@ -28,21 +30,22 @@ int main() {
               (stream.size() - planted.graph.NumEdges()) / 2);
 
   // --- 1. Connectivity from O(n polylog n) space (Theorem 2). ---
-  ConnectivityQuery connectivity(n, /*max_rank=*/2, /*seed=*/1);
+  SpanningForestSketch connectivity(n, /*max_rank=*/2, /*seed=*/1);
   connectivity.Process(stream);
-  auto connected = connectivity.IsConnected();
+  auto forest = connectivity.Query();
   std::printf("\n[1] connectivity sketch: %s (space %.1f KiB)\n",
-              connected.ok() ? (*connected ? "CONNECTED" : "disconnected")
-                             : connected.status().ToString().c_str(),
+              forest.ok() ? (IsConnected(forest.value()) ? "CONNECTED"
+                                                         : "disconnected")
+                          : forest.status().ToString().c_str(),
               connectivity.MemoryBytes() / 1024.0);
 
   // --- 2. k-edge-connectivity via a k-skeleton (Theorem 14). ---
-  EdgeConnectivityQuery edge_conn(n, 2, /*k=*/4, /*seed=*/2);
+  apps::ApproxMinCut edge_conn(n, 2, /*k_cap=*/4, /*seed=*/2);
   edge_conn.Process(stream);
-  auto lambda = edge_conn.EdgeConnectivityCapped();
+  auto lambda = edge_conn.Query();
   if (lambda.ok()) {
     std::printf("[2] k-skeleton sketch:   min(4, edge connectivity) = %zu\n",
-                *lambda);
+                lambda.value().value);
   }
 
   // --- 3. Vertex-removal queries (Theorem 4). ---

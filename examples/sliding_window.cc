@@ -12,7 +12,7 @@
 #include <cstdio>
 #include <deque>
 
-#include "connectivity/connectivity_query.h"
+#include "connectivity/spanning_forest_sketch.h"
 #include "graph/traversal.h"
 #include "util/random.h"
 
@@ -26,7 +26,7 @@ int main() {
       "sliding_window: %zu actors, window of %zu interactions, %zu events\n\n",
       n, window, total);
 
-  ConnectivityQuery sketch(n, 2, /*seed=*/1);
+  SpanningForestSketch sketch(n, 2, /*seed=*/1);
   Graph truth(n);
   std::deque<Edge> live;
   Rng rng(2);
@@ -52,13 +52,14 @@ int main() {
       ++deletions;
     }
     if (t % 150 == 0) {
-      auto got = sketch.NumComponents();
+      auto forest = sketch.Query();
       size_t exact = NumComponents(truth);
-      bool ok = got.ok() && *got == exact;
+      const size_t got = forest.ok() ? NumComponents(forest.value()) : 0;
+      bool ok = forest.ok() && got == exact;
       ++checks;
       agreements += ok ? 1 : 0;
       std::printf("%-8zu %-12s %-12zu %s\n", t,
-                  got.ok() ? std::to_string(*got).c_str() : "decode-fail",
+                  forest.ok() ? std::to_string(got).c_str() : "decode-fail",
                   exact, ok ? "[agree]" : "[MISMATCH]");
     }
   }

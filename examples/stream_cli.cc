@@ -9,8 +9,10 @@
 #include <iostream>
 #include <unistd.h>
 
-#include "connectivity/connectivity_query.h"
+#include "apps/approx_min_cut.h"
+#include "connectivity/spanning_forest_sketch.h"
 #include "graph/generators.h"
+#include "graph/traversal.h"
 #include "reconstruct/light_recovery.h"
 #include "stream/io.h"
 
@@ -41,8 +43,8 @@ int main() {
               input.n, input.stream.size(), max_rank);
 
   // One pass, three sketches.
-  ConnectivityQuery conn(input.n, max_rank, 1);
-  EdgeConnectivityQuery econn(input.n, max_rank, /*k=*/4, 2);
+  SpanningForestSketch conn(input.n, max_rank, 1);
+  apps::ApproxMinCut econn(input.n, max_rank, /*k_cap=*/4, 2);
   ForestSketchParams light_params;
   light_params.config = SketchConfig::Light();
   LightRecoverySketch light(input.n, max_rank, /*k=*/2, 3, light_params);
@@ -52,18 +54,19 @@ int main() {
     light.Update(u.edge, u.delta);
   }
 
-  auto components = conn.NumComponents();
-  if (components.ok()) {
-    std::printf("components:            %zu (%s)\n", *components,
-                *components == 1 ? "connected" : "disconnected");
+  auto forest = conn.Query();
+  if (forest.ok()) {
+    const size_t components = NumComponents(forest.value());
+    std::printf("components:            %zu (%s)\n", components,
+                components == 1 ? "connected" : "disconnected");
   } else {
     std::printf("components:            %s\n",
-                components.status().ToString().c_str());
+                forest.status().ToString().c_str());
   }
-  auto lambda = econn.EdgeConnectivityCapped();
+  auto lambda = econn.Query();
   if (lambda.ok()) {
-    std::printf("edge connectivity:     %zu%s\n", *lambda,
-                *lambda >= 4 ? " (>= 4, capped)" : "");
+    std::printf("edge connectivity:     %zu%s\n", lambda.value().value,
+                lambda.value().exact ? "" : " (>= 4, capped)");
   }
   auto rec = light.Recover();
   if (rec.ok()) {

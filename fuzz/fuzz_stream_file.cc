@@ -63,7 +63,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     for (const gms::StreamUpdate& u : stream->updates()) {
       if (u.edge.size() <= sketch.max_rank()) sketch.Update(u.edge, u.delta);
     }
-    (void)sketch.ExtractSpanningGraph();
+    (void)sketch.Query();
   }
   return 0;
 }

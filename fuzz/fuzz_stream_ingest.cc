@@ -87,11 +87,11 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     GMS_CHECK(redo.ok());
     GMS_CHECK(forest.StateEquals(*redo));
 
-    gms::Result<gms::Hypergraph> g = forest.ExtractSpanningGraph();
+    gms::QueryResult<gms::Hypergraph> g = forest.Query();
     if (g.ok()) {
-      GMS_CHECK(g->NumVertices() == in.n);
+      GMS_CHECK(g.value().NumVertices() == in.n);
       gms::EdgeCodec codec(in.n, in.max_rank);
-      for (const gms::Hyperedge& e : g->Edges()) {
+      for (const gms::Hyperedge& e : g.value().Edges()) {
         GMS_CHECK(e.size() <= in.max_rank);
         GMS_CHECK(codec.Encode(e) < codec.DomainSize());
       }
@@ -107,7 +107,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
         gms::KSkeletonSketch::Deserialize(bytes);
     GMS_CHECK(redo.ok());
     GMS_CHECK(skeleton.StateEquals(*redo));
-    (void)skeleton.Extract();
+    (void)skeleton.Query();
   }
   {
     gms::L0Sampler sampler(gms::EdgeCodec(in.n, in.max_rank).DomainSize(),
@@ -144,7 +144,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     p.forest = TinyForestParams();
     gms::HypergraphSparsifierSketch sp(in.n, in.max_rank, p, seed + 5);
     sp.Process(updates);
-    (void)sp.ExtractSparsifier();
+    (void)sp.Query();
   }
   return 0;
 }

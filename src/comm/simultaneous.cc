@@ -47,10 +47,10 @@ CommReport RunSimultaneousConnectivity(const Hypergraph& g,
     GMS_CHECK_MSG(merged.ok(), "referee failed to merge a player frame");
   }
 
-  auto span = referee_state.ExtractSpanningGraph();
+  QueryResult<Hypergraph> span = referee_state.Query();
   if (span.ok()) {
-    report.referee_answer_connected = IsConnected(*span);
-    report.referee_components = NumComponents(*span);
+    report.referee_answer_connected = IsConnected(span.value());
+    report.referee_components = NumComponents(span.value());
   }
   report.exact_connected = IsConnected(g);
   report.correct = span.ok() &&

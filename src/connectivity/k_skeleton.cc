@@ -30,12 +30,7 @@ KSkeletonSketch::KSkeletonSketch(const KSkeletonSketch& other, CloneEmptyTag)
 
 void KSkeletonSketch::Update(const Hyperedge& e, int delta) {
   if (layers_.empty()) return;
-  UpdateEncoded(e, layers_[0].codec().Encode(e), delta);
-}
-
-void KSkeletonSketch::UpdateEncoded(const Hyperedge& e, u128 index,
-                                    int delta) {
-  UpdatePrepared(e, PrepareCoord(index), delta);
+  UpdatePrepared(e, PrepareCoord(layers_[0].codec().Encode(e)), delta);
 }
 
 void KSkeletonSketch::UpdatePrepared(const Hyperedge& e,
@@ -73,40 +68,31 @@ void KSkeletonSketch::RemoveHyperedges(const std::vector<Hyperedge>& edges) {
   for (auto& layer : layers_) layer.RemoveHyperedges(edges);
 }
 
-Result<Hypergraph> KSkeletonSketch::Extract(
-    ExtractStats* stats, std::span<const Hyperedge> peeled) const {
+QueryResult<Hypergraph> KSkeletonSketch::Query(
+    std::span<const Hyperedge> peeled) const {
   Hypergraph skeleton(n_);
   // Layer i peels `peeled` and F_1 .. F_{i-1}. Without an outside peel set
   // that is the skeleton's own edge list, so no edge is copied for it.
   std::vector<Hyperedge> accumulated(peeled.begin(), peeled.end());
-  if (stats != nullptr) *stats = ExtractStats();
+  ExtractStats stats;
   for (size_t i = 0; i < k_; ++i) {
     // A^i(G - F_1 - ... - F_{i-1}) = A^i(G) - sum_j A^i(F_j): layer i
     // decodes with the accumulated layers as its peel set. Layers must
     // decode sequentially (each peels its predecessors), but each decode's
     // per-round component summations use the pool.
-    ExtractStats layer_stats;
-    auto forest = layers_[i].ExtractSpanningGraph(
-        params_.threads, stats != nullptr ? &layer_stats : nullptr,
-        peeled.empty() ? skeleton.Edges() : accumulated);
-    if (!forest.ok()) return forest.status();
-    if (stats != nullptr) AccumulateExtractStats(layer_stats, stats);
+    QueryResult<Hypergraph> forest = layers_[i].Query(
+        params_.threads, peeled.empty() ? skeleton.Edges() : accumulated);
+    if (!forest.ok()) return QueryResult<Hypergraph>(forest.status());
+    AccumulateExtractStats(forest.stats(), &stats);
     if (i == 0 && peeled.empty()) {
-      skeleton = std::move(*forest);  // F_1's edges are distinct
+      skeleton = std::move(forest).value();  // F_1's edges are distinct
       continue;
     }
-    for (const auto& e : forest->Edges()) {
+    for (const auto& e : forest.value().Edges()) {
       if (skeleton.AddEdge(e) && !peeled.empty()) accumulated.push_back(e);
     }
   }
-  return skeleton;
-}
-
-QueryResult<Hypergraph> KSkeletonSketch::Query() const {
-  ExtractStats stats;
-  auto skeleton = Extract(&stats);
-  if (!skeleton.ok()) return QueryResult<Hypergraph>(skeleton.status());
-  return QueryResult<Hypergraph>(std::move(*skeleton), std::move(stats));
+  return QueryResult<Hypergraph>(std::move(skeleton), std::move(stats));
 }
 
 bool KSkeletonSketch::SnapshotDirty() const {

@@ -36,13 +36,10 @@ class KSkeletonSketch {
 
   void Update(const Hyperedge& e, int delta);
 
-  /// As Update with the codec index precomputed (all k layers share one
-  /// (n, max_rank) domain, so containers of skeleton sketches -- e.g. the
-  /// sparsifier's levels -- encode each update exactly once).
-  void UpdateEncoded(const Hyperedge& e, u128 index, int delta);
-
-  /// As UpdateEncoded with the coordinate fully prepared (fold + exponent
-  /// are shape-independent, so one preparation serves every layer).
+  /// As Update with the coordinate fully prepared by the caller (all k
+  /// layers share one (n, max_rank) domain and the preparation is
+  /// shape-independent, so containers of skeleton sketches -- e.g. the
+  /// sparsifier's levels -- encode and prepare each update exactly once).
   void UpdatePrepared(const Hyperedge& e, const PreparedCoord& pc, int delta);
 
   /// Batched ingestion: encodes each update once and shards the k
@@ -61,26 +58,20 @@ class KSkeletonSketch {
   }
 
   /// Linear subtraction of a known edge set from ALL layers, in place.
-  /// Queries never need this: Extract's `peeled` argument decodes the
+  /// Queries never need this: Query's `peeled` argument decodes the
   /// residual without touching the sketch.
   void RemoveHyperedges(const std::vector<Hyperedge>& edges);
 
-  /// Extract F_1 u ... u F_k where F_i spans G - F_1 - ... - F_{i-1}.
-  /// Layer i decodes G - F_1 - ... - F_{i-1} through its peeled
-  /// extraction (SpanningForestSketch::ExtractSpanningGraph's `peeled`),
-  /// so nothing is copied and the sketch is unchanged. A nonempty
-  /// `peeled` multiset is subtracted from every layer first: the skeleton
-  /// of G - peeled (the light-edge recovery of Theorem 15 peels its
-  /// recovered layers this way; those sets are deterministic functions of
-  /// the input graph). When `stats` is non-null it receives the
-  /// extraction-engine counters summed over the k layer decodes, in layer
-  /// order.
-  Result<Hypergraph> Extract(ExtractStats* stats = nullptr,
-                             std::span<const Hyperedge> peeled = {}) const;
-
-  /// The unified non-destructive query: the decoded skeleton plus the
-  /// extraction counters in one value (wraps Extract()).
-  QueryResult<Hypergraph> Query() const;
+  /// The non-destructive decode: F_1 u ... u F_k where F_i spans
+  /// G - F_1 - ... - F_{i-1}, plus the extraction-engine counters summed
+  /// over the k layer decodes, in layer order. Layer i decodes
+  /// G - F_1 - ... - F_{i-1} through its peeled Query
+  /// (SpanningForestSketch::Query's `peeled`), so nothing is copied and
+  /// the sketch is unchanged. A nonempty `peeled` multiset is subtracted
+  /// from every layer first: the skeleton of G - peeled (the light-edge
+  /// recovery of Theorem 15 peels its recovered layers this way; those
+  /// sets are deterministic functions of the input graph).
+  QueryResult<Hypergraph> Query(std::span<const Hyperedge> peeled = {}) const;
 
   /// Serving hook (src/serve/): true iff any layer's measurement state
   /// changed since construction / the last Clear().

@@ -112,6 +112,8 @@ struct SpanningForestSketch::PeelOverlay {
   // entries and stay sparse after the peel, CSR by active ordinal.
   std::vector<size_t> list_off;
   std::vector<SparseEntry> lists;
+  // True iff the peel pushes some still-sparse column past the threshold.
+  bool escalates = false;
 
   size_t Count(size_t ord) const { return off[ord + 1] - off[ord]; }
   std::span<const Entry> Of(size_t ord) const {
@@ -373,12 +375,7 @@ bool SpanningForestSketch::AbsorbUpdate(size_t ord, const PreparedCoord& pc,
 
 void SpanningForestSketch::Update(const Hyperedge& e, int delta) {
   GMS_CHECK_MSG(e.size() <= codec_.max_rank(), "hyperedge exceeds max_rank");
-  UpdateEncoded(e, codec_.Encode(e), delta);
-}
-
-void SpanningForestSketch::UpdateEncoded(const Hyperedge& e, u128 index,
-                                         int delta) {
-  UpdatePrepared(e, PrepareCoord(index), delta);
+  UpdatePrepared(e, PrepareCoord(codec_.Encode(e)), delta);
 }
 
 void SpanningForestSketch::UpdatePrepared(const Hyperedge& e,
@@ -620,27 +617,6 @@ bool SpanningForestSketch::SampleGroupEdge(int t, const uint64_t* src,
   return true;
 }
 
-Result<Hypergraph> SpanningForestSketch::ExtractSpanningGraph(
-    size_t threads, ExtractStats* stats,
-    std::span<const Hyperedge> peeled) const {
-  if (peeled.empty()) return ExtractImpl(threads, stats, /*incremental=*/true);
-  const PeelOverlay ov = MakePeelOverlay(peeled);
-  return ExtractImpl(threads, stats, /*incremental=*/true, &ov);
-}
-
-Result<Hypergraph> SpanningForestSketch::ExtractSpanningGraphReference(
-    size_t threads, ExtractStats* stats) const {
-  return ExtractImpl(threads, stats, /*incremental=*/false);
-}
-
-QueryResult<Hypergraph> SpanningForestSketch::Query(
-    size_t threads, std::span<const Hyperedge> peeled) const {
-  ExtractStats stats;
-  auto graph = ExtractSpanningGraph(threads, &stats, peeled);
-  if (!graph.ok()) return QueryResult<Hypergraph>(graph.status());
-  return QueryResult<Hypergraph>(std::move(*graph), std::move(stats));
-}
-
 bool SpanningForestSketch::SnapshotDirty() const {
   for (uint64_t w : dirty_) {
     if (w != 0) return true;
@@ -688,7 +664,11 @@ SpanningForestSketch::PeelOverlay SpanningForestSketch::MakePeelOverlay(
     std::vector<SparseEntry> merged;
     for (size_t ord = 0; ord < num_active_; ++ord) {
       ov.list_off[ord] = ov.lists.size();
-      if (ov.Count(ord) == 0 || ResidualEscalated(&ov, ord)) continue;
+      if (ov.Count(ord) == 0) continue;
+      if (ResidualEscalated(&ov, ord)) {
+        ov.escalates = ov.escalates || !Escalated(ord);
+        continue;
+      }
       merged = buffers_[ord];
       for (const PeelOverlay::Entry& entry : ov.Of(ord)) {
         SparseBufferAdd(&merged, entry.pc.index, entry.coeff);
@@ -833,35 +813,20 @@ void SpanningForestSketch::MarkIfCancels(std::span<const VertexId> e,
   }
 }
 
-Result<Hypergraph> SpanningForestSketch::ExtractSparseExact(
-    ExtractStats* stats) const {
-  GMS_CHECK_MSG(AllSparse(),
-                "ExtractSparseExact: an escalated column needs sampling");
-  if (stats != nullptr) {
-    *stats = ExtractStats();
-    stats->sparse_exact_forests = 1;
-  }
-  if (num_active_ <= 1) return Hypergraph(n_);
-  UnionFind uf(n_);
-  std::vector<Hyperedge> forest;
-  const uint64_t exact_edges = SparsePreRound(&uf, &forest);
-  if (stats != nullptr) stats->edges_found += exact_edges;
-  return Hypergraph::FromDistinctEdges(n_, std::move(forest));
-}
-
-Result<Hypergraph> SpanningForestSketch::ExtractImpl(
-    size_t threads, ExtractStats* stats, bool incremental,
-    const PeelOverlay* ov) const {
-  GMS_DCHECK(incremental || ov == nullptr);
+QueryResult<Hypergraph> SpanningForestSketch::Query(
+    size_t threads, std::span<const Hyperedge> peeled) const {
   if (threads == 0) threads = params_.threads;
-  UnionFind uf(n_);
-  std::vector<VertexId> active_vertices;
-  active_vertices.reserve(num_active_);
-  for (VertexId v = 0; v < n_; ++v) {
-    if (IsActive(v)) active_vertices.push_back(v);
+  std::optional<PeelOverlay> overlay;
+  if (!peeled.empty()) overlay.emplace(MakePeelOverlay(peeled));
+  const PeelOverlay* ov = overlay ? &*overlay : nullptr;
+  ExtractStats stats;
+  // An all-sparse residual is decoded by the exact pre-round alone.
+  const bool exact_only = AllSparse() && (ov == nullptr || !ov->escalates);
+  if (exact_only) stats.sparse_exact_forests = 1;
+  if (num_active_ <= 1) {
+    return QueryResult<Hypergraph>(Hypergraph(n_), std::move(stats));
   }
-  if (stats != nullptr) *stats = ExtractStats();
-  if (active_vertices.size() <= 1) return Hypergraph(n_);
+  UnionFind uf(n_);
   // The spanning graph's edges in the order they united components; every
   // one merged something, so they are distinct and the payload is built
   // once at the end.
@@ -870,29 +835,34 @@ Result<Hypergraph> SpanningForestSketch::ExtractImpl(
   // Hybrid exact pre-round: a sparse-phase vertex's buffer lists its net
   // incident hyperedges VERBATIM, so they feed Borůvka directly -- no
   // sampling, no decode attempts. Deterministic (vertices in active order,
-  // entries in key order) and shared by both decode paths, so the
-  // incremental-vs-reference stats stay identical. The incremental no-peel
-  // decode also records the entries that cancel inside their component;
-  // no accumulator replays those.
-  const bool hybrid = Hybrid();
+  // entries in key order), like the reference decoder's. A no-peel decode
+  // that goes on to the rounds also records the entries that cancel
+  // inside their component; no accumulator replays those.
   std::optional<CancelSet> cancel_set;
   CancelSet* cancel = nullptr;
-  if (hybrid) {
-    if (incremental && ov == nullptr && sparse_remaining_ > 0) {
+  if (Hybrid()) {
+    if (ov == nullptr && !exact_only && sparse_remaining_ > 0) {
       cancel = &cancel_set.emplace(buffers_);
     }
-    const uint64_t exact_edges = SparsePreRound(&uf, &forest, ov, cancel);
-    if (stats != nullptr) stats->edges_found += exact_edges;
+    stats.edges_found += SparsePreRound(&uf, &forest, ov, cancel);
+  }
+  if (exact_only) {
+    return QueryResult<Hypergraph>(
+        Hypergraph::FromDistinctEdges(n_, std::move(forest)),
+        std::move(stats));
+  }
+  std::vector<VertexId> active_vertices;
+  active_vertices.reserve(num_active_);
+  for (VertexId v = 0; v < n_; ++v) {
+    if (IsActive(v)) active_vertices.push_back(v);
   }
 
   // Blocks live in the calling thread's scratch; inner parallel phases
   // write disjoint blocks, and every phase boundary is a pool join, so the
   // sharing is race-free.
   ExtractScratch& es = TlsExtractScratch();
-  if (incremental) {
-    es.block_of.assign(n_, -1);
-    es.free_blocks.clear();
-  }
+  es.block_of.assign(n_, -1);
+  es.free_blocks.clear();
   int block_w0 = -1;   // materialized window [block_w0, block_w1)
   int block_w1 = -1;
   size_t block_words = 0;
@@ -927,10 +897,8 @@ Result<Hypergraph> SpanningForestSketch::ExtractImpl(
       comp[v] = dense[r];
       groups[static_cast<size_t>(dense[r])].push_back(v);
     }
-    if (stats != nullptr) {
-      stats->rounds_run = t + 1;
-      stats->groups_per_round.push_back(groups.size());
-    }
+    stats.rounds_run = t + 1;
+    stats.groups_per_round.push_back(groups.size());
     if (groups.size() <= 1) break;
 
     // Window refill: the first round of each window rebuilds every
@@ -938,7 +906,7 @@ Result<Hypergraph> SpanningForestSketch::ExtractImpl(
     // are contiguous per vertex, so the first member is one memcpy of the
     // whole window). This is the ONLY full re-sum; within the window,
     // blocks evolve purely through whole-block union merges.
-    if (incremental && t >= 1 && WindowStart(t) != block_w0) {
+    if (t >= 1 && WindowStart(t) != block_w0) {
       block_w0 = WindowStart(t);
       block_w1 = std::min(block_w0 + kAccWindowRounds, rounds_);
       block_words = static_cast<size_t>(block_w1 - block_w0) * state_words_;
@@ -983,59 +951,33 @@ Result<Hypergraph> SpanningForestSketch::ExtractImpl(
 
     // Sample one crossing hyperedge per component. Components are
     // independent read-only probes (singletons straight from the arena,
-    // multi-vertex components from their window block; the reference path
-    // re-sums instead), so they fan out across the pool. Shard boundaries
-    // are cache-line aligned on the byte-per-group output arrays.
+    // multi-vertex components from their window block), so they fan out
+    // across the pool. Shard boundaries are cache-line aligned on the
+    // byte-per-group output arrays.
     std::vector<Hyperedge> found(groups.size());
     std::vector<char> has_found(groups.size(), 0);
     round_saw_nonzero.store(false, std::memory_order_relaxed);
     ParallelForAligned(
         threads, groups.size(), /*grain=*/64, [&](size_t begin, size_t end) {
-          std::vector<uint64_t> acc;  // reference-path accumulator
+          std::vector<uint64_t> acc;  // round-t scratch accumulator
           uint64_t local_samples = 0, local_decodes = 0;
           RowTally local;
           bool local_nonzero = false;
           for (size_t g = begin; g < end; ++g) {
             const auto& group = groups[g];
             const uint64_t* src;
-            // The reference path stays fully dense (mask = ~0): it is the
-            // differential oracle that masked extraction must match.
-            uint64_t src_mask = ~uint64_t{0};
+            uint64_t src_mask;
             const size_t ord0 = static_cast<size_t>(state_index_[group[0]]);
-            if (group.size() == 1 && ov != nullptr && ov->Count(ord0) > 0 &&
-                ResidualEscalated(ov, ord0)) {
-              // A peeled singleton: its residual row (stored row or buffer
-              // replay, plus its overlay entries) is summed into this
-              // shard's scratch.
-              if (acc.empty()) acc.resize(state_words_);
-              std::memset(acc.data(), 0, state_words_ * sizeof(uint64_t));
-              uint64_t m = 0;
-              AddResidualRows(ov, cancel, ord0, t, t + 1, acc.data(), &m,
-                              &local);
-              src = acc.data();
-              src_mask = m;
-            } else if (group.size() == 1) {
+            if (group.size() == 1 &&
+                (ov == nullptr || ov->Count(ord0) == 0 ||
+                 !ResidualEscalated(ov, ord0))) {
               // A still-singleton sparse vertex has an empty effective
               // buffer (the pre-round united the endpoints of every
               // decodable buffered edge), so its zero arena column IS its
               // exact round-t measurement -- no replay needed here.
               src = ArenaAt(group[0], t);
-              if (incremental) src_mask = ColumnLevelMask(ord0, t);
-            } else if (incremental && t == 0) {
-              // The exact pre-round can unite components BEFORE the first
-              // round, but accumulator windows only start at round 1:
-              // accumulate round 0 on the fly.
-              if (acc.empty()) acc.resize(state_words_);
-              std::memset(acc.data(), 0, state_words_ * sizeof(uint64_t));
-              uint64_t m = 0;
-              for (VertexId member : group) {
-                AddResidualRows(ov, cancel,
-                                static_cast<size_t>(state_index_[member]), 0,
-                                1, acc.data(), &m, &local);
-              }
-              src = acc.data();
-              src_mask = m;
-            } else if (incremental) {
+              src_mask = ColumnLevelMask(ord0, t);
+            } else if (group.size() > 1 && t >= 1) {
               const int64_t b = es.block_of[group_root[g]];
               GMS_DCHECK(b >= 0);
               src = es.blocks.data() +
@@ -1045,26 +987,19 @@ Result<Hypergraph> SpanningForestSketch::ExtractImpl(
                   es.block_masks[static_cast<size_t>(b) * kAccWindowRounds +
                                  static_cast<size_t>(t - block_w0)];
             } else {
-              // Reference path: re-sum every member from scratch. Starting
-              // from an explicit zero block and field-adding EVERY member
-              // (instead of memcpy-ing the first) is bit-identical -- each
-              // cell op is exact with 0 as identity -- and lets sparse
-              // members replay their buffers like the incremental path.
+              // Summed into this shard's scratch: a peeled singleton's
+              // residual row (stored row or buffer replay, plus its overlay
+              // entries), or a round-0 component -- the exact pre-round can
+              // unite components BEFORE the first round, but accumulator
+              // windows only start at round 1.
               if (acc.empty()) acc.resize(state_words_);
               std::memset(acc.data(), 0, state_words_ * sizeof(uint64_t));
-              for (size_t i = 0; i < group.size(); ++i) {
-                const size_t ord = static_cast<size_t>(state_index_[group[i]]);
-                if (hybrid && !Escalated(ord)) {
-                  uint64_t scratch_mask = 0;
-                  ReplayEntries(buffers_[ord], t, t + 1, acc.data(),
-                                &scratch_mask);
-                  local.entries += buffers_[ord].size();
-                  continue;
-                }
-                L0AddRaw(*round_shapes_[static_cast<size_t>(t)], acc.data(),
-                         ColAt(ord, t));
+              src_mask = 0;
+              for (VertexId member : group) {
+                AddResidualRows(ov, cancel,
+                                static_cast<size_t>(state_index_[member]), t,
+                                t + 1, acc.data(), &src_mask, &local);
               }
-              local.words += group.size() * state_words_;
               src = acc.data();
             }
             L0SampleProbe probe;
@@ -1098,14 +1033,14 @@ Result<Hypergraph> SpanningForestSketch::ExtractImpl(
         ++merges;
       }
     }
-    if (stats != nullptr) stats->edges_found += merges;
+    stats.edges_found += merges;
     if (merges == 0) {
       if (!round_saw_nonzero.load(std::memory_order_relaxed)) {
         // Every remaining component's sketch is identically zero: the zero
         // measurement is zero in EVERY round's column, so later rounds
-        // cannot merge anything either. (Both decode paths share this
+        // cannot merge anything either. (The reference decoder shares this
         // rule, so their outputs stay bit-identical.)
-        if (stats != nullptr) stats->early_exit = true;
+        stats.early_exit = true;
         break;
       }
       continue;  // decode failures only; retry under fresh randomness
@@ -1116,7 +1051,7 @@ Result<Hypergraph> SpanningForestSketch::ExtractImpl(
     // field addition per part. Unchanged components keep their block and
     // cost nothing next round.
     const int tn = t + 1;
-    if (!incremental || tn >= rounds_) continue;
+    if (tn >= rounds_) continue;
     if (WindowStart(tn) != block_w0) continue;  // next round refills anyway
     // Bucket this round's groups by post-union root (dense[] is free for
     // reuse until the next round rebuilds it).
@@ -1209,14 +1144,13 @@ Result<Hypergraph> SpanningForestSketch::ExtractImpl(
           static_cast<int64_t>(set_block[j]);
     }
   }
-  if (stats != nullptr) {
-    stats->summed_words = summed_words.load(std::memory_order_relaxed);
-    stats->sparse_entries_replayed =
-        entries_replayed.load(std::memory_order_relaxed);
-    stats->sample_attempts = sample_attempts.load(std::memory_order_relaxed);
-    stats->decode_attempts = decode_attempts.load(std::memory_order_relaxed);
-  }
-  return Hypergraph::FromDistinctEdges(n_, std::move(forest));
+  stats.summed_words = summed_words.load(std::memory_order_relaxed);
+  stats.sparse_entries_replayed =
+      entries_replayed.load(std::memory_order_relaxed);
+  stats.sample_attempts = sample_attempts.load(std::memory_order_relaxed);
+  stats.decode_attempts = decode_attempts.load(std::memory_order_relaxed);
+  return QueryResult<Hypergraph>(
+      Hypergraph::FromDistinctEdges(n_, std::move(forest)), std::move(stats));
 }
 
 Status SpanningForestSketch::MergeFrom(const SpanningForestSketch& other) {

@@ -29,6 +29,7 @@
 
 namespace gms {
 
+class SpanningForestSketch;
 class UnionFind;
 
 /// Instrumentation from one spanning-graph extraction (or, accumulated, a
@@ -56,9 +57,9 @@ struct ExtractStats {
   uint64_t decode_attempts = 0;
   /// Crossing hyperedges accepted into the spanning graph.
   uint64_t edges_found = 0;
-  /// Forests answered by the sparse-exact fast path (ExtractSparseExact):
-  /// every column still in the hybrid sparse phase, so the exact pre-round
-  /// IS the whole extraction and the Borůvka rounds were skipped entirely.
+  /// Forests answered by the all-sparse exit of Query: every column still
+  /// in the hybrid sparse phase, so the exact pre-round IS the whole
+  /// extraction and the Borůvka rounds were skipped entirely.
   uint64_t sparse_exact_forests = 0;
   /// Component-group count per executed round.
   std::vector<uint64_t> groups_per_round;
@@ -114,7 +115,7 @@ struct ForestSketchParams {
   /// Borůvka rounds; 0 means ceil(log2 n) + config.extra_boruvka_rounds.
   int rounds = 0;
   /// Worker threads for batched Process (sharding the Borůvka rounds) and
-  /// for the per-round component summation in ExtractSpanningGraph (see
+  /// for the per-round component summation in Query (see
   /// util/parallel.h). Local execution policy: never on the wire, and
   /// outputs are bit-identical for every setting.
   size_t threads = 1;
@@ -191,6 +192,12 @@ Result<size_t> SkimForestCellSection(std::span<const uint8_t> bytes,
                                      uint64_t num_active, uint64_t rounds,
                                      uint64_t state_words, uint32_t threshold);
 
+namespace testkit {
+// The re-summing reference decoder (testkit/forest_reference.h).
+QueryResult<Hypergraph> ExtractSpanningGraphReference(
+    const SpanningForestSketch& sketch, size_t threads);
+}  // namespace testkit
+
 class SpanningForestSketch {
  public:
   using Params = ForestSketchParams;
@@ -239,14 +246,10 @@ class SpanningForestSketch {
   /// CHECK-fails if any endpoint is inactive (callers filter first).
   void Update(const Hyperedge& e, int delta);
 
-  /// As Update, with codec().Encode(e) precomputed by the caller. Containers
-  /// holding many sketches over the same (n, max_rank) domain encode each
-  /// stream update once and fan it out to every sketch with this.
-  void UpdateEncoded(const Hyperedge& e, u128 index, int delta);
-
-  /// As UpdateEncoded with the coordinate fully prepared (folded + exponent
-  /// reduced). The preparation is shape-independent, so containers fanning
-  /// one update out to many sketches prepare once for all of them.
+  /// As Update with the coordinate fully prepared by the caller
+  /// (PrepareCoord(codec().Encode(e))). The preparation is
+  /// shape-independent, so containers fanning one update out to many
+  /// sketches encode and prepare once for all of them.
   void UpdatePrepared(const Hyperedge& e, const PreparedCoord& pc, int delta);
 
   /// Batched ingestion: encodes each update once, then shards the Borůvka
@@ -297,10 +300,28 @@ class SpanningForestSketch {
   /// without touching the sketch.
   void RemoveHyperedges(const std::vector<Hyperedge>& edges);
 
-  /// Decode a spanning graph of the sketched hypergraph, restricted to
-  /// active vertices. The result has the same connected components as the
-  /// input whp; per-round sampling failures are tolerated (extra rounds
-  /// absorb them) and surface only as a disconnected-looking result.
+  /// True iff every active vertex is still in the hybrid sparse-exact
+  /// phase (no column escalated). The arena is then identically zero and
+  /// the buffers carry the WHOLE measurement exactly.
+  bool AllSparse() const {
+    return Hybrid() && sparse_remaining_ == num_active_;
+  }
+
+  /// The non-destructive decode: a spanning graph of the sketched
+  /// hypergraph, restricted to active vertices, plus the extraction
+  /// counters. The result has the same connected components as the input
+  /// whp; per-round sampling failures are tolerated (extra rounds absorb
+  /// them) and surface only as a disconnected-looking result.
+  ///
+  /// Hybrid exact pre-round: a sparse column's buffer lists its net
+  /// incident hyperedges verbatim, so they feed Borůvka before any
+  /// sampling round. When every column is sparse -- AllSparse() and no
+  /// column escalated by `peeled` -- the decode stops right there (stats:
+  /// sparse_exact_forests = 1, rounds_run = 0): a net-nonzero hyperedge is
+  /// buffered at EVERY endpoint, so the pre-round's components are the
+  /// true connected components and each component's summed round sketch
+  /// is identically zero -- the rounds could not add an edge (DESIGN.md
+  /// Section 12).
   ///
   /// Incremental decode: by linearity a component's sketch is the SUM of
   /// its members' sketches, and that sum evolves only when UnionFind unites
@@ -319,7 +340,9 @@ class SpanningForestSketch {
   /// endpoints sparse and active, every one holding the key, the held
   /// values summing to exactly zero. Those endpoints share a component from
   /// then on, so the entries add zero to it in every round and no
-  /// accumulator replays them (DESIGN.md Section 10).
+  /// accumulator replays them (DESIGN.md Section 10). The re-summing
+  /// reference decoder is the testkit oracle
+  /// (testkit/forest_reference.h).
   ///
   /// Peeled decode: a nonempty `peeled` multiset decodes the spanning graph
   /// of G - peeled, i.e. of the sketch after RemoveHyperedges(peeled),
@@ -330,38 +353,6 @@ class SpanningForestSketch {
   /// left it in. The result and every decision counter equal those of
   /// decoding a RemoveHyperedges'd copy (only summed_words may differ).
   /// Every endpoint of a peeled edge must be active.
-  Result<Hypergraph> ExtractSpanningGraph(
-      size_t threads = 0, ExtractStats* stats = nullptr,
-      std::span<const Hyperedge> peeled = {}) const;
-
-  /// True iff every active vertex is still in the hybrid sparse-exact
-  /// phase (no column escalated). The arena is then identically zero and
-  /// the buffers carry the WHOLE measurement exactly -- which makes the
-  /// sparse-exact extraction below valid.
-  bool AllSparse() const {
-    return Hybrid() && sparse_remaining_ == num_active_;
-  }
-
-  /// Exact extraction for an all-sparse sketch: run ONLY the hybrid exact
-  /// pre-round (buffers fed to Borůvka verbatim) and skip every sampling
-  /// round. Bit-identical to ExtractSpanningGraph, because on an
-  /// all-sparse sketch the pre-round already decides everything: a
-  /// net-nonzero hyperedge is buffered at EVERY endpoint (per-endpoint
-  /// cancellation is coefficient-consistent), so the pre-round's
-  /// components are the true connected components, no crossing hyperedge
-  /// survives it, and each component's summed round sketch is identically
-  /// zero (incidence coefficients cancel within a component) -- the
-  /// skipped rounds could not have added an edge. CHECK-fails unless
-  /// AllSparse(); stats report the skip via sparse_exact_forests = 1 with
-  /// zero rounds_run / sample_attempts. Containers decoding R subsample
-  /// forests take this path per all-sparse forest (the common case under
-  /// aggressive subsampling), skipping whole extraction loops.
-  Result<Hypergraph> ExtractSparseExact(ExtractStats* stats = nullptr) const;
-
-  /// The unified non-destructive query: the decoded spanning graph plus the
-  /// extraction counters in one value (a thin wrapper over
-  /// ExtractSpanningGraph; same determinism and thread-count guarantees,
-  /// same `peeled` semantics).
   QueryResult<Hypergraph> Query(size_t threads = 0,
                                 std::span<const Hyperedge> peeled = {}) const;
 
@@ -373,15 +364,6 @@ class SpanningForestSketch {
   /// SPARSE delta reports clean -- either way, a clean delta's merge
   /// cannot change any extraction, which is what cache validity needs.
   bool SnapshotDirty() const;
-
-  /// The retained reference decoder: re-sums every component from its
-  /// members' arena rows each round (the pre-incremental algorithm), with
-  /// the same sampling, validation, union order, and early-exit rule.
-  /// Produces a bit-identical Hypergraph to ExtractSpanningGraph (the
-  /// extraction differential suite asserts this); kept as the oracle for
-  /// the incremental path and for the bench's old-vs-new row.
-  Result<Hypergraph> ExtractSpanningGraphReference(
-      size_t threads = 0, ExtractStats* stats = nullptr) const;
 
   /// True iff the other sketch carries bit-identical per-vertex state
   /// (same n, rounds, and measurement values; for the determinism suite).
@@ -449,6 +431,9 @@ class SpanningForestSketch {
   const EdgeCodec& codec() const { return codec_; }
 
  private:
+  friend QueryResult<Hypergraph> testkit::ExtractSpanningGraphReference(
+      const SpanningForestSketch& sketch, size_t threads);
+
   /// Shares every shape/index member with `other` but allocates a fresh
   /// zero arena and clean dirty bitmap (see CloneEmpty).
   SpanningForestSketch(const SpanningForestSketch& other, CloneEmptyTag);
@@ -559,14 +544,8 @@ class SpanningForestSketch {
     }
   }
 
-  /// Shared Borůvka driver: incremental or reference accumulation. `ov`
-  /// (incremental only) decodes the residual G - peeled.
-  Result<Hypergraph> ExtractImpl(size_t threads, ExtractStats* stats,
-                                 bool incremental,
-                                 const PeelOverlay* ov = nullptr) const;
-
-  /// The hybrid exact pre-round shared by ExtractImpl and
-  /// ExtractSparseExact: feed every (residual-)sparse vertex's buffered
+  /// The hybrid exact pre-round of Query and of the testkit reference
+  /// decoder: feed every (residual-)sparse vertex's buffered
   /// hyperedges into the union-find verbatim (active-vertex order, key
   /// order), appending each merging edge to *forest. A non-null `cancel`
   /// (no peel only) is filled with the entries whose copies sum to zero

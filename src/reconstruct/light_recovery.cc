@@ -23,12 +23,12 @@ Result<LightRecoveryResult> LightRecoverySketch::Recover(
   // At most n nonempty layers (each removal splits components; Section
   // 4.2.1), so cap the loop there.
   for (size_t iter = 0; iter < n_ + 1; ++iter) {
-    auto skeleton = skeleton_.Extract(/*stats=*/nullptr, peeled);
+    QueryResult<Hypergraph> skeleton = skeleton_.Query(peeled);
     if (!skeleton.ok()) return skeleton.status();
-    if (skeleton->NumEdges() == 0) return out;  // residual empty: done
+    if (skeleton.value().NumEdges() == 0) return out;  // residual empty: done
     // E_i = light edges of the residual, read off the skeleton (Lemma 12);
     // LightLayer uses the Gomory-Hu fast path on 2-uniform skeletons.
-    std::vector<Hyperedge> layer = LightLayer(*skeleton, k_);
+    std::vector<Hyperedge> layer = LightLayer(skeleton.value(), k_);
     if (layer.empty()) {
       // Residual is entirely (k+1)-heavy: light_k fully recovered, but the
       // graph itself has more edges than the sketch can reconstruct.

@@ -51,12 +51,8 @@ class LightRecoverySketch {
   const KSkeletonSketch& skeleton() const { return skeleton_; }
 
   void Update(const Hyperedge& e, int delta) { skeleton_.Update(e, delta); }
-  /// As Update with the codec index precomputed by the caller (the
+  /// As Update with the coordinate fully prepared by the caller (the
   /// sparsifier's levels all share one (n, max_rank) domain).
-  void UpdateEncoded(const Hyperedge& e, u128 index, int delta) {
-    skeleton_.UpdateEncoded(e, index, delta);
-  }
-  /// As UpdateEncoded with the coordinate fully prepared by the caller.
   void UpdatePrepared(const Hyperedge& e, const PreparedCoord& pc, int delta) {
     skeleton_.UpdatePrepared(e, pc, delta);
   }
@@ -66,7 +62,7 @@ class LightRecoverySketch {
   void Process(const DynamicStream& stream) { skeleton_.Process(stream); }
 
   /// Run the peeling. Each iteration extracts the skeleton with every
-  /// layer recovered so far as its peel set (KSkeletonSketch::Extract's
+  /// layer recovered so far as its peel set (KSkeletonSketch::Query's
   /// `peeled`), so no skeleton is copied and the sketch is unchanged.
   Result<LightRecoveryResult> Recover() const;
 

@@ -139,12 +139,6 @@ void SketchServer::Ingest(std::span<const StreamUpdate> updates) {
   }
 }
 
-void SketchServer::IngestIndependent(std::span<const StreamUpdate> updates) {
-  forest_->Process(updates);
-  if (vc_) vc_->Process(updates);
-  if (skeleton_) skeleton_->Process(updates);
-}
-
 void SketchServer::Ingest(const DynamicStream& stream) {
   Ingest(std::span<const StreamUpdate>(stream.updates()));
 }

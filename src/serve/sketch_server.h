@@ -164,10 +164,6 @@ class SketchServer {
   /// Process on the same chunks.
   void Ingest(std::span<const StreamUpdate> updates);
   void Ingest(const DynamicStream& stream);
-  /// The pre-plane baseline: each engine re-encodes the updates itself.
-  /// Kept as the comparison target for the determinism suite and the
-  /// prepare_once bench rows; answers are byte-identical to Ingest.
-  void IngestIndependent(std::span<const StreamUpdate> updates);
   /// Ingest thread only: force an epoch boundary on every engine.
   void AdvanceEpoch();
   /// Ingest thread only: quiesce -- afterwards answers cover every update.

@@ -20,11 +20,11 @@
 //     [0,256)): one table load per base-256 digit of e up to its top
 //     nonzero one (3 for a rank-2 key at n = 2^12) instead of a
 //     ~60-multiply FpPow. The binary-exponentiation path survives as
-//     FingerprintPowerRef for differential testing. A basis can be SHARED
-//     by many shapes (the L0 sampler shares one across its ~log(domain)
-//     levels) -- soundness only needs the per-cell fingerprint collision
-//     bound, which is a union bound and does not require independent z
-//     per level.
+//     testkit::FingerprintPowerRef for differential testing. A basis can
+//     be SHARED by many shapes (the L0 sampler shares one across its
+//     ~log(domain) levels) -- soundness only needs the per-cell
+//     fingerprint collision bound, which is a union bound and does not
+//     require independent z per level.
 //   * Bucket choice is division-free (Lemire multiply-shift, FieldToBucket)
 //     and each 128-bit key is folded to field halves ONCE per update
 //     (FoldedKey / PreparedCoord), shared across all row hashes and the
@@ -141,12 +141,6 @@ class FingerprintBasis {
                   static_cast<size_t>(digit)];
   }
 
-  /// Reference power by full binary exponentiation (the old kernel, with
-  /// its hardware `%`). Differential tests assert PowerFromExp matches.
-  uint64_t PowerRef(u128 index) const {
-    return FpPow(z_, static_cast<uint64_t>(index % (kMersenne61 - 1)));
-  }
-
  private:
   uint64_t z_;
   std::array<uint64_t, static_cast<size_t>(kWindows) * kDigits>
@@ -209,14 +203,6 @@ class SSparseShape {
     return row_hash_[static_cast<size_t>(r)];
   }
 
-  /// Reference bucket via the pre-table kernel's hardware `%` reduction.
-  /// NOT the bucket the sketch uses -- kept for the old-vs-new kernel bench
-  /// and distribution tests.
-  int BucketRef(int row, u128 index) const {
-    return static_cast<int>(row_hash_[static_cast<size_t>(row)].Eval(index) %
-                            static_cast<uint64_t>(buckets_));
-  }
-
   /// z^(index mod p-1): the fingerprint basis value for a coordinate.
   uint64_t FingerprintPower(u128 index) const {
     return basis_->PowerFromExp(FpReduceExp(index));
@@ -225,11 +211,6 @@ class SSparseShape {
   /// As FingerprintPower with the exponent reduced once by the caller.
   uint64_t FingerprintPowerFromExp(uint64_t e) const {
     return basis_->PowerFromExp(e);
-  }
-
-  /// Reference fingerprint power by full binary exponentiation.
-  uint64_t FingerprintPowerRef(u128 index) const {
-    return basis_->PowerRef(index);
   }
 
  private:

@@ -101,8 +101,7 @@ void HypergraphSparsifierSketch::Process(const DynamicStream& stream) {
   Process(std::span<const StreamUpdate>(stream.updates()));
 }
 
-Result<SparsifierOutput> HypergraphSparsifierSketch::ExtractSparsifier()
-    const {
+QueryResult<SparsifierOutput> HypergraphSparsifierSketch::Query() const {
   SparsifierOutput out;
   // Edges already claimed by earlier levels, with their sampling depths so
   // deeper levels subtract only what they ingested.
@@ -116,7 +115,9 @@ Result<SparsifierOutput> HypergraphSparsifierSketch::ExtractSparsifier()
     // Recover(pre_subtract) peels the claimed edges through the same
     // per-extraction overlay as its recovered layers; nothing is copied.
     auto recovered = level_sketches_[i].Recover(to_subtract);
-    if (!recovered.ok()) return recovered.status();
+    if (!recovered.ok()) {
+      return QueryResult<SparsifierOutput>(recovered.status());
+    }
     const auto& f_i = recovered->light.Edges();
     out.level_sizes.push_back(f_i.size());
     for (const auto& e : f_i) {
@@ -131,7 +132,7 @@ Result<SparsifierOutput> HypergraphSparsifierSketch::ExtractSparsifier()
       out.truncated = true;
     }
   }
-  return out;
+  return QueryResult<SparsifierOutput>(std::move(out));
 }
 
 Status HypergraphSparsifierSketch::MergeFrom(
@@ -156,12 +157,6 @@ Status HypergraphSparsifierSketch::MergeFrom(
     GMS_RETURN_IF_ERROR(level_sketches_[i].MergeFrom(other.level_sketches_[i]));
   }
   return Status::OK();
-}
-
-QueryResult<SparsifierOutput> HypergraphSparsifierSketch::Query() const {
-  auto out = ExtractSparsifier();
-  if (!out.ok()) return QueryResult<SparsifierOutput>(out.status());
-  return QueryResult<SparsifierOutput>(std::move(*out));
 }
 
 bool HypergraphSparsifierSketch::SnapshotDirty() const {

@@ -128,13 +128,10 @@ class HypergraphSparsifierSketch {
   void Process(std::span<const StreamUpdate> updates);
   void Process(const DynamicStream& stream);
 
-  /// Run the per-level light-edge recoveries and assemble sum_i 2^i F_i.
-  Result<SparsifierOutput> ExtractSparsifier() const;
-
-  /// The unified non-destructive query: the assembled sparsifier plus
-  /// (currently empty) extraction counters in one value. The per-level
-  /// peelings run their own extraction loops, so only success/failure is
-  /// reported -- the stats payload exists for surface uniformity.
+  /// The non-destructive decode: run the per-level light-edge recoveries
+  /// and assemble sum_i 2^i F_i. The per-level peelings run their own
+  /// extraction loops, so only success/failure is reported -- the (empty)
+  /// stats payload exists for surface uniformity.
   QueryResult<SparsifierOutput> Query() const;
 
   /// Serving hook (src/serve/): true iff any level row's measurement state

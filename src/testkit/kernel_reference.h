@@ -1,12 +1,14 @@
-// Reference evaluations of the per-key update arithmetic, as the kernel
-// computed it before the short-exponent and one-multiply rewrites: every
-// polynomial hash by textbook Horner from zero with the high-half mixer
-// product always taken, and every fingerprint power as the product of all
-// 8 table windows. The differential tests hold the production paths
-// (PolyHash::EvalFolded, FingerprintBasis::PowerFromExp, L0Shape::Resolve)
-// to these bit for bit, and bench_throughput's kernel section times them
-// against each other. Header-only and inline, like the paths they check,
-// so a timing compares arithmetic, not call overhead.
+// Reference evaluations of the per-key update arithmetic. Two generations:
+// the pre-table kernel (fingerprint powers by binary exponentiation, row
+// buckets by a hardware `%`), and the table kernel as it stood before the
+// short-exponent and one-multiply rewrites (every polynomial hash by
+// textbook Horner from zero with the high-half mixer product always
+// taken, every fingerprint power as the product of all 8 table windows).
+// The differential tests hold the production paths (PolyHash::EvalFolded,
+// FingerprintBasis::PowerFromExp, L0Shape::Resolve) to these bit for bit,
+// and the benches' kernel sections time them against each other.
+// Header-only and inline, like the paths they check, so a timing compares
+// arithmetic, not call overhead.
 #ifndef GMS_TESTKIT_KERNEL_REFERENCE_H_
 #define GMS_TESTKIT_KERNEL_REFERENCE_H_
 
@@ -19,6 +21,24 @@
 #include "util/random.h"
 
 namespace gms::testkit {
+
+/// z^(index mod p-1) by full binary exponentiation (the pre-table kernel).
+inline uint64_t PowerRef(const FingerprintBasis& basis, u128 index) {
+  return FpPow(basis.z(), static_cast<uint64_t>(index % (kMersenne61 - 1)));
+}
+
+/// PowerRef against a shape's fingerprint basis.
+inline uint64_t FingerprintPowerRef(const SSparseShape& shape, u128 index) {
+  return PowerRef(shape.basis(), index);
+}
+
+/// Row r's bucket by the pre-table kernel's hardware `%` reduction. NOT
+/// the bucket the sketch uses (that is the Lemire multiply-shift); the
+/// distribution tests compare the two.
+inline int BucketRef(const SSparseShape& shape, int row, u128 index) {
+  return static_cast<int>(shape.row_hash(row).Eval(index) %
+                          static_cast<uint64_t>(shape.buckets()));
+}
 
 /// h(k) by Horner from acc = 0 over every coefficient, x = lo + hi * mixer.
 inline uint64_t PolyHashRef(const PolyHash& h, FoldedKey k) {

@@ -7,7 +7,7 @@
 
 #include "apps/approx_min_cut.h"
 #include "apps/two_edge_connect.h"
-#include "connectivity/connectivity_query.h"
+#include "connectivity/spanning_forest_sketch.h"
 #include "exact/hypergraph_mincut.h"
 #include "serve/sketch_server.h"
 #include "exact/strength.h"
@@ -176,24 +176,25 @@ OracleOutcome RunOracleOnStream(OracleKind kind, size_t n, size_t max_rank,
 
   switch (kind) {
     case OracleKind::kComponents: {
-      ConnectivityQuery q(n, max_rank, sketch_seed);
-      for (const StreamUpdate& u : span) q.Update(u.edge, u.delta);
-      auto got = q.NumComponents();
-      if (!got.ok()) return DecodeFailed(got.status());
+      SpanningForestSketch sketch(n, max_rank, sketch_seed);
+      for (const StreamUpdate& u : span) sketch.Update(u.edge, u.delta);
+      auto spanning = sketch.Query();
+      if (!spanning.ok()) return DecodeFailed(spanning.status());
+      const size_t got = NumComponents(spanning.value());
       size_t want = NumComponents(truth);
-      if (*got != want) {
-        return Disagree("components: sketch=" + std::to_string(*got) +
+      if (got != want) {
+        return Disagree("components: sketch=" + std::to_string(got) +
                         " exact=" + std::to_string(want));
       }
       return OracleOutcome();
     }
 
     case OracleKind::kSpanningNoGhost: {
-      ConnectivityQuery q(n, max_rank, sketch_seed);
-      for (const StreamUpdate& u : span) q.Update(u.edge, u.delta);
-      auto span_graph = q.SpanningGraph();
+      SpanningForestSketch sketch(n, max_rank, sketch_seed);
+      for (const StreamUpdate& u : span) sketch.Update(u.edge, u.delta);
+      auto span_graph = sketch.Query();
       if (!span_graph.ok()) return DecodeFailed(span_graph.status());
-      for (const Hyperedge& e : span_graph->Edges()) {
+      for (const Hyperedge& e : span_graph.value().Edges()) {
         if (!truth.HasEdge(e)) {
           return Disagree("spanning_no_ghost: ghost edge " + e.ToString());
         }
@@ -202,17 +203,20 @@ OracleOutcome RunOracleOnStream(OracleKind kind, size_t n, size_t max_rank,
     }
 
     case OracleKind::kEdgeConnectivity: {
-      EdgeConnectivityQuery q(n, max_rank, opt.k, sketch_seed);
-      for (const StreamUpdate& u : span) q.Update(u.edge, u.delta);
-      auto got = q.EdgeConnectivityCapped();
-      if (!got.ok()) return DecodeFailed(got.status());
+      // One Update at a time: the serial ingest path stays under an oracle
+      // (kApproxMinCut feeds the same app through Process).
+      apps::ApproxMinCut app(n, max_rank, opt.k, sketch_seed);
+      for (const StreamUpdate& u : span) app.Update(u.edge, u.delta);
+      auto cut = app.Query();
+      if (!cut.ok()) return DecodeFailed(cut.status());
+      const size_t got = cut.value().value;
       size_t exact = 0;
       if (truth.NumVertices() >= 2 && IsConnected(truth)) {
         exact = static_cast<size_t>(HypergraphMinCut(truth).value + 0.5);
       }
       size_t want = std::min(exact, opt.k);
-      if (*got != want) {
-        return Disagree("edge_connectivity: sketch=" + std::to_string(*got) +
+      if (got != want) {
+        return Disagree("edge_connectivity: sketch=" + std::to_string(got) +
                         " exact=" + std::to_string(want));
       }
       return OracleOutcome();
@@ -286,14 +290,14 @@ OracleOutcome RunOracleOnStream(OracleKind kind, size_t n, size_t max_rank,
       params.k = opt.sparsifier_k;
       HypergraphSparsifierSketch sketch(n, max_rank, params, sketch_seed);
       sketch.Process(span);
-      auto out = sketch.ExtractSparsifier();
+      auto out = sketch.Query();
       if (!out.ok()) return DecodeFailed(out.status());
-      if (out->truncated) {
+      if (out.value().truncated) {
         return DecodeFailed(Status::DecodeFailure(
             "sparsifier: deepest level still held heavy edges"));
       }
       SparsifierReport report = VerifySparsifier(
-          truth, out->sparsifier, opt.verify_epsilon,
+          truth, out.value().sparsifier, opt.verify_epsilon,
           /*exhaustive_threshold=*/16, /*samples=*/400, /*seed=*/sketch_seed);
       if (!report.within_epsilon) {
         char buf[128];

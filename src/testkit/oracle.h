@@ -6,10 +6,12 @@
 // happens to work".
 //
 // Oracle matrix (sketch side vs exact side, both over the SAME final graph):
-//   kComponents        ConnectivityQuery            NumComponents (BFS)
-//   kSpanningNoGhost   SpanningGraph() edges        subset-of-input check
-//   kEdgeConnectivity  EdgeConnectivityQuery        HypergraphMinCut
-//                                                   (Queyranne/Klimmek-Wagner)
+//   kComponents        SpanningForestSketch         NumComponents (BFS)
+//                      Query() components
+//   kSpanningNoGhost   SpanningForestSketch         subset-of-input check
+//                      Query() edges
+//   kEdgeConnectivity  apps::ApproxMinCut fed one   HypergraphMinCut
+//                      Update at a time             (Queyranne/Klimmek-Wagner)
 //   kLightRecovery     LightRecoverySketch          OfflineLightEdges
 //   kVcQuery           VcQuerySketch (graphs only)  IsConnectedExcluding
 //                                                   (Even-Tarjan semantics)

@@ -2,10 +2,10 @@
 //
 // Production queries decode G - F (a spanning graph of the sketched graph
 // with a known edge multiset F linearly removed) through a per-call overlay
-// on the const sketch (SpanningForestSketch::ExtractSpanningGraph's
-// `peeled`). These are the versions that overlay replaced, kept verbatim
-// as differential oracles for tests and benches (nothing in the library
-// calls them): copy the sketch, RemoveHyperedges(F) on the copy, decode.
+// on the const sketch (SpanningForestSketch::Query's `peeled`). These are
+// the versions that overlay replaced, kept verbatim as differential
+// oracles for tests and benches (nothing in the library calls them): copy
+// the sketch, RemoveHyperedges(F) on the copy, decode.
 // The peeled path must return the same Hypergraph and the same rounds_run,
 // sample_attempts, decode_attempts and edges_found; only summed_words (the
 // work the path did) may differ.

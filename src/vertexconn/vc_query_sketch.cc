@@ -219,19 +219,15 @@ SubsampledForestUnion::DecodeForests(ExtractStats* stats) const {
   ParallelFor(threads_, sketches_.size(),
               [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
-      // All-sparse forests decode exactly from their buffers alone --
-      // skip the whole Borůvka loop (stats count the skip).
-      auto forest =
-          sketches_[i].AllSparse()
-              ? sketches_[i].ExtractSparseExact(
-                    stats != nullptr ? &per_sketch[i] : nullptr)
-              : sketches_[i].ExtractSpanningGraph(
-                    /*threads=*/1, stats != nullptr ? &per_sketch[i] : nullptr);
+      // All-sparse forests (the common case under aggressive subsampling)
+      // stop after Query's exact pre-round; stats count the skip.
+      QueryResult<Hypergraph> forest = sketches_[i].Query(/*threads=*/1);
       if (!forest.ok()) {
         status[i] = forest.status();
         continue;
       }
-      forest_edges[i] = forest->Edges();
+      if (stats != nullptr) per_sketch[i] = forest.stats();
+      forest_edges[i] = forest.value().Edges();
     }
   });
   for (const Status& st : status) {

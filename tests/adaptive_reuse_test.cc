@@ -32,9 +32,9 @@ Hypergraph AdaptivePeel(const Graph& g, size_t layers, uint64_t seed) {
   sketch.Process(DynamicStream::InsertOnly(g, seed + 1));
   Hypergraph recovered(g.NumVertices());
   for (size_t i = 0; i < layers; ++i) {
-    auto span = sketch.ExtractSpanningGraph();
-    if (!span.ok() || span->NumEdges() == 0) break;
-    std::vector<Hyperedge> layer = span->Edges();
+    auto span = sketch.Query();
+    if (!span.ok() || span.value().NumEdges() == 0) break;
+    std::vector<Hyperedge> layer = span.value().Edges();
     sketch.RemoveHyperedges(layer);
     for (const auto& e : layer) recovered.AddEdge(e);
   }
@@ -61,10 +61,10 @@ TEST(AdaptiveReuseTest, IndependentSketchesCarryTheGuarantee) {
   for (uint64_t seed = 0; seed < 3; ++seed) {
     KSkeletonSketch sketch(16, 2, 15, 88 + seed);
     sketch.Process(DynamicStream::InsertOnly(g, 9 + seed));
-    auto skel = sketch.Extract();
+    auto skel = sketch.Query();
     ASSERT_TRUE(skel.ok());
-    EXPECT_EQ(skel->NumEdges(), g.NumEdges());
-    for (const auto& e : skel->Edges()) {
+    EXPECT_EQ(skel.value().NumEdges(), g.NumEdges());
+    for (const auto& e : skel.value().Edges()) {
       EXPECT_TRUE(g.HasEdge(e.AsEdge()));
     }
   }
@@ -75,10 +75,10 @@ TEST(AdaptiveReuseTest, FirstExtractionIsAlwaysSound) {
   Graph g = CompleteGraph(16);
   SpanningForestSketch sketch(16, 2, 99);
   sketch.Process(DynamicStream::InsertOnly(g, 10));
-  auto span = sketch.ExtractSpanningGraph();
+  auto span = sketch.Query();
   ASSERT_TRUE(span.ok());
-  EXPECT_TRUE(IsConnected(*span));
-  for (const auto& e : span->Edges()) EXPECT_TRUE(g.HasEdge(e.AsEdge()));
+  EXPECT_TRUE(IsConnected(span.value()));
+  for (const auto& e : span.value().Edges()) EXPECT_TRUE(g.HasEdge(e.AsEdge()));
 }
 
 TEST(AdaptiveReuseTest, ExtractionIsDeterministic) {
@@ -90,11 +90,11 @@ TEST(AdaptiveReuseTest, ExtractionIsDeterministic) {
   Graph g = ErdosRenyi(20, 0.3, 3);
   SpanningForestSketch sketch(20, 2, 111);
   sketch.Process(DynamicStream::InsertOnly(g, 4));
-  auto a = sketch.ExtractSpanningGraph();
-  auto b = sketch.ExtractSpanningGraph();
+  auto a = sketch.Query();
+  auto b = sketch.Query();
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  EXPECT_TRUE(*a == *b);
+  EXPECT_TRUE(a.value() == b.value());
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 // affordable -- proving the Paper() path is not dead code.
 #include <gtest/gtest.h>
 
-#include "connectivity/connectivity_query.h"
+#include "connectivity/spanning_forest_sketch.h"
 #include "graph/generators.h"
 #include "graph/traversal.h"
 #include "reconstruct/light_recovery.h"
@@ -16,35 +16,35 @@ namespace {
 TEST(BoundaryTest, TwoVertexGraph) {
   SpanningForestSketch sketch(2, 2, 1);
   sketch.Update(Hyperedge{0, 1}, +1);
-  auto span = sketch.ExtractSpanningGraph();
+  auto span = sketch.Query();
   ASSERT_TRUE(span.ok());
-  EXPECT_EQ(span->NumEdges(), 1u);
-  EXPECT_TRUE(IsConnected(*span));
+  EXPECT_EQ(span.value().NumEdges(), 1u);
+  EXPECT_TRUE(IsConnected(span.value()));
 }
 
 TEST(BoundaryTest, EmptySketches) {
   // (n >= 2 is the documented contract: a 1-vertex graph has an empty
   // coordinate domain.)
   SpanningForestSketch two(2, 2, 2);
-  auto span = two.ExtractSpanningGraph();
+  auto span = two.Query();
   ASSERT_TRUE(span.ok());
-  EXPECT_EQ(span->NumEdges(), 0u);
-  ConnectivityQuery q(3, 2, 3);
-  auto comps = q.NumComponents();
+  EXPECT_EQ(span.value().NumEdges(), 0u);
+  SpanningForestSketch q(3, 2, 3);
+  auto comps = q.Query();
   ASSERT_TRUE(comps.ok());
-  EXPECT_EQ(*comps, 3u);  // empty stream: all isolated
+  EXPECT_EQ(NumComponents(comps.value()), 3u);  // empty stream: all isolated
 }
 
 TEST(BoundaryTest, InsertDeleteSameEdgeRepeatedly) {
-  ConnectivityQuery q(4, 2, 4);
+  SpanningForestSketch q(4, 2, 4);
   for (int i = 0; i < 7; ++i) {
     q.Update(Hyperedge{0, 1}, +1);
     q.Update(Hyperedge{0, 1}, -1);
   }
   q.Update(Hyperedge{0, 1}, +1);
-  auto comps = q.NumComponents();
+  auto comps = q.Query();
   ASSERT_TRUE(comps.ok());
-  EXPECT_EQ(*comps, 3u);  // {0,1} plus two isolated vertices
+  EXPECT_EQ(NumComponents(comps.value()), 3u);  // {0,1} plus two isolated
 }
 
 TEST(BoundaryTest, EmptyQuerySetMeansIsGraphDisconnected) {
@@ -108,9 +108,9 @@ TEST(BoundaryTest, MaxRankEdgeExactlyAtLimit) {
   sketch.Update(Hyperedge{0, 1, 2, 3}, +1);  // cardinality == max_rank
   sketch.Update(Hyperedge{3, 4}, +1);
   sketch.Update(Hyperedge{4, 5}, +1);
-  auto span = sketch.ExtractSpanningGraph();
+  auto span = sketch.Query();
   ASSERT_TRUE(span.ok());
-  EXPECT_TRUE(IsConnected(*span));
+  EXPECT_TRUE(IsConnected(span.value()));
 }
 
 }  // namespace

@@ -1,7 +1,11 @@
-// Tests for the high-level connectivity / k-edge-connectivity queries.
+// Connectivity and capped k-edge-connectivity read off the query surface:
+// a SpanningForestSketch's Query() plus graph/traversal.h, and
+// apps::ApproxMinCut (one k-skeleton's min cut, capped at k). The suite
+// names are the wrapper classes these cases were first written against.
 #include <gtest/gtest.h>
 
-#include "connectivity/connectivity_query.h"
+#include "apps/approx_min_cut.h"
+#include "connectivity/spanning_forest_sketch.h"
 #include "exact/stoer_wagner.h"
 #include "graph/generators.h"
 #include "graph/traversal.h"
@@ -12,11 +16,11 @@ namespace {
 
 TEST(ConnectivityQueryTest, ConnectedGraph) {
   Graph g = UnionOfHamiltonianCycles(48, 2, 3);
-  ConnectivityQuery q(48, 2, 1);
+  SpanningForestSketch q(48, 2, 1);
   q.Process(DynamicStream::InsertOnly(g, 2));
-  auto conn = q.IsConnected();
-  ASSERT_TRUE(conn.ok());
-  EXPECT_TRUE(*conn);
+  auto forest = q.Query();
+  ASSERT_TRUE(forest.ok());
+  EXPECT_TRUE(IsConnected(forest.value()));
 }
 
 TEST(ConnectivityQueryTest, CountsComponents) {
@@ -24,53 +28,52 @@ TEST(ConnectivityQueryTest, CountsComponents) {
   for (VertexId i = 0; i + 1 < 11; ++i) g.AddEdge(i, i + 1);
   for (VertexId i = 11; i + 1 < 22; ++i) g.AddEdge(i, i + 1);
   for (VertexId i = 22; i + 1 < 33; ++i) g.AddEdge(i, i + 1);
-  ConnectivityQuery q(33, 2, 5);
+  SpanningForestSketch q(33, 2, 5);
   q.Process(DynamicStream::InsertOnly(g, 4));
-  auto ncomp = q.NumComponents();
-  ASSERT_TRUE(ncomp.ok());
-  EXPECT_EQ(*ncomp, 3u);
+  auto forest = q.Query();
+  ASSERT_TRUE(forest.ok());
+  EXPECT_EQ(NumComponents(forest.value()), 3u);
 }
 
 TEST(ConnectivityQueryTest, DeletionsDisconnect) {
   // A cycle loses two opposite edges -> two paths.
   Graph g = CycleGraph(30);
-  ConnectivityQuery q(30, 2, 7);
+  SpanningForestSketch q(30, 2, 7);
   q.Process(DynamicStream::InsertOnly(g, 5));
   q.Update(Hyperedge{0, 1}, -1);
   q.Update(Hyperedge{15, 16}, -1);
-  auto ncomp = q.NumComponents();
-  ASSERT_TRUE(ncomp.ok());
-  EXPECT_EQ(*ncomp, 2u);
+  auto forest = q.Query();
+  ASSERT_TRUE(forest.ok());
+  EXPECT_EQ(NumComponents(forest.value()), 2u);
 }
 
 TEST(ConnectivityQueryTest, HypergraphConnectivity) {
   Hypergraph h = RandomUniformHypergraph(26, 40, 3, 11);
-  ConnectivityQuery q(26, 3, 9);
+  SpanningForestSketch q(26, 3, 9);
   q.Process(DynamicStream::InsertOnly(h, 6));
-  auto ncomp = q.NumComponents();
-  ASSERT_TRUE(ncomp.ok());
-  EXPECT_EQ(*ncomp, NumComponents(h));
+  auto forest = q.Query();
+  ASSERT_TRUE(forest.ok());
+  EXPECT_EQ(NumComponents(forest.value()), NumComponents(h));
 }
 
 TEST(ConnectivityQueryTest, EmptyGraph) {
-  ConnectivityQuery q(10, 2, 13);
-  auto ncomp = q.NumComponents();
-  ASSERT_TRUE(ncomp.ok());
-  EXPECT_EQ(*ncomp, 10u);
-  auto conn = q.IsConnected();
-  ASSERT_TRUE(conn.ok());
-  EXPECT_FALSE(*conn);
+  SpanningForestSketch q(10, 2, 13);
+  auto forest = q.Query();
+  ASSERT_TRUE(forest.ok());
+  EXPECT_EQ(NumComponents(forest.value()), 10u);
+  EXPECT_FALSE(IsConnected(forest.value()));
 }
 
 TEST(EdgeConnectivityQueryTest, MatchesExactWhenBelowK) {
   for (uint64_t seed = 0; seed < 3; ++seed) {
     Graph g = ErdosRenyi(18, 0.35, 20 + seed);
     size_t exact = EdgeConnectivity(g);
-    EdgeConnectivityQuery q(18, 2, /*k=*/5, 30 + seed);
+    apps::ApproxMinCut q(18, 2, /*k_cap=*/5, 30 + seed);
     q.Process(DynamicStream::InsertOnly(g, seed));
-    auto capped = q.EdgeConnectivityCapped();
+    auto capped = q.Query();
     ASSERT_TRUE(capped.ok());
-    EXPECT_EQ(*capped, std::min<size_t>(exact, 5)) << "seed=" << seed;
+    EXPECT_EQ(capped.value().value, std::min<size_t>(exact, 5))
+        << "seed=" << seed;
   }
 }
 
@@ -78,39 +81,39 @@ TEST(EdgeConnectivityQueryTest, DecisionVersion) {
   Graph g = UnionOfHamiltonianCycles(20, 2, 44);  // edge conn >= 2
   size_t exact = EdgeConnectivity(g);
   ASSERT_GE(exact, 2u);
-  EdgeConnectivityQuery q2(20, 2, 2, 50);
+  // k-edge-connected iff the capped value reaches the cap.
+  apps::ApproxMinCut q2(20, 2, 2, 50);
   q2.Process(DynamicStream::InsertOnly(g, 1));
-  auto yes = q2.IsKEdgeConnected();
+  auto yes = q2.Query();
   ASSERT_TRUE(yes.ok());
-  EXPECT_TRUE(*yes);
-  EdgeConnectivityQuery q9(20, 2, exact + 1, 51);
+  EXPECT_TRUE(yes.value().value >= q2.k_cap());
+  apps::ApproxMinCut q9(20, 2, exact + 1, 51);
   q9.Process(DynamicStream::InsertOnly(g, 1));
-  auto no = q9.IsKEdgeConnected();
+  auto no = q9.Query();
   ASSERT_TRUE(no.ok());
-  EXPECT_FALSE(*no);
+  EXPECT_FALSE(no.value().value >= q9.k_cap());
 }
 
 TEST(EdgeConnectivityQueryTest, HypergraphEdgeConnectivity) {
   auto planted = PlantedHypergraphCut(18, 3, 2, 20, 60);
-  EdgeConnectivityQuery q(18, 3, 4, 61);
+  apps::ApproxMinCut q(18, 3, 4, 61);
   q.Process(DynamicStream::InsertOnly(planted.hypergraph, 2));
-  auto capped = q.EdgeConnectivityCapped();
+  auto capped = q.Query();
   ASSERT_TRUE(capped.ok());
-  EXPECT_EQ(*capped, 2u);  // the planted cut
+  EXPECT_EQ(capped.value().value, 2u);  // the planted cut
 }
 
 TEST(ConnectivityQueryTest, SameComponentQueries) {
   Graph g(20);
   for (VertexId i = 0; i + 1 < 10; ++i) g.AddEdge(i, i + 1);
   for (VertexId i = 10; i + 1 < 20; ++i) g.AddEdge(i, i + 1);
-  ConnectivityQuery q(20, 2, 99);
+  SpanningForestSketch q(20, 2, 99);
   q.Process(DynamicStream::InsertOnly(g, 3));
-  auto same = q.SameComponent(0, 9);
-  ASSERT_TRUE(same.ok());
-  EXPECT_TRUE(*same);
-  auto diff = q.SameComponent(0, 15);
-  ASSERT_TRUE(diff.ok());
-  EXPECT_FALSE(*diff);
+  auto forest = q.Query();
+  ASSERT_TRUE(forest.ok());
+  const std::vector<uint32_t> ids = ConnectedComponents(forest.value());
+  EXPECT_TRUE(ids[0] == ids[9]);
+  EXPECT_FALSE(ids[0] == ids[15]);
 }
 
 TEST(EdgeConnectivityQueryTest, MinCutSideIsGenuineWhenBelowK) {
@@ -124,33 +127,33 @@ TEST(EdgeConnectivityQueryTest, MinCutSideIsGenuineWhenBelowK) {
   }
   g.AddEdge(0, 8);
   g.AddEdge(7, 15);
-  EdgeConnectivityQuery q(16, 2, 5, 101);
+  apps::ApproxMinCut q(16, 2, 5, 101);
   q.Process(DynamicStream::InsertOnly(g, 4));
-  auto cut = q.MinCut();
+  auto cut = q.Query();
   ASSERT_TRUE(cut.ok());
-  EXPECT_DOUBLE_EQ(cut->value, 2.0);
+  EXPECT_EQ(cut.value().value, 2u);
   // Evaluate the returned shore on the ORIGINAL graph.
-  EXPECT_EQ(Hypergraph::FromGraph(g).CutSize(cut->side), 2u);
+  EXPECT_EQ(Hypergraph::FromGraph(g).CutSize(cut.value().shore), 2u);
 }
 
 TEST(EdgeConnectivityQueryTest, MinCutCappedAtK) {
   Graph g = CompleteGraph(12);  // min cut 11
-  EdgeConnectivityQuery q(12, 2, 3, 102);
+  apps::ApproxMinCut q(12, 2, 3, 102);
   q.Process(DynamicStream::InsertOnly(g, 5));
-  auto cut = q.MinCut();
+  auto cut = q.Query();
   ASSERT_TRUE(cut.ok());
-  EXPECT_DOUBLE_EQ(cut->value, 3.0);  // witness only: every cut >= 3
+  EXPECT_EQ(cut.value().value, 3u);  // witness only: every cut >= 3
 }
 
 TEST(EdgeConnectivityQueryTest, DisconnectedReportsZero) {
   Hypergraph h(12);
   h.AddEdge(Hyperedge{0, 1, 2});
   h.AddEdge(Hyperedge{6, 7});
-  EdgeConnectivityQuery q(12, 3, 3, 70);
+  apps::ApproxMinCut q(12, 3, 3, 70);
   q.Process(DynamicStream::InsertOnly(h, 3));
-  auto capped = q.EdgeConnectivityCapped();
+  auto capped = q.Query();
   ASSERT_TRUE(capped.ok());
-  EXPECT_EQ(*capped, 0u);
+  EXPECT_EQ(capped.value().value, 0u);
 }
 
 }  // namespace

@@ -46,7 +46,7 @@ TEST(DeterminismTest, SpanningForestProcessMatchesSerialUpdates) {
       ForestSketchParams::Builder().Config(SketchConfig::Light()).Build();
   SpanningForestSketch serial(kN, /*max_rank=*/2, kSeed, serial_params);
   for (const auto& u : stream.updates()) serial.Update(u.edge, u.delta);
-  auto serial_span = serial.ExtractSpanningGraph();
+  auto serial_span = serial.Query();
   ASSERT_TRUE(serial_span.ok());
 
   for (size_t threads : kThreadSweep) {
@@ -56,12 +56,12 @@ TEST(DeterminismTest, SpanningForestProcessMatchesSerialUpdates) {
     parallel.Process(stream);
     EXPECT_TRUE(parallel.StateEquals(serial)) << "threads=" << threads;
 
-    auto span = parallel.ExtractSpanningGraph();
+    auto span = parallel.Query();
     ASSERT_TRUE(span.ok()) << "threads=" << threads;
     EXPECT_TRUE(span.value() == serial_span.value()) << "threads=" << threads;
     // Decoding the SERIAL sketch with a parallel worker sweep must also be
     // byte-for-byte the same hypergraph (extraction-side determinism).
-    auto reread = serial.ExtractSpanningGraph(threads);
+    auto reread = serial.Query(threads);
     ASSERT_TRUE(reread.ok());
     EXPECT_TRUE(reread.value() == serial_span.value()) << "threads=" << threads;
   }
@@ -76,7 +76,7 @@ TEST(DeterminismTest, SpanningForestHypergraphStreams) {
       ForestSketchParams::Builder().Config(SketchConfig::Light()).Build();
   SpanningForestSketch serial(kN, /*max_rank=*/3, kSeed, serial_params);
   for (const auto& u : stream.updates()) serial.Update(u.edge, u.delta);
-  auto serial_span = serial.ExtractSpanningGraph();
+  auto serial_span = serial.Query();
   ASSERT_TRUE(serial_span.ok());
 
   for (size_t threads : kThreadSweep) {
@@ -85,7 +85,7 @@ TEST(DeterminismTest, SpanningForestHypergraphStreams) {
     SpanningForestSketch parallel(kN, 3, kSeed, params);
     parallel.Process(stream);
     EXPECT_TRUE(parallel.StateEquals(serial)) << "threads=" << threads;
-    auto span = parallel.ExtractSpanningGraph();
+    auto span = parallel.Query();
     ASSERT_TRUE(span.ok());
     EXPECT_TRUE(span.value() == serial_span.value()) << "threads=" << threads;
   }
@@ -123,7 +123,7 @@ TEST(DeterminismTest, KSkeletonHypergraphBitIdentical) {
       ForestSketchParams::Builder().Config(SketchConfig::Light()).Build();
   KSkeletonSketch serial(kN, /*max_rank=*/3, /*k=*/3, kSeed, serial_params);
   for (const auto& u : stream.updates()) serial.Update(u.edge, u.delta);
-  auto serial_skel = serial.Extract();
+  auto serial_skel = serial.Query();
   ASSERT_TRUE(serial_skel.ok());
 
   for (size_t threads : kThreadSweep) {
@@ -132,7 +132,7 @@ TEST(DeterminismTest, KSkeletonHypergraphBitIdentical) {
     KSkeletonSketch parallel(kN, 3, 3, kSeed, params);
     parallel.Process(stream);
     EXPECT_TRUE(parallel.StateEquals(serial)) << "threads=" << threads;
-    auto skel = parallel.Extract();
+    auto skel = parallel.Query();
     ASSERT_TRUE(skel.ok()) << "threads=" << threads;
     EXPECT_TRUE(skel.value() == serial_skel.value()) << "threads=" << threads;
   }
@@ -152,7 +152,7 @@ TEST(DeterminismTest, SparsifierBitIdentical) {
           .Build();
   HypergraphSparsifierSketch serial(kN, /*max_rank=*/3, serial_params, kSeed);
   for (const auto& u : stream.updates()) serial.Update(u.edge, u.delta);
-  auto serial_out = serial.ExtractSparsifier();
+  auto serial_out = serial.Query();
   ASSERT_TRUE(serial_out.ok());
 
   for (size_t threads : kThreadSweep) {
@@ -161,7 +161,7 @@ TEST(DeterminismTest, SparsifierBitIdentical) {
     HypergraphSparsifierSketch parallel(kN, 3, params, kSeed);
     parallel.Process(stream);
     EXPECT_TRUE(parallel.StateEquals(serial)) << "threads=" << threads;
-    auto out = parallel.ExtractSparsifier();
+    auto out = parallel.Query();
     ASSERT_TRUE(out.ok()) << "threads=" << threads;
     EXPECT_EQ(out.value().level_sizes, serial_out.value().level_sizes);
     EXPECT_EQ(out.value().sparsifier.edges, serial_out.value().sparsifier.edges);

@@ -15,7 +15,6 @@
 #include <span>
 #include <vector>
 
-#include "connectivity/connectivity_query.h"
 #include "connectivity/k_skeleton.h"
 #include "connectivity/spanning_forest_sketch.h"
 #include "graph/traversal.h"
@@ -128,24 +127,24 @@ TEST(EdgeCases, NetZeroStreamsCancelForEverySketchType) {
 TEST(EdgeCases, EmptyStreamQueriesAreHonest) {
   // Spanning forest of nothing: no edges, every vertex its own component.
   auto forest = MakeForest();
-  Result<Hypergraph> g = forest.ExtractSpanningGraph();
+  auto g = forest.Query();
   ASSERT_TRUE(g.ok()) << g.status().ToString();
-  EXPECT_EQ(g->NumEdges(), 0u);
+  EXPECT_EQ(g.value().NumEdges(), 0u);
 
-  ConnectivityQuery q(4, 2, kSeed);
-  Result<size_t> comps = q.NumComponents();
+  SpanningForestSketch q(4, 2, kSeed);
+  auto comps = q.Query();
   ASSERT_TRUE(comps.ok());
-  EXPECT_EQ(*comps, 4u);
+  EXPECT_EQ(NumComponents(comps.value()), 4u);
 
   auto skeleton = MakeSkeleton();
-  Result<Hypergraph> sk = skeleton.Extract();
+  auto sk = skeleton.Query();
   ASSERT_TRUE(sk.ok()) << sk.status().ToString();
-  EXPECT_EQ(sk->NumEdges(), 0u);
+  EXPECT_EQ(sk.value().NumEdges(), 0u);
 
   auto sparsifier = MakeSparsifier();
-  Result<SparsifierOutput> sp = sparsifier.ExtractSparsifier();
+  auto sp = sparsifier.Query();
   ASSERT_TRUE(sp.ok()) << sp.status().ToString();
-  EXPECT_EQ(sp->sparsifier.size(), 0u);
+  EXPECT_EQ(sp.value().sparsifier.size(), 0u);
 
   // An empty support has nothing to sample; an honest sampler refuses.
   auto l0 = MakeL0();
@@ -174,16 +173,16 @@ TEST(EdgeCases, MinimalDomainNTwo) {
   SpanningForestSketch forest = MakeForest(2);
   const std::vector<StreamUpdate> seq = {{Hyperedge({0, 1}), +1}};
   forest.Process(std::span<const StreamUpdate>(seq));
-  Result<Hypergraph> g = forest.ExtractSpanningGraph();
+  auto g = forest.Query();
   ASSERT_TRUE(g.ok()) << g.status().ToString();
-  EXPECT_EQ(g->NumEdges(), 1u);
-  EXPECT_TRUE(g->HasEdge(Hyperedge({0, 1})));
+  EXPECT_EQ(g.value().NumEdges(), 1u);
+  EXPECT_TRUE(g.value().HasEdge(Hyperedge({0, 1})));
 
-  ConnectivityQuery q(2, 2, kSeed);
+  SpanningForestSketch q(2, 2, kSeed);
   q.Update(Hyperedge({0, 1}), +1);
-  Result<size_t> comps = q.NumComponents();
+  auto comps = q.Query();
   ASSERT_TRUE(comps.ok());
-  EXPECT_EQ(*comps, 1u);
+  EXPECT_EQ(NumComponents(comps.value()), 1u);
 
   // Serialization works at the minimal shape for every sketch type.
   auto check_roundtrip = [](const auto& sketch) {

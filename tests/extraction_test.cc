@@ -3,12 +3,14 @@
 // work across the pool).
 //
 // Four contracts, each asserted bit-exactly:
-//   1. The incremental windowed-accumulator decoder produces the SAME
-//      Hypergraph as the retained reference re-sum decoder, at every
+//   1. Query (the incremental windowed-accumulator decoder) produces the
+//      SAME Hypergraph as the testkit reference re-sum decoder, at every
 //      thread count, over the whole DefaultSpecGrid() -- also on hybrid
 //      states and hand-built frames where the incremental decode leaves
 //      out buffered entries that cancel, and the serving engine's epoch
-//      payloads equal a one-shot Query of each prefix.
+//      payloads equal a one-shot Query of each prefix. An all-sparse
+//      Query stops after the exact pre-round; anything else runs the
+//      rounds with the reference's decision counters.
 //   2. Sparse (dirty-bitmap driven) MergeFrom equals the serial single
 //      -sketch ingest on random shard splits of the stream -- including
 //      against an all-dirty (deserialized, hence dense) clone.
@@ -20,6 +22,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <initializer_list>
 #include <span>
 #include <string>
 #include <vector>
@@ -27,6 +30,8 @@
 #include "connectivity/spanning_forest_sketch.h"
 #include "serve/serving_engine.h"
 #include "stream/stream.h"
+#include "testkit/forest_reference.h"
+#include "testkit/peel_reference.h"
 #include "testkit/stream_spec.h"
 #include "util/random.h"
 #include "wire/wire.h"
@@ -44,67 +49,76 @@ ForestSketchParams LightParams() {
   return params;
 }
 
-// ---------- incremental vs reference, across thread counts ----------
+// ---------- Query vs the testkit reference, across thread counts ----------
 
-TEST(ExtractionTest, IncrementalMatchesReferenceAcrossGridAndThreads) {
-  for (const StreamSpec& spec : DefaultSpecGrid()) {
-    BuiltStream built = spec.Build();
-    SpanningForestSketch sketch(spec.n, built.max_rank, /*seed=*/11,
-                                LightParams());
-    sketch.Process(built.stream);
-
-    ExtractStats ref_stats;
-    auto reference = sketch.ExtractSpanningGraphReference(1, &ref_stats);
-    ASSERT_TRUE(reference.ok()) << spec.ToString();
-    for (size_t threads : {1u, 2u, 8u}) {
-      ExtractStats inc_stats;
-      auto incremental = sketch.ExtractSpanningGraph(threads, &inc_stats);
-      ASSERT_TRUE(incremental.ok()) << spec.ToString();
-      EXPECT_TRUE(*incremental == *reference)
-          << spec.ToString() << " threads=" << threads;
-      // Every decision counter is a function of the state alone, shared
-      // between the two paths; only summed_words (path work) may differ.
-      EXPECT_EQ(inc_stats.rounds_run, ref_stats.rounds_run);
-      EXPECT_EQ(inc_stats.early_exit, ref_stats.early_exit);
-      EXPECT_EQ(inc_stats.sample_attempts, ref_stats.sample_attempts);
-      EXPECT_EQ(inc_stats.decode_attempts, ref_stats.decode_attempts);
-      EXPECT_EQ(inc_stats.edges_found, ref_stats.edges_found);
-      EXPECT_EQ(inc_stats.groups_per_round, ref_stats.groups_per_round);
-    }
-  }
+// Every decision counter is a function of the state alone, shared between
+// Query and the reference; only the work counters (summed_words,
+// sparse_entries_replayed) may differ.
+void ExpectSameDecisions(const ExtractStats& got, const ExtractStats& want,
+                         const std::string& label) {
+  EXPECT_EQ(got.rounds_run, want.rounds_run) << label;
+  EXPECT_EQ(got.early_exit, want.early_exit) << label;
+  EXPECT_EQ(got.sample_attempts, want.sample_attempts) << label;
+  EXPECT_EQ(got.decode_attempts, want.decode_attempts) << label;
+  EXPECT_EQ(got.edges_found, want.edges_found) << label;
+  EXPECT_EQ(got.groups_per_round, want.groups_per_round) << label;
 }
 
-// Incremental vs reference on one sketch: the same edges in the same order
-// and equal decision counters. Returns the two replay counts.
+// Query against the reference on one sketch. The reference decodes at 1
+// and 8 threads alike; Query at each of `thread_counts` returns its edges
+// in the same order and, whenever it runs the rounds, the same decision
+// counters. An all-sparse sketch's Query stops after the exact pre-round
+// instead (the reference runs every round). Returns the replay counts of
+// the last Query and of the serial reference.
 struct ReplayCounts {
   uint64_t incremental = 0;
   uint64_t reference = 0;
 };
 
-ReplayCounts ExpectIncrementalMatchesReference(
-    const SpanningForestSketch& sketch, const std::string& label) {
-  ExtractStats ref_stats;
-  auto reference = sketch.ExtractSpanningGraphReference(1, &ref_stats);
-  EXPECT_TRUE(reference.ok()) << label;
-  ReplayCounts counts{0, ref_stats.sparse_entries_replayed};
-  if (!reference.ok()) return counts;
-  for (size_t threads : {1u, 4u}) {
-    ExtractStats inc_stats;
-    auto incremental = sketch.ExtractSpanningGraph(threads, &inc_stats);
-    EXPECT_TRUE(incremental.ok()) << label;
-    if (!incremental.ok()) return counts;
-    EXPECT_EQ(incremental->Edges(), reference->Edges())
-        << label << " threads=" << threads;
-    EXPECT_EQ(inc_stats.rounds_run, ref_stats.rounds_run) << label;
-    EXPECT_EQ(inc_stats.early_exit, ref_stats.early_exit) << label;
-    EXPECT_EQ(inc_stats.sample_attempts, ref_stats.sample_attempts) << label;
-    EXPECT_EQ(inc_stats.decode_attempts, ref_stats.decode_attempts) << label;
-    EXPECT_EQ(inc_stats.edges_found, ref_stats.edges_found) << label;
-    EXPECT_EQ(inc_stats.groups_per_round, ref_stats.groups_per_round)
-        << label;
-    counts.incremental = inc_stats.sparse_entries_replayed;
+ReplayCounts ExpectQueryMatchesReference(
+    const SpanningForestSketch& sketch, const std::string& label,
+    std::initializer_list<size_t> thread_counts) {
+  const auto reference = testkit::ExtractSpanningGraphReference(sketch, 1);
+  const auto reference8 = testkit::ExtractSpanningGraphReference(sketch, 8);
+  EXPECT_EQ(reference8.value().Edges(), reference.value().Edges()) << label;
+  ExpectSameDecisions(reference8.stats(), reference.stats(),
+                      label + " reference threads=8");
+  ReplayCounts counts{0, reference.stats().sparse_entries_replayed};
+  for (size_t threads : thread_counts) {
+    const auto query = sketch.Query(threads);
+    const std::string at = label + " threads=" + std::to_string(threads);
+    EXPECT_EQ(query.value().Edges(), reference.value().Edges()) << at;
+    if (sketch.AllSparse()) {
+      EXPECT_EQ(query.stats().sparse_exact_forests, 1u) << at;
+      EXPECT_EQ(query.stats().rounds_run, 0) << at;
+      EXPECT_EQ(query.stats().sample_attempts, 0u) << at;
+      EXPECT_EQ(query.stats().edges_found, reference.stats().edges_found)
+          << at;
+    } else {
+      EXPECT_EQ(query.stats().sparse_exact_forests, 0u) << at;
+      ExpectSameDecisions(query.stats(), reference.stats(), at);
+    }
+    counts.incremental = query.stats().sparse_entries_replayed;
   }
   return counts;
+}
+
+TEST(ExtractionTest, IncrementalMatchesReferenceAcrossGridAndThreads) {
+  for (const StreamSpec& spec : DefaultSpecGrid()) {
+    BuiltStream built = spec.Build();
+    // The Light threshold leaves most grid streams all-sparse; threshold 0
+    // decodes every stream through the rounds.
+    for (uint32_t threshold : {SketchConfig::Light().sparse_threshold, 0u}) {
+      ForestSketchParams params = LightParams();
+      params.config.sparse_threshold = threshold;
+      SpanningForestSketch sketch(spec.n, built.max_rank, /*seed=*/11,
+                                  params);
+      sketch.Process(built.stream);
+      ExpectQueryMatchesReference(
+          sketch, spec.ToString() + " T=" + std::to_string(threshold),
+          {1, 2, 8});
+    }
+  }
 }
 
 TEST(ExtractionTest, CancellingEntriesSkippedOnHybridStates) {
@@ -136,7 +150,7 @@ TEST(ExtractionTest, CancellingEntriesSkippedOnHybridStates) {
       ASSERT_GT(escalated, 0u) << t.ToString();
       ASSERT_LT(escalated, t.n) << t.ToString();
       const ReplayCounts counts =
-          ExpectIncrementalMatchesReference(sketch, t.ToString());
+          ExpectQueryMatchesReference(sketch, t.ToString(), {1, 4});
       EXPECT_LE(counts.incremental, counts.reference);
       skipped += counts.reference - counts.incremental;
     }
@@ -144,8 +158,10 @@ TEST(ExtractionTest, CancellingEntriesSkippedOnHybridStates) {
   }
 }
 
-// A hand-built all-sparse forest frame: n = 8, rank 2, threshold 4, one
-// buffer per vertex given as (u, w, weight) edge keys.
+// A hand-built forest frame: n = 9, rank 2, threshold 4, one buffer per
+// vertex 0..7 given as (u, w, weight) edge keys. Vertex 8 is escalated
+// with a zero column, so Query runs the rounds (an all-sparse frame would
+// stop after the exact pre-round and replay nothing).
 struct BufferedKey {
   VertexId holder;
   VertexId u;
@@ -155,10 +171,15 @@ struct BufferedKey {
 
 Result<SpanningForestSketch> SparseFrame(
     const std::vector<BufferedKey>& keys) {
-  constexpr size_t kN = 8;
+  constexpr size_t kN = 9;
+  constexpr VertexId kEscalated = 8;
   ForestSketchParams params = LightParams();
   params.config.sparse_threshold = 4;
   params.rounds = 6;
+  const Result<uint64_t> state_words = ForestStateWords(kN, 2, params.config);
+  if (!state_words.ok()) return state_words.status();
+  const std::vector<uint64_t> zero_column(
+      static_cast<size_t>(params.rounds) * *state_words, 0);
   const EdgeCodec codec(kN, 2);
   std::vector<std::vector<SparseEntry>> buffers(kN);
   for (const BufferedKey& k : keys) {
@@ -176,12 +197,20 @@ Result<SpanningForestSketch> SparseFrame(
   uint64_t entries = 0;
   for (const auto& buf : buffers) entries += buf.size();
   fb.writer().U8(1);  // hybrid cells
-  fb.writer().U64(0);  // no escalated column
+  fb.writer().U64(1);  // one escalated column
   fb.writer().U64(entries);
-  for (const auto& buf : buffers) {
-    fb.writer().U32(static_cast<uint32_t>(buf.size()));  // update counter
+  for (VertexId v = 0; v < kN; ++v) {
+    // The update counter: past the threshold for the escalated column.
+    fb.writer().U32(v == kEscalated
+                        ? params.config.sparse_threshold + 1
+                        : static_cast<uint32_t>(buffers[v].size()));
   }
-  for (const auto& buf : buffers) {
+  for (VertexId v = 0; v < kN; ++v) {
+    if (v == kEscalated) {
+      fb.writer().Words(zero_column.data(), zero_column.size());
+      continue;
+    }
+    const auto& buf = buffers[v];
     fb.writer().U32(static_cast<uint32_t>(buf.size()));
     for (const SparseEntry& entry : buf) {
       fb.writer().U128(entry.index);
@@ -219,11 +248,69 @@ TEST(ExtractionTest, CancellationHoldsOnHostileFrames) {
     keys.insert(keys.end(), honest.begin(), honest.end());
     auto sketch = SparseFrame(keys);
     ASSERT_TRUE(sketch.ok()) << c.name << ": " << sketch.status().ToString();
-    const ReplayCounts counts = ExpectIncrementalMatchesReference(*sketch,
-                                                                  c.name);
+    ASSERT_FALSE(sketch->AllSparse()) << c.name;
+    const ReplayCounts counts =
+        ExpectQueryMatchesReference(*sketch, c.name, {1, 4});
     // {4,5} cancels; at least one hostile copy must still be replayed.
     EXPECT_LT(counts.incremental, counts.reference) << c.name;
     EXPECT_GT(counts.incremental, 0u) << c.name;
+  }
+}
+
+// ---------- the all-sparse exit inside Query ----------
+
+// A star on hub 0 with `leaves` leaves, plus a path over the vertices the
+// star leaves out: the hub's column takes `leaves` updates, every other
+// column at most 2.
+std::vector<StreamUpdate> StarPlusPath(size_t n, uint32_t leaves) {
+  std::vector<StreamUpdate> updates;
+  for (VertexId leaf = 1; leaf <= leaves; ++leaf) {
+    updates.emplace_back(Hyperedge{0, leaf}, +1);
+  }
+  for (VertexId v = leaves + 2; v < n; ++v) {
+    updates.emplace_back(Hyperedge{v - 1, v}, +1);
+  }
+  return updates;
+}
+
+TEST(ExtractionTest, EscalatedColumnOrEscalatingPeelRunsTheRounds) {
+  constexpr size_t kN = 64;
+  constexpr uint32_t kT = 8;
+  ForestSketchParams params = LightParams();
+  params.config.sparse_threshold = kT;
+
+  // One escalated column (the hub) sends Query through the rounds, with
+  // the reference's decisions.
+  SpanningForestSketch escalated(kN, 2, /*seed=*/61, params);
+  escalated.Process(StarPlusPath(kN, kT + 1));
+  ASSERT_TRUE(escalated.VertexEscalated(0));
+  ASSERT_FALSE(escalated.AllSparse());
+  EXPECT_GT(escalated.Query(1).stats().rounds_run, 0);
+  ExpectQueryMatchesReference(escalated, "one escalated column", {1, 8});
+
+  // An all-sparse sketch whose hub sits kT - 2 updates deep.
+  SpanningForestSketch sparse(kN, 2, /*seed=*/67, params);
+  sparse.Process(StarPlusPath(kN, kT - 2));
+  ASSERT_TRUE(sparse.AllSparse());
+  // Peeling three hub edges pushes the hub past kT: the rounds run, as
+  // they do on the RemoveHyperedges'd copy.
+  const std::vector<Hyperedge> escalating = {{0, 1}, {0, 2}, {0, 3}};
+  // Peeling one keeps every column sparse: both stop after the pre-round.
+  const std::vector<Hyperedge> staying = {{0, 1}};
+  for (size_t threads : {1u, 8u}) {
+    const auto run = sparse.Query(threads, escalating);
+    const auto run_copy = testkit::PeelByCopy(sparse, escalating, threads);
+    EXPECT_EQ(run.stats().sparse_exact_forests, 0u);
+    EXPECT_GT(run.stats().rounds_run, 0);
+    EXPECT_EQ(run.value().Edges(), run_copy.value().Edges());
+    ExpectSameDecisions(run.stats(), run_copy.stats(), "escalating peel");
+
+    const auto stop = sparse.Query(threads, staying);
+    const auto stop_copy = testkit::PeelByCopy(sparse, staying, threads);
+    EXPECT_EQ(stop.stats().sparse_exact_forests, 1u);
+    EXPECT_EQ(stop_copy.stats().sparse_exact_forests, 1u);
+    EXPECT_EQ(stop.value().Edges(), stop_copy.value().Edges());
+    ExpectSameDecisions(stop.stats(), stop_copy.stats(), "sparse peel");
   }
 }
 
@@ -278,11 +365,11 @@ TEST(ExtractionTest, RepeatedExtractionIsIdempotent) {
   SpanningForestSketch sketch(spec.n, built.max_rank, /*seed=*/13,
                               LightParams());
   sketch.Process(built.stream);
-  auto first = sketch.ExtractSpanningGraph(8);
-  auto second = sketch.ExtractSpanningGraph(8);
+  auto first = sketch.Query(8);
+  auto second = sketch.Query(8);
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(second.ok());
-  EXPECT_TRUE(*first == *second);
+  EXPECT_TRUE(first.value() == second.value());
 }
 
 // ---------- sparse MergeFrom differential ----------
@@ -318,11 +405,11 @@ TEST(ExtractionMergeTest, SparseMergeEqualsSerialOnRandomShardSplits) {
       ASSERT_TRUE(merged.MergeFrom(clone).ok());
     }
     EXPECT_TRUE(merged.StateEquals(serial)) << "trial " << trial;
-    auto a = merged.ExtractSpanningGraph();
-    auto b = serial.ExtractSpanningGraph();
+    auto a = merged.Query();
+    auto b = serial.Query();
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
-    EXPECT_TRUE(*a == *b) << "trial " << trial;
+    EXPECT_TRUE(a.value() == b.value()) << "trial " << trial;
   }
 }
 

@@ -30,6 +30,7 @@
 #include "graph/union_find.h"
 #include "stream/ingest_plane.h"
 #include "stream/stream.h"
+#include "testkit/forest_reference.h"
 #include "wire/wire.h"
 
 namespace gms {
@@ -155,8 +156,8 @@ TEST(HybridTest, EscalatedColumnsMatchDenseFromTheStart) {
       dense_frame->payload.end() - arena_bytes, dense_frame->payload.end(),
       hybrid_frame->payload.end() - arena_bytes));
 
-  auto hybrid_span = hybrid.ExtractSpanningGraph();
-  auto dense_span = dense.ExtractSpanningGraph();
+  auto hybrid_span = hybrid.Query();
+  auto dense_span = dense.Query();
   ASSERT_TRUE(hybrid_span.ok());
   ASSERT_TRUE(dense_span.ok());
   EXPECT_TRUE(hybrid_span.value() == dense_span.value());
@@ -250,9 +251,9 @@ TEST(HybridTest, NetZeroStreamReturnsToEmptyWhileSparse) {
   for (VertexId v = 0; v < kN; ++v) {
     EXPECT_FALSE(sketch.VertexEscalated(v)) << "v=" << v;
   }
-  auto span = sketch.ExtractSpanningGraph();
+  auto span = sketch.Query();
   ASSERT_TRUE(span.ok());
-  EXPECT_EQ(span->Edges().size(), 0u);
+  EXPECT_EQ(span.value().Edges().size(), 0u);
 
   // The counters still remember the traffic, and they round-trip.
   std::vector<uint8_t> bytes = FrameOf(sketch);
@@ -275,13 +276,13 @@ TEST(HybridTest, SparsePhaseExtractionIsExact) {
 
   // Degree <= 2 < 32: every column is sparse, so the buffered edges ARE
   // the graph and the pre-round connects it without touching a sampler.
-  ExtractStats stats;
-  auto span = sketch.ExtractSpanningGraph(/*threads=*/1, &stats);
+  auto span = sketch.Query(/*threads=*/1);
   ASSERT_TRUE(span.ok());
-  EXPECT_EQ(span->Edges().size(), kN - 1);
+  const ExtractStats& stats = span.stats();
+  EXPECT_EQ(span.value().Edges().size(), kN - 1);
   EXPECT_EQ(stats.sample_attempts, 0u);
   UnionFind uf(kN);
-  for (const auto& e : span->Edges()) {
+  for (const auto& e : span.value().Edges()) {
     for (size_t i = 1; i < e.size(); ++i) uf.Union(e[0], e[i]);
   }
   for (VertexId v = 1; v < kN; ++v) {
@@ -289,7 +290,7 @@ TEST(HybridTest, SparsePhaseExtractionIsExact) {
   }
 }
 
-TEST(HybridTest, AllSparseExtractSparseExactMatchesFullExtraction) {
+TEST(HybridTest, AllSparseQueryExitMatchesFullExtraction) {
   constexpr size_t kN = 96;
   constexpr uint64_t kSeed = 131;
   ForestSketchParams params;
@@ -307,12 +308,14 @@ TEST(HybridTest, AllSparseExtractSparseExactMatchesFullExtraction) {
   sketch.Process(stream);
   ASSERT_TRUE(sketch.AllSparse());
 
-  ExtractStats full_stats;
-  auto full = sketch.ExtractSpanningGraph(/*threads=*/1, &full_stats);
+  // The testkit reference runs every Borůvka round; Query stops after the
+  // exact pre-round.
+  auto full = testkit::ExtractSpanningGraphReference(sketch, /*threads=*/1);
   ASSERT_TRUE(full.ok());
-  ExtractStats fast_stats;
-  auto fast = sketch.ExtractSparseExact(&fast_stats);
+  const ExtractStats& full_stats = full.stats();
+  auto fast = sketch.Query(/*threads=*/1);
   ASSERT_TRUE(fast.ok());
+  const ExtractStats& fast_stats = fast.stats();
   // The skipped Borůvka rounds could not have added anything: identical
   // graphs (same edges, same order), identical edge counts.
   EXPECT_TRUE(fast.value() == full.value());

@@ -389,6 +389,15 @@ void ExpectEpochAccountsForPrefix(Engine& engine) {
   }
 }
 
+// The pre-plane oracle: every enabled engine ingests the whole stream
+// through its own Process, re-encoding every update itself.
+void IngestPerEngine(serve::SketchServer* server,
+                     std::span<const StreamUpdate> updates) {
+  server->forest_engine().Process(updates);
+  if (server->vc_enabled()) server->vc_engine().Process(updates);
+  if (server->skeleton_enabled()) server->skeleton_engine().Process(updates);
+}
+
 // The shared-plane server against an independently ingested one: the same
 // prefixes and payload bytes, deterministically, for every engine.
 void ExpectServersAgree(serve::SketchServer* shared,
@@ -435,8 +444,8 @@ TEST(PlaneDeterminismTest, ServerSharedIngestMatchesIndependent) {
   serve::SketchServer shared(kN, ServerParams(/*epoch_updates=*/64), kSeed);
   serve::SketchServer independent(kN, ServerParams(64), kSeed);
   shared.Ingest(stream);
-  independent.IngestIndependent(
-      std::span<const StreamUpdate>(stream.updates()));
+  IngestPerEngine(&independent,
+                  std::span<const StreamUpdate>(stream.updates()));
   ExpectServersAgree(&shared, &independent);
 }
 
@@ -468,8 +477,8 @@ TEST(PlaneDeterminismTest, ServerVcFallbackOutsidePlaneStillAgrees) {
   serve::SketchServer shared(kN, params, kSeed);
   serve::SketchServer independent(kN, params, kSeed);
   shared.Ingest(stream);
-  independent.IngestIndependent(
-      std::span<const StreamUpdate>(stream.updates()));
+  IngestPerEngine(&independent,
+                  std::span<const StreamUpdate>(stream.updates()));
   ExpectServersAgree(&shared, &independent);
 }
 
@@ -523,7 +532,7 @@ TEST(PlaneConcurrencyTest, ServerSharedIngestWhileQuerying) {
 
   // The flushed server must agree with an independent per-engine replay.
   serve::SketchServer oracle(kN, params, kSeed);
-  oracle.IngestIndependent(std::span<const StreamUpdate>(updates));
+  IngestPerEngine(&oracle, std::span<const StreamUpdate>(updates));
   ExpectServersAgree(&server, &oracle);
 }
 

@@ -4,13 +4,14 @@
 #include <gtest/gtest.h>
 
 #include "comm/simultaneous.h"
-#include "connectivity/connectivity_query.h"
+#include "connectivity/spanning_forest_sketch.h"
 #include "exact/degeneracy.h"
 #include "exact/hypergraph_mincut.h"
 #include "exact/stoer_wagner.h"
 #include "exact/strength.h"
 #include "exact/vertex_connectivity.h"
 #include "graph/generators.h"
+#include "graph/traversal.h"
 #include "reconstruct/cut_degenerate.h"
 #include "sparsify/sparsifier_sketch.h"
 #include "sparsify/verify.h"
@@ -25,7 +26,7 @@ TEST(IntegrationTest, EvolvingNetworkConnectivityMonitoring) {
   // the sketch answer after each phase against ground truth.
   size_t n = 48;
   Graph g(n);
-  ConnectivityQuery query(n, 2, 1);
+  SpanningForestSketch query(n, 2, 1);
   auto sync = [&](const Edge& e, int delta) {
     if (delta > 0) {
       g.AddEdge(e);
@@ -39,25 +40,25 @@ TEST(IntegrationTest, EvolvingNetworkConnectivityMonitoring) {
   for (VertexId i = 24; i < 48; ++i) {
     sync(Edge(i, i + 1 == 48 ? 24 : i + 1), +1);
   }
-  auto r1 = query.NumComponents();
+  auto r1 = query.Query();
   ASSERT_TRUE(r1.ok());
-  EXPECT_EQ(*r1, 2u);
+  EXPECT_EQ(NumComponents(r1.value()), 2u);
   // Phase 2: bridge them.
   sync(Edge(0, 24), +1);
-  auto r2 = query.IsConnected();
+  auto r2 = query.Query();
   ASSERT_TRUE(r2.ok());
-  EXPECT_TRUE(*r2);
+  EXPECT_TRUE(IsConnected(r2.value()));
   // Phase 3: the bridge fails.
   sync(Edge(0, 24), -1);
-  auto r3 = query.NumComponents();
+  auto r3 = query.Query();
   ASSERT_TRUE(r3.ok());
-  EXPECT_EQ(*r3, 2u);
+  EXPECT_EQ(NumComponents(r3.value()), 2u);
   // Phase 4: redundant healing.
   sync(Edge(5, 30), +1);
   sync(Edge(10, 40), +1);
-  auto r4 = query.IsConnected();
+  auto r4 = query.Query();
   ASSERT_TRUE(r4.ok());
-  EXPECT_TRUE(*r4);
+  EXPECT_TRUE(IsConnected(r4.value()));
 }
 
 TEST(IntegrationTest, VertexConnectivityPipelineOnPlantedInstance) {
@@ -106,11 +107,11 @@ TEST(IntegrationTest, SparsifyThenMinCutMatches) {
   sp.forest.config = SketchConfig::Light();
   HypergraphSparsifierSketch sketch(14, 3, sp, 7);
   sketch.Process(DynamicStream::InsertOnly(h, 8));
-  auto out = sketch.ExtractSparsifier();
+  auto out = sketch.Query();
   ASSERT_TRUE(out.ok());
   auto exact_cut = HypergraphMinCut(h);
-  auto approx_cut = HypergraphMinCut(14, out->sparsifier.edges,
-                                     out->sparsifier.weights);
+  auto approx_cut = HypergraphMinCut(14, out.value().sparsifier.edges,
+                                     out.value().sparsifier.weights);
   EXPECT_NEAR(approx_cut.value, exact_cut.value, 0.8 * exact_cut.value + 0.1);
 }
 
@@ -136,13 +137,13 @@ TEST(IntegrationTest, DistributedRefereeMatchesStreamingAnswer) {
   // communication protocol: both must agree with ground truth.
   Graph g = ErdosRenyi(40, 0.08, 12);
   Hypergraph h = Hypergraph::FromGraph(g);
-  ConnectivityQuery query(40, 2, 13);
+  SpanningForestSketch query(40, 2, 13);
   query.Process(DynamicStream::InsertOnly(h, 14));
-  auto streamed = query.IsConnected();
+  auto streamed = query.Query();
   ASSERT_TRUE(streamed.ok());
   auto comm = RunSimultaneousConnectivity(h, 15);
   EXPECT_TRUE(comm.correct);
-  EXPECT_EQ(*streamed, comm.exact_connected);
+  EXPECT_EQ(IsConnected(streamed.value()), comm.exact_connected);
 }
 
 }  // namespace

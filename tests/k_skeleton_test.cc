@@ -39,12 +39,12 @@ TEST(KSkeletonTest, SkeletonOfCompleteGraph) {
   Graph g = CompleteGraph(14);
   KSkeletonSketch sketch(14, 2, 3, 101);
   sketch.Process(DynamicStream::InsertOnly(g, 1));
-  auto skel = sketch.Extract();
+  auto skel = sketch.Query();
   ASSERT_TRUE(skel.ok());
   // F_1..F_3 are edge-disjoint forests: at most 3(n-1) edges.
-  EXPECT_LE(skel->NumEdges(), 3u * 13u);
-  EXPECT_TRUE(IsConnected(*skel));
-  ExpectSkeletonProperty(Hypergraph::FromGraph(g), *skel, 3, 2);
+  EXPECT_LE(skel.value().NumEdges(), 3u * 13u);
+  EXPECT_TRUE(IsConnected(skel.value()));
+  ExpectSkeletonProperty(Hypergraph::FromGraph(g), skel.value(), 3, 2);
 }
 
 TEST(KSkeletonTest, SkeletonPropertyOnRandomGraphs) {
@@ -52,9 +52,10 @@ TEST(KSkeletonTest, SkeletonPropertyOnRandomGraphs) {
     Graph g = ErdosRenyi(20, 0.3, 110 + seed);
     KSkeletonSketch sketch(20, 2, 2, 120 + seed);
     sketch.Process(DynamicStream::InsertOnly(g, seed));
-    auto skel = sketch.Extract();
+    auto skel = sketch.Query();
     ASSERT_TRUE(skel.ok());
-    ExpectSkeletonProperty(Hypergraph::FromGraph(g), *skel, 2, 130 + seed);
+    ExpectSkeletonProperty(Hypergraph::FromGraph(g), skel.value(), 2,
+                           130 + seed);
   }
 }
 
@@ -63,10 +64,10 @@ TEST(KSkeletonTest, SkeletonPropertyOnHypergraphs) {
     Hypergraph h = RandomUniformHypergraph(16, 30, 3, 140 + seed);
     KSkeletonSketch sketch(16, 3, 2, 150 + seed);
     sketch.Process(DynamicStream::InsertOnly(h, seed));
-    auto skel = sketch.Extract();
+    auto skel = sketch.Query();
     ASSERT_TRUE(skel.ok());
-    ExpectSkeletonProperty(h, *skel, 2, 160 + seed);
-    for (const auto& e : skel->Edges()) EXPECT_TRUE(h.HasEdge(e));
+    ExpectSkeletonProperty(h, skel.value(), 2, 160 + seed);
+    for (const auto& e : skel.value().Edges()) EXPECT_TRUE(h.HasEdge(e));
   }
 }
 
@@ -74,10 +75,10 @@ TEST(KSkeletonTest, OneSkeletonIsSpanningGraph) {
   Graph g = UnionOfHamiltonianCycles(30, 2, 5);
   KSkeletonSketch sketch(30, 2, 1, 170);
   sketch.Process(DynamicStream::InsertOnly(g, 6));
-  auto skel = sketch.Extract();
+  auto skel = sketch.Query();
   ASSERT_TRUE(skel.ok());
-  EXPECT_TRUE(IsConnected(*skel));
-  EXPECT_LE(skel->NumEdges(), 29u * 2);  // ~spanning graph size
+  EXPECT_TRUE(IsConnected(skel.value()));
+  EXPECT_LE(skel.value().NumEdges(), 29u * 2);  // ~spanning graph size
 }
 
 TEST(KSkeletonTest, ChurnStream) {
@@ -85,10 +86,10 @@ TEST(KSkeletonTest, ChurnStream) {
   DynamicStream stream = DynamicStream::WithChurn(g, 150, 9);
   KSkeletonSketch sketch(16, 2, 3, 180);
   sketch.Process(stream);
-  auto skel = sketch.Extract();
+  auto skel = sketch.Query();
   ASSERT_TRUE(skel.ok());
-  for (const auto& e : skel->Edges()) EXPECT_TRUE(g.HasEdge(e.AsEdge()));
-  ExpectSkeletonProperty(Hypergraph::FromGraph(g), *skel, 3, 190);
+  for (const auto& e : skel.value().Edges()) EXPECT_TRUE(g.HasEdge(e.AsEdge()));
+  ExpectSkeletonProperty(Hypergraph::FromGraph(g), skel.value(), 3, 190);
 }
 
 TEST(KSkeletonTest, Lemma12LightEdgesMatch) {
@@ -107,11 +108,11 @@ TEST(KSkeletonTest, Lemma12LightEdgesMatch) {
   size_t k = 3;
   KSkeletonSketch sketch(12, 2, k, 200);
   sketch.Process(DynamicStream::InsertOnly(g, 7));
-  auto skel = sketch.Extract();
+  auto skel = sketch.Query();
   ASSERT_TRUE(skel.ok());
-  Graph hs = skel->ToGraph();
+  Graph hs = skel.value().ToGraph();
   Hypergraph gh = Hypergraph::FromGraph(g);
-  for (const auto& he : skel->Edges()) {
+  for (const auto& he : skel.value().Edges()) {
     Edge e = he.AsEdge();
     bool light_h = EdgeLambda(hs, e, static_cast<int64_t>(k)) <=
                    static_cast<int64_t>(k) - 1;
@@ -126,11 +127,11 @@ TEST(KSkeletonTest, RemoveHyperedgesShiftsTheSketch) {
   KSkeletonSketch sketch(16, 2, 2, 210);
   sketch.Process(DynamicStream::InsertOnly(g, 8));
   sketch.RemoveHyperedges({Hyperedge{0, 1}});
-  auto skel = sketch.Extract();
+  auto skel = sketch.Query();
   ASSERT_TRUE(skel.ok());
-  EXPECT_FALSE(skel->HasEdge(Hyperedge{0, 1}));
+  EXPECT_FALSE(skel.value().HasEdge(Hyperedge{0, 1}));
   // The path 1..0 (cycle minus one edge) is still connected.
-  EXPECT_TRUE(IsConnected(*skel));
+  EXPECT_TRUE(IsConnected(skel.value()));
 }
 
 }  // namespace

@@ -305,12 +305,12 @@ TEST(ExtractionPeelTest, KSkeletonMatchesCopyForEveryK) {
         std::vector<Hyperedge> pre;
         const auto& edges = built.final_graph.Edges();
         for (size_t i = 0; i < edges.size(); i += 3) pre.push_back(edges[i]);
-        ExtractStats stats;
-        auto peeled = sketch.Extract(&stats, pre);
+        auto peeled = sketch.Query(pre);
         auto want = PeelByCopy(sketch, pre);
         ASSERT_EQ(peeled.ok(), want.ok());
         if (!peeled.ok()) continue;
-        EXPECT_TRUE(*peeled == want.value());
+        const ExtractStats& stats = peeled.stats();
+        EXPECT_TRUE(peeled.value() == want.value());
         EXPECT_EQ(stats.rounds_run, want.stats().rounds_run);
         EXPECT_EQ(stats.sample_attempts, want.stats().sample_attempts);
         EXPECT_EQ(stats.decode_attempts, want.stats().decode_attempts);

@@ -57,8 +57,8 @@ TEST(SerdeTest, L0SamplerRoundTrip) {
   auto b = back->Sample();
   ASSERT_EQ(a.ok(), b.ok());
   if (a.ok()) {
-    EXPECT_TRUE(a->index == b->index);
-    EXPECT_EQ(a->value, b->value);
+    EXPECT_TRUE(a.value().index == b.value().index);
+    EXPECT_EQ(a.value().value, b.value().value);
   }
   sampler.Update(123, +1);
   back->Update(123, +1);
@@ -83,8 +83,8 @@ TEST(SerdeTest, SpanningForestRoundTrip) {
   EXPECT_EQ(back->n(), sketch.n());
   EXPECT_EQ(back->rounds(), sketch.rounds());
 
-  auto a = sketch.ExtractSpanningGraph();
-  auto b = back->ExtractSpanningGraph();
+  auto a = sketch.Query();
+  auto b = back->Query();
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_TRUE(a.value() == b.value());
@@ -125,8 +125,8 @@ TEST(SerdeTest, KSkeletonRoundTrip) {
   auto back = KSkeletonSketch::Deserialize(frame);
   ASSERT_TRUE(back.ok()) << back.status().message();
   EXPECT_TRUE(back->StateEquals(sketch));
-  auto a = sketch.Extract();
-  auto b = back->Extract();
+  auto a = sketch.Query();
+  auto b = back->Query();
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_TRUE(a.value() == b.value());
@@ -207,11 +207,11 @@ TEST(SerdeTest, SparsifierRoundTrip) {
   EXPECT_EQ(back->levels(), sketch.levels());
   EXPECT_EQ(back->k(), sketch.k());
 
-  auto a = sketch.ExtractSparsifier();
-  auto b = back->ExtractSparsifier();
+  auto a = sketch.Query();
+  auto b = back->Query();
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a->level_sizes, b->level_sizes);
+  EXPECT_EQ(a.value().level_sizes, b.value().level_sizes);
 }
 
 TEST(SerdeTest, EmptySketchRoundTrips) {

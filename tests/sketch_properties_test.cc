@@ -44,11 +44,12 @@ TEST_P(SeedSweep, ForestSketchIsOrderInvariant) {
   SpanningForestSketch b(20, 2, 4242);
   a.Process(spec.Build().stream);
   b.Process(reordered.Build().stream);
-  auto ra = a.ExtractSpanningGraph();
-  auto rb = b.ExtractSpanningGraph();
+  auto ra = a.Query();
+  auto rb = b.Query();
   ASSERT_TRUE(ra.ok());
   ASSERT_TRUE(rb.ok());
-  EXPECT_TRUE(*ra == *rb);  // same final vector -> identical state
+  // Same final vector -> identical state.
+  EXPECT_TRUE(ra.value() == rb.value());
 }
 
 TEST_P(SeedSweep, ForestSketchChurnEqualsDirect) {
@@ -67,11 +68,11 @@ TEST_P(SeedSweep, ForestSketchChurnEqualsDirect) {
   SpanningForestSketch with_churn(18, 2, 999);
   direct.Process(spec.Build().stream);
   with_churn.Process(churned.Build().stream);
-  auto rd = direct.ExtractSpanningGraph();
-  auto rc = with_churn.ExtractSpanningGraph();
+  auto rd = direct.Query();
+  auto rc = with_churn.Query();
   ASSERT_TRUE(rd.ok());
   ASSERT_TRUE(rc.ok());
-  EXPECT_TRUE(*rd == *rc);  // cancelled decoys leave no trace
+  EXPECT_TRUE(rd.value() == rc.value());  // cancelled decoys leave no trace
 }
 
 TEST_P(SeedSweep, L0StateAdditionEqualsUnionStream) {
@@ -118,11 +119,11 @@ TEST_P(SeedSweep, SkeletonSubtractionEqualsNeverInserted) {
     if (!skip) partial.Update(e, +1);
   }
   full.RemoveHyperedges(removed);
-  auto rf = full.Extract();
-  auto rp = partial.Extract();
+  auto rf = full.Query();
+  auto rp = partial.Query();
   ASSERT_TRUE(rf.ok());
   ASSERT_TRUE(rp.ok());
-  EXPECT_TRUE(*rf == *rp);
+  EXPECT_TRUE(rf.value() == rp.value());
 }
 
 TEST_P(SeedSweep, SketchCopiesShareTheMeasurement) {
@@ -136,11 +137,11 @@ TEST_P(SeedSweep, SketchCopiesShareTheMeasurement) {
   SpanningForestSketch copy = original;  // shares shapes
   copy.RemoveHyperedges({Hyperedge{0, 1}});
   copy.Update(Hyperedge{0, 1}, +1);  // undo on the copy
-  auto ro = original.ExtractSpanningGraph();
-  auto rc = copy.ExtractSpanningGraph();
+  auto ro = original.Query();
+  auto rc = copy.Query();
   ASSERT_TRUE(ro.ok());
   ASSERT_TRUE(rc.ok());
-  EXPECT_TRUE(*ro == *rc);
+  EXPECT_TRUE(ro.value() == rc.value());
 }
 
 TEST_P(SeedSweep, DifferentSeedsDifferentMeasurements) {
@@ -158,12 +159,12 @@ TEST_P(SeedSweep, DifferentSeedsDifferentMeasurements) {
   SpanningForestSketch b(12, 2, seed * 2 + 2);
   a.Process(stream);
   b.Process(stream);
-  auto ra = a.ExtractSpanningGraph();
-  auto rb = b.ExtractSpanningGraph();
+  auto ra = a.Query();
+  auto rb = b.Query();
   ASSERT_TRUE(ra.ok());
   ASSERT_TRUE(rb.ok());
-  EXPECT_TRUE(IsConnected(*ra));
-  EXPECT_TRUE(IsConnected(*rb));
+  EXPECT_TRUE(IsConnected(ra.value()));
+  EXPECT_TRUE(IsConnected(rb.value()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SeedSweep,

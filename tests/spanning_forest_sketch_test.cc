@@ -34,11 +34,11 @@ TEST(SpanningForestSketchTest, ConnectedGraphDecodesConnected) {
   Graph g = UnionOfHamiltonianCycles(50, 2, 1);
   SpanningForestSketch sketch(50, 2, 11);
   sketch.Process(DynamicStream::InsertOnly(g, 2));
-  auto span = sketch.ExtractSpanningGraph();
+  auto span = sketch.Query();
   ASSERT_TRUE(span.ok());
-  EXPECT_TRUE(IsConnected(*span));
+  EXPECT_TRUE(IsConnected(span.value()));
   // Spanning graph is a subgraph of g.
-  for (const auto& e : span->Edges()) {
+  for (const auto& e : span.value().Edges()) {
     EXPECT_TRUE(g.HasEdge(e.AsEdge()));
   }
 }
@@ -52,9 +52,9 @@ TEST(SpanningForestSketchTest, ComponentStructurePreserved) {
   for (VertexId i = 20; i < 29; ++i) g.AddEdge(20, i + 1);
   SpanningForestSketch sketch(30, 2, 5);
   sketch.Process(DynamicStream::InsertOnly(g, 6));
-  auto span = sketch.ExtractSpanningGraph();
+  auto span = sketch.Query();
   ASSERT_TRUE(span.ok());
-  EXPECT_TRUE(SameComponents(ConnectedComponents(span->ToGraph()),
+  EXPECT_TRUE(SameComponents(ConnectedComponents(span.value().ToGraph()),
                              ConnectedComponents(g)));
 }
 
@@ -63,10 +63,10 @@ TEST(SpanningForestSketchTest, ChurnStreamsDecodeTheFinalGraph) {
   DynamicStream stream = DynamicStream::WithChurn(g, 300, 7);
   SpanningForestSketch sketch(40, 2, 13);
   sketch.Process(stream);
-  auto span = sketch.ExtractSpanningGraph();
+  auto span = sketch.Query();
   ASSERT_TRUE(span.ok());
-  EXPECT_TRUE(IsConnected(*span));
-  for (const auto& e : span->Edges()) {
+  EXPECT_TRUE(IsConnected(span.value()));
+  for (const auto& e : span.value().Edges()) {
     EXPECT_TRUE(g.HasEdge(e.AsEdge())) << "ghost edge " << e.ToString();
   }
 }
@@ -76,19 +76,19 @@ TEST(SpanningForestSketchTest, FullDeletionLeavesEmptySketch) {
   SpanningForestSketch sketch(12, 2, 17);
   for (const Edge& e : g.Edges()) sketch.Update(Hyperedge(e), +1);
   for (const Edge& e : g.Edges()) sketch.Update(Hyperedge(e), -1);
-  auto span = sketch.ExtractSpanningGraph();
+  auto span = sketch.Query();
   ASSERT_TRUE(span.ok());
-  EXPECT_EQ(span->NumEdges(), 0u);
+  EXPECT_EQ(span.value().NumEdges(), 0u);
 }
 
 TEST(SpanningForestSketchTest, HypergraphSpanningGraph) {
   Hypergraph h = HyperCycle(24, 4);
   SpanningForestSketch sketch(24, 4, 19);
   sketch.Process(DynamicStream::InsertOnly(h, 3));
-  auto span = sketch.ExtractSpanningGraph();
+  auto span = sketch.Query();
   ASSERT_TRUE(span.ok());
-  EXPECT_TRUE(IsConnected(*span));
-  for (const auto& e : span->Edges()) EXPECT_TRUE(h.HasEdge(e));
+  EXPECT_TRUE(IsConnected(span.value()));
+  for (const auto& e : span.value().Edges()) EXPECT_TRUE(h.HasEdge(e));
 }
 
 TEST(SpanningForestSketchTest, HypergraphComponentsWithMixedRanks) {
@@ -100,9 +100,9 @@ TEST(SpanningForestSketchTest, HypergraphComponentsWithMixedRanks) {
   // vertices 10..19 isolated
   SpanningForestSketch sketch(20, 4, 23);
   sketch.Process(DynamicStream::InsertOnly(h, 9));
-  auto span = sketch.ExtractSpanningGraph();
+  auto span = sketch.Query();
   ASSERT_TRUE(span.ok());
-  EXPECT_TRUE(SameComponents(ConnectedComponents(*span),
+  EXPECT_TRUE(SameComponents(ConnectedComponents(span.value()),
                              ConnectedComponents(h)));
 }
 
@@ -115,10 +115,10 @@ TEST(SpanningForestSketchTest, ActiveMaskRestrictsDecoding) {
   for (VertexId v = 0; v + 2 < n; v += 2) {
     sketch.Update(Hyperedge{v, static_cast<VertexId>(v + 2)}, +1);
   }
-  auto span = sketch.ExtractSpanningGraph();
+  auto span = sketch.Query();
   ASSERT_TRUE(span.ok());
-  EXPECT_EQ(span->NumEdges(), n / 2 - 1);
-  for (const auto& e : span->Edges()) {
+  EXPECT_EQ(span.value().NumEdges(), n / 2 - 1);
+  for (const auto& e : span.value().Edges()) {
     for (VertexId v : e) EXPECT_EQ(v % 2, 0u);
   }
 }
@@ -130,9 +130,9 @@ TEST(SpanningForestSketchTest, RemoveHyperedgesIsLinearSubtraction) {
   // Remove a chord-free arc of the cycle: the rest decodes as a path.
   std::vector<Hyperedge> removed = {Hyperedge{0, 1}, Hyperedge{10, 11}};
   sketch.RemoveHyperedges(removed);
-  auto span = sketch.ExtractSpanningGraph();
+  auto span = sketch.Query();
   ASSERT_TRUE(span.ok());
-  EXPECT_EQ(NumComponents(*span), 2u);
+  EXPECT_EQ(NumComponents(span.value()), 2u);
 }
 
 TEST(SpanningForestSketchTest, LocalUpdatesEqualGlobalUpdate) {
@@ -145,11 +145,12 @@ TEST(SpanningForestSketchTest, LocalUpdatesEqualGlobalUpdate) {
       local.UpdateLocal(v, h.Edges()[idx], +1);
     }
   }
-  auto a = global.ExtractSpanningGraph();
-  auto b = local.ExtractSpanningGraph();
+  auto a = global.Query();
+  auto b = local.Query();
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  EXPECT_TRUE(*a == *b);  // identical randomness -> identical decode
+  // Identical randomness -> identical decode.
+  EXPECT_TRUE(a.value() == b.value());
 }
 
 TEST(SpanningForestSketchTest, MemoryScalesWithRoundsAndVertices) {
@@ -190,9 +191,9 @@ TEST_P(ForestSweep, DecodesConnectivity) {
   }
   SpanningForestSketch sketch(tc.n, 2, tc.seed * 1000 + 17);
   sketch.Process(DynamicStream::InsertOnly(g, tc.seed));
-  auto span = sketch.ExtractSpanningGraph();
+  auto span = sketch.Query();
   ASSERT_TRUE(span.ok());
-  EXPECT_TRUE(IsConnected(*span))
+  EXPECT_TRUE(IsConnected(span.value()))
       << "family=" << tc.family << " n=" << tc.n;
 }
 

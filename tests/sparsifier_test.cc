@@ -43,10 +43,10 @@ TEST(SparsifierTest, SmallGraphAllCutsPreserved) {
   HypergraphSparsifierSketch sketch(10, 2, TestParams(/*k=*/10, /*levels=*/8),
                                     1);
   sketch.Process(DynamicStream::InsertOnly(h, 2));
-  auto out = sketch.ExtractSparsifier();
+  auto out = sketch.Query();
   ASSERT_TRUE(out.ok()) << out.status().ToString();
-  EXPECT_FALSE(out->truncated);
-  auto report = VerifySparsifier(h, out->sparsifier, /*epsilon=*/0.75);
+  EXPECT_FALSE(out.value().truncated);
+  auto report = VerifySparsifier(h, out.value().sparsifier, /*epsilon=*/0.75);
   EXPECT_TRUE(report.exhaustive);
   EXPECT_EQ(report.stats.zero_mismatches, 0u);
   EXPECT_LE(report.stats.max_rel_error, 0.75)
@@ -58,11 +58,11 @@ TEST(SparsifierTest, TotalWeightApproximatesEdgeCount) {
   Hypergraph h = Hypergraph::FromGraph(g);
   HypergraphSparsifierSketch sketch(12, 2, TestParams(8, 8), 3);
   sketch.Process(DynamicStream::InsertOnly(h, 4));
-  auto out = sketch.ExtractSparsifier();
+  auto out = sketch.Query();
   ASSERT_TRUE(out.ok());
   // Sum of weights estimates |E| (each edge survives to level i w.p. 2^-i
   // and is weighted 2^i).
-  double total = out->sparsifier.TotalWeight();
+  double total = out.value().sparsifier.TotalWeight();
   EXPECT_NEAR(total, static_cast<double>(h.NumEdges()),
               0.6 * static_cast<double>(h.NumEdges()));
 }
@@ -74,10 +74,10 @@ TEST(SparsifierTest, SparseInputsPassThroughExactly) {
   Hypergraph h = Hypergraph::FromGraph(t);
   HypergraphSparsifierSketch sketch(16, 2, TestParams(2, 6), 6);
   sketch.Process(DynamicStream::InsertOnly(h, 7));
-  auto out = sketch.ExtractSparsifier();
+  auto out = sketch.Query();
   ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out->sparsifier.size(), t.NumEdges());
-  auto report = VerifySparsifier(h, out->sparsifier, 0.01);
+  EXPECT_EQ(out.value().sparsifier.size(), t.NumEdges());
+  auto report = VerifySparsifier(h, out.value().sparsifier, 0.01);
   EXPECT_DOUBLE_EQ(report.stats.max_rel_error, 0.0);
   EXPECT_TRUE(report.within_epsilon);
 }
@@ -86,9 +86,9 @@ TEST(SparsifierTest, HypergraphCutsPreserved) {
   Hypergraph h = RandomUniformHypergraph(12, 30, 3, 8);
   HypergraphSparsifierSketch sketch(12, 3, TestParams(8, 8), 9);
   sketch.Process(DynamicStream::InsertOnly(h, 10));
-  auto out = sketch.ExtractSparsifier();
+  auto out = sketch.Query();
   ASSERT_TRUE(out.ok()) << out.status().ToString();
-  auto report = VerifySparsifier(h, out->sparsifier, 0.9);
+  auto report = VerifySparsifier(h, out.value().sparsifier, 0.9);
   EXPECT_EQ(report.stats.zero_mismatches, 0u);
   EXPECT_LE(report.stats.max_rel_error, 0.9);
 }
@@ -98,9 +98,9 @@ TEST(SparsifierTest, ChurnStream) {
   DynamicStream stream = DynamicStream::WithChurn(h, 60, 3, 12);
   HypergraphSparsifierSketch sketch(10, 3, TestParams(8, 7), 13);
   sketch.Process(stream);
-  auto out = sketch.ExtractSparsifier();
+  auto out = sketch.Query();
   ASSERT_TRUE(out.ok());
-  auto report = VerifySparsifier(h, out->sparsifier, 0.9);
+  auto report = VerifySparsifier(h, out.value().sparsifier, 0.9);
   EXPECT_EQ(report.stats.zero_mismatches, 0u);
   EXPECT_LE(report.stats.max_rel_error, 0.9);
 }
@@ -109,13 +109,13 @@ TEST(SparsifierTest, SparsifierEdgesComeFromTheInput) {
   Hypergraph h = RandomUniformHypergraph(11, 25, 3, 14);
   HypergraphSparsifierSketch sketch(11, 3, TestParams(6, 7), 15);
   sketch.Process(DynamicStream::InsertOnly(h, 16));
-  auto out = sketch.ExtractSparsifier();
+  auto out = sketch.Query();
   ASSERT_TRUE(out.ok());
-  for (const auto& e : out->sparsifier.edges) {
+  for (const auto& e : out.value().sparsifier.edges) {
     EXPECT_TRUE(h.HasEdge(e)) << "invented edge " << e.ToString();
   }
   // Weights are powers of two.
-  for (double w : out->sparsifier.weights) {
+  for (double w : out.value().sparsifier.weights) {
     double log_w = std::log2(w);
     EXPECT_DOUBLE_EQ(log_w, std::round(log_w));
   }
@@ -128,9 +128,9 @@ TEST(SparsifierTest, CompressionOnDenseInput) {
   Hypergraph h = Hypergraph::FromGraph(g);
   HypergraphSparsifierSketch sketch(14, 2, TestParams(4, 8), 17);
   sketch.Process(DynamicStream::InsertOnly(h, 18));
-  auto out = sketch.ExtractSparsifier();
+  auto out = sketch.Query();
   ASSERT_TRUE(out.ok());
-  EXPECT_LT(out->sparsifier.size(), h.NumEdges());
+  EXPECT_LT(out.value().sparsifier.size(), h.NumEdges());
 }
 
 TEST(BenczurKargerTest, SparseGraphKeptEntirely) {
