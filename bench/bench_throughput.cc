@@ -3,8 +3,9 @@
 // time, typically linear in the number of edges" (Section 1.1); this charts
 // the constants. Two sections:
 //   1. Serial-vs-parallel engine comparison (VcQuerySketch ingestion and
-//      union-graph extraction across a thread sweep), emitted both as a
-//      table and machine-readably as BENCH_throughput.json.
+//      union-graph extraction across a thread sweep, all-sparse and its
+//      threshold-0 twin), emitted both as a table and machine-readably as
+//      BENCH_throughput.json.
 //   2. The per-sketch google-benchmark microbenchmarks.
 #include <benchmark/benchmark.h>
 
@@ -47,7 +48,6 @@ struct EngineRow {
   ExtractStats stats;        // extraction-engine counters of the last Query
 };
 
-using bench::BestOfThreeIngest;
 using bench::IngestTiming;
 
 /// The single constructor of an ingest row. The printed table and the
@@ -69,37 +69,33 @@ struct FrameSizeRow {
   double bytes_per_vertex = 0;
 };
 
-/// One VcQuerySketch ingestion + query per thread count, column-sharded
-/// (each worker owns a block of the R subsample sketches). The sketch seed
-/// is identical across rows, so every row computes the bit-identical state
-/// and union graph (the determinism suite asserts this); only the wall
-/// clock may differ. Reps alternate between the thread counts so host load
-/// drifts hit every row.
-void ParallelEngineSection(std::vector<EngineRow>* rows, size_t* out_n,
-                           size_t* out_updates, size_t* out_r,
-                           FrameSizeRow* frame_row) {
-  // n = 2^14, k = 4. R is held at a bench-friendly 16 (the paper's
-  // 16 k^2 ln n would be ~2500); rounds fixed low so the rows fit in memory
-  // comfortably.
-  constexpr size_t kN = 1 << 14;
-  constexpr size_t kK = 4;
-  constexpr int kReps = 5;
-  VcQueryParams params;
-  params.k = kK;
-  params.explicit_r = 16;
-  params.forest.config = SketchConfig::Light();
-  params.forest.rounds = 3;
+/// One engine table: VcQuerySketch ingestion + query per thread count,
+/// column-sharded (each worker owns a block of the R subsample sketches),
+/// plus the stream and frame they were measured on.
+struct EngineSection {
+  size_t n = 0;
+  size_t r = 0;
+  size_t updates = 0;
+  FrameSizeRow frame;
+  std::vector<EngineRow> rows;
+};
 
-  Graph g = UnionOfHamiltonianCycles(kN, 3, /*seed=*/2);
-  DynamicStream stream = DynamicStream::WithChurn(g, /*decoys=*/kN / 2, 3);
-  *out_n = kN;
-  *out_updates = stream.size();
+/// Measure one EngineSection. The sketch seed is identical across rows, so
+/// every row computes the bit-identical state and union graph (the
+/// determinism suite asserts this); only the wall clock may differ. Reps
+/// alternate between the thread counts so host load drifts hit every row.
+EngineSection MeasureEngine(size_t n, const VcQueryParams& params,
+                            const DynamicStream& stream, const char* title) {
+  constexpr int kReps = 5;
+  EngineSection out;
+  out.n = n;
+  out.updates = stream.size();
 
   // Untimed warm-up: the first sketch constructed in the process pays the
   // one-off cost of faulting in fresh arena pages, which would otherwise
   // inflate every later row's "speedup" against the first cell.
   {
-    VcQuerySketch warm(kN, params, /*seed=*/4);
+    VcQuerySketch warm(n, params, /*seed=*/4);
     warm.Process(stream);
   }
 
@@ -108,10 +104,10 @@ void ParallelEngineSection(std::vector<EngineRow>* rows, size_t* out_n,
   sketches.reserve(std::size(thread_counts));
   for (size_t threads : thread_counts) {
     sketches.emplace_back(
-        kN, VcQueryParams::Builder(params).Threads(threads).Build(),
+        n, VcQueryParams::Builder(params).Threads(threads).Build(),
         /*seed=*/4);
   }
-  *out_r = sketches[0].R();
+  out.r = sketches[0].R();
   std::vector<std::vector<double>> ingest(std::size(thread_counts));
   std::vector<std::vector<double>> query(std::size(thread_counts));
   std::vector<ExtractStats> stats(std::size(thread_counts));
@@ -132,9 +128,9 @@ void ParallelEngineSection(std::vector<EngineRow>* rows, size_t* out_n,
       }
     }
   }
-  frame_row->frame_bytes = sketches[0].SpaceBytes();
-  frame_row->bytes_per_vertex =
-      static_cast<double>(frame_row->frame_bytes) / kN;
+  out.frame.frame_bytes = sketches[0].SpaceBytes();
+  out.frame.bytes_per_vertex = static_cast<double>(out.frame.frame_bytes) /
+                               static_cast<double>(n);
 
   Table table({"threads", "ingest_med_s", "ingest_min_s", "ingest_max_s",
                "updates/s", "speedup", "query_med_s"});
@@ -142,8 +138,8 @@ void ParallelEngineSection(std::vector<EngineRow>* rows, size_t* out_n,
     EngineRow row = MakeIngestRow(thread_counts[c], ingest[c], stream.size());
     row.query_secs = bench::SpreadOf(query[c]);
     row.stats = stats[c];
-    rows->push_back(row);
-    const double serial_rate = rows->front().ingest_rate;
+    out.rows.push_back(row);
+    const double serial_rate = out.rows.front().ingest_rate;
     table.AddRow({Table::Fmt(uint64_t{row.threads}),
                   Table::Fmt(row.ingest_secs.median, 3),
                   Table::Fmt(row.ingest_secs.min, 3),
@@ -152,18 +148,66 @@ void ParallelEngineSection(std::vector<EngineRow>* rows, size_t* out_n,
                   Table::Fmt(row.ingest_rate / std::max(serial_rate, 1e-9), 2),
                   Table::Fmt(row.query_secs.median, 3)});
   }
-  table.Print("Parallel engine: VcQuerySketch ingest + query, column-sharded");
+  table.Print(title);
   std::printf(
       "\n%d reps per thread count (alternating); speedup is at the median.\n"
-      "wire frame: %zu bytes total, %.1f bytes/vertex (one VcQuery frame,\n"
-      "R=%zu subsamples; the paper's space measure is per-vertex polylog)\n",
-      kReps, frame_row->frame_bytes, frame_row->bytes_per_vertex, *out_r);
+      "n=%zu, R=%zu subsamples, %zu stream updates; wire frame: %zu bytes\n"
+      "total, %.1f bytes/vertex (one VcQuery frame; the paper's space\n"
+      "measure is per-vertex polylog)\n",
+      kReps, n, out.r, out.updates, out.frame.frame_bytes,
+      out.frame.bytes_per_vertex);
+  return out;
+}
+
+/// The all-sparse engine rows: n = 2^14, k = 4. R is held at a
+/// bench-friendly 16 (the paper's 16 k^2 ln n would be ~2500); rounds fixed
+/// low so the rows fit in memory comfortably.
+EngineSection ParallelEngineSection() {
+  constexpr size_t kN = 1 << 14;
+  VcQueryParams params;
+  params.k = 4;
+  params.explicit_r = 16;
+  params.forest.config = SketchConfig::Light();
+  params.forest.rounds = 3;
+  Graph g = UnionOfHamiltonianCycles(kN, 3, /*seed=*/2);
+  DynamicStream stream = DynamicStream::WithChurn(g, /*decoys=*/kN / 2, 3);
+  EngineSection out = MeasureEngine(
+      kN, params, stream,
+      "Parallel engine: VcQuerySketch ingest + query, column-sharded");
   std::printf(
       "\nExpected shape: identical outputs at every thread count (the\n"
       "determinism suite asserts bit-identity). This stream has ~4 updates\n"
       "per vertex, so every column stays in its sparse buffer; the workers\n"
       "split the R subsample sketches, so the speedup is capped by the\n"
       "host's cores (DESIGN.md S6, S11).\n");
+  return out;
+}
+
+/// The engine rows' threshold-0 twin: every subsample column is dense from
+/// the first update, so each kept update reaches the forest kernel's arena
+/// writes. A dense n = 2^14 union does not fit beside its three sibling
+/// sketches, so the twin runs at n = 2^12 with R = 8 (~1024 kept vertices
+/// per subsample) on a stream of ~9 updates per vertex.
+EngineSection DenseEngineSection() {
+  constexpr size_t kN = 1 << 12;
+  VcQueryParams params;
+  params.k = 4;
+  params.explicit_r = 8;
+  params.forest.config = SketchConfig::Light();
+  params.forest.config.sparse_threshold = 0;
+  params.forest.rounds = 3;
+  Graph g = UnionOfHamiltonianCycles(kN, 8, /*seed=*/2);
+  DynamicStream stream = DynamicStream::WithChurn(g, /*decoys=*/kN / 2, 3);
+  const double rss_before = bench::PeakRssMb();
+  EngineSection out = MeasureEngine(
+      kN, params, stream,
+      "Parallel engine, dense twin: threshold-0 VcQuerySketch ingest + query");
+  std::printf(
+      "\nExpected shape: as the sparse rows, but every kept update pays the\n"
+      "dense L0 write in each of the 3 rounds. Process peak RSS: %.0f MiB\n"
+      "before this section, %.0f MiB after it.\n",
+      rss_before, bench::PeakRssMb());
+  return out;
 }
 
 /// Space-vs-stream-density sweep for the hybrid sparse/dense vertex
@@ -182,9 +226,11 @@ struct SparseDensityRow {
   double sparse_vertex_frac = 0;  // still-sparse columns after the stream
   double hybrid_bytes_per_vertex = 0;
   double dense_bytes_per_vertex = 0;
-  double hybrid_ns_per_update = 0;
-  double dense_ns_per_update = 0;
+  bench::Spread hybrid_ns_per_update;  // over kDensityReps alternating reps
+  bench::Spread dense_ns_per_update;
 };
+
+constexpr int kDensityReps = 5;
 
 void SparseDensitySection(std::vector<SparseDensityRow>* rows, size_t* out_n,
                           uint32_t* out_threshold) {
@@ -227,8 +273,22 @@ void SparseDensitySection(std::vector<SparseDensityRow>* rows, size_t* out_n,
     row.updates_per_vertex =
         2.0 * static_cast<double>(stream.size()) / static_cast<double>(kN);
 
+    // Reps alternate hybrid and dense, so host load drifts hit both.
     SpanningForestSketch hybrid(kN, 2, /*seed=*/30, hybrid_params);
-    IngestTiming ht = BestOfThreeIngest(&hybrid, stream);
+    SpanningForestSketch dense(kN, 2, /*seed=*/30, dense_params);
+    std::vector<double> hybrid_ns, dense_ns;
+    const double per_update = 1e9 / static_cast<double>(stream.size());
+    for (int rep = 0; rep < kDensityReps; ++rep) {
+      for (SpanningForestSketch* sketch : {&hybrid, &dense}) {
+        sketch->Clear();
+        Timer timer;
+        sketch->Process(stream);
+        (sketch == &hybrid ? hybrid_ns : dense_ns)
+            .push_back(timer.Seconds() * per_update);
+      }
+    }
+    row.hybrid_ns_per_update = bench::SpreadOf(hybrid_ns);
+    row.dense_ns_per_update = bench::SpreadOf(dense_ns);
     size_t sparse_vertices = 0;
     for (VertexId v = 0; v < kN; ++v) {
       sparse_vertices += hybrid.VertexEscalated(v) ? 0 : 1;
@@ -237,15 +297,8 @@ void SparseDensitySection(std::vector<SparseDensityRow>* rows, size_t* out_n,
         static_cast<double>(sparse_vertices) / static_cast<double>(kN);
     row.hybrid_bytes_per_vertex =
         static_cast<double>(hybrid.SpaceBytes()) / static_cast<double>(kN);
-    row.hybrid_ns_per_update =
-        ht.best_secs * 1e9 / static_cast<double>(stream.size());
-
-    SpanningForestSketch dense(kN, 2, /*seed=*/30, dense_params);
-    IngestTiming dt = BestOfThreeIngest(&dense, stream);
     row.dense_bytes_per_vertex =
         static_cast<double>(dense.SpaceBytes()) / static_cast<double>(kN);
-    row.dense_ns_per_update =
-        dt.best_secs * 1e9 / static_cast<double>(stream.size());
 
     rows->push_back(row);
     table.AddRow(
@@ -256,14 +309,18 @@ void SparseDensitySection(std::vector<SparseDensityRow>* rows, size_t* out_n,
          Table::Fmt(row.dense_bytes_per_vertex /
                         std::max(row.hybrid_bytes_per_vertex, 1e-9),
                     1),
-         Table::Fmt(row.hybrid_ns_per_update, 1),
-         Table::Fmt(row.dense_ns_per_update, 1),
-         Table::Fmt(row.dense_ns_per_update /
-                        std::max(row.hybrid_ns_per_update, 1e-9),
+         Table::Fmt(row.hybrid_ns_per_update.median, 1),
+         Table::Fmt(row.dense_ns_per_update.median, 1),
+         Table::Fmt(row.dense_ns_per_update.median /
+                        std::max(row.hybrid_ns_per_update.median, 1e-9),
                     2)});
   }
   table.Print("Hybrid sparse/dense: space + ingest vs stream density "
               "(one forest, n=2^14, threshold 32)");
+  std::printf(
+      "\nns/upd are medians of %d alternating hybrid/dense reps (min and max\n"
+      "in the JSON).\n",
+      kDensityReps);
   std::printf(
       "\nExpected shape: below fraction 1.0 (nearly) every column stays in\n"
       "its exact sparse buffer -- bytes/vertex collapses from the dense\n"
@@ -627,8 +684,34 @@ void AppendSpread(FILE* f, const bench::Spread& s) {
                s.median, s.min, s.max);
 }
 
-void WriteJson(const std::vector<EngineRow>& rows, size_t n, size_t updates,
-               size_t r, const FrameSizeRow& frame,
+void AppendEngineRows(FILE* f, const std::vector<EngineRow>& rows,
+                      const char* indent) {
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const EngineRow& row = rows[i];
+    std::fprintf(f, "%s{\"threads\": %zu, \"ingest_seconds\": ", indent,
+                 row.threads);
+    AppendSpread(f, row.ingest_secs);
+    std::fprintf(f,
+                 ", \"updates_per_sec\": %.1f,\n%s \"finalize_seconds\": ",
+                 row.ingest_rate, indent);
+    AppendSpread(f, row.query_secs);
+    std::fprintf(f,
+                 ",\n%s \"finalize_breakdown\": {\"rounds_run\": %d, "
+                 "\"early_exit\": %s, \"summed_words\": %llu, "
+                 "\"sample_attempts\": %llu, \"decode_attempts\": %llu, "
+                 "\"edges_found\": %llu, \"groups_per_round\": ",
+                 indent, row.stats.rounds_run,
+                 row.stats.early_exit ? "true" : "false",
+                 static_cast<unsigned long long>(row.stats.summed_words),
+                 static_cast<unsigned long long>(row.stats.sample_attempts),
+                 static_cast<unsigned long long>(row.stats.decode_attempts),
+                 static_cast<unsigned long long>(row.stats.edges_found));
+    AppendGroupsPerRound(f, row.stats);
+    std::fprintf(f, "}}%s\n", i + 1 < rows.size() ? "," : "");
+  }
+}
+
+void WriteJson(const EngineSection& engine, const EngineSection& dense_engine,
                const ExtractCompareRow& extract,
                const ExtractCompareRow& dense_extract,
                const PeelCompareRow& peel,
@@ -645,31 +728,22 @@ void WriteJson(const std::vector<EngineRow>& rows, size_t n, size_t updates,
   }
   std::fprintf(f, "{\n  \"bench\": \"throughput\",\n");
   bench::WriteHostBlock(f);
-  std::fprintf(f, "  \"n\": %zu,\n  \"k\": 4,\n  \"r\": %zu,\n", n, r);
-  std::fprintf(f, "  \"stream_updates\": %zu,\n  \"engine\": [\n", updates);
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const EngineRow& row = rows[i];
-    std::fprintf(f, "    {\"threads\": %zu, \"ingest_seconds\": ",
-                 row.threads);
-    AppendSpread(f, row.ingest_secs);
-    std::fprintf(f, ", \"updates_per_sec\": %.1f,\n     \"finalize_seconds\": ",
-                 row.ingest_rate);
-    AppendSpread(f, row.query_secs);
-    std::fprintf(f,
-                 ",\n     \"finalize_breakdown\": {\"rounds_run\": %d, "
-                 "\"early_exit\": %s, \"summed_words\": %llu, "
-                 "\"sample_attempts\": %llu, \"decode_attempts\": %llu, "
-                 "\"edges_found\": %llu, \"groups_per_round\": ",
-                 row.stats.rounds_run,
-                 row.stats.early_exit ? "true" : "false",
-                 static_cast<unsigned long long>(row.stats.summed_words),
-                 static_cast<unsigned long long>(row.stats.sample_attempts),
-                 static_cast<unsigned long long>(row.stats.decode_attempts),
-                 static_cast<unsigned long long>(row.stats.edges_found));
-    AppendGroupsPerRound(f, row.stats);
-    std::fprintf(f, "}}%s\n", i + 1 < rows.size() ? "," : "");
-  }
+  std::fprintf(f, "  \"n\": %zu,\n  \"k\": 4,\n  \"r\": %zu,\n", engine.n,
+               engine.r);
+  std::fprintf(f, "  \"stream_updates\": %zu,\n  \"engine\": [\n",
+               engine.updates);
+  AppendEngineRows(f, engine.rows, "    ");
   std::fprintf(f, "  ],\n");
+  std::fprintf(f,
+               "  \"engine_dense\": {\"n\": %zu, \"k\": 4, \"r\": %zu, "
+               "\"sparse_threshold\": 0, \"stream_updates\": %zu,\n"
+               "    \"frame\": {\"bytes\": %zu, \"bytes_per_vertex\": %.2f},"
+               "\n    \"rows\": [\n",
+               dense_engine.n, dense_engine.r, dense_engine.updates,
+               dense_engine.frame.frame_bytes,
+               dense_engine.frame.bytes_per_vertex);
+  AppendEngineRows(f, dense_engine.rows, "      ");
+  std::fprintf(f, "  ]},\n");
   AppendExtractCompare(f, "extraction_engine", extract);
   AppendExtractCompare(f, "extraction_engine_dense", dense_extract);
   std::fprintf(f,
@@ -700,7 +774,7 @@ void WriteJson(const std::vector<EngineRow>& rows, size_t n, size_t updates,
   std::fprintf(f, "  ]},\n");
   std::fprintf(f,
                "  \"frame\": {\"bytes\": %zu, \"bytes_per_vertex\": %.2f},\n",
-               frame.frame_bytes, frame.bytes_per_vertex);
+               engine.frame.frame_bytes, engine.frame.bytes_per_vertex);
   std::fprintf(f,
                "  \"sparse_density\": {\"n\": %zu, \"sparse_threshold\": %u, "
                "\"rows\": [\n",
@@ -712,18 +786,20 @@ void WriteJson(const std::vector<EngineRow>& rows, size_t n, size_t updates,
         "    {\"fraction_of_threshold\": %.2f, \"stream_updates\": %zu, "
         "\"updates_per_vertex\": %.2f, \"sparse_vertex_fraction\": %.4f,\n"
         "     \"hybrid_bytes_per_vertex\": %.2f, "
-        "\"dense_bytes_per_vertex\": %.2f, "
-        "\"hybrid_ingest_ns_per_update\": %.2f, "
-        "\"dense_ingest_ns_per_update\": %.2f,\n"
-        "     \"space_reduction\": %.2f, \"ingest_speedup\": %.3f}%s\n",
+        "\"dense_bytes_per_vertex\": %.2f, \"space_reduction\": %.2f,\n"
+        "     \"hybrid_ingest_ns_per_update\": ",
         row.fraction, row.updates, row.updates_per_vertex,
         row.sparse_vertex_frac, row.hybrid_bytes_per_vertex,
-        row.dense_bytes_per_vertex, row.hybrid_ns_per_update,
-        row.dense_ns_per_update,
+        row.dense_bytes_per_vertex,
         row.dense_bytes_per_vertex /
-            std::max(row.hybrid_bytes_per_vertex, 1e-9),
-        row.dense_ns_per_update / std::max(row.hybrid_ns_per_update, 1e-9),
-        i + 1 < density_rows.size() ? "," : "");
+            std::max(row.hybrid_bytes_per_vertex, 1e-9));
+    AppendSpread(f, row.hybrid_ns_per_update);
+    std::fprintf(f, ",\n     \"dense_ingest_ns_per_update\": ");
+    AppendSpread(f, row.dense_ns_per_update);
+    std::fprintf(f, ", \"ingest_speedup\": %.3f}%s\n",
+                 row.dense_ns_per_update.median /
+                     std::max(row.hybrid_ns_per_update.median, 1e-9),
+                 i + 1 < density_rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]},\n");
   std::fprintf(f,
@@ -1320,10 +1396,8 @@ int main(int argc, char** argv) {
       "E-throughput: update/decode constants + parallel engine",
       "Sharded-ownership parallel ingestion is bit-identical to serial; "
       "this measures what the extra threads buy.");
-  std::vector<gms::EngineRow> rows;
-  size_t n = 0, updates = 0, r = 0;
-  gms::FrameSizeRow frame;
-  gms::ParallelEngineSection(&rows, &n, &updates, &r, &frame);
+  const gms::EngineSection engine = gms::ParallelEngineSection();
+  const gms::EngineSection dense_engine = gms::DenseEngineSection();
   gms::ExtractCompareRow extract;
   gms::ExtractionEngineSection(&extract);
   gms::ExtractCompareRow dense_extract;
@@ -1340,7 +1414,7 @@ int main(int argc, char** argv) {
   gms::bench::KernelTimings kt;
   std::vector<gms::ResolveRow> resolve_rows;
   const bool resolve_ok = gms::KernelSection(&kt, &resolve_rows);
-  gms::WriteJson(rows, n, updates, r, frame, extract, dense_extract, peel,
+  gms::WriteJson(engine, dense_engine, extract, dense_extract, peel,
                  chunk_rows, chunk_n, chunk_updates, density_rows, density_n,
                  density_threshold, kt, resolve_rows);
   if (!dense_ok || !chunks_ok || !resolve_ok) return 1;

@@ -43,13 +43,10 @@ inline std::string Rate(double per_sec) {
   return Table::Fmt(per_sec, 1) + "/s";
 }
 
-/// Best-of-3 ingest wall time. Sketch state is linear, so Clear +
-/// re-Process replays the identical measurement; min over repeats is the
-/// standard noise-robust estimator. ALL reps are kept so consumers can
-/// audit that the reported number really is the min (perf_smoke asserts
-/// it). Every bench that prints an ingest comparison row reads ONE of
-/// these, so the printed table and the JSON emitter cannot disagree about
-/// which rep was reported.
+/// Best-of-3 wall time, for guards that bound a ratio: min over repeats is
+/// the noise-robust estimator of what a path CAN cost. ALL reps are kept
+/// so consumers can audit that the reported number really is the min.
+/// Comparison rows report SpreadOf's median, min and max instead.
 struct IngestTiming {
   double best_secs = 0;  // min over reps -- the ONE number emitters report
   double reps[3] = {0, 0, 0};
@@ -68,14 +65,6 @@ IngestTiming BestOfThree(const Reset& reset, const Run& run) {
     if (rep == 0 || t.reps[rep] < t.best_secs) t.best_secs = t.reps[rep];
   }
   return t;
-}
-
-/// The common shape: Clear + Process on anything sketch-like (a sketch, an
-/// app, or the ingest plane's consumer set).
-template <typename Sketch, typename Stream>
-IngestTiming BestOfThreeIngest(Sketch* sketch, const Stream& stream) {
-  return BestOfThree([sketch] { sketch->Clear(); },
-                     [sketch, &stream] { sketch->Process(stream); });
 }
 
 /// Process high-water RSS in MiB (getrusage reports KiB on Linux). The

@@ -1,6 +1,7 @@
 #include "connectivity/k_skeleton.h"
 
 #include <new>
+#include <numeric>
 
 #include "util/check.h"
 #include "util/parallel.h"
@@ -29,33 +30,28 @@ KSkeletonSketch::KSkeletonSketch(const KSkeletonSketch& other, CloneEmptyTag)
 }
 
 void KSkeletonSketch::Update(const Hyperedge& e, int delta) {
-  if (layers_.empty()) return;
-  UpdatePrepared(e, PrepareCoord(layers_[0].codec().Encode(e)), delta);
-}
-
-void KSkeletonSketch::UpdatePrepared(const Hyperedge& e,
-                                     const PreparedCoord& pc, int delta) {
+  // One encode + coordinate preparation, shared by all k layers.
+  const PreparedCoord pc = PrepareCoord(layers_[0].codec().Encode(e));
   for (auto& layer : layers_) layer.UpdatePrepared(e, pc, delta);
 }
 
 void KSkeletonSketch::Process(std::span<const StreamUpdate> updates) {
-  if (layers_.empty() || updates.empty()) return;
-  // One encode + coordinate preparation per update, shared by all k layers.
-  const EdgeCodec& codec = layers_[0].codec();
-  std::vector<PreparedCoord> prepared(updates.size());
-  for (size_t j = 0; j < updates.size(); ++j) {
-    GMS_CHECK_MSG(updates[j].edge.size() <= codec.max_rank(),
-                  "hyperedge exceeds max_rank");
-    prepared[j] = PrepareCoord(codec.Encode(updates[j].edge));
-  }
-  // Layers are independent sketches; shard them across the pool.
+  const std::vector<PreparedCoord> prepared =
+      PrepareUpdates(codec(), updates);
+  std::vector<uint32_t> all(updates.size());
+  std::iota(all.begin(), all.end(), uint32_t{0});
+  ProcessPrepared(updates, prepared, all);
+}
+
+void KSkeletonSketch::ProcessPrepared(std::span<const StreamUpdate> updates,
+                                      std::span<const PreparedCoord> prepared,
+                                      std::span<const uint32_t> routed) {
+  // Layers are independent sketches; shard them across the pool, each
+  // ingesting through its own forest kernel.
   ParallelFor(params_.threads, layers_.size(),
               [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
-      for (size_t j = 0; j < updates.size(); ++j) {
-        layers_[i].UpdatePrepared(updates[j].edge, prepared[j],
-                                  updates[j].delta);
-      }
+      layers_[i].ProcessPrepared(updates, prepared, routed);
     }
   });
 }

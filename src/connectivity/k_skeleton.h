@@ -36,17 +36,20 @@ class KSkeletonSketch {
 
   void Update(const Hyperedge& e, int delta);
 
-  /// As Update with the coordinate fully prepared by the caller (all k
-  /// layers share one (n, max_rank) domain and the preparation is
-  /// shape-independent, so containers of skeleton sketches -- e.g. the
-  /// sparsifier's levels -- encode and prepare each update exactly once).
-  void UpdatePrepared(const Hyperedge& e, const PreparedCoord& pc, int delta);
-
-  /// Batched ingestion: encodes each update once and shards the k
-  /// independent layers across params.threads workers (bit-identical to the
-  /// serial path; each layer is owned by one worker).
+  /// Batched ingestion: prepares each update once (PrepareUpdates) and
+  /// routes all of them to every layer through ProcessPrepared.
   void Process(std::span<const StreamUpdate> updates);
   void Process(const DynamicStream& stream);
+
+  /// The skeleton's batch write: every layer ingests the routed updates
+  /// through its forest kernel (SpanningForestSketch::ProcessPrepared),
+  /// the k independent layers sharded across params.threads workers (each
+  /// layer owned by one worker, so bit-identical to the serial path).
+  /// Containers of skeleton sketches -- the sparsifier's levels -- prepare
+  /// once and route each skeleton its own indices.
+  void ProcessPrepared(std::span<const StreamUpdate> updates,
+                       std::span<const PreparedCoord> prepared,
+                       std::span<const uint32_t> routed);
 
   /// Ingest-plane hooks (stream/ingest_plane.h): the shared codec, the
   /// trivial routing mask (every layer receives every update), and the

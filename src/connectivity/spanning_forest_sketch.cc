@@ -54,8 +54,9 @@ constexpr size_t kPrefetchBatchMax = 8;
 // bounded for any round count; the default configurations run 14-20 rounds.
 constexpr int kResolveTileRounds = 16;
 
-// Process resolves each live update this many updates ahead of its write,
-// prefetching with the resolution and keeping it in a ring for the write.
+// ProcessPrepared resolves each live update this many updates ahead of its
+// write, prefetching with the resolution and keeping it in a ring for the
+// write.
 constexpr size_t kPrefetchAhead = 12;
 constexpr size_t kResolveRing = 16;  // > kPrefetchAhead, a power of two
 static_assert(kResolveRing > kPrefetchAhead &&
@@ -308,17 +309,6 @@ void SpanningForestSketch::ApplyResolved(int t, const Hyperedge& e,
   }
 }
 
-void SpanningForestSketch::ApplyLocalOrd(size_t ord, const PreparedCoord& pc,
-                                         int64_t coeff) {
-  uint64_t* col = ColAt(ord, 0);
-  for (int t = 0; t < rounds_; ++t, col += state_words_) {
-    const int level = AddCoordToColumn(*round_shapes_[static_cast<size_t>(t)],
-                                       col, pc, coeff);
-    MarkDirtyOrd(t, ord);
-    MarkLevelOrd(t, ord, level);
-  }
-}
-
 void SpanningForestSketch::AddCoordRounds(const PreparedCoord& pc,
                                           int64_t coeff, int w0, int w1,
                                           uint64_t* dst,
@@ -390,16 +380,15 @@ void SpanningForestSketch::UpdatePrepared(const Hyperedge& e,
     }
     return;
   }
-  // Route each endpoint through its own phase with its Section 4.1
-  // incidence coefficient ((|e|-1) at the sorted head, -1 elsewhere).
+  // Route each endpoint through its own phase as a one-entry batch with
+  // its Section 4.1 incidence coefficient ((|e|-1) at the sorted head, -1
+  // elsewhere).
   const int64_t head = static_cast<int64_t>(e.size()) - 1;
   for (size_t pos = 0; pos < e.size(); ++pos) {
-    const VertexId v = e[pos];
-    GMS_CHECK_MSG(IsActive(v), "update touches an inactive vertex");
-    const size_t ord = static_cast<size_t>(state_index_[v]);
-    const int64_t coeff = pos == 0 ? head * delta : -int64_t{delta};
-    if (!Escalated(ord) && AbsorbUpdate(ord, pc, coeff)) continue;
-    ApplyLocalOrd(ord, pc, coeff);
+    VertexUpdate u;
+    u.pc = pc;
+    u.coeff = pos == 0 ? head * delta : -int64_t{delta};
+    ApplyUpdateBatch(e[pos], std::span<const VertexUpdate>(&u, 1));
   }
 }
 
@@ -407,14 +396,10 @@ void SpanningForestSketch::UpdateLocal(VertexId v, const Hyperedge& e,
                                        int delta) {
   GMS_CHECK_MSG(e.Contains(v), "UpdateLocal: vertex not in hyperedge");
   GMS_CHECK_MSG(IsActive(v), "update touches an inactive vertex");
-  const PreparedCoord pc = PrepareCoord(codec_.Encode(e));
-  const int64_t coeff = IncidenceCoefficient(e, v) * delta;
-  const size_t ord = static_cast<size_t>(state_index_[v]);
-  if (sparse_remaining_ != 0 && !Escalated(ord) &&
-      AbsorbUpdate(ord, pc, coeff)) {
-    return;
-  }
-  ApplyLocalOrd(ord, pc, coeff);
+  VertexUpdate u;
+  u.pc = PrepareCoord(codec_.Encode(e));
+  u.coeff = IncidenceCoefficient(e, v) * delta;
+  ApplyUpdateBatch(v, std::span<const VertexUpdate>(&u, 1));
 }
 
 void SpanningForestSketch::ApplyUpdateBatch(
@@ -484,18 +469,29 @@ void SpanningForestSketch::ApplyUpdateBatch(
   }
 }
 
-void SpanningForestSketch::Process(std::span<const StreamUpdate> updates) {
-  // Encode and prepare once per update (the combinadic rank, key fold, and
-  // exponent reduction are the same for every round), then hand each worker
-  // a contiguous block of rounds: round columns are disjoint state -- and
-  // so are their round-major dirty-bitmap words -- so no worker ever
-  // touches another's cells.
+std::vector<PreparedCoord> PrepareUpdates(const EdgeCodec& codec,
+                                          std::span<const StreamUpdate> updates,
+                                          const char* refusal) {
+  GMS_CHECK_MSG(updates.size() <= UINT32_MAX, "batch exceeds 2^32 updates");
   std::vector<PreparedCoord> prepared(updates.size());
   for (size_t j = 0; j < updates.size(); ++j) {
-    GMS_CHECK_MSG(updates[j].edge.size() <= codec_.max_rank(),
-                  "hyperedge exceeds max_rank");
-    prepared[j] = PrepareCoord(codec_.Encode(updates[j].edge));
+    GMS_CHECK_MSG(updates[j].edge.size() <= codec.max_rank(), refusal);
+    prepared[j] = PrepareCoord(codec.Encode(updates[j].edge));
   }
+  return prepared;
+}
+
+void SpanningForestSketch::Process(std::span<const StreamUpdate> updates) {
+  const std::vector<PreparedCoord> prepared = PrepareUpdates(codec_, updates);
+  std::vector<uint32_t> all(updates.size());
+  std::iota(all.begin(), all.end(), uint32_t{0});
+  ProcessPrepared(updates, prepared, all);
+}
+
+void SpanningForestSketch::ProcessPrepared(
+    std::span<const StreamUpdate> updates,
+    std::span<const PreparedCoord> prepared,
+    std::span<const uint32_t> routed) {
   // Hybrid pre-pass: counters and buffers are per-vertex stream-order
   // state, so they cannot be touched from the round-sharded fan-out (each
   // worker would bump them once per round). Absorb every sparse endpoint
@@ -506,23 +502,17 @@ void SpanningForestSketch::Process(std::span<const StreamUpdate> updates) {
   // costs no hashing and no prefetch in any round. When nothing is sparse
   // (the common steady state, and the whole sketch when the threshold is
   // 0) this block is a single predictable branch.
-  std::vector<size_t> endpoint_off;
+  std::vector<uint32_t> live;
+  std::vector<size_t> live_off;  // live[k]'s flags start at live_off[k]
   std::vector<char> endpoint_dense;
-  std::vector<size_t> live;
   const bool filtered = sparse_remaining_ != 0;
   if (filtered) {
-    endpoint_off.resize(updates.size() + 1);
-    size_t total = 0;
-    for (size_t j = 0; j < updates.size(); ++j) {
-      endpoint_off[j] = total;
-      total += updates[j].edge.size();
-    }
-    endpoint_off[updates.size()] = total;
-    endpoint_dense.assign(total, 0);
-    for (size_t j = 0; j < updates.size(); ++j) {
+    for (const uint32_t j : routed) {
       const Hyperedge& e = updates[j].edge;
       const int delta = updates[j].delta;
       const int64_t head = static_cast<int64_t>(e.size()) - 1;
+      const size_t off = endpoint_dense.size();
+      endpoint_dense.resize(off + e.size(), 0);
       bool any_dense = false;
       for (size_t pos = 0; pos < e.size(); ++pos) {
         const VertexId v = e[pos];
@@ -532,23 +522,31 @@ void SpanningForestSketch::Process(std::span<const StreamUpdate> updates) {
         if (!Escalated(ord) && AbsorbUpdate(ord, prepared[j], coeff)) {
           continue;
         }
-        endpoint_dense[endpoint_off[j] + pos] = 1;
+        endpoint_dense[off + pos] = 1;
         any_dense = true;
       }
-      if (any_dense) live.push_back(j);
+      if (any_dense) {
+        live.push_back(j);
+        live_off.push_back(off);
+      } else {
+        endpoint_dense.resize(off);
+      }
     }
-    if (live.empty()) return;  // the whole span was absorbed exactly
   }
-  const size_t count = filtered ? live.size() : updates.size();
-  auto update_at = [&](size_t k) { return filtered ? live[k] : k; };
-  auto dense_at = [&](size_t j) {
-    return filtered ? endpoint_dense.data() + endpoint_off[j] : nullptr;
+  const std::span<const uint32_t> todo =
+      filtered ? std::span<const uint32_t>(live) : routed;
+  const size_t count = todo.size();
+  if (count == 0) return;  // nothing routed, or all absorbed exactly
+  auto dense_at = [&](size_t k) {
+    return filtered ? endpoint_dense.data() + live_off[k] : nullptr;
   };
-  // Each round resolves every live update once, kPrefetchAhead updates
-  // before its write: far enough to cover DRAM latency across the ~8 lines
-  // an update touches, near enough that the lines are still resident when
-  // reached. The prefetch uses the resolution and the write reuses it
-  // from the ring.
+  // Each worker owns a contiguous block of rounds: round columns are
+  // disjoint state -- and so are their round-major dirty-bitmap words -- so
+  // no worker ever touches another's cells. Each round resolves every live
+  // update once, kPrefetchAhead updates before its write: far enough to
+  // cover DRAM latency across the ~8 lines an update touches, near enough
+  // that the lines are still resident when reached. The prefetch uses the
+  // resolution and the write reuses it from the ring.
   ParallelFor(params_.threads, static_cast<size_t>(rounds_),
               [&](size_t begin, size_t end) {
                 L0Resolved ring[kResolveRing];
@@ -556,10 +554,10 @@ void SpanningForestSketch::Process(std::span<const StreamUpdate> updates) {
                   const int t = static_cast<int>(tt);
                   const L0Shape& shape = *round_shapes_[tt];
                   const auto resolve = [&](size_t k) {
-                    const size_t j = update_at(k);
+                    const uint32_t j = todo[k];
                     L0Resolved& res = ring[k % kResolveRing];
                     shape.Resolve(prepared[j], &res);
-                    PrefetchResolved(t, updates[j].edge, res, dense_at(j));
+                    PrefetchResolved(t, updates[j].edge, res, dense_at(k));
                   };
                   for (size_t k = 0; k < std::min(kPrefetchAhead, count);
                        ++k) {
@@ -567,10 +565,10 @@ void SpanningForestSketch::Process(std::span<const StreamUpdate> updates) {
                   }
                   for (size_t k = 0; k < count; ++k) {
                     if (k + kPrefetchAhead < count) resolve(k + kPrefetchAhead);
-                    const size_t j = update_at(k);
+                    const uint32_t j = todo[k];
                     ApplyResolved(t, updates[j].edge, prepared[j],
                                   updates[j].delta, ring[k % kResolveRing],
-                                  dense_at(j));
+                                  dense_at(k));
                   }
                 }
               });

@@ -179,6 +179,17 @@ Status ReadForestParams(wire::Reader* r, ForestSketchParams* params);
 Result<uint64_t> ForestStateWords(size_t n, size_t max_rank,
                                   const SketchConfig& config);
 
+/// The encode-once step of batched ingestion: every update's prepared
+/// coordinate (combinadic rank, key fold, exponent reduction -- all
+/// shape-independent, so every forest over `codec`'s (n, max_rank) domain
+/// shares them), in update order, for SpanningForestSketch::
+/// ProcessPrepared. CHECK-fails with `refusal` on an update wider than the
+/// codec's max_rank, and on a batch past 2^32 updates (routed indices are
+/// 32-bit).
+std::vector<PreparedCoord> PrepareUpdates(
+    const EdgeCodec& codec, std::span<const StreamUpdate> updates,
+    const char* refusal = "hyperedge exceeds max_rank");
+
 /// Size-validate ONE serialized forest cell section (the unit AppendCells
 /// writes) at the head of `bytes` WITHOUT allocating anything, and return
 /// its exact byte length. A v2 cell section is self-sizing: a repr byte
@@ -252,25 +263,24 @@ class SpanningForestSketch {
   /// sketches encode and prepare once for all of them.
   void UpdatePrepared(const Hyperedge& e, const PreparedCoord& pc, int delta);
 
-  /// Batched ingestion: encodes each update once, then shards the Borůvka
-  /// rounds (independent sketch columns) across params.threads workers
-  /// (see util/parallel.h). Bit-identical to updating serially in order.
+  /// Batched ingestion: prepares each update once (PrepareUpdates), then
+  /// one ProcessPrepared call over all of them. Bit-identical to updating
+  /// serially in order.
   void Process(std::span<const StreamUpdate> updates);
 
-  /// Prefetch the cells UpdatePrepared(e, pc, .) will touch. Batch ingest
-  /// paths call this a few updates ahead: the arena is far larger than
-  /// cache and updates land at random vertices, so without lookahead each
-  /// update stalls on compulsory misses the out-of-order window cannot
-  /// reach. Purely a hint; no state changes. Always inlined, like every
-  /// prefetch wrapper (see SSparseSegmentPrefetch).
-  [[gnu::always_inline]] void PrefetchPrepared(const Hyperedge& e,
-                                               const PreparedCoord& pc) const {
-    for (int t = 0; t < rounds_; ++t) {
-      L0Resolved res;
-      round_shapes_[static_cast<size_t>(t)]->Resolve(pc, &res);
-      PrefetchResolved(t, e, res);
-    }
-  }
+  /// The batched write kernel behind every Process: ingest updates[j] for
+  /// each j in `routed` (increasing), with prepared[j] its coordinate from
+  /// PrepareUpdates over the same span. A hybrid pre-pass absorbs the
+  /// sparse endpoints serially in stream order and drops the updates it
+  /// absorbs whole; the rest fan out over the Borůvka rounds (independent
+  /// sketch columns) across params.threads workers, each round resolving
+  /// every key once for both its prefetch lookahead and its write.
+  /// Containers fanning one batch out to many forests prepare once and
+  /// route each forest its own indices. Bit-identical to calling
+  /// Update(updates[j].edge, updates[j].delta) for each routed j in order.
+  void ProcessPrepared(std::span<const StreamUpdate> updates,
+                       std::span<const PreparedCoord> prepared,
+                       std::span<const uint32_t> routed);
 
   /// Ingest a whole stream.
   void Process(const DynamicStream& stream);
@@ -454,12 +464,6 @@ class SpanningForestSketch {
     return counters_.empty() ||
            counters_[ord] > params_.config.sparse_threshold;
   }
-
-  /// The dense single-endpoint apply: add coeff * coordinate pc to every
-  /// round column of ordinal `ord`. Bit-identical to ApplyResolved's
-  /// per-endpoint write (every cell is an exact field value, so the
-  /// coefficient-times-unit product equals the staged per-endpoint form).
-  void ApplyLocalOrd(size_t ord, const PreparedCoord& pc, int64_t coeff);
 
   /// Sparse phase: record one endpoint update (saturating counter bump +
   /// sorted buffer insert with net-zero cancellation). Returns false when

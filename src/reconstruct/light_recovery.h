@@ -51,13 +51,15 @@ class LightRecoverySketch {
   const KSkeletonSketch& skeleton() const { return skeleton_; }
 
   void Update(const Hyperedge& e, int delta) { skeleton_.Update(e, delta); }
-  /// As Update with the coordinate fully prepared by the caller (the
-  /// sparsifier's levels all share one (n, max_rank) domain).
-  void UpdatePrepared(const Hyperedge& e, const PreparedCoord& pc, int delta) {
-    skeleton_.UpdatePrepared(e, pc, delta);
-  }
   void Process(std::span<const StreamUpdate> updates) {
     skeleton_.Process(updates);
+  }
+  /// KSkeletonSketch::ProcessPrepared on the underlying skeleton (the
+  /// sparsifier's levels all share one (n, max_rank) domain).
+  void ProcessPrepared(std::span<const StreamUpdate> updates,
+                       std::span<const PreparedCoord> prepared,
+                       std::span<const uint32_t> routed) {
+    skeleton_.ProcessPrepared(updates, prepared, routed);
   }
   void Process(const DynamicStream& stream) { skeleton_.Process(stream); }
 

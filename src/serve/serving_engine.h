@@ -86,8 +86,8 @@ namespace gms {
 /// buffers into the serving sketch's columns and escalates those that
 /// outgrow the sparse threshold, and each published dirty epoch
 /// re-extracts the forest: at n = 2^15 (serve_rmat, 24 epochs) the merges
-/// take 0.57-0.72 s and the extractions 0.65-0.87 s in total, about 25
-/// and 30 ms per epoch -- cheap enough to take every few thousand updates.
+/// take about 0.34 s and the extractions 0.2-0.3 s in total, about 14 and
+/// 8-13 ms per epoch -- cheap enough to take every few thousand updates.
 inline constexpr size_t kDefaultServingEpochUpdates = 1 << 13;
 
 struct ServingParams {

@@ -63,36 +63,33 @@ int HypergraphSparsifierSketch::SampleLevel(const Hyperedge& e) const {
 }
 
 void HypergraphSparsifierSketch::Update(const Hyperedge& e, int delta) {
-  const PreparedCoord pc = PrepareCoord(codec_.Encode(e));
-  int depth = sample_hash_.LevelFolded(pc.fold);
+  const int depth = SampleLevel(e);
   for (int i = 0; i <= depth && i < static_cast<int>(level_sketches_.size());
        ++i) {
-    level_sketches_[static_cast<size_t>(i)].UpdatePrepared(e, pc, delta);
+    level_sketches_[static_cast<size_t>(i)].Update(e, delta);
   }
 }
 
 void HypergraphSparsifierSketch::Process(std::span<const StreamUpdate> updates) {
-  if (updates.empty()) return;
   // Prepare each update's coordinate once (the sampling hash and every
   // level row share the same (n, max_rank) domain and the fold is
   // hash-independent) and derive its sampling depth from the shared fold.
-  std::vector<PreparedCoord> prepared(updates.size());
+  const std::vector<PreparedCoord> prepared = PrepareUpdates(codec_, updates);
   std::vector<int> depths(updates.size());
   for (size_t j = 0; j < updates.size(); ++j) {
-    prepared[j] = PrepareCoord(codec_.Encode(updates[j].edge));
     depths[j] = sample_hash_.LevelFolded(prepared[j].fold);
   }
   // Shard the level rows: each row is an independent linear sketch owned by
   // one worker, ingesting exactly the updates whose depth reaches it.
   ParallelFor(params_.threads, level_sketches_.size(),
               [&](size_t begin, size_t end) {
+    std::vector<uint32_t> routed;
     for (size_t i = begin; i < end; ++i) {
-      for (size_t j = 0; j < updates.size(); ++j) {
-        if (depths[j] >= static_cast<int>(i)) {
-          level_sketches_[i].UpdatePrepared(updates[j].edge, prepared[j],
-                                            updates[j].delta);
-        }
+      routed.clear();
+      for (uint32_t j = 0; j < updates.size(); ++j) {
+        if (depths[j] >= static_cast<int>(i)) routed.push_back(j);
       }
+      level_sketches_[i].ProcessPrepared(updates, prepared, routed);
     }
   });
 }

@@ -124,7 +124,9 @@ class HypergraphSparsifierSketch {
 
   /// Batched ingestion: each update's codec index and sampling depth are
   /// computed once; the level rows (independent light-recovery sketches)
-  /// are sharded across params.threads workers. Bit-identical to serial.
+  /// are sharded across params.threads workers, and level i's forests
+  /// ingest the updates of depth >= i through the forest write kernel
+  /// (SpanningForestSketch::ProcessPrepared). Bit-identical to serial.
   void Process(std::span<const StreamUpdate> updates);
   void Process(const DynamicStream& stream);
 

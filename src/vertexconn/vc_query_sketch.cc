@@ -159,48 +159,28 @@ void SubsampledForestUnion::ApplyUpdateBatch(
 }
 
 void SubsampledForestUnion::Process(std::span<const StreamUpdate> updates) {
-  if (sketches_.empty() || updates.empty()) return;
   // Encode and prepare once per update: every subsample shares the same
   // (n, max_rank) codec, and the key fold / exponent reduction are shape-
   // independent, so none of the per-key arithmetic is re-derived R times.
   // A rank-2 union is Theorem 4's graph sketch and says so when refusing.
   const EdgeCodec& codec = sketches_[0].codec();
-  const char* refusal = codec.max_rank() == 2
-                            ? "vertex-connectivity sketches take graph streams"
-                            : "hyperedge exceeds max_rank";
-  std::vector<PreparedCoord> prepared(updates.size());
-  for (size_t j = 0; j < updates.size(); ++j) {
-    GMS_CHECK_MSG(updates[j].edge.size() <= codec.max_rank(), refusal);
-    prepared[j] = PrepareCoord(codec.Encode(updates[j].edge));
-  }
+  const std::vector<PreparedCoord> prepared = PrepareUpdates(
+      codec, updates,
+      codec.max_rank() == 2 ? "vertex-connectivity sketches take graph streams"
+                            : "hyperedge exceeds max_rank");
   // Shard the R independent sketches: each is owned by exactly one worker
-  // and sees its updates in stream order, so the result is bit-identical
-  // to the serial path.
+  // and ingests its surviving updates (~1/k^|e| of the stream) in stream
+  // order through its forest kernel, so the result is bit-identical to the
+  // serial path.
   ParallelFor(threads_, sketches_.size(),
               [&](size_t begin, size_t end) {
     std::vector<uint32_t> hits;
     for (size_t i = begin; i < end; ++i) {
-      const std::vector<bool>& kept = kept_[i];
-      // Collect this subsample's surviving updates first (~1/k^|e| of the
-      // stream), then ingest with a prefetch lookahead measured in actual
-      // work items, so each sketch update's cold cells are in flight well
-      // before its turn.
       hits.clear();
-      for (size_t j = 0; j < updates.size(); ++j) {
-        if (KeptAll(kept, updates[j].edge)) {
-          hits.push_back(static_cast<uint32_t>(j));
-        }
+      for (uint32_t j = 0; j < updates.size(); ++j) {
+        if (KeptAll(kept_[i], updates[j].edge)) hits.push_back(j);
       }
-      constexpr size_t kPrefetchAhead = 8;
-      for (size_t h = 0; h < hits.size(); ++h) {
-        if (h + kPrefetchAhead < hits.size()) {
-          const size_t jp = hits[h + kPrefetchAhead];
-          sketches_[i].PrefetchPrepared(updates[jp].edge, prepared[jp]);
-        }
-        const size_t j = hits[h];
-        sketches_[i].UpdatePrepared(updates[j].edge, prepared[j],
-                                    updates[j].delta);
-      }
+      sketches_[i].ProcessPrepared(updates, prepared, hits);
     }
   });
 }

@@ -66,7 +66,9 @@ class SubsampledForestUnion {
 
   /// Batched ingestion: each update's codec index is encoded once and
   /// fanned out to the sketches that kept all its vertices, with the R
-  /// sketches sharded across the worker pool.
+  /// sketches sharded across the worker pool; each sketch ingests its
+  /// updates through the forest write kernel (SpanningForestSketch::
+  /// ProcessPrepared).
   void Process(std::span<const StreamUpdate> updates);
   void Process(const DynamicStream& stream) {
     Process(std::span<const StreamUpdate>(stream.updates()));

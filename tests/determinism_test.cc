@@ -6,6 +6,8 @@
 // and under the `tsan` preset it doubles as the engine's data-race test.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -17,8 +19,10 @@
 #include "stream/stream.h"
 #include "testkit/stream_spec.h"
 #include "util/parallel.h"
+#include "util/random.h"
 #include "vertexconn/hyper_vc_query.h"
 #include "vertexconn/vc_query_sketch.h"
+#include "wire/wire.h"
 
 namespace gms {
 namespace {
@@ -366,6 +370,146 @@ TEST(DeterminismTest, WorkloadFamiliesAcrossIngestModesBitIdentical) {
       EXPECT_TRUE(merged.StateEquals(serial)) << "slices=" << slices;
       EXPECT_EQ(Frame(merged), serial_frame)
           << slices << "-slice merge frame diverges";
+    }
+  }
+}
+
+// The containers' dense write path. The Light streams above stay under the
+// sparse threshold T = 32 at every column, so they never reach the forest
+// kernel's arena writes; these inputs do. Vertex 0 is a hub with
+// `hub_degree` rank-2 insertions (past T, so its column escalates
+// mid-stream in every sub-sketch that keeps it), then random hyperedges of
+// rank 2..max_rank and deletions of every third one.
+std::vector<StreamUpdate> EscalatingStream(size_t n, size_t max_rank,
+                                           size_t hub_degree, uint64_t seed) {
+  std::vector<StreamUpdate> out;
+  for (VertexId v = 1; v <= hub_degree && v < n; ++v) {
+    out.emplace_back(Hyperedge{0, v}, +1);
+  }
+  Rng rng(seed);
+  std::vector<Hyperedge> edges;
+  for (int i = 0; i < 240; ++i) {
+    const size_t rank = 2 + rng.Below(max_rank - 1);
+    std::vector<VertexId> vs;
+    while (vs.size() < rank) {
+      const VertexId v = static_cast<VertexId>(rng.Below(n));
+      if (std::find(vs.begin(), vs.end(), v) == vs.end()) vs.push_back(v);
+    }
+    edges.emplace_back(std::move(vs));
+    out.emplace_back(edges.back(), +1);
+  }
+  for (size_t i = 0; i < edges.size(); i += 3) out.emplace_back(edges[i], -1);
+  return out;
+}
+
+// Both phases of the write path: the hybrid Light config (columns escalate
+// mid-stream) and its threshold-0 twin (every column dense from the start).
+std::vector<ForestSketchParams> EscalationConfigs() {
+  SketchConfig dense = SketchConfig::Light();
+  dense.sparse_threshold = 0;
+  return {ForestSketchParams::Builder().Config(SketchConfig::Light()).Build(),
+          ForestSketchParams::Builder().Config(dense).Build()};
+}
+
+// Batched Process in consecutive chunks of `chunk` updates.
+template <typename Sketch>
+void ProcessInChunks(Sketch* sketch, std::span<const StreamUpdate> updates,
+                     size_t chunk) {
+  for (size_t i = 0; i < updates.size(); i += chunk) {
+    sketch->Process(updates.subspan(i, std::min(chunk, updates.size() - i)));
+  }
+}
+
+template <typename Sketch>
+std::vector<uint8_t> FrameBytes(const Sketch& s) {
+  std::vector<uint8_t> out;
+  s.Serialize(&out);
+  return out;
+}
+
+// The union has no frame of its own; its cell section is the Theorem 4
+// frame payload, hybrid counters and buffers included.
+std::vector<uint8_t> FrameBytes(const SubsampledForestUnion& s) {
+  std::vector<uint8_t> out;
+  wire::Writer w(&out);
+  s.AppendCells(&w);
+  return out;
+}
+
+constexpr size_t kChunkSweep[] = {1, 7, SIZE_MAX};
+
+TEST(DeterminismTest, SubsampledForestUnionDensePathFrames) {
+  constexpr size_t kN = 256;
+  constexpr uint64_t kSeed = 5;
+  // With k = 2, a subsample that kept the hub keeps each hub edge with
+  // probability 1/2, so ~127 of its 255 insertions land there: far past T.
+  const std::vector<StreamUpdate> updates =
+      EscalatingStream(kN, /*max_rank=*/2, /*hub_degree=*/kN - 1, kSeed);
+  for (const ForestSketchParams& forest : EscalationConfigs()) {
+    SCOPED_TRACE(forest.config.sparse_threshold);
+    SubsampledForestUnion serial(kN, /*max_rank=*/2, /*k=*/2,
+                                 /*r_subgraphs=*/12, kSeed, forest);
+    for (const auto& u : updates) serial.Update(u.edge, u.delta);
+    const std::vector<uint8_t> want = FrameBytes(serial);
+    for (size_t threads : kThreadSweep) {
+      for (size_t chunk : kChunkSweep) {
+        SubsampledForestUnion batched(kN, 2, 2, 12, kSeed, forest, threads);
+        ProcessInChunks(&batched, updates, chunk);
+        EXPECT_EQ(FrameBytes(batched), want)
+            << "threads=" << threads << " chunk=" << chunk;
+      }
+    }
+  }
+}
+
+TEST(DeterminismTest, KSkeletonDensePathFrames) {
+  constexpr size_t kN = 64;
+  constexpr uint64_t kSeed = 13;
+  const std::vector<StreamUpdate> updates =
+      EscalatingStream(kN, /*max_rank=*/3, /*hub_degree=*/kN - 1, kSeed);
+  for (const ForestSketchParams& serial_params : EscalationConfigs()) {
+    SCOPED_TRACE(serial_params.config.sparse_threshold);
+    KSkeletonSketch serial(kN, /*max_rank=*/3, /*k=*/3, kSeed, serial_params);
+    for (const auto& u : updates) serial.Update(u.edge, u.delta);
+    ASSERT_TRUE(serial.layer(0).VertexEscalated(0));
+    const std::vector<uint8_t> want = FrameBytes(serial);
+    for (size_t threads : kThreadSweep) {
+      const ForestSketchParams params =
+          ForestSketchParams::Builder(serial_params).Threads(threads).Build();
+      for (size_t chunk : kChunkSweep) {
+        KSkeletonSketch batched(kN, 3, 3, kSeed, params);
+        ProcessInChunks(&batched, updates, chunk);
+        EXPECT_EQ(FrameBytes(batched), want)
+            << "threads=" << threads << " chunk=" << chunk;
+      }
+    }
+  }
+}
+
+TEST(DeterminismTest, SparsifierDensePathFrames) {
+  constexpr size_t kN = 64;
+  constexpr uint64_t kSeed = 21;
+  // Level 0 ingests every update, so the hub escalates there; deeper
+  // levels see a geometric share of it.
+  const std::vector<StreamUpdate> updates =
+      EscalatingStream(kN, /*max_rank=*/3, /*hub_degree=*/kN - 1, kSeed);
+  for (const ForestSketchParams& forest : EscalationConfigs()) {
+    SCOPED_TRACE(forest.config.sparse_threshold);
+    const SparsifierParams serial_params =
+        SparsifierParams::Builder().Forest(forest).Levels(4).K(2).Build();
+    HypergraphSparsifierSketch serial(kN, /*max_rank=*/3, serial_params,
+                                      kSeed);
+    for (const auto& u : updates) serial.Update(u.edge, u.delta);
+    const std::vector<uint8_t> want = FrameBytes(serial);
+    for (size_t threads : kThreadSweep) {
+      const SparsifierParams params =
+          SparsifierParams::Builder(serial_params).Threads(threads).Build();
+      for (size_t chunk : kChunkSweep) {
+        HypergraphSparsifierSketch batched(kN, 3, params, kSeed);
+        ProcessInChunks(&batched, updates, chunk);
+        EXPECT_EQ(FrameBytes(batched), want)
+            << "threads=" << threads << " chunk=" << chunk;
+      }
     }
   }
 }
