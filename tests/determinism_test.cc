@@ -438,28 +438,41 @@ std::vector<uint8_t> FrameBytes(const SubsampledForestUnion& s) {
 
 constexpr size_t kChunkSweep[] = {1, 7, SIZE_MAX};
 
-TEST(DeterminismTest, SubsampledForestUnionDensePathFrames) {
-  constexpr size_t kN = 256;
-  constexpr uint64_t kSeed = 5;
-  // With k = 2, a subsample that kept the hub keeps each hub edge with
-  // probability 1/2, so ~127 of its 255 insertions land there: far past T.
-  const std::vector<StreamUpdate> updates =
-      EscalatingStream(kN, /*max_rank=*/2, /*hub_degree=*/kN - 1, kSeed);
+// For each escalation config: the per-update Update sketch's frame against
+// batched Process in every chunk size at every thread count.
+// make(forest, threads) builds the container under test.
+template <typename Make>
+void ExpectBatchedFramesMatchSerial(const std::vector<StreamUpdate>& updates,
+                                    const Make& make) {
   for (const ForestSketchParams& forest : EscalationConfigs()) {
     SCOPED_TRACE(forest.config.sparse_threshold);
-    SubsampledForestUnion serial(kN, /*max_rank=*/2, /*k=*/2,
-                                 /*r_subgraphs=*/12, kSeed, forest);
+    auto serial = make(forest, 1);
     for (const auto& u : updates) serial.Update(u.edge, u.delta);
     const std::vector<uint8_t> want = FrameBytes(serial);
     for (size_t threads : kThreadSweep) {
       for (size_t chunk : kChunkSweep) {
-        SubsampledForestUnion batched(kN, 2, 2, 12, kSeed, forest, threads);
-        ProcessInChunks(&batched, updates, chunk);
+        auto batched = make(forest, threads);
+        ProcessInChunks(&batched, std::span<const StreamUpdate>(updates),
+                        chunk);
         EXPECT_EQ(FrameBytes(batched), want)
             << "threads=" << threads << " chunk=" << chunk;
       }
     }
   }
+}
+
+TEST(DeterminismTest, SubsampledForestUnionDensePathFrames) {
+  constexpr size_t kN = 256;
+  constexpr uint64_t kSeed = 5;
+  // With k = 2, a subsample that kept the hub keeps each hub edge with
+  // probability 1/2, so ~127 of its 255 insertions land there: far past T.
+  ExpectBatchedFramesMatchSerial(
+      EscalatingStream(kN, /*max_rank=*/2, /*hub_degree=*/kN - 1, kSeed),
+      [](const ForestSketchParams& forest, size_t threads) {
+        return SubsampledForestUnion(kN, /*max_rank=*/2, /*k=*/2,
+                                     /*r_subgraphs=*/12, kSeed, forest,
+                                     threads);
+      });
 }
 
 TEST(DeterminismTest, KSkeletonDensePathFrames) {
@@ -467,23 +480,15 @@ TEST(DeterminismTest, KSkeletonDensePathFrames) {
   constexpr uint64_t kSeed = 13;
   const std::vector<StreamUpdate> updates =
       EscalatingStream(kN, /*max_rank=*/3, /*hub_degree=*/kN - 1, kSeed);
-  for (const ForestSketchParams& serial_params : EscalationConfigs()) {
-    SCOPED_TRACE(serial_params.config.sparse_threshold);
-    KSkeletonSketch serial(kN, /*max_rank=*/3, /*k=*/3, kSeed, serial_params);
-    for (const auto& u : updates) serial.Update(u.edge, u.delta);
-    ASSERT_TRUE(serial.layer(0).VertexEscalated(0));
-    const std::vector<uint8_t> want = FrameBytes(serial);
-    for (size_t threads : kThreadSweep) {
-      const ForestSketchParams params =
-          ForestSketchParams::Builder(serial_params).Threads(threads).Build();
-      for (size_t chunk : kChunkSweep) {
-        KSkeletonSketch batched(kN, 3, 3, kSeed, params);
-        ProcessInChunks(&batched, updates, chunk);
-        EXPECT_EQ(FrameBytes(batched), want)
-            << "threads=" << threads << " chunk=" << chunk;
-      }
-    }
-  }
+  auto make = [](const ForestSketchParams& forest, size_t threads) {
+    return KSkeletonSketch(
+        kN, /*max_rank=*/3, /*k=*/3, kSeed,
+        ForestSketchParams::Builder(forest).Threads(threads).Build());
+  };
+  KSkeletonSketch hybrid = make(EscalationConfigs()[0], 1);
+  for (const auto& u : updates) hybrid.Update(u.edge, u.delta);
+  ASSERT_TRUE(hybrid.layer(0).VertexEscalated(0));
+  ExpectBatchedFramesMatchSerial(updates, make);
 }
 
 TEST(DeterminismTest, SparsifierDensePathFrames) {
@@ -491,27 +496,18 @@ TEST(DeterminismTest, SparsifierDensePathFrames) {
   constexpr uint64_t kSeed = 21;
   // Level 0 ingests every update, so the hub escalates there; deeper
   // levels see a geometric share of it.
-  const std::vector<StreamUpdate> updates =
-      EscalatingStream(kN, /*max_rank=*/3, /*hub_degree=*/kN - 1, kSeed);
-  for (const ForestSketchParams& forest : EscalationConfigs()) {
-    SCOPED_TRACE(forest.config.sparse_threshold);
-    const SparsifierParams serial_params =
-        SparsifierParams::Builder().Forest(forest).Levels(4).K(2).Build();
-    HypergraphSparsifierSketch serial(kN, /*max_rank=*/3, serial_params,
-                                      kSeed);
-    for (const auto& u : updates) serial.Update(u.edge, u.delta);
-    const std::vector<uint8_t> want = FrameBytes(serial);
-    for (size_t threads : kThreadSweep) {
-      const SparsifierParams params =
-          SparsifierParams::Builder(serial_params).Threads(threads).Build();
-      for (size_t chunk : kChunkSweep) {
-        HypergraphSparsifierSketch batched(kN, 3, params, kSeed);
-        ProcessInChunks(&batched, updates, chunk);
-        EXPECT_EQ(FrameBytes(batched), want)
-            << "threads=" << threads << " chunk=" << chunk;
-      }
-    }
-  }
+  ExpectBatchedFramesMatchSerial(
+      EscalatingStream(kN, /*max_rank=*/3, /*hub_degree=*/kN - 1, kSeed),
+      [](const ForestSketchParams& forest, size_t threads) {
+        return HypergraphSparsifierSketch(kN, /*max_rank=*/3,
+                                          SparsifierParams::Builder()
+                                              .Forest(forest)
+                                              .Levels(4)
+                                              .K(2)
+                                              .Threads(threads)
+                                              .Build(),
+                                          kSeed);
+      });
 }
 
 }  // namespace
