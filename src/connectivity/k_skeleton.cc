@@ -31,7 +31,7 @@ KSkeletonSketch::KSkeletonSketch(const KSkeletonSketch& other, CloneEmptyTag)
 
 void KSkeletonSketch::Update(const Hyperedge& e, int delta) {
   // One encode + coordinate preparation, shared by all k layers.
-  const PreparedCoord pc = PrepareCoord(layers_[0].codec().Encode(e));
+  const PreparedCoord pc = PrepareCoord(codec().Encode(e));
   for (auto& layer : layers_) layer.UpdatePrepared(e, pc, delta);
 }
 
